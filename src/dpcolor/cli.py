@@ -43,8 +43,17 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_graph(path: str, fmt: str) -> Graph:
     text = _read_text(path)
+    if not text.strip():
+        raise ValueError(f"{path}: empty input, expected a graph")
     if fmt == "auto":
         stripped = next(
             (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
@@ -72,7 +81,7 @@ def _add_graph_arg(p: _Parser) -> None:
 def _add_budget_args(p: _Parser) -> None:
     p.add_argument("--budget", type=int, default=None,
                    help="case budget (default from DPCOLOR_BUDGET)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--certificate", default=None,
                    help="write the failing assignment here")
 

@@ -191,46 +191,29 @@ def is_valid_coloring(g: Graph, lists: Lists, matching: MatchingAssignment,
     return True
 
 
-def find_coloring(g: Graph, lists: Lists,
-                  matching: MatchingAssignment) -> tuple[int, ...] | None:
-    """Exhaustive backtracking search for a DP-coloring.
+def search_positions(adj, sizes, part) -> tuple[int, ...] | None:
+    """The DP-coloring backtracker shared by find_coloring and the adversary.
 
-    Returns a coloring tuple, or None after certifying that none exists.
-    Internally colors are list positions; forward checking removes the
-    matched partner from each uncolored neighbor's residual domain, and the
-    next vertex is always one with the smallest residual domain (ties to
-    the smallest index), with positions tried in increasing order, so the
-    result is deterministic.
+    adj[v] lists v's neighbors in increasing order; vertex v chooses a
+    position in range(sizes[v]).  part[(v, u)][i] is the position at u
+    matched with position i at v, or -1 when i is unmatched on that dart.
+    Returns the chosen position per vertex, or None after certifying that
+    no choice avoids every matched pair.
+
+    Forward checking removes the matched partner from each uncolored
+    neighbor's residual domain, and the next vertex is always one with the
+    smallest residual domain (ties to the smallest index), with positions
+    tried in increasing order, so the result is deterministic.
     """
-    matching.validate(g, lists)
-    n = g.n
-    if n == 0:
-        return ()
-    ks = [len(lists[v]) for v in range(n)]
-    index = [{c: i for i, c in enumerate(lists[v])} for v in range(n)]
-    # partner position tables per dart
-    part: dict[tuple[int, int], list[int]] = {}
-    for u, v in g.edges:
-        fwd = [-1] * ks[u]
-        bwd = [-1] * ks[v]
-        for a, b in matching.pairs(u, v):
-            fwd[index[u][a]] = index[v][b]
-            bwd[index[v][b]] = index[u][a]
-        part[(u, v)] = fwd
-        part[(v, u)] = bwd
-
-    adj = [sorted(g.adj[v]) for v in range(n)]
-    domain = [(1 << ks[v]) - 1 for v in range(n)]
+    n = len(adj)
+    domain = [(1 << k) - 1 for k in sizes]
     chosen = [-1] * n
     uncolored = set(range(n))
-
-    def bitcount(x: int) -> int:
-        return x.bit_count()
 
     def solve() -> bool:
         if not uncolored:
             return True
-        v = min(uncolored, key=lambda w: (bitcount(domain[w]), w))
+        v = min(uncolored, key=lambda w: (domain[w].bit_count(), w))
         if domain[v] == 0:
             return False
         uncolored.discard(v)
@@ -260,9 +243,35 @@ def find_coloring(g: Graph, lists: Lists,
         uncolored.add(v)
         return False
 
-    if solve():
-        return tuple(lists[v][chosen[v]] for v in range(n))
-    return None
+    return tuple(chosen) if solve() else None
+
+
+def find_coloring(g: Graph, lists: Lists,
+                  matching: MatchingAssignment) -> tuple[int, ...] | None:
+    """Exhaustive backtracking search for a DP-coloring.
+
+    Returns a coloring tuple, or None after certifying that none exists.
+    Colors are translated to list positions for search_positions, whose
+    fixed search order makes the result deterministic.
+    """
+    matching.validate(g, lists)
+    n = g.n
+    ks = [len(lists[v]) for v in range(n)]
+    index = [{c: i for i, c in enumerate(lists[v])} for v in range(n)]
+    part: dict[tuple[int, int], list[int]] = {}
+    for u, v in g.edges:
+        fwd = [-1] * ks[u]
+        bwd = [-1] * ks[v]
+        for a, b in matching.pairs(u, v):
+            fwd[index[u][a]] = index[v][b]
+            bwd[index[v][b]] = index[u][a]
+        part[(u, v)] = fwd
+        part[(v, u)] = bwd
+    adj = [sorted(g.adj[v]) for v in range(n)]
+    chosen = search_positions(adj, ks, part)
+    if chosen is None:
+        return None
+    return tuple(lists[v][chosen[v]] for v in range(n))
 
 
 def from_list_assignment(g: Graph, lists: Lists

@@ -9,6 +9,19 @@ whether an independent transversal exists.  The restricted space has
 (k!)^(|E|-|V|+components) cases, enumerated in lexicographic order so the
 first failing assignment is deterministic.
 
+The enumeration reuses the colorings it has found ("witnesses").  It walks
+the non-tree edges depth first in that same lexicographic order, as a loop
+rather than a recursion so any number of non-tree edges fits, keeping at
+each depth the witnesses that avoid every matched pair on the edges set so
+far; the backtracker (dp.search_positions) runs only at a leaf that no
+witness survives.  A coloring it returns is valid on every prefix of its
+assignment, so it joins the witnesses of every open depth.  A surviving
+witness proves its leaf colorable, so skipping the search changes no
+verdict, and the first leaf with no coloring is the same first failing
+assignment.  Every leaf still counts as one attempted case, checked against
+the budget before it is examined, so budgets and BudgetExceeded.attempted
+mean what they meant for the plain per-assignment scan.
+
 The choosability search enumerates list assignments up to color renaming.
 Splitting a color whose support induces a disconnected subgraph into one
 fresh color per component changes no verdict (matched colors never face
@@ -25,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import Graph, from_edge_list
-from .dp import Lists, MatchingAssignment, find_coloring
+from .dp import Lists, MatchingAssignment, search_positions
 
 __all__ = [
     "BudgetExceeded",
@@ -162,121 +175,105 @@ def normalized_assignment_count(g: Graph, k: int) -> int:
     return math.factorial(k) ** (g.m - g.n + components)
 
 
-class _DPSearch:
-    """Reusable DP-coloring feasibility check over permutation assignments.
+def _scan_block(g: Graph, k: int, first_indices, budget: int
+                ) -> tuple[str, MatchingAssignment | None, int]:
+    """Scan the normalized assignments whose first non-tree edge uses one of
+    first_indices (positions in itertools.permutations(range(k))), in
+    lexicographic order, reusing colorings already found.
 
-    Colors are 0..k-1 at every vertex.  Tree darts always carry the
-    identity; set_assignment swaps in permutation tables for non-tree
-    edges, then solve() runs the forward-checking backtracker.
+    Returns (status, certificate-or-None, attempted) with status in
+    {"ok", "cert", "budget"}; attempted counts enumerated assignments.
     """
-
-    def __init__(self, g: Graph, k: int):
-        self.g = g
-        self.k = k
-        self.tree = _spanning_forest(g)
-        self.nontree = sorted(g.edges - self.tree)
-        self.adj = [sorted(g.adj[v]) for v in range(g.n)]
-        ident = tuple(range(k))
-        self.part: dict[tuple[int, int], tuple[int, ...]] = {}
-        for u, v in g.edges:
-            self.part[(u, v)] = ident
-            self.part[(v, u)] = ident
-        self.perms = list(itertools.permutations(range(k)))
-        self.inv = []
-        for p in self.perms:
-            q = [0] * k
-            for i, x in enumerate(p):
-                q[x] = i
-            self.inv.append(tuple(q))
-
-    def set_assignment(self, perm_indices: tuple[int, ...]) -> None:
-        for (u, v), idx in zip(self.nontree, perm_indices):
-            self.part[(u, v)] = self.perms[idx]
-            self.part[(v, u)] = self.inv[idx]
-
-    def solve(self) -> bool:
-        n = self.g.n
-        full = (1 << self.k) - 1
-        domain = [full] * n
-        chosen = [-1] * n
-        uncolored = set(range(n))
-        adj = self.adj
-        part = self.part
-
-        def rec() -> bool:
-            if not uncolored:
-                return True
-            v = min(uncolored, key=lambda w: (domain[w].bit_count(), w))
-            if domain[v] == 0:
-                return False
-            uncolored.discard(v)
-            d = domain[v]
-            while d:
-                bit = d & -d
-                d ^= bit
-                i = bit.bit_length() - 1
-                chosen[v] = i
-                removed = []
-                dead = False
-                for u in adj[v]:
-                    if chosen[u] >= 0:
-                        continue
-                    j = part[(v, u)][i]
-                    if (domain[u] >> j) & 1:
-                        domain[u] ^= 1 << j
-                        removed.append((u, j))
-                        if domain[u] == 0:
-                            dead = True
-                            break
-                if not dead and rec():
-                    return True
-                for u, j in removed:
-                    domain[u] ^= 1 << j
-                chosen[v] = -1
-            uncolored.add(v)
-            return False
-
-        return rec()
-
-    def certificate(self, perm_indices: tuple[int, ...]) -> MatchingAssignment:
-        perms = {e: self.perms[i] for e, i in zip(self.nontree, perm_indices)}
-        return MatchingAssignment.from_permutations(self.g, self.k, perms,
-                                                    default_identity=True)
-
-
-def _scan_block(search: _DPSearch, first_indices, budget: int
-                ) -> tuple[str, tuple[int, ...] | None, int]:
-    """Scan assignments whose first non-tree edge uses the given perm indices.
-
-    Returns (status, perm_indices-or-None, attempted) with status in
-    {"ok", "cert", "budget"}.
-    """
-    nperm = len(search.perms)
-    rest = len(search.nontree) - 1
-    attempted = 0
-    if rest < 0:
+    nontree = sorted(g.edges - _spanning_forest(g))
+    perms = list(itertools.permutations(range(k)))
+    inv = [tuple(sorted(range(k), key=p.__getitem__)) for p in perms]
+    adj = [sorted(g.adj[v]) for v in range(g.n)]
+    sizes = [k] * g.n
+    part = {}
+    for u, v in g.edges:
+        part[(u, v)] = part[(v, u)] = perms[0]
+    depth = len(nontree)
+    if not depth:
         # no non-tree edges: the single all-identity assignment
-        attempted = 1
-        if attempted > budget:
+        if budget < 1:
             return "budget", None, 0
-        return ("ok" if search.solve() else "cert"), (), attempted
-    for first in first_indices:
-        for tail in itertools.product(range(nperm), repeat=rest):
+        if search_positions(adj, sizes, part) is None:
+            return "cert", MatchingAssignment.identity(g, k), 1
+        return "ok", None, 1
+    # Witnesses are found colorings, one bit each.  alive[d][i] holds the
+    # witnesses that avoid the matched pairs of non-tree edge d under perm
+    # i; masks[d] holds those valid on edges 0..d-1 of the current path.
+    # Until the first witness every row is the shared all-zero row.
+    nperm = len(perms)
+    zeros = [0] * nperm
+    alive = [zeros] * depth
+    masks = [0] * depth
+    path = [0] * depth
+    witnesses = attempted = 0
+
+    def add_witness(coloring) -> None:
+        nonlocal witnesses
+        bit = 1 << witnesses
+        witnesses += 1
+        for d, (u, v) in enumerate(nontree):
+            row = alive[d]
+            if row is zeros:
+                row = alive[d] = [0] * nperm
+            cu, cv = coloring[u], coloring[v]
+            for i, p in enumerate(perms):
+                if p[cu] != cv:
+                    row[i] |= bit
+            # valid on every prefix of the current path
+            masks[d] |= bit
+
+    # Depth-first walk as an odometer over path, without recursion, so the
+    # depth is not limited by the number of non-tree edges.  cursor[d] is
+    # the index, in the choices of depth d, of the next perm to try there.
+    top = list(first_indices)
+    every = range(nperm)
+    last = depth - 1
+    cursor = [0] * depth
+    d = 0
+    while d >= 0:
+        choices = top if d == 0 else every
+        if d < last:
+            c = cursor[d]
+            if c == len(choices):
+                cursor[d] = 0
+                d -= 1
+                continue
+            cursor[d] = c + 1
+            i = path[d] = choices[c]
+            u, v = nontree[d]
+            part[(u, v)], part[(v, u)] = perms[i], inv[i]
+            masks[d + 1] = masks[d] & alive[d][i]
+            d += 1
+            continue
+        # leaf depth: every choice is one enumerated assignment
+        u, v = nontree[d]
+        row, mask = alive[d], masks[d]
+        for i in choices:
             if attempted >= budget:
                 return "budget", None, attempted
             attempted += 1
-            assignment = (first,) + tail
-            search.set_assignment(assignment)
-            if not search.solve():
-                return "cert", assignment, attempted
+            if mask & row[i]:
+                continue
+            path[d] = i
+            part[(u, v)], part[(v, u)] = perms[i], inv[i]
+            coloring = search_positions(adj, sizes, part)
+            if coloring is None:
+                chosen = {e: perms[j] for e, j in zip(nontree, path)}
+                matching = MatchingAssignment.from_permutations(g, k, chosen)
+                return "cert", matching, attempted
+            add_witness(coloring)
+            row, mask = alive[d], masks[d]
+        d -= 1
     return "ok", None, attempted
 
 
 def _dp_block_worker(payload):
     n, edges, k, first_indices, budget = payload
-    g = from_edge_list(edges, n=n)
-    search = _DPSearch(g, k)
-    return _scan_block(search, first_indices, budget)
+    return _scan_block(from_edge_list(edges, n=n), k, first_indices, budget)
 
 
 def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
@@ -285,33 +282,33 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
     lexicographically first failing assignment as an AdversaryCertificate.
 
     Raises BudgetExceeded with the attempted case count if the normalized
-    space cannot be settled within budget.
+    space cannot be settled within budget.  The verdict, the certificate
+    and the count do not depend on jobs.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    search = _DPSearch(g, k)
-    nperm = len(search.perms)
-    if jobs <= 1 or not search.nontree or nperm == 1:
-        status, assignment, attempted = _scan_block(search, range(nperm), budget)
-        if status == "budget":
-            raise BudgetExceeded(attempted)
+    nperm = math.factorial(k)
+    if jobs <= 1 or normalized_assignment_count(g, k) == 1:
+        results = [_scan_block(g, k, range(nperm), budget)]
+    else:
+        # split the first edge's permutations into contiguous blocks, each
+        # scanned with the full budget since none knows how far the blocks
+        # before it get
+        payloads = [(g.n, tuple(g.edges), k, blk, budget)
+                    for blk in _contiguous_blocks(nperm, jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_dp_block_worker, payloads))
+    # merge in block order with cumulative counts: a block's result stands
+    # only where the serial scan would have reached it within budget, so
+    # the first certificate and the attempted count are the serial ones
+    offset = 0
+    for status, matching, attempted in results:
+        offset += attempted
+        if status == "budget" or offset > budget:
+            # the serial scan stops with exactly budget cases attempted
+            raise BudgetExceeded(max(budget, 0))
         if status == "cert":
-            return AdversaryCertificate(kind="dp", k=k,
-                                        matching=search.certificate(assignment))
-        return True
-    # split the first edge's permutations into contiguous blocks; results
-    # merge in block order, preserving the lexicographic-first certificate
-    blocks = _contiguous_blocks(nperm, jobs)
-    per_block = max(1, budget // len(blocks))
-    payloads = [(g.n, tuple(g.edges), k, blk, per_block) for blk in blocks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_dp_block_worker, payloads))
-    for status, assignment, attempted in results:
-        if status == "budget":
-            raise BudgetExceeded(sum(r[2] for r in results))
-        if status == "cert":
-            return AdversaryCertificate(kind="dp", k=k,
-                                        matching=search.certificate(assignment))
+            return AdversaryCertificate(kind="dp", k=k, matching=matching)
     return True
 
 

@@ -1,11 +1,14 @@
 """Deliberately dumb reference implementations used to cross-check the fast
-paths.  Nothing here shares search code with the package."""
+paths.  Only reference_dp_scan shares search code with the package: it
+calls the public find_coloring once per assignment, so it checks the
+adversary's enumeration, and slow_dp_verdict checks it in turn."""
 
 from __future__ import annotations
 
 import itertools
 
-from dpcolor import Graph
+from dpcolor import (BudgetExceeded, DEFAULT_BUDGET, Graph, MatchingAssignment,
+                     find_coloring, is_valid_coloring, uniform_lists)
 
 
 def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
@@ -47,6 +50,52 @@ def slow_dp_verdict(g: Graph, k: int) -> bool:
         pair_sets = {e: set(pairs) for e, pairs in zip(edges, choice)}
         if not brute_has_coloring(g, lists, pair_sets):
             return False
+    return True
+
+
+def _dfs_forest(g: Graph) -> set[tuple[int, int]]:
+    """The spanning forest the adversary normalizes on: depth-first from
+    each unseen root in index order, neighbors pushed in increasing order."""
+    seen = [False] * g.n
+    tree = set()
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in sorted(g.adj[v]):
+                if not seen[u]:
+                    seen[u] = True
+                    tree.add((min(u, v), max(u, v)))
+                    stack.append(u)
+    return tree
+
+
+def reference_dp_scan(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
+    """The normalized adversary as a plain scan: every permutation on every
+    non-tree edge, in itertools.product order, one find_coloring call each.
+
+    Returns True or the first failing MatchingAssignment; raises
+    BudgetExceeded once budget assignments are tried without a verdict.
+    Every coloring find_coloring returns is checked, so a search that
+    returned an invalid coloring would not pass for a colorable case.
+    """
+    nontree = sorted(set(g.edges) - _dfs_forest(g))
+    lists = uniform_lists(g.n, k)
+    attempted = 0
+    for choice in itertools.product(itertools.permutations(range(k)),
+                                    repeat=len(nontree)):
+        if attempted >= budget:
+            raise BudgetExceeded(attempted)
+        attempted += 1
+        matching = MatchingAssignment.from_permutations(
+            g, k, dict(zip(nontree, choice)))
+        found = find_coloring(g, lists, matching)
+        if found is None:
+            return matching
+        assert is_valid_coloring(g, lists, matching, found), (choice, found)
     return True
 
 

@@ -218,6 +218,37 @@ def test_bad_usage_exit_code(capsys):
     assert main(["no-such-command"]) == 3
 
 
+def test_empty_graph_file_exit_code(tmp_path, capsys):
+    for name, text in (("empty.g6", ""), ("blank.g6", "  \n\n")):
+        path = write(tmp_path, name, text)
+        for argv in (["chi-dp", path, "--k", "3"], ["chi", path],
+                     ["cycles", path, "--format", "edges"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and "empty input" in err, (name, argv)
+
+
+def test_jobs_below_one_rejected(tmp_path, capsys):
+    path = write(tmp_path, "c5.g6", encode_graph6(cycle_graph(5)))
+    for jobs in ("0", "-1"):
+        code, _, _ = run(capsys, "chi-dp", path, "--k", "3", "--jobs", jobs)
+        assert code == 3
+        code, _, _ = run(capsys, "verify-theorem2", path, "--variant", "a",
+                         "--jobs", jobs)
+        assert code == 3
+
+
+def test_chi_dp_exit_codes_on_large_cycle_rank(tmp_path, capsys):
+    # 1176 and 1141 non-tree edges, more than the default recursion limit
+    k50 = write(tmp_path, "k50.g6", encode_graph6(complete_graph(50)))
+    code, out, _ = run(capsys, "chi-dp", k50, "--k", "3")
+    assert code == 1 and out
+    tripartite = from_edge_list([(u, v) for u in range(60)
+                                 for v in range(u + 1, 60) if u // 20 != v // 20])
+    path = write(tmp_path, "k202020.g6", encode_graph6(tripartite))
+    code, _, _ = run(capsys, "chi-dp", path, "--k", "3", "--budget", "1")
+    assert code == 2
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "dpcolor", "cycles", "-"],

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -23,6 +24,15 @@ from dpcolor import (
     uniform_lists,
 )
 from smallgraphs import connected_graphs
+
+
+def digest(results) -> str:
+    """Short hash of the colorings find_coloring returned, in call order.
+
+    `dpcolor color` prints these colorings, so the tests below pin the
+    exact tuples, not only their validity: a change to the search order of
+    the backtracker shows here."""
+    return hashlib.sha256(repr(results).encode()).hexdigest()[:16]
 
 
 def swap_matching(g, k, edge):
@@ -91,6 +101,7 @@ def test_find_coloring_single_vertex():
 
 
 def test_identity_matching_is_proper_coloring():
+    results = []
     for g in connected_graphs(5):
         for k in (1, 2, 3):
             dp = find_coloring(g, uniform_lists(g.n, k),
@@ -98,11 +109,14 @@ def test_identity_matching_is_proper_coloring():
             assert (dp is not None) == is_k_colorable(g, k), (g.edges, k)
             if dp is not None:
                 assert all(dp[u] != dp[v] for u, v in g.edges)
+            results.append(dp)
+    assert digest(results) == "6d9a7427e08bcb55"
 
 
 def test_monotonicity_under_matching_growth():
     rng = random.Random(11)
     graphs = [g for g in connected_graphs(5)]
+    results = []
     for trial in range(300):
         g = graphs[rng.randrange(len(graphs))]
         k = rng.randint(1, 3)
@@ -121,8 +135,12 @@ def test_monotonicity_under_matching_growth():
         for combo in itertools.product(range(k), repeat=g.n):
             if is_valid_coloring(g, lists, m_big, combo):
                 assert is_valid_coloring(g, lists, m_small, combo)
-        if find_coloring(g, lists, m_big) is not None:
-            assert find_coloring(g, lists, m_small) is not None
+        big_found = find_coloring(g, lists, m_big)
+        small_found = find_coloring(g, lists, m_small)
+        if big_found is not None:
+            assert small_found is not None
+        results.append((big_found, small_found))
+    assert digest(results) == "9f02ab6d62ad680e"
 
 
 def test_from_list_assignment_all_equal():
@@ -149,6 +167,7 @@ def test_from_list_assignment_disjoint_and_errors():
 def test_list_coloring_equivalence():
     # an L-coloring exists exactly when the translated instance is solvable
     rng = random.Random(5)
+    results = []
     for trial in range(200):
         graphs = connected_graphs(4)
         g = graphs[rng.randrange(len(graphs))]
@@ -160,7 +179,10 @@ def test_list_coloring_equivalence():
             for combo in itertools.product(*orig)
         )
         lists, m = from_list_assignment(g, orig)
-        assert (find_coloring(g, lists, m) is not None) == direct
+        found = find_coloring(g, lists, m)
+        assert (found is not None) == direct
+        results.append(found)
+    assert digest(results) == "145e2b5cc8fc298b"
 
 
 def test_gauge_normalize_fixpoint():
@@ -195,6 +217,7 @@ def test_gauge_normalize_preserves_verdict():
     rng = random.Random(23)
     graphs = [g for g in connected_graphs(6) if g.n >= 2]
     checked = 0
+    results = []
     for trial in range(1000):
         g = graphs[rng.randrange(len(graphs))]
         k = rng.randint(1, 3)
@@ -223,7 +246,9 @@ def test_gauge_normalize_preserves_verdict():
             moved = tuple(perms[v][before[v]] for v in range(g.n))
             assert is_valid_coloring(g, lists, normalized, moved)
         checked += 1
+        results.append((before, after))
     assert checked == 1000
+    assert digest(results) == "38e028184381b301"
 
 
 def test_matching_file_roundtrip():

@@ -1,6 +1,9 @@
 import pytest
 
+import dpcolor.solver
 from dpcolor import (
+    DEFAULT_BUDGET,
+    AdversaryCertificate,
     BudgetExceeded,
     MatchingAssignment,
     chi,
@@ -11,6 +14,7 @@ from dpcolor import (
     cycle_graph,
     degeneracy,
     find_coloring,
+    format_matching_file,
     from_edge_list,
     from_list_assignment,
     is_dp_k_colorable,
@@ -19,7 +23,7 @@ from dpcolor import (
     path_graph,
     uniform_lists,
 )
-from oracles import slow_choosable, slow_dp_verdict
+from oracles import reference_dp_scan, slow_choosable, slow_dp_verdict
 from smallgraphs import connected_graphs
 
 
@@ -29,6 +33,28 @@ def petersen():
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         + [(i, i + 5) for i in range(5)]
     )
+
+
+def prism(m):
+    """C_m x K_2: two m-cycles joined by a perfect matching."""
+    return from_edge_list(
+        [(i, (i + 1) % m) for i in range(m)]
+        + [(m + i, m + (i + 1) % m) for i in range(m)]
+        + [(i, m + i) for i in range(m)]
+    )
+
+
+def outcome(g, search):
+    """Verdict, certificate text or budget count of one adversary run."""
+    try:
+        result = search()
+    except BudgetExceeded as exc:
+        return "budget", exc.attempted
+    if result is True:
+        return "ok", None
+    if isinstance(result, AdversaryCertificate):
+        result = result.matching
+    return "cert", format_matching_file(result, g)
 
 
 def test_chi_basics():
@@ -90,8 +116,58 @@ def test_normalized_search_matches_unrestricted_oracle_small():
     # the full acceptance run covers every connected graph on 5 vertices;
     # here the cheap sizes guard the invariant during development
     for g in connected_graphs(4):
-        fast = is_dp_k_colorable(g, 2) is True
-        assert fast == slow_dp_verdict(g, 2), g.edges
+        for k in (2, 3):
+            if k == 3 and g.m in (4, 5):
+                # 34^4 and 34^5 unrestricted assignments: minutes, not seconds
+                continue
+            slow = slow_dp_verdict(g, k)
+            assert (is_dp_k_colorable(g, k) is True) == slow, (g.edges, k)
+            assert (reference_dp_scan(g, k) is True) == slow, (g.edges, k)
+
+
+def test_adversary_matches_reference_scan():
+    # witness reuse and block splitting must not change the verdict, the
+    # first certificate or the attempted count of the plain scan
+    for g in connected_graphs(5):
+        for k in (2, 3):
+            for budget in (1, 7, 100, DEFAULT_BUDGET):
+                want = outcome(g, lambda: reference_dp_scan(g, k, budget))
+                for jobs in (1, 2):
+                    got = outcome(g, lambda: is_dp_k_colorable(
+                        g, k, budget=budget, jobs=jobs))
+                    assert got == want, (g.edges, k, budget, jobs)
+
+
+def test_witness_reuse_skips_most_searches(monkeypatch):
+    calls = 0
+    kernel = dpcolor.solver.search_positions
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(dpcolor.solver, "search_positions", counted)
+    g = prism(5)
+    assert normalized_assignment_count(g, 3) == 46_656
+    assert is_dp_k_colorable(g, 3) is True
+    assert calls <= 100
+
+
+def test_cycle_rank_beyond_recursion_limit():
+    # the scan walks the non-tree edges without recursion, so more of them
+    # than sys.getrecursionlimit() still reach a verdict or the budget
+    k50 = complete_graph(50)
+    assert k50.m - k50.n + 1 == 1176
+    cert = is_dp_k_colorable(k50, 3)
+    assert isinstance(cert, AdversaryCertificate)
+    assert find_coloring(k50, uniform_lists(50, 3), cert.matching) is None
+    # K_{20,20,20}: 1141 non-tree edges, and the first case is colorable
+    tripartite = from_edge_list([(u, v) for u in range(60)
+                                 for v in range(u + 1, 60) if u // 20 != v // 20])
+    with pytest.raises(BudgetExceeded) as info:
+        is_dp_k_colorable(tripartite, 3, budget=1)
+    assert info.value.attempted == 1
 
 
 def test_budget_exceeded_is_distinct():
@@ -111,6 +187,17 @@ def test_parallel_blocks_agree_with_serial():
     cert_par = is_dp_k_colorable(g, 2, jobs=2)
     assert cert_par is not True and cert_serial is not True
     assert cert_par.matching == cert_serial.matching
+
+
+def test_parallel_budget_matches_serial():
+    # every block sees the whole budget, so the verdict and the attempted
+    # count do not depend on how the first edge is split
+    g = prism(5)
+    assert is_dp_k_colorable(g, 3, budget=46_656, jobs=4) is True
+    for jobs in (1, 4):
+        with pytest.raises(BudgetExceeded) as info:
+            is_dp_k_colorable(g, 3, budget=46_655, jobs=jobs)
+        assert info.value.attempted == 46_655
 
 
 def test_choosability_even_cycles():
