@@ -16,8 +16,9 @@ import sys
 from . import discharging, planar, reducibility, solver
 from .dp import (MatchingAssignment, find_coloring, format_matching_file,
                  parse_matching_file, uniform_lists)
-from .graphs import (Graph, cycle_spectrum, encode_graph6, is_connected,
-                     parse_edge_list, parse_graph6, satisfied_variants)
+from .graphs import (Graph, cycle_spectrum, encode_graph6, has_cycle_length,
+                     is_connected, parse_edge_list, parse_graph6,
+                     satisfied_variants)
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -330,7 +331,7 @@ def cmd_verify(args) -> int:
         if not is_connected(g):
             rows.append((line, "filtered:disconnected"))
             continue
-        if cycle_spectrum(g, max_len=9).present & forbidden:
+        if has_cycle_length(g, forbidden):
             rows.append((line, "filtered:cycles"))
             continue
         try:
@@ -474,6 +475,12 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # dp.search_positions recurses once per vertex, so about a thousand
+        # vertices exceed the interpreter's recursion limit
+        print(f"error: input too large: search deeper than the recursion "
+              f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import cycle_spectrum, FORBIDDEN_VARIANTS
+from .graphs import forbidden_cycles, FORBIDDEN_VARIANTS
 from .planar import PlaneEmbedding, classify_vertex
 
 __all__ = [
@@ -580,15 +580,19 @@ def _phase_r3(state: ChargeState, roles: FaceRoles) -> None:
 
 
 def apply_rules(emb: PlaneEmbedding, variant, strict: bool = False,
-                roles: FaceRoles | None = None) -> ChargeState:
+                roles: FaceRoles | None = None,
+                present: frozenset[int] | None = None) -> ChargeState:
     """Run the full phase schedule for the variant and return the final
     charge state with its transfer log.
 
     Strict mode refuses to run when the graph contains a forbidden cycle;
     otherwise the run proceeds and the violation is noted in the state.
+    `present` is the set of the variant's forbidden lengths that occur in
+    the graph, searched for here when not given.
     """
     var = _resolve_variant(variant)
-    present = cycle_spectrum(emb.graph, max_len=9).present & var.forbidden
+    if present is None:
+        present = forbidden_cycles(emb.graph, var.forbidden)
     if present:
         if strict:
             raise ForbiddenCyclePresent(
@@ -672,8 +676,8 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit(emb: PlaneEmbedding, variant, patterns=(), strict: bool = False,
-          k: int = 3) -> AuditReport:
+def audit(emb: PlaneEmbedding, variant, patterns=(),
+          strict: bool = False) -> AuditReport:
     """Run every check and the rule engine; list all escape hatches.
 
     For a graph that satisfies the variant hypothesis, has minimum degree
@@ -686,12 +690,13 @@ def audit(emb: PlaneEmbedding, variant, patterns=(), strict: bool = False,
 
     var = _resolve_variant(variant)
     g = emb.graph
-    present = tuple(sorted(cycle_spectrum(g, max_len=9).present & var.forbidden))
+    present = forbidden_cycles(g, var.forbidden)
     degrees = g.degrees() if g.n else (0,)
     low = tuple(v for v in range(g.n) if g.degree(v) < 3)
     hits = {pat.name: len(find_pattern(g, pat)) for pat in patterns}
     roles = classify_face_roles(emb)
-    state = apply_rules(emb, var, strict=strict, roles=roles)
+    state = apply_rules(emb, var, strict=strict, roles=roles,
+                        present=present)
     neg_v = tuple((v, state.vertex_charge[v]) for v in range(g.n)
                   if state.vertex_charge[v] < 0)
     neg_f = tuple((f, state.face_charge[f]) for f in range(len(emb.faces))
@@ -699,7 +704,7 @@ def audit(emb: PlaneEmbedding, variant, patterns=(), strict: bool = False,
     return AuditReport(
         variant=var.name,
         hypothesis_ok=not present,
-        forbidden_cycles_found=present,
+        forbidden_cycles_found=tuple(sorted(present)),
         min_degree=min(degrees),
         low_degree_vertices=low,
         pattern_hits=hits,

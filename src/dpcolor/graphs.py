@@ -2,6 +2,11 @@
 
 Vertices are dense integer indices 0..n-1.  File formats may carry other
 labels; those are mapped to dense indices on ingestion.
+
+The cycle queries share one depth-first search and ask it only their own
+question: cycle_spectrum wants every length up to a bound, forbidden_cycles
+wants exactly which of the given lengths occur, and has_cycle_length, the
+hypothesis filter, stops at the first forbidden length it finds.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ __all__ = [
     "encode_graph6",
     "parse_edge_list",
     "cycle_spectrum",
+    "forbidden_cycles",
+    "has_cycle_length",
     "satisfied_variants",
     "FORBIDDEN_VARIANTS",
     "delete_vertices",
@@ -245,43 +252,89 @@ class CycleSpectrum:
         return length in self.present
 
 
+def _cycle_lengths(g: Graph, lengths, enough: int) -> set[int]:
+    """The lengths in `lengths` at which g has a cycle, searched until
+    `enough` of them are found.
+
+    Depth-first search over paths whose vertices after the first all exceed
+    it, so each cycle is found from its smallest vertex.  Vertex sets are
+    bitmasks, and a path of p vertices closes to a (p+1)-cycle when one of
+    its next vertices is a neighbor of the start, which is one mask test.
+    Lengths below 3 or above g.n cannot occur and are dropped; a path is
+    extended only while a longer missing length remains, and a start
+    vertex is tried only if enough vertices follow it for the shortest
+    requested length.
+    """
+    n = g.n
+    missing = {length for length in lengths if 3 <= length <= n}
+    found: set[int] = set()
+    enough = min(enough, len(missing))
+    if enough <= 0:
+        return found
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    longest = max(missing)
+    for s in range(n - min(missing) + 1):
+        above = -2 << s  # every vertex after s
+        closers = adj[s] & above
+        if not closers & (closers - 1):
+            continue  # fewer than two neighbors after s: no cycle starts here
+        on_path = 1 << s
+        size = 1  # vertices on the path
+        pushed = []  # the path's vertices after s, as bits
+        frontier = [closers]  # untried next vertices, one mask per depth
+        while True:
+            nxt = frontier[-1]
+            if not nxt:
+                frontier.pop()
+                if not pushed:
+                    break
+                on_path ^= pushed.pop()
+                size -= 1
+                continue
+            bit = nxt & -nxt
+            frontier[-1] = nxt ^ bit
+            ahead = adj[bit.bit_length() - 1] & above & ~(on_path | bit)
+            length = size + 2  # the cycle closed through one vertex of ahead
+            if ahead & closers and length in missing:
+                found.add(length)
+                if len(found) >= enough:
+                    return found
+                missing.discard(length)
+                longest = max(missing)
+            if length < longest and ahead:
+                on_path |= bit
+                pushed.append(bit)
+                size += 1
+                frontier.append(ahead)
+    return found
+
+
 def cycle_spectrum(g: Graph, max_len: int = 9) -> CycleSpectrum:
     """Exact set of lengths l <= max_len for which g contains a cycle.
 
-    DFS over paths whose interior vertices all exceed the start vertex, so
-    each cycle is found from its smallest vertex.  Stops early once every
-    length in 3..max_len is witnessed.
+    The search stops once every possible length in 3..min(max_len, n) is
+    witnessed.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    found: set[int] = set()
-    want = max_len - 2  # number of distinct lengths 3..max_len
-    adj = g.adj
-    on_path = [False] * g.n
-    path_len = 0
+    lengths = range(3, min(max_len, g.n) + 1)
+    present = _cycle_lengths(g, lengths, len(lengths))
+    return CycleSpectrum(present=frozenset(present), search_bound=max_len)
 
-    def dfs(start: int, v: int) -> None:
-        nonlocal path_len
-        for u in adj[v]:
-            if len(found) == want:
-                return
-            if u == start and path_len >= 3:
-                found.add(path_len)
-            elif u > start and not on_path[u] and path_len < max_len:
-                on_path[u] = True
-                path_len += 1
-                dfs(start, u)
-                path_len -= 1
-                on_path[u] = False
 
-    for s in range(g.n):
-        if len(found) == want:
-            break
-        on_path[s] = True
-        path_len = 1
-        dfs(s, s)
-        on_path[s] = False
-    return CycleSpectrum(present=frozenset(found), search_bound=max_len)
+def forbidden_cycles(g: Graph, lengths) -> frozenset[int]:
+    """Exactly those lengths in `lengths` at which g has a cycle."""
+    lengths = frozenset(lengths)
+    return frozenset(_cycle_lengths(g, lengths, len(lengths)))
+
+
+def has_cycle_length(g: Graph, lengths) -> bool:
+    """Whether g has a cycle of some length in `lengths`; the search stops
+    at the first one found."""
+    return bool(_cycle_lengths(g, lengths, 1))
 
 
 #: The three forbidden-cycle hypothesis sets, keyed by short name.

@@ -249,6 +249,15 @@ def test_chi_dp_exit_codes_on_large_cycle_rank(tmp_path, capsys):
     assert code == 2
 
 
+def test_recursion_limit_exit_code(tmp_path, capsys):
+    # the coloring backtracker recurses once per vertex
+    path = write(tmp_path, "c1200.g6", encode_graph6(cycle_graph(1200)))
+    for command in ("color", "chi-dp"):
+        code, _, err = run(capsys, command, path, "--k", "3")
+        assert code == 3, command
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "dpcolor", "cycles", "-"],

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dpcolor import discharging
 from dpcolor import (
     ChargeSumMismatch,
     ConfigPattern,
@@ -16,6 +17,7 @@ from dpcolor import (
     face_charge_capacity,
     face_charge_demand,
     face_stats,
+    forbidden_cycles,
     format_transfer_log,
     from_edge_list,
     initial_charges,
@@ -288,10 +290,18 @@ def test_special_vertex_accounting():
     assert st.vertex_charge[center] == 0
 
 
-def test_audit_dodecahedron_flags_forbidden_cycle():
+def test_audit_dodecahedron_flags_forbidden_cycle(monkeypatch):
+    searches = []
+
+    def counted(g, lengths):
+        searches.append(sorted(lengths))
+        return forbidden_cycles(g, lengths)
+
+    monkeypatch.setattr(discharging, "forbidden_cycles", counted)
     report = audit(dodecahedron(), "b67")
     assert not report.hypothesis_ok
-    assert 9 in report.forbidden_cycles_found
+    assert report.forbidden_cycles_found == (9,)
+    assert searches == [[4, 6, 7, 9]]  # apply_rules reuses the audit's search
     assert any("forbidden cycle" in f for f in report.findings())
 
 

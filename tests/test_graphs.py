@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import networkx as nx
 
 from dpcolor import (
+    FORBIDDEN_VARIANTS,
     MalformedGraph6,
     SelfLoop,
     complete_graph,
@@ -11,11 +14,15 @@ from dpcolor import (
     cycle_spectrum,
     delete_vertices,
     encode_graph6,
+    forbidden_cycles,
     from_edge_list,
+    has_cycle_length,
     parse_edge_list,
     parse_graph6,
     satisfied_variants,
 )
+from dpcolor import graphs
+from fixtures import dodecahedron
 from oracles import all_cycle_lengths
 from smallgraphs import connected_graphs
 
@@ -100,6 +107,22 @@ def test_cycle_spectrum_c9():
     assert cycle_spectrum(cycle_graph(9), 9).present == {9}
 
 
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_long_cycles(n):
+    g = cycle_graph(n)
+    assert cycle_spectrum(g, 9).present == ({9} if n == 9 else set())
+    assert cycle_spectrum(g, 12).present == {n}
+    assert forbidden_cycles(g, {4, n, 13}) == {n}
+    for lengths in FORBIDDEN_VARIANTS.values():
+        assert has_cycle_length(g, lengths) == (n == 9)
+        assert forbidden_cycles(g, lengths) == ({9} if n == 9 else set())
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_cycle_spectrum_complete(n):
+    assert cycle_spectrum(complete_graph(n), 9).present == set(range(3, n + 1))
+
+
 def test_cycle_spectrum_k4():
     assert cycle_spectrum(complete_graph(4), 9).present == {3, 4}
 
@@ -115,12 +138,93 @@ def test_cycle_spectrum_dodecahedron():
     present = cycle_spectrum(g, 9).present
     assert {5, 8, 9} <= present
     assert not present & {3, 4, 6, 7}
+    for lengths in FORBIDDEN_VARIANTS.values():
+        assert forbidden_cycles(g, lengths) == present & lengths
+        assert has_cycle_length(g, lengths)
+    assert forbidden_cycles(g, {3, 4, 6, 7, 10}) == {10}
+    assert not has_cycle_length(g, {3, 4, 6, 7})
+    # the same graph as numbered in the fixtures, checked against networkx
+    g = dodecahedron().graph
+    want = {len(c) for c in nx.simple_cycles(nx.Graph(sorted(g.edges)))}
+    assert want == set(range(5, 21)) - {6, 7, 19}
+    assert cycle_spectrum(g, 20).present == want
+    assert forbidden_cycles(g, range(3, 22)) == want
+    assert not has_cycle_length(g, {19, 21})
 
 
 def test_cycle_spectrum_against_subset_oracle():
     for g in connected_graphs(6):
         want = all_cycle_lengths(g, 8)
         assert cycle_spectrum(g, 8).present == want, g.edges
+        for lengths in FORBIDDEN_VARIANTS.values():
+            assert forbidden_cycles(g, lengths) == want & lengths, g.edges
+
+
+def test_cycle_filters_agree_with_spectrum_up_to_7():
+    for g in connected_graphs(7):
+        spectrum = cycle_spectrum(g, 9).present
+        for lengths in FORBIDDEN_VARIANTS.values():
+            assert forbidden_cycles(g, lengths) == spectrum & lengths, g.edges
+            assert has_cycle_length(g, lengths) == bool(spectrum & lengths), g.edges
+
+
+def test_cycle_filters_on_impossible_lengths():
+    k4 = complete_graph(4)
+    for lengths in ((), set(), [0, 1, 2], {-3, 2}, {5, 9}):
+        assert forbidden_cycles(k4, lengths) == frozenset()
+        assert has_cycle_length(k4, lengths) is False
+    assert forbidden_cycles(k4, [2, 3, 3, 4, 5]) == {3, 4}
+    with pytest.raises(ValueError):
+        cycle_spectrum(k4, 2)
+
+
+def _core_line_events(call):
+    """Run call(); also count the lines executed inside graphs._cycle_lengths."""
+    core = graphs._cycle_lengths.__code__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is core else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, count
+
+
+def test_cycle_filter_stops_at_first_forbidden_length():
+    found, steps = _core_line_events(
+        lambda: has_cycle_length(complete_graph(8), {4, 7, 8, 9}))
+    assert found is True
+    assert steps <= 200
+    # the Petersen graph has 5-cycles but no 7-cycle: looking for a 7-cycle
+    # takes a full search, which a 5-cycle found first cuts short
+    found, full = _core_line_events(lambda: has_cycle_length(petersen(), {7}))
+    assert found is False
+    found, steps = _core_line_events(lambda: has_cycle_length(petersen(), {5, 7}))
+    assert found is True
+    assert 10 * steps < full
+
+
+@pytest.mark.parametrize("call, bound", [
+    # K8 has no 9-cycle, so these stop once 3..8 or 4, 7, 8 are found
+    (lambda: cycle_spectrum(complete_graph(8), 9), 300),
+    (lambda: forbidden_cycles(complete_graph(8), {4, 7, 8, 9}), 300),
+    # paths longer than the longest requested length are not extended
+    (lambda: has_cycle_length(petersen(), {4}), 900),
+])
+def test_cycle_search_skips_lengths_that_cannot_occur(call, bound):
+    _, steps = _core_line_events(call)
+    assert steps <= bound
 
 
 def test_satisfied_variants():
