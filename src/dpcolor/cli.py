@@ -9,6 +9,7 @@ default case budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -389,7 +390,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("chi", help="chromatic number")
     _add_graph_arg(p)
-    _add_budget_args(p)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_chi)
 
@@ -462,10 +462,16 @@ def build_parser() -> _Parser:
     return top
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # parse_args keeps no state between calls, so one parser serves every
+    # main call in a process; it is built at the first call, not at import
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:

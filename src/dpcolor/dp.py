@@ -192,7 +192,9 @@ def is_valid_coloring(g: Graph, lists: Lists, matching: MatchingAssignment,
 
 
 def search_positions(adj, sizes, part) -> tuple[int, ...] | None:
-    """The DP-coloring backtracker shared by find_coloring and the adversary.
+    """The one coloring backtracker: find_coloring, the DP adversary and the
+    choosability search all run on it (list coloring as the DP-coloring
+    whose darts pair the positions of equal colors).
 
     adj[v] lists v's neighbors in increasing order; vertex v chooses a
     position in range(sizes[v]).  part[(v, u)][i] is the position at u

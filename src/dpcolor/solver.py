@@ -27,7 +27,15 @@ Splitting a color whose support induces a disconnected subgraph into one
 fresh color per component changes no verdict (matched colors never face
 each other across the split), so only assignments whose color classes
 induce connected subgraphs are generated: multisets of connected vertex
-sets covering every vertex exactly k times.
+sets covering every vertex exactly k times.  It reuses colorings in the
+same way, on the same backtracker.  A witness stores the class index each
+vertex takes; along the walk over the chosen classes it survives while the
+vertices of each of its colors lie inside that color's class, and at a leaf
+it must use no class beyond the last one.  Only a list system that no
+witness survives is translated to list positions and partner tables (-1
+where a neighbor's list lacks the color) and handed to
+dp.search_positions, so the list systems, the first failing one and the
+budget count are those of a plain scan.
 """
 
 from __future__ import annotations
@@ -336,38 +344,6 @@ def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
 # ---------------------------------------------------------------------------
 # Choosability.
 
-def _list_colorable(g: Graph, lists) -> bool:
-    """Proper coloring from the lists, by backtracking with fail-first order."""
-    n = g.n
-    avail = [set(L) for L in lists]
-    color: dict[int, int] = {}
-
-    def rec() -> bool:
-        if len(color) == n:
-            return True
-        v = min((w for w in range(n) if w not in color),
-                key=lambda w: (len(avail[w]), w))
-        for c in sorted(avail[v]):
-            color[v] = c
-            removed = []
-            dead = False
-            for u in g.adj[v]:
-                if u not in color and c in avail[u]:
-                    avail[u].discard(c)
-                    removed.append(u)
-                    if not avail[u]:
-                        dead = True
-                        break
-            if not dead and rec():
-                return True
-            for u in removed:
-                avail[u].add(c)
-            del color[v]
-        return False
-
-    return rec()
-
-
 def _connected_subsets(g: Graph) -> list[int]:
     """All connected vertex subsets as bitmasks.
 
@@ -396,6 +372,23 @@ def _connected_subsets(g: Graph) -> list[int]:
     return out
 
 
+def _list_coloring(adj, edges, k: int, lists: Lists) -> tuple[int, ...] | None:
+    """One list system through the shared kernel: position i at v stands
+    for color lists[v][i], and a dart pairs the positions of equal colors
+    (-1 where the neighbor's list lacks the color).  Returns the chosen
+    color per vertex, or None when the lists admit no proper coloring."""
+    part = {}
+    for u, v in edges:
+        at_u = {c: i for i, c in enumerate(lists[u])}
+        at_v = {c: i for i, c in enumerate(lists[v])}
+        part[(u, v)] = [at_v.get(c, -1) for c in lists[u]]
+        part[(v, u)] = [at_u.get(c, -1) for c in lists[v]]
+    chosen = search_positions(adj, [k] * len(adj), part)
+    if chosen is None:
+        return None
+    return tuple(lists[v][i] for v, i in enumerate(chosen))
+
+
 def is_k_choosable(g: Graph, k: int, max_n: int = 7,
                    budget: int = DEFAULT_BUDGET):
     """True if every k-list assignment admits a proper coloring from the
@@ -405,7 +398,10 @@ def is_k_choosable(g: Graph, k: int, max_n: int = 7,
     color classes covering every vertex exactly k times (see module
     docstring for why that is exhaustive).  Classes are tried largest
     first, so for a graph that is not even k-colorable the uniform
-    assignment fails immediately.
+    assignment fails immediately.  Colorings already found are reused as
+    witnesses, so the backtracker runs only on list systems none of them
+    colors.  Raises BudgetExceeded with the attempted count once budget
+    list systems are tried without a verdict, as is_dp_k_colorable does.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -417,61 +413,100 @@ def is_k_choosable(g: Graph, k: int, max_n: int = 7,
     by_min: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for c in classes:
         by_min[(c & -c).bit_length() - 1].append(c)
+    rank = {c: i for group in by_min.values() for i, c in enumerate(group)}
+    members = {c: [v for v in range(g.n) if (c >> v) & 1] for c in classes}
+    adj = [sorted(g.adj[v]) for v in range(g.n)]
+    edges = sorted(g.edges)
     need = [k] * g.n
     defmask = (1 << g.n) - 1
     chosen: list[int] = []
     attempted = 0
     found: list[Lists] = []
+    # Witnesses are found colorings, one bit each, kept as the vertex set of
+    # each color; a color is a class index.  masks[j] holds the witnesses
+    # whose colors 0..j-1 lie inside chosen[0..j-1], and within[j] those
+    # that use no color from j on.  fits[j][c] caches the witnesses whose
+    # color-j set lies inside class c, with the number of witnesses it has
+    # looked at, so it catches up only on the ones found since.
+    depth = k * g.n  # every class covers at least one of the k*n slots
+    masks = [0] * (depth + 1)
+    within = [0] * (depth + 1)
+    fits: list[dict[int, list[int]]] = [{} for _ in range(depth)]
+    color_sets: list[list[int]] = []
 
-    def leaf() -> bool:
+    def fit(j: int, c: int) -> int:
+        entry = fits[j].get(c)
+        if entry is None:
+            entry = fits[j][c] = [0, 0]
+        mask, seen = entry
+        if seen < len(color_sets):
+            outside = ~c
+            for t in range(seen, len(color_sets)):
+                sets = color_sets[t]
+                if j >= len(sets) or not sets[j] & outside:
+                    mask |= 1 << t
+            entry[0], entry[1] = mask, len(color_sets)
+        return mask
+
+    def leaf(top: int) -> bool:
         nonlocal attempted
-        attempted += 1
-        if attempted > budget:
+        if attempted >= budget:
             raise BudgetExceeded(attempted)
+        attempted += 1
+        if masks[top] & within[top]:
+            return False
         lists = tuple(
             tuple(i for i, c in enumerate(chosen) if (c >> v) & 1)
             for v in range(g.n)
         )
-        if not _list_colorable(g, lists):
+        coloring = _list_coloring(adj, edges, k, lists)
+        if coloring is None:
             found.append(lists)
             return True
+        sets = [0] * (max(coloring) + 1)
+        for v, c in enumerate(coloring):
+            sets[c] |= 1 << v
+        bit = 1 << len(color_sets)
+        color_sets.append(sets)
+        # valid on every prefix of the current list system
+        for j in range(top + 1):
+            masks[j] |= bit
+        for j in range(len(sets), depth + 1):
+            within[j] |= bit
         return False
 
-    def rec(group_vertex: int, bound: int) -> bool:
+    def rec(j: int, group_vertex: int, bound: int) -> bool:
         nonlocal defmask
-        if not defmask:
-            return leaf()
         vstar = (defmask & -defmask).bit_length() - 1
-        cap = bound if vstar == group_vertex else None
-        for c in by_min[vstar]:
-            if cap is not None and c > cap:
-                continue
-            if c & ~defmask:
+        # classes of one group come in decreasing order, from bound down
+        start = rank[bound] if vstar == group_vertex else 0
+        outside = ~defmask
+        for c in by_min[vstar][start:]:
+            if c & outside:
                 continue
             chosen.append(c)
+            # a witness found below this depth has joined masks[j] since
+            alive = masks[j]
+            masks[j + 1] = alive & fit(j, c) if alive else 0
             cleared = 0
-            m = c
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
+            for v in members[c]:
                 need[v] -= 1
-                if need[v] == 0:
-                    cleared |= low
-            defmask ^= cleared
-            stop = rec(vstar, c)
-            defmask ^= cleared
-            m = c
-            while m:
-                low = m & -m
-                m ^= low
-                need[low.bit_length() - 1] += 1
+                if not need[v]:
+                    cleared |= 1 << v
+            if cleared == defmask:
+                stop = leaf(j + 1)
+            else:
+                defmask ^= cleared
+                stop = rec(j + 1, vstar, c)
+                defmask ^= cleared
+            for v in members[c]:
+                need[v] += 1
             chosen.pop()
             if stop:
                 return True
         return False
 
-    if rec(-1, 0):
+    if rec(0, -1, 0):
         return AdversaryCertificate(kind="list", k=k, lists=found[0])
     return True
 

@@ -1,14 +1,16 @@
 """Deliberately dumb reference implementations used to cross-check the fast
-paths.  Only reference_dp_scan shares search code with the package: it
-calls the public find_coloring once per assignment, so it checks the
-adversary's enumeration, and slow_dp_verdict checks it in turn."""
+paths.  Only reference_dp_scan and reference_choosable_scan share search
+code with the package: they call the public find_coloring once per
+assignment, so they check the adversaries' enumeration, and
+slow_dp_verdict and slow_choosable check them in turn."""
 
 from __future__ import annotations
 
 import itertools
 
 from dpcolor import (BudgetExceeded, DEFAULT_BUDGET, Graph, MatchingAssignment,
-                     find_coloring, is_valid_coloring, uniform_lists)
+                     find_coloring, from_list_assignment, is_valid_coloring,
+                     uniform_lists)
 
 
 def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
@@ -118,6 +120,78 @@ def slow_choosable(g: Graph, k: int) -> bool:
         return True
 
     return rec(0, [], 0)
+
+
+def _connected_classes(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex set that induces a connected subgraph, found by testing
+    all subsets, ordered by least vertex and then by decreasing bitmask."""
+    out = []
+    for size in range(1, g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            inside = set(subset)
+            seen = {subset[0]}
+            stack = [subset[0]]
+            while stack:
+                for u in (g.adj[stack.pop()] & inside) - seen:
+                    seen.add(u)
+                    stack.append(u)
+            if seen == inside:
+                out.append(subset)
+    return sorted(out, key=lambda s: (s[0], -sum(1 << v for v in s)))
+
+
+def _list_systems(g: Graph, k: int):
+    """Multisets of connected classes covering every vertex exactly k times,
+    in the choosability adversary's order: as nondecreasing sequences of
+    positions in _connected_classes order, lexicographically."""
+    classes = _connected_classes(g)
+    cover = [0] * g.n
+    seq: list[tuple[int, ...]] = []
+
+    def rec(start: int):
+        if all(c == k for c in cover):
+            yield list(seq)
+            return
+        for i in range(start, len(classes)):
+            cls = classes[i]
+            if any(cover[v] != k for v in range(cls[0])):
+                return  # no class from here on reaches those vertices
+            if any(cover[v] == k for v in cls):
+                continue
+            for v in cls:
+                cover[v] += 1
+            seq.append(cls)
+            yield from rec(i)
+            seq.pop()
+            for v in cls:
+                cover[v] -= 1
+
+    return rec(0)
+
+
+def reference_choosable_scan(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
+    """The choosability adversary as a plain scan: every list system in
+    order, one find_coloring call each, on the lists translated by
+    from_list_assignment.
+
+    Returns True or the first failing lists (vertex v's list holds the
+    indices of the classes that contain v); raises BudgetExceeded once
+    budget list systems are tried without a verdict.  Every coloring
+    find_coloring returns is checked.
+    """
+    attempted = 0
+    for seq in _list_systems(g, k):
+        if attempted >= budget:
+            raise BudgetExceeded(attempted)
+        attempted += 1
+        lists = tuple(tuple(i for i, cls in enumerate(seq) if v in cls)
+                      for v in range(g.n))
+        uniform, matching = from_list_assignment(g, lists)
+        found = find_coloring(g, uniform, matching)
+        if found is None:
+            return lists
+        assert is_valid_coloring(g, uniform, matching, found), (lists, found)
+    return True
 
 
 def all_cycle_lengths(g: Graph, max_len: int) -> set[int]:

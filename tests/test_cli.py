@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import dpcolor.cli
+import dpcolor.reducibility
 from dpcolor import encode_graph6, from_edge_list, parse_matching_file
-from dpcolor.cli import main
+from dpcolor.cli import build_parser, main
 from fixtures import dodecahedron, tetrahedron
 from dpcolor import dump_embedding, cycle_graph, complete_graph
 
@@ -49,6 +51,18 @@ def test_chi_edge_list_input(tmp_path, capsys):
     path = write(tmp_path, "g.edges", "0 1\n1 2\n2 0\n")
     code, out, _ = run(capsys, "chi", path)
     assert code == 0 and "chi = 3" in out
+
+
+def test_chi_rejects_search_flags(tmp_path, capsys):
+    # chi runs no adversary search, so it has no budget, jobs or certificate
+    path = write(tmp_path, "c5.g6", encode_graph6(cycle_graph(5)))
+    cert = tmp_path / "cert.json"
+    for flags in (["--budget", "1"], ["--jobs", "4"],
+                  ["--certificate", str(cert)]):
+        code, out, err = run(capsys, "chi", path, *flags)
+        assert code == 3 and not out and err.startswith("usage:"), flags
+    assert not cert.exists()
+    assert run(capsys, "chi", path)[:2] == (0, "chi = 3\n")
 
 
 def test_chi_dp_c6_k2_writes_certificate(tmp_path, capsys):
@@ -212,6 +226,44 @@ def test_reports_are_reproducible(tmp_path, capsys):
     second = run(capsys, "find-config", graph, "--pattern", pattern,
                  "--validate", "40", "--seed", "11")
     assert first == second
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # main builds one parser per process; a call must not see the arguments,
+    # the usage error or the environment of an earlier call
+    patterns = []
+    read_pattern = dpcolor.reducibility.pattern_from_json
+
+    def counted(text):
+        patterns.append(text)
+        return read_pattern(text)
+
+    monkeypatch.setattr(dpcolor.reducibility, "pattern_from_json", counted)
+    emb = write(tmp_path, "tetra.json", dump_embedding(tetrahedron()))
+    pattern = write(tmp_path, "pat.json", json.dumps({
+        "vertices": [{"hostDegree": 2, "outsideNeighbors": 0},
+                     {"hostDegree": 3, "outsideNeighbors": 1},
+                     {"hostDegree": 3, "outsideNeighbors": 1}],
+        "edges": [[0, 1], [1, 2], [0, 2]],
+        "order": [0, 1, 2],
+    }))
+    code, _, _ = run(capsys, "discharge", emb, "--variant", "a",
+                     "--pattern", pattern, "--pattern", pattern)
+    assert code == 0 and len(patterns) == 2
+    parser = dpcolor.cli._shared_parser()
+    code, _, _ = run(capsys, "discharge", emb, "--variant", "a",
+                     "--pattern", pattern)
+    assert code == 0 and len(patterns) == 3
+    c6 = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
+    assert run(capsys, "chi-dp", c6, "--k")[0] == 3
+    assert run(capsys, "chi-dp", c6, "--k", "3")[0] == 0
+    monkeypatch.setenv("DPCOLOR_BUDGET", "2")
+    assert run(capsys, "chi-dp", c6, "--k", "3")[0] == 2
+    monkeypatch.delenv("DPCOLOR_BUDGET")
+    assert run(capsys, "chi-dp", c6, "--k", "3")[0] == 0
+    assert dpcolor.cli._shared_parser() is parser
+    # build_parser still makes a fresh parser each time
+    assert build_parser() is not build_parser()
 
 
 def test_bad_usage_exit_code(capsys):

@@ -20,10 +20,12 @@ from dpcolor import (
     is_dp_k_colorable,
     is_k_choosable,
     normalized_assignment_count,
+    parse_graph6,
     path_graph,
     uniform_lists,
 )
-from oracles import reference_dp_scan, slow_choosable, slow_dp_verdict
+from oracles import (reference_choosable_scan, reference_dp_scan,
+                     slow_choosable, slow_dp_verdict)
 from smallgraphs import connected_graphs
 
 
@@ -53,8 +55,10 @@ def outcome(g, search):
     if result is True:
         return "ok", None
     if isinstance(result, AdversaryCertificate):
-        result = result.matching
-    return "cert", format_matching_file(result, g)
+        result = result.lists if result.kind == "list" else result.matching
+    if isinstance(result, MatchingAssignment):
+        return "cert", format_matching_file(result, g)
+    return "cert", result
 
 
 def test_chi_basics():
@@ -224,7 +228,47 @@ def test_choosability_matches_plain_enumeration():
     for g in connected_graphs(4):
         for k in (1, 2, 3):
             fast = is_k_choosable(g, k) is True
-            assert fast == slow_choosable(g, k), (g.edges, k)
+            slow = slow_choosable(g, k)
+            assert fast == slow, (g.edges, k)
+            assert (reference_choosable_scan(g, k) is True) == slow, (g.edges, k)
+
+
+def test_choosability_matches_reference_scan():
+    # witness reuse must not change the verdict, the first failing lists or
+    # the attempted count of the plain scan
+    for g in connected_graphs(5):
+        for k in (1, 2, 3):
+            for budget in (1, 7, 100, DEFAULT_BUDGET):
+                want = outcome(g, lambda: reference_choosable_scan(g, k, budget))
+                got = outcome(g, lambda: is_k_choosable(g, k, budget=budget))
+                assert got == want, (g.edges, k, budget)
+
+
+def test_choosability_witness_reuse_skips_most_searches(monkeypatch):
+    calls = 0
+    kernel = dpcolor.solver.search_positions
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(dpcolor.solver, "search_positions", counted)
+    # 20,852 list systems, each one kernel call without witness reuse
+    assert is_k_choosable(parse_graph6("Dr{"), 3) is True
+    assert calls <= 500
+
+
+def test_choosability_budget_counts_like_dp_adversary():
+    # both adversaries check the budget before counting a case, so a search
+    # stopped by budget B has attempted exactly B cases
+    g = parse_graph6("Dr{")
+    for budget in (0, 1, 5):
+        with pytest.raises(BudgetExceeded) as lists:
+            is_k_choosable(g, 3, budget=budget)
+        with pytest.raises(BudgetExceeded) as matchings:
+            is_dp_k_colorable(g, 3, budget=budget)
+        assert lists.value.attempted == matchings.value.attempted == budget
 
 
 def test_chi_list_values():
