@@ -33,11 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("DPCOLOR_BUDGET")
-    return int(raw) if raw else solver.DEFAULT_BUDGET
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -45,11 +40,28 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _budget(args) -> int:
+    """The case budget: --budget if given, else DPCOLOR_BUDGET if set, else
+    solver.DEFAULT_BUDGET.  Zero is a budget like any other."""
+    if args.budget is not None:
+        return args.budget
+    raw = os.environ.get("DPCOLOR_BUDGET")
+    if not raw:
+        return solver.DEFAULT_BUDGET
+    try:
+        return _at_least(0)(raw)
+    except ValueError:
+        raise ValueError(f"DPCOLOR_BUDGET must be a non-negative integer, "
+                         f"got {raw!r}") from None
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
@@ -74,18 +86,17 @@ def _write_json(path: str | None, payload: dict) -> None:
             json.dump(payload, fh, indent=2, default=str)
 
 
-def _add_graph_arg(p: _Parser) -> None:
-    p.add_argument("input", help="graph file, or - for standard input")
-    p.add_argument("--format", choices=["auto", "graph6", "edges"],
-                   default="auto")
-
-
-def _add_budget_args(p: _Parser) -> None:
-    p.add_argument("--budget", type=int, default=None,
-                   help="case budget (default from DPCOLOR_BUDGET)")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--certificate", default=None,
-                   help="write the failing assignment here")
+def _read_matching(path: str, g: Graph, k: int | None
+                   ) -> tuple[MatchingAssignment, int]:
+    """The matching file at path, and k: --k if given, else the file's
+    'default identity' k."""
+    matching, default_k = parse_matching_file(_read_text(path), g)
+    if k is None:
+        k = default_k
+    if k is None:
+        raise ValueError(f"{path}: no 'default identity k=K' line, so --k "
+                         f"is needed")
+    return matching, k
 
 
 def cmd_cycles(args) -> int:
@@ -114,7 +125,7 @@ def cmd_chi(args) -> int:
 
 def cmd_chi_list(args) -> int:
     g = _read_graph(args.input, args.format)
-    budget = args.budget or _default_budget()
+    budget = _budget(args)
     if args.k is not None:
         result = solver.is_k_choosable(g, args.k, max_n=g.n, budget=budget)
         if result is True:
@@ -137,47 +148,37 @@ def cmd_chi_list(args) -> int:
 
 def cmd_chi_dp(args) -> int:
     g = _read_graph(args.input, args.format)
-    budget = args.budget or _default_budget()
-    try:
-        if args.k is not None:
-            result = solver.is_dp_k_colorable(g, args.k, budget=budget,
-                                              jobs=args.jobs)
-            if result is True:
-                print(f"DP-{args.k}-colorable: yes")
-                _write_json(args.json, {"k": args.k, "dp_colorable": True})
-                return EXIT_OK
-            print(f"DP-{args.k}-colorable: no")
-            text = format_matching_file(result.matching, g)
-            print("failing matching assignment:")
-            print(text, end="")
-            if args.certificate:
-                with open(args.certificate, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            _write_json(args.json, {"k": args.k, "dp_colorable": False})
-            return EXIT_CERTIFICATE
-        value = solver.chi_dp(g, budget=budget, jobs=args.jobs)
-        print(f"chi_DP = {value}")
-        _write_json(args.json, {"chi_dp": value})
-        return EXIT_OK
-    except solver.BudgetExceeded as exc:
-        print(f"budget exceeded after {exc.attempted} cases", file=sys.stderr)
-        return EXIT_BUDGET
+    budget = _budget(args)
+    if args.k is not None:
+        result = solver.is_dp_k_colorable(g, args.k, budget=budget,
+                                          jobs=args.jobs)
+        if result is True:
+            print(f"DP-{args.k}-colorable: yes")
+            _write_json(args.json, {"k": args.k, "dp_colorable": True})
+            return EXIT_OK
+        print(f"DP-{args.k}-colorable: no")
+        text = format_matching_file(result.matching, g)
+        print("failing matching assignment:")
+        print(text, end="")
+        if args.certificate:
+            with open(args.certificate, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        _write_json(args.json, {"k": args.k, "dp_colorable": False})
+        return EXIT_CERTIFICATE
+    value = solver.chi_dp(g, budget=budget, jobs=args.jobs)
+    print(f"chi_DP = {value}")
+    _write_json(args.json, {"chi_dp": value})
+    return EXIT_OK
 
 
 def cmd_color(args) -> int:
     g = _read_graph(args.input, args.format)
-    k = args.k
     if args.matching:
-        matching, default_k = parse_matching_file(_read_text(args.matching), g)
-        if k is None:
-            k = default_k
+        matching, k = _read_matching(args.matching, g, args.k)
+    elif args.k is None:
+        raise ValueError("need --k or a matching file")
     else:
-        matching = MatchingAssignment.identity(g, k) if k else None
-    if k is None:
-        print("need --k or a matching file with a 'default identity' directive",
-              file=sys.stderr)
-        return EXIT_ERROR
-    if matching is None:
+        k = args.k
         matching = MatchingAssignment.identity(g, k)
     coloring = find_coloring(g, uniform_lists(g.n, k), matching)
     if coloring is None:
@@ -191,15 +192,13 @@ def cmd_color(args) -> int:
 
 def cmd_extend(args) -> int:
     g = _read_graph(args.input, args.format)
-    k = args.k
-    matching, default_k = parse_matching_file(_read_text(args.matching), g)
-    if k is None:
-        k = default_k
-    if k is None:
-        print("need --k or a 'default identity' directive", file=sys.stderr)
-        return EXIT_ERROR
-    partial = {int(v): int(c)
-               for v, c in json.loads(_read_text(args.partial)).items()}
+    matching, k = _read_matching(args.matching, g, args.k)
+    partial = json.loads(_read_text(args.partial))
+    if not (isinstance(partial, dict)
+            and all(isinstance(c, int) for c in partial.values())):
+        raise ValueError(f"{args.partial}: expected a JSON object mapping "
+                         f"each vertex to an integer color")
+    partial = {int(v): c for v, c in partial.items()}
     order = [int(x) for x in args.order.split(",")]
     lists = uniform_lists(g.n, k)
     try:
@@ -214,7 +213,7 @@ def cmd_extend(args) -> int:
 
 def cmd_find_config(args) -> int:
     g = _read_graph(args.input, args.format)
-    pat = reducibility.pattern_from_json(_read_text(args.pattern))
+    pat = reducibility.pattern_from_json(json.loads(_read_text(args.pattern)))
     hits = reducibility.find_pattern(g, pat)
     print(f"pattern '{pat.name}': {len(hits)} occurrences")
     for image in hits[:args.show]:
@@ -276,8 +275,8 @@ def _monte_carlo_validate(g, pat, hits, k, trials, seed) -> int:
 
 
 def cmd_discharge(args) -> int:
-    emb = planar.load_embedding(_read_text(args.input))
-    patterns = [reducibility.pattern_from_json(_read_text(p))
+    emb = planar.load_embedding(json.loads(_read_text(args.input)))
+    patterns = [reducibility.pattern_from_json(json.loads(_read_text(p)))
                 for p in args.pattern or []]
     try:
         report = discharging.audit(emb, args.variant, patterns=patterns,
@@ -298,11 +297,9 @@ def cmd_discharge(args) -> int:
     return EXIT_OK
 
 
-def _verify_worker(payload):
-    n, edges, budget = payload
-    from .graphs import from_edge_list
-
-    g = from_edge_list(edges, n=n)
+def _verify_worker(g: Graph, budget: int) -> tuple[str, str | None]:
+    """Row status and certificate text for one candidate, in a pool worker
+    or in this process alike."""
     try:
         result = solver.is_dp_k_colorable(g, 3, budget=budget)
     except solver.BudgetExceeded:
@@ -319,11 +316,11 @@ def cmd_verify(args) -> int:
     The cheap cycle filter runs before the planarity search, so dense
     graphs never reach the rotation enumeration.  With --jobs the DP checks
     run per-graph in a process pool; output order stays the input order."""
-    budget = args.budget or _default_budget()
+    work = functools.partial(_verify_worker, budget=_budget(args))
     forbidden = discharging.VARIANTS[args.variant].forbidden
     lines = [ln.strip() for ln in _read_text(args.input).splitlines() if ln.strip()]
     rows: list[tuple[str, str | None]] = []
-    candidates: list[tuple[int, str, object]] = []
+    candidates: list[tuple[int, str, Graph]] = []
     for line in lines:
         g = parse_graph6(line)
         if args.n_max and g.n > args.n_max:
@@ -344,13 +341,13 @@ def cmd_verify(args) -> int:
             continue
         candidates.append((len(rows), line, g))
         rows.append((line, None))
-    payloads = [(g.n, tuple(g.edges), budget) for _, _, g in candidates]
-    if args.jobs > 1 and len(payloads) > 1:
+    graphs = [g for _, _, g in candidates]
+    if args.jobs > 1 and len(graphs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_worker, payloads))
+            results = list(pool.map(work, graphs))
     else:
-        results = [_verify_worker(p) for p in payloads]
+        results = list(map(work, graphs))
     failures = budget_hits = 0
     checked = len(candidates)
     for (slot, line, _), (status, certificate) in zip(candidates, results):
@@ -381,53 +378,49 @@ def build_parser() -> _Parser:
     top = _Parser(prog="dpcolor",
                   description="exact DP-coloring and discharging toolkit")
     sub = top.add_subparsers(dest="command", required=True)
+    # option groups shared by several subcommands, declared once here
+    graph = _Parser(add_help=False)
+    graph.add_argument("input", help="graph file, or - for standard input")
+    graph.add_argument("--format", choices=["auto", "graph6", "edges"],
+                       default="auto")
+    search = _Parser(add_help=False)
+    search.add_argument("--budget", type=_at_least(0), default=None,
+                        help="case budget (default from DPCOLOR_BUDGET)")
+    search.add_argument("--jobs", type=_at_least(1), default=1)
+    search.add_argument("--certificate", default=None,
+                        help="write the failing assignment here")
 
-    p = sub.add_parser("cycles", help="cycle spectrum and variant check")
-    _add_graph_arg(p)
+    def command(name, func, help, *groups):
+        p = sub.add_parser(name, help=help, parents=groups)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("cycles", cmd_cycles, "cycle spectrum and variant check", graph)
     p.add_argument("--max-len", type=int, default=9)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_cycles)
 
-    p = sub.add_parser("chi", help="chromatic number")
-    _add_graph_arg(p)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_chi)
+    command("chi", cmd_chi, "chromatic number", graph)
 
-    p = sub.add_parser("chi-list", help="choosability")
-    _add_graph_arg(p)
-    _add_budget_args(p)
-    p.add_argument("--k", type=int, default=None,
-                   help="test one k instead of computing the minimum")
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_chi_list)
+    for name, func, help in (("chi-list", cmd_chi_list, "choosability"),
+                             ("chi-dp", cmd_chi_dp, "DP-chromatic number")):
+        p = command(name, func, help, graph, search)
+        p.add_argument("--k", type=int, default=None,
+                       help="test one k instead of computing the minimum")
 
-    p = sub.add_parser("chi-dp", help="DP-chromatic number")
-    _add_graph_arg(p)
-    _add_budget_args(p)
-    p.add_argument("--k", type=int, default=None,
-                   help="test one k instead of computing the minimum")
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_chi_dp)
-
-    p = sub.add_parser("color", help="find one coloring for a matching file")
-    _add_graph_arg(p)
+    p = command("color", cmd_color, "find one coloring for a matching file",
+                graph)
     p.add_argument("--matching", default=None, help="matching-assignment file")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_color)
 
-    p = sub.add_parser("extend", help="extend a coloring across an ordered subgraph")
-    _add_graph_arg(p)
+    p = command("extend", cmd_extend,
+                "extend a coloring across an ordered subgraph", graph)
     p.add_argument("--matching", required=True)
     p.add_argument("--partial", required=True,
                    help="JSON file {vertex: color} covering the rest")
     p.add_argument("--order", required=True, help="comma-separated vertices")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("find-config", help="locate and certify a pattern")
-    _add_graph_arg(p)
+    p = command("find-config", cmd_find_config, "locate and certify a pattern",
+                graph)
     p.add_argument("--pattern", required=True, help="pattern JSON file")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--search-order", action="store_true",
@@ -436,29 +429,25 @@ def build_parser() -> _Parser:
                    help="randomized extension trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--show", type=int, default=5)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_find_config)
 
-    p = sub.add_parser("discharge", help="run the charge rules on an embedding")
+    p = command("discharge", cmd_discharge,
+                "run the charge rules on an embedding")
     p.add_argument("input", help="embedding JSON file, or - for stdin")
     p.add_argument("--variant", choices=sorted(discharging.VARIANTS),
                    required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--log", default=None, help="write the transfer log (TSV)")
     p.add_argument("--pattern", action="append", default=None)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_discharge)
 
-    p = sub.add_parser("verify-theorem2",
-                       help="DP-3 check over a graph6 stream")
+    p = command("verify-theorem2", cmd_verify, "DP-3 check over a graph6 stream",
+                search)
     p.add_argument("input", help="graph6 lines, or - for stdin")
     p.add_argument("--variant", choices=sorted(discharging.VARIANTS),
                    required=True)
     p.add_argument("--n-max", type=int, default=None)
-    _add_budget_args(p)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():  # every command can write a JSON report
+        p.add_argument("--json", default=None)
     return top
 
 
@@ -479,7 +468,7 @@ def main(argv=None) -> int:
     except solver.BudgetExceeded as exc:
         print(f"budget exceeded after {exc.attempted} cases", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:

@@ -124,10 +124,6 @@ class ChargeState:
         if t != TOTAL:
             raise ConservationViolated(f"after {phase}: total {t} != -8")
 
-    def received(self, kind: str, idx: int) -> Fraction:
-        name = f"{kind}{idx}"
-        return sum((t.amount for t in self.log if t.sink == name), Fraction(0))
-
     def sent(self, kind: str, idx: int) -> Fraction:
         name = f"{kind}{idx}"
         return sum((t.amount for t in self.log if t.source == name), Fraction(0))

@@ -373,6 +373,9 @@ def parse_matching_file(text: str, g: Graph) -> tuple[MatchingAssignment, int | 
             raise ValueError(f"line {lineno}: expected 'u v : pairs'")
         head, _, tail = line.partition(":")
         u, v = (int(t) for t in head.split())
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ValueError(f"line {lineno}: edge ({u}, {v}) is not on "
+                             f"vertices 0..{g.n - 1}")
         pairs = []
         tail = tail.strip()
         if tail:

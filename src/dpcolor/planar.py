@@ -260,19 +260,24 @@ def rotation_from_faces(n: int, walks) -> tuple[tuple[int, ...], ...]:
 # Embedding file: {"n": ..., "rotation": [[neighbors in cyclic order], ...]}
 
 def load_embedding(source) -> PlaneEmbedding:
-    """Load and validate an embedding document (dict, JSON text, or path)."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if "\n" not in text and not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        doc = json.loads(text)
-    if "n" not in doc or "rotation" not in doc:
+    """Load and validate an embedding document (parsed JSON, JSON text, or
+    path)."""
+    doc = source
+    if isinstance(source, str):
+        if "\n" not in source and not source.lstrip().startswith("{"):
+            with open(source, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        doc = json.loads(source)
+    if not isinstance(doc, dict) or "n" not in doc or "rotation" not in doc:
         raise ValueError("embedding document needs 'n' and 'rotation'")
-    n = int(doc["n"])
-    rot = [tuple(int(x) for x in order) for order in doc["rotation"]]
+    n, rotation = doc["n"], doc["rotation"]
+    if not (isinstance(n, int) and isinstance(rotation, list)
+            and all(isinstance(order, list)
+                    and all(isinstance(u, int) for u in order)
+                    for order in rotation)):
+        raise ValueError("embedding 'n' must be an integer and 'rotation' a "
+                         "list of integer lists")
+    rot = [tuple(order) for order in rotation]
     if len(rot) != n:
         raise ValueError("rotation length disagrees with n")
     edges = set()

@@ -170,6 +170,9 @@ def extend_coloring(g: Graph, order, lists: Lists,
     """
     order = list(order)
     subset = set(order)
+    if len(subset) != len(order) or not all(0 <= v < g.n for v in order):
+        raise ValueError(f"order must list distinct vertices of the graph, "
+                         f"got {order}")
     v1, vl = order[0], order[-1]
     k = len(lists[vl])
     avail = residual_lists(g, subset, lists, matching, partial)
@@ -267,6 +270,9 @@ class ConfigPattern:
         host_degree = tuple(host_degree)
         size = len(host_degree)
         norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
+        if any(not 0 <= u < v < size for u, v in norm):
+            raise ValueError("pattern edges must join two distinct pattern "
+                             "vertices")
         adj = [set() for _ in range(size)]
         for u, v in norm:
             adj[u].add(v)
@@ -283,25 +289,41 @@ class ConfigPattern:
                              adj=tuple(frozenset(a) for a in adj))
 
 
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(i, int) for i in x)
+
+
 def pattern_from_json(source) -> ConfigPattern:
     """Load a pattern document: {"vertices": [{"hostDegree": d,
     "outsideNeighbors": o}, ...], "edges": [[i, j], ...], "order": [...]}."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if "\n" not in text and not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        doc = json.loads(text)
-    degrees = [int(v["hostDegree"]) for v in doc["vertices"]]
+    doc = source
+    if isinstance(source, str):
+        if "\n" not in source and not source.lstrip().startswith("{"):
+            with open(source, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        doc = json.loads(source)
+    if not isinstance(doc, dict):
+        raise ValueError("pattern document must be a JSON object")
+    vertices = doc.get("vertices")
+    if not (isinstance(vertices, list) and all(
+            isinstance(v, dict) and isinstance(v.get("hostDegree"), int)
+            and isinstance(v.get("outsideNeighbors"), int)
+            for v in vertices)):
+        raise ValueError("pattern 'vertices' must be a list of objects with "
+                         "integer 'hostDegree' and 'outsideNeighbors'")
+    edges = doc.get("edges")
+    order = doc.get("order", list(range(len(vertices))))
+    if not (isinstance(edges, list) and all(map(_is_int_list, edges))
+            and _is_int_list(order)):
+        raise ValueError("pattern 'edges' must be a list of integer lists "
+                         "and 'order' a list of integers")
     pat = ConfigPattern.build(
-        edges=[tuple(e) for e in doc["edges"]],
-        host_degree=degrees,
-        order=doc.get("order", list(range(len(degrees)))),
+        edges=[tuple(e) for e in edges],
+        host_degree=[v["hostDegree"] for v in vertices],
+        order=order,
         name=doc.get("name", "pattern"),
     )
-    declared = [int(v["outsideNeighbors"]) for v in doc["vertices"]]
+    declared = [v["outsideNeighbors"] for v in vertices]
     if list(pat.outside) != declared:
         raise ValueError(
             f"declared outside neighbors {declared} disagree with "

@@ -316,3 +316,86 @@ def test_module_entry_point(tmp_path):
         input="D~{\n", capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[3, 4, 5]" in proc.stdout
+
+
+def test_budget_zero_is_a_budget(tmp_path, capsys, monkeypatch):
+    # --budget 0 and DPCOLOR_BUDGET=0 stop the search before the first case
+    c6 = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
+    c3 = write(tmp_path, "c3.g6", encode_graph6(cycle_graph(3)))
+    for argv in (["chi-dp", c6, "--k", "3"], ["chi-list", c3, "--k", "2"]):
+        code, out, err = run(capsys, *argv, "--budget", "0")
+        assert (code, out, err) == (2, "", "budget exceeded after 0 cases\n")
+    monkeypatch.setenv("DPCOLOR_BUDGET", "0")
+    assert run(capsys, "chi-dp", c6, "--k", "3")[0] == 2
+    # a given --budget overrides the environment, zero or not
+    assert run(capsys, "chi-dp", c6, "--k", "3", "--budget", "100000")[0] == 0
+    monkeypatch.setenv("DPCOLOR_BUDGET", "100000")
+    assert run(capsys, "chi-dp", c6, "--k", "3", "--budget", "0")[0] == 2
+
+
+def test_verify_budget_zero_marks_every_candidate(tmp_path, capsys):
+    lines = [encode_graph6(cycle_graph(m)) for m in (5, 10, 11)]
+    lines.append(encode_graph6(complete_graph(4)))
+    stream = write(tmp_path, "stream.g6", "\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "b68",
+                       "--n-max", "11", "--budget", "0")
+    assert code == 2
+    rows = dict(ln.split("\t") for ln in out.splitlines() if "\t" in ln)
+    assert [rows[ln] for ln in lines] == ["budget"] * 3 + ["filtered:cycles"]
+    assert out.endswith("# checked=3 pass=0 fail=0 budget=3\n")
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    c6 = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
+    for argv in (["chi-dp", c6, "--k", "3"], ["chi-list", c6, "--k", "2"],
+                 ["verify-theorem2", c6, "--variant", "a"]):
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert code == 3 and not out and err.startswith("usage:"), argv
+        assert "error" not in err
+    for raw in ("-1", "many", "2.5"):
+        monkeypatch.setenv("DPCOLOR_BUDGET", raw)
+        code, out, err = run(capsys, "chi-dp", c6, "--k", "3")
+        assert code == 3 and not out
+        assert err.startswith("error: DPCOLOR_BUDGET") and err.count("\n") == 1
+
+
+def test_missing_k_is_one_error_line(tmp_path, capsys):
+    # k comes from --k or from the matching file's default identity line
+    c4 = write(tmp_path, "c4.g6", encode_graph6(cycle_graph(4)))
+    bare = write(tmp_path, "m.txt", "0 1 : 0-0, 1-1\n")
+    partial = write(tmp_path, "p.json", json.dumps({"2": 0, "3": 1}))
+    for argv in (["color", c4], ["color", c4, "--matching", bare],
+                 ["extend", c4, "--matching", bare, "--partial", partial,
+                  "--order", "0,1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert run(capsys, "color", c4, "--matching", bare, "--k", "2")[0] == 0
+
+
+def test_malformed_files_are_one_error_line(tmp_path, capsys):
+    p3 = write(tmp_path, "p3.edges", "0 1\n1 2\n")
+    identity = write(tmp_path, "id.txt", "default identity k=3\n")
+    partial = write(tmp_path, "p.json", json.dumps({"2": 0}))
+    cases = [
+        ["discharge", write(tmp_path, "five.json", "5\n"), "--variant", "a"],
+        ["discharge", write(tmp_path, "str.json", '{"n": "3", "rotation": []}'),
+         "--variant", "a"],
+        ["color", p3, "--matching", write(tmp_path, "m.txt", "7 9 : 0-1\n")],
+        ["color", p3, "--matching", write(tmp_path, "n.txt", "-1 2 : 0-1\n"),
+         "--k", "2"],
+        ["find-config", p3, "--pattern", write(tmp_path, "pat.json", "[]\n")],
+        ["find-config", p3, "--pattern", write(tmp_path, "loop.json", json.dumps(
+            {"vertices": [{"hostDegree": 2, "outsideNeighbors": 0}] * 2,
+             "edges": [[0, 1], [0, 5]]}))],
+        ["extend", p3, "--matching", identity,
+         "--partial", write(tmp_path, "list.json", "[]\n"), "--order", "0,1"],
+        ["extend", p3, "--matching", identity, "--partial", partial,
+         "--order", "0,1,7"],
+        ["extend", p3, "--matching", identity, "--partial", partial,
+         "--order", "1,0,1"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
