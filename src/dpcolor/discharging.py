@@ -5,7 +5,8 @@ d(x) - 4, which sums to -8 by Euler's formula.  The engine then runs one of
 two deterministic phase schedules of local transfer rules (variant "a" for
 graphs meant to avoid {4,7,8,9}-cycles, variants "b67"/"b68" for
 {4,6,7,9}/{4,6,8,9}) and records every transfer.  Total charge is asserted
-after each phase; all arithmetic is fractions.Fraction, no tolerances.
+after each phase; all arithmetic is fractions.Fraction, no tolerances (the
+conservation sums add integer numerators over a common denominator).
 
 Face lengths and incidence statistics count boundary repetitions, so a face
 adjacent to another across two shared edges pays or receives twice, and a
@@ -14,6 +15,7 @@ vertex appearing twice on a walk counts twice.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,6 +88,14 @@ class Transfer:
     amount: Fraction
 
 
+def _exact_sum(values) -> Fraction:
+    """The exact sum of Fractions, added as integers over their least common
+    denominator: one Fraction is built instead of one per partial sum."""
+    ratios = [q.as_integer_ratio() for q in values]
+    lcd = math.lcm(*{d for _, d in ratios})
+    return Fraction(sum([n * (lcd // d) for n, d in ratios]), lcd)
+
+
 class ChargeState:
     """Charges per vertex and face plus the full transfer log."""
 
@@ -97,24 +107,20 @@ class ChargeState:
         self.notes: list[str] = []
 
     def total(self) -> Fraction:
-        return sum(self.vertex_charge) + sum(self.face_charge)
+        return _exact_sum(self.vertex_charge + self.face_charge)
 
     def charge(self, kind: str, idx: int) -> Fraction:
         return (self.vertex_charge if kind == "v" else self.face_charge)[idx]
 
-    def _bump(self, kind: str, idx: int, amount: Fraction) -> None:
-        if kind == "v":
-            self.vertex_charge[idx] += amount
-        else:
-            self.face_charge[idx] += amount
-
     def move(self, phase: str, rule: str, src: tuple[str, int],
              snk: tuple[str, int], amount: Fraction) -> None:
-        assert amount >= 0, "rules never move negative charge"
-        if amount == 0:
+        assert amount.numerator >= 0, "rules never move negative charge"
+        if not amount:
             return
-        self._bump(src[0], src[1], -amount)
-        self._bump(snk[0], snk[1], amount)
+        charges = self.vertex_charge if src[0] == "v" else self.face_charge
+        charges[src[1]] -= amount
+        charges = self.vertex_charge if snk[0] == "v" else self.face_charge
+        charges[snk[1]] += amount
         self.log.append(Transfer(phase, rule, f"{src[0]}{src[1]}",
                                  f"{snk[0]}{snk[1]}", amount))
 
@@ -126,7 +132,7 @@ class ChargeState:
 
     def sent(self, kind: str, idx: int) -> Fraction:
         name = f"{kind}{idx}"
-        return sum((t.amount for t in self.log if t.source == name), Fraction(0))
+        return _exact_sum(t.amount for t in self.log if t.source == name)
 
 
 def initial_charges(emb: PlaneEmbedding) -> ChargeState:
@@ -346,8 +352,7 @@ def face_stats(emb: PlaneEmbedding, roles: FaceRoles, f: int) -> FaceStats:
 
 
 def _tsum(t: dict[int, int], lo: int, weight) -> Fraction:
-    return sum((Fraction(weight(i)) * cnt for i, cnt in t.items() if i >= lo),
-               Fraction(0))
+    return _exact_sum(Fraction(weight(i)) * cnt for i, cnt in t.items() if i >= lo)
 
 
 def face_charge_capacity(t: dict[int, int], d_f: int) -> Fraction:

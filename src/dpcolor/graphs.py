@@ -171,20 +171,32 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(
             f"expected {need} adjacency bytes for n={n}, got {len(vals) - idx}"
         )
-    edges = []
-    bit = 0
+    # the adjacency bytes as one integer: bit k of the upper triangle, in
+    # column order (0,1), (0,2), (1,2), (0,3), ..., is bit nbits - 1 - k
+    word = 0
+    for x in vals[idx:]:
+        word = (word << 6) | x
+    pad = 6 * need - nbits
+    if word & ((1 << pad) - 1):
+        raise MalformedGraph6("nonzero padding bits")
+    word >>= pad
+    # edges go in in column order and adj is filled from the edge set, as
+    # from_edge_list does, so both iterate as they do in a Graph built by
+    # from_edge_list from the same column-ordered pairs
+    edges = set()
+    shift = nbits
     for j in range(1, n):
-        for i in range(j):
-            word = vals[idx + bit // 6]
-            if (word >> (5 - bit % 6)) & 1:
-                edges.append((i, j))
-            bit += 1
-    # padding bits beyond the triangle must be zero
-    if nbits % 6:
-        tail = vals[-1] & ((1 << (6 - nbits % 6)) - 1)
-        if tail:
-            raise MalformedGraph6("nonzero padding bits")
-    return from_edge_list(edges, n=n)
+        shift -= j
+        column = (word >> shift) & ((1 << j) - 1)
+        while column:
+            top = column.bit_length() - 1
+            edges.add((j - 1 - top, j))
+            column ^= 1 << top
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n=n, edges=frozenset(edges), adj=tuple(frozenset(a) for a in adj))
 
 
 def encode_graph6(g: Graph) -> str:

@@ -260,14 +260,8 @@ def rotation_from_faces(n: int, walks) -> tuple[tuple[int, ...], ...]:
 # Embedding file: {"n": ..., "rotation": [[neighbors in cyclic order], ...]}
 
 def load_embedding(source) -> PlaneEmbedding:
-    """Load and validate an embedding document (parsed JSON, JSON text, or
-    path)."""
-    doc = source
-    if isinstance(source, str):
-        if "\n" not in source and not source.lstrip().startswith("{"):
-            with open(source, "r", encoding="utf-8") as fh:
-                source = fh.read()
-        doc = json.loads(source)
+    """Load and validate an embedding document (parsed JSON or JSON text)."""
+    doc = json.loads(source) if isinstance(source, str) else source
     if not isinstance(doc, dict) or "n" not in doc or "rotation" not in doc:
         raise ValueError("embedding document needs 'n' and 'rotation'")
     n, rotation = doc["n"], doc["rotation"]

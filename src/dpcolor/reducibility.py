@@ -170,9 +170,10 @@ def extend_coloring(g: Graph, order, lists: Lists,
     """
     order = list(order)
     subset = set(order)
-    if len(subset) != len(order) or not all(0 <= v < g.n for v in order):
-        raise ValueError(f"order must list distinct vertices of the graph, "
-                         f"got {order}")
+    if (len(order) < 2 or len(subset) != len(order)
+            or not all(0 <= v < g.n for v in order)):
+        raise ValueError(f"order must list at least two distinct vertices "
+                         f"of the graph, got {order}")
     v1, vl = order[0], order[-1]
     k = len(lists[vl])
     avail = residual_lists(g, subset, lists, matching, partial)
@@ -294,14 +295,10 @@ def _is_int_list(x) -> bool:
 
 
 def pattern_from_json(source) -> ConfigPattern:
-    """Load a pattern document: {"vertices": [{"hostDegree": d,
-    "outsideNeighbors": o}, ...], "edges": [[i, j], ...], "order": [...]}."""
-    doc = source
-    if isinstance(source, str):
-        if "\n" not in source and not source.lstrip().startswith("{"):
-            with open(source, "r", encoding="utf-8") as fh:
-                source = fh.read()
-        doc = json.loads(source)
+    """Load a pattern document, parsed or as JSON text: {"vertices":
+    [{"hostDegree": d, "outsideNeighbors": o}, ...], "edges": [[i, j], ...],
+    "order": [...]}."""
+    doc = json.loads(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise ValueError("pattern document must be a JSON object")
     vertices = doc.get("vertices")

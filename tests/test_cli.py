@@ -394,6 +394,9 @@ def test_malformed_files_are_one_error_line(tmp_path, capsys):
          "--order", "0,1,7"],
         ["extend", p3, "--matching", identity, "--partial", partial,
          "--order", "1,0,1"],
+        ["extend", p3, "--matching", identity, "--partial",
+         write(tmp_path, "rest.json", json.dumps({"1": 0, "2": 1})),
+         "--order", "0"],
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

@@ -1,12 +1,15 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpcolor import discharging
 from dpcolor import (
     ChargeSumMismatch,
+    ConservationViolated,
     ConfigPattern,
     ForbiddenCyclePresent,
     PlaneEmbedding,
@@ -26,14 +29,17 @@ from dpcolor import (
     trace_faces,
 )
 from fixtures import (
+    cube,
     cycle_embedding,
     dodecahedron,
     embed_from_coordinates,
     good_pair_fixture,
     polygon_with_triangles,
+    prism,
     special_vertex_fixture,
     tetrahedron,
     truncated_tetrahedron,
+    two_squares_sharing_a_vertex,
     random_plane_embedding,
 )
 
@@ -85,10 +91,42 @@ def test_initial_charges_tetrahedron_and_dodecahedron():
 
 def test_initial_charges_rejects_broken_embedding():
     emb = tetrahedron()
-    broken = PlaneEmbedding(graph=emb.graph, rotation=emb.rotation,
-                            faces=emb.faces[:-1], face_of_dart={})
-    with pytest.raises(ChargeSumMismatch):
-        initial_charges(broken)
+    # a face lost (total -7) or counted twice (total -9)
+    for faces in (emb.faces[:-1], emb.faces + emb.faces[:1]):
+        broken = PlaneEmbedding(graph=emb.graph, rotation=emb.rotation,
+                                faces=faces, face_of_dart={})
+        with pytest.raises(ChargeSumMismatch):
+            initial_charges(broken)
+
+
+fraction_values = st.one_of(
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    st.builds(Fraction, st.integers(-10**6, 10**6),
+              st.sampled_from([1, 3, 5, 6, 12, 7919, 2**61 - 1])),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(fraction_values, max_size=40))
+def test_exact_sum_equals_builtin_sum(values):
+    exact = discharging._exact_sum(values)
+    assert type(exact) is Fraction
+    assert exact == sum(values, Fraction(0))
+    assert discharging._exact_sum(iter(values)) == exact
+
+
+def test_conservation_catches_charge_from_thin_air(monkeypatch):
+    leak = Fraction(1, 7919)
+    real_r2 = discharging._phase_r2
+
+    def leaky_r2(emb, state, roles):
+        state.face_charge[0] += leak
+        real_r2(emb, state, roles)
+
+    monkeypatch.setattr(discharging, "_phase_r2", leaky_r2)
+    with pytest.raises(ConservationViolated, match=r"after P2: total -63351/7919"):
+        apply_rules(truncated_tetrahedron(), "a")
 
 
 def test_no_three_faces_means_no_triangular_and_all_rich():
@@ -330,3 +368,45 @@ def test_audit_finds_something_on_hypothesis_satisfying_input():
     report = audit(cycle_embedding(12), "b68")
     assert report.hypothesis_ok
     assert report.findings()
+
+
+def golden_embeddings():
+    """Every plane embedding in fixtures.py, this file's bad 5-face example
+    and 24 seeded random embeddings."""
+    yield tetrahedron()
+    yield cube()
+    yield prism()
+    yield dodecahedron()
+    yield truncated_tetrahedron()
+    yield cycle_embedding(10)
+    yield polygon_with_triangles(11, [0, 1, 3, 5, 7, 9])
+    yield two_squares_sharing_a_vertex()
+    yield good_pair_fixture()[0]
+    yield special_vertex_fixture()[0]
+    yield three_pentagons_in_a_row()[0]
+    rng = random.Random(2018)
+    for _ in range(24):
+        yield random_plane_embedding(rng, rng.randint(4, 30),
+                                     chord_tries=rng.choice((6, 20)))
+
+
+def test_audit_output_is_pinned():
+    # sha256 over each audit's report, transfer log, phase totals and final
+    # charges, frozen from the engine that summed Fractions one at a time
+    pat = ConfigPattern.build(edges=[(0, 1)], host_degree=(3, 3),
+                              order=[0, 1], name="cubic edge")
+    h = hashlib.sha256()
+    for emb in golden_embeddings():
+        for variant in ("a", "b67", "b68"):
+            report = audit(emb, variant, patterns=[pat])
+            state = report.state
+            charges = state.vertex_charge + state.face_charge
+            h.update(report.format().encode())
+            h.update(format_transfer_log(state).encode())
+            h.update(repr([(p, str(t)) for p, t in state.phase_totals]).encode())
+            h.update(repr([str(c) for c in charges]).encode())
+    assert h.hexdigest() == GOLDEN_AUDIT_SHA256
+
+
+GOLDEN_AUDIT_SHA256 = (
+    "879d074586f9873e818f3c0d8b43279e13bddf06478e0c9c2ff322a860c5e4df")

@@ -176,3 +176,5 @@ def test_embedding_file_validation():
         load_embedding('{"n": 1, "rotation": [[0]]}')
     with pytest.raises(ValueError):
         load_embedding('{"rotation": []}')
+    with pytest.raises(ValueError):
+        load_embedding('[1]')  # JSON text, never a file name

@@ -281,3 +281,8 @@ def test_pattern_json_validates_outside_counts():
     }
     with pytest.raises(ValueError):
         pattern_from_json(doc)
+
+
+def test_pattern_json_is_never_a_file_name():
+    with pytest.raises(ValueError):
+        pattern_from_json('[1]')
