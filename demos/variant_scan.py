@@ -8,9 +8,9 @@ acceptance suite; this is the same pipeline at toy scale.
 
 import itertools
 
-from dpcolor import (NonPlanarOrTooLarge, brute_force_embed, encode_graph6,
-                     from_edge_list, has_cycle_length, is_connected,
-                     is_dp_k_colorable, FORBIDDEN_VARIANTS)
+from dpcolor import (encode_graph6, from_edge_list, has_cycle_length,
+                     is_connected, is_dp_k_colorable, is_planar,
+                     FORBIDDEN_VARIANTS)
 
 
 def tiny_census(max_n):
@@ -34,11 +34,7 @@ for g in tiny_census(5):
     if code in seen:
         continue
     seen.add(code)
-    if has_cycle_length(g, forbidden):
-        continue
-    try:
-        brute_force_embed(g)
-    except NonPlanarOrTooLarge:
+    if has_cycle_length(g, forbidden) or not is_planar(g):
         continue
     checked += 1
     if is_dp_k_colorable(g, 3) is not True:

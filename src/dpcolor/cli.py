@@ -297,9 +297,18 @@ def cmd_discharge(args) -> int:
     return EXIT_OK
 
 
+def _core_empty(g: Graph) -> bool:
+    """True when g has an empty 3-core (degeneracy below 3).  Greedy
+    coloring in reverse degeneracy order then colors every 3-fold cover, so
+    g is DP-3-colorable without a search."""
+    return solver.degeneracy(g) < 3
+
+
 def _verify_worker(g: Graph, budget: int) -> tuple[str, str | None]:
     """Row status and certificate text for one candidate, in a pool worker
     or in this process alike."""
+    if _core_empty(g):
+        return "pass", None
     try:
         result = solver.is_dp_k_colorable(g, 3, budget=budget)
     except solver.BudgetExceeded:
@@ -313,13 +322,16 @@ def cmd_verify(args) -> int:
     """Scan a graph6 stream: keep connected graphs that satisfy the variant's
     cycle condition and are planar, and check each is DP-3-colorable.
 
-    The cheap cycle filter runs before the planarity search, so dense
-    graphs never reach the rotation enumeration.  With --jobs the DP checks
-    run per-graph in a process pool; output order stays the input order."""
+    The filters run cheapest first: connectivity, the cycle filter, then
+    planarity, decided by planar.is_planar on the graph reduced by degree.
+    A candidate with an empty 3-core passes without a search and is settled
+    here, so only the others reach the DP search; with --jobs they run
+    per-graph in a process pool.  Output order stays the input order."""
     work = functools.partial(_verify_worker, budget=_budget(args))
     forbidden = discharging.VARIANTS[args.variant].forbidden
     lines = [ln.strip() for ln in _read_text(args.input).splitlines() if ln.strip()]
     rows: list[tuple[str, str | None]] = []
+    settled_by: dict[int, str] = {}  # candidate row -> how it was settled
     candidates: list[tuple[int, str, Graph]] = []
     for line in lines:
         g = parse_graph6(line)
@@ -333,12 +345,17 @@ def cmd_verify(args) -> int:
             rows.append((line, "filtered:cycles"))
             continue
         try:
-            planar.brute_force_embed(g, max_n=max(9, args.n_max or 9))
-        except planar.NonPlanarOrTooLarge as exc:
-            status = ("filtered:nonplanar" if exc.reason == "nonplanar"
-                      else "skipped:embed-bound")
-            rows.append((line, status))
+            if not planar.is_planar(g, max_n=max(9, args.n_max or 9)):
+                rows.append((line, "filtered:nonplanar"))
+                continue
+        except planar.NonPlanarOrTooLarge:
+            rows.append((line, "skipped:embed-bound"))
             continue
+        if _core_empty(g):
+            settled_by[len(rows)] = "core-empty"
+            rows.append((line, "pass"))
+            continue
+        settled_by[len(rows)] = "search"
         candidates.append((len(rows), line, g))
         rows.append((line, None))
     graphs = [g for _, _, g in candidates]
@@ -349,7 +366,7 @@ def cmd_verify(args) -> int:
     else:
         results = list(map(work, graphs))
     failures = budget_hits = 0
-    checked = len(candidates)
+    checked = len(settled_by)
     for (slot, line, _), (status, certificate) in zip(candidates, results):
         rows[slot] = (line, status)
         if status == "FAIL":
@@ -362,9 +379,15 @@ def cmd_verify(args) -> int:
         print(f"{line}\t{status}")
     print(f"# checked={checked} pass={checked - failures - budget_hits} "
           f"fail={failures} budget={budget_hits}")
+    json_rows = []
+    for slot, (line, status) in enumerate(rows):
+        row = {"graph6": line, "status": status}
+        if slot in settled_by:
+            row["settled_by"] = settled_by[slot]
+        json_rows.append(row)
     _write_json(args.json, {
         "variant": args.variant,
-        "rows": [{"graph6": a, "status": b} for a, b in rows],
+        "rows": json_rows,
         "checked": checked, "fail": failures, "budget": budget_hits,
     })
     if failures:

@@ -30,6 +30,7 @@ __all__ = [
     "face_adjacency",
     "classify_vertex",
     "brute_force_embed",
+    "is_planar",
     "rotation_from_faces",
     "load_embedding",
     "dump_embedding",
@@ -184,14 +185,10 @@ def classify_vertex(emb: PlaneEmbedding, v: int, f: int) -> str:
     return "semi-rich" if hits else "rich"
 
 
-def brute_force_embed(g: Graph, max_n: int = 9,
-                      rotation_limit: int = 2_000_000) -> PlaneEmbedding:
-    """Search rotation systems for one passing the Euler check.
-
-    Intended for small graphs; raises NonPlanarOrTooLarge when the graph
-    exceeds max_n, when the rotation space exceeds rotation_limit, or when
-    every rotation fails (certifying non-planarity for connected input).
-    """
+def _check_search_bounds(g: Graph, max_n: int, rotation_limit: int) -> None:
+    """The guards of the rotation search, applied to the graph as given:
+    NonPlanarOrTooLarge past max_n vertices or rotation_limit rotation
+    systems, Disconnected for disconnected input."""
     if g.n > max_n:
         raise NonPlanarOrTooLarge(f"n={g.n} exceeds brute-force bound {max_n}")
     if not is_connected(g):
@@ -204,6 +201,10 @@ def brute_force_embed(g: Graph, max_n: int = 9,
         if space > rotation_limit:
             raise NonPlanarOrTooLarge(
                 f"rotation space exceeds limit {rotation_limit}")
+
+
+def _rotation_search(g: Graph) -> PlaneEmbedding | None:
+    """The first rotation system of g that passes the Euler check, or None."""
     # fix the first neighbor at each vertex: cyclic orders, not linear ones
     anchored = []
     for v in range(g.n):
@@ -215,8 +216,75 @@ def brute_force_embed(g: Graph, max_n: int = 9,
             return trace_faces(g, rot)
         except NotGenusZero:
             continue
-    raise NonPlanarOrTooLarge("no rotation system passes the Euler check",
-                              reason="nonplanar")
+    return None
+
+
+def brute_force_embed(g: Graph, max_n: int = 9,
+                      rotation_limit: int = 2_000_000) -> PlaneEmbedding:
+    """Search rotation systems for one passing the Euler check.
+
+    Intended for small graphs; raises NonPlanarOrTooLarge when the graph
+    exceeds max_n, when the rotation space exceeds rotation_limit, or when
+    every rotation fails (certifying non-planarity for connected input).
+    """
+    _check_search_bounds(g, max_n, rotation_limit)
+    emb = _rotation_search(g)
+    if emb is None:
+        raise NonPlanarOrTooLarge("no rotation system passes the Euler check",
+                                  reason="nonplanar")
+    return emb
+
+
+def _smooth(g: Graph) -> Graph:
+    """g with vertices of degree at most 1 deleted and vertices of degree 2
+    smoothed, dropping parallel edges, until neither step applies.
+
+    Both steps keep planarity in both directions, so the result is planar
+    exactly when g is.  It has no vertex of degree below 3, so it is empty,
+    K4, or has at least 5 vertices.
+    """
+    adj = [set(a) for a in g.adj]
+    removed = [False] * g.n
+    stack = [v for v in range(g.n) if len(adj[v]) <= 2]
+    while stack:
+        v = stack.pop()
+        nbrs = adj[v]
+        if removed[v] or len(nbrs) > 2:
+            continue
+        removed[v] = True
+        for u in nbrs:
+            adj[u].discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+        for u in nbrs:
+            if len(adj[u]) <= 2:
+                stack.append(u)
+    keep = [v for v in range(g.n) if not removed[v]]
+    index = {v: i for i, v in enumerate(keep)}
+    return from_edge_list([(index[u], index[v]) for u in keep for v in adj[u]
+                           if u < v], n=len(keep))
+
+
+def is_planar(g: Graph, max_n: int = 9,
+              rotation_limit: int = 2_000_000) -> bool:
+    """Whether g is planar, decided on g reduced by _smooth.
+
+    The bounds of brute_force_embed apply to g itself, before the
+    reduction: past them this raises NonPlanarOrTooLarge (reason
+    "too-large"), and on disconnected input Disconnected, as
+    brute_force_embed does.  The reduced graph is planar when it has at
+    most 4 vertices, not planar when it has more than 3n - 6 edges, and
+    otherwise goes to the rotation search.
+    """
+    _check_search_bounds(g, max_n, rotation_limit)
+    core = _smooth(g)
+    if core.n <= 4:
+        return True
+    if core.m > 3 * core.n - 6:
+        return False
+    return _rotation_search(core) is not None
 
 
 def rotation_from_faces(n: int, walks) -> tuple[tuple[int, ...], ...]:

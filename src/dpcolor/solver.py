@@ -142,17 +142,34 @@ def chi(g: Graph) -> int:
 
 
 def degeneracy(g: Graph) -> int:
-    """Max over the removal process of the minimum degree."""
-    degs = {v: g.degree(v) for v in range(g.n)}
-    alive = set(range(g.n))
-    best = 0
-    while alive:
-        v = min(alive, key=lambda w: (degs[w], w))
-        best = max(best, degs[v])
-        alive.discard(v)
+    """Max over the removal process of the minimum degree.
+
+    Vertices wait in one bucket per degree.  A removal files each neighbor
+    again one bucket down and leaves its old entry behind, to be dropped as
+    stale when reached.  The least live degree falls by at most one per
+    removal, so each scan starts one bucket below the last.
+    """
+    degs = [len(a) for a in g.adj]
+    buckets: list[list[int]] = [[] for _ in range(max(degs, default=0) + 1)]
+    for v, d in enumerate(degs):
+        buckets[d].append(v)
+    removed = [False] * g.n
+    best = d = 0
+    for _ in range(g.n):
+        d = max(d - 1, 0)
+        while True:
+            if not buckets[d]:
+                d += 1
+                continue
+            v = buckets[d].pop()
+            if not removed[v] and degs[v] == d:
+                break
+        best = max(best, d)
+        removed[v] = True
         for u in g.adj[v]:
-            if u in alive:
+            if not removed[u]:
                 degs[u] -= 1
+                buckets[degs[u]].append(u)
     return best
 
 
@@ -332,13 +349,19 @@ def _contiguous_blocks(total: int, parts: int) -> list[list[int]]:
 
 
 def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
-    """Least k for which the DP adversary search returns True."""
+    """Least k for which the DP adversary search returns True.
+
+    Coloring greedily against a removal order leaves each vertex at most
+    degeneracy blocked colors, whatever the matchings, so degeneracy + 1
+    always succeeds and is returned without a search.
+    """
     if g.n == 0:
         raise ValueError("DP-chromatic number of the empty graph is undefined")
-    for k in range(1, g.n + 2):
+    high = degeneracy(g) + 1
+    for k in range(1, high):
         if is_dp_k_colorable(g, k, budget=budget, jobs=jobs) is True:
             return k
-    raise AssertionError("unreachable: max degree + 1 colors always suffice")
+    return high
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared embedding fixtures: polyhedra, decagon gadgets, random plane graphs."""
+"""Shared embedding fixtures: polyhedra, decagon gadgets, random plane graphs,
+and subdivided graphs."""
 
 from __future__ import annotations
 
@@ -20,6 +21,26 @@ def embed_from_coordinates(g: Graph, coords) -> PlaneEmbedding:
         )
         rot.append(tuple(nbrs))
     return trace_faces(g, rot)
+
+
+def subdivided(g: Graph, times: int) -> Graph:
+    """g with every edge replaced by a path through `times` new vertices."""
+    edges, nxt = [], g.n
+    for u, v in sorted(g.edges):
+        path = [u, *range(nxt, nxt + times), v]
+        nxt += times
+        edges += zip(path, path[1:])
+    return from_edge_list(edges, n=nxt)
+
+
+def with_pendant_paths(g: Graph, attach, length: int) -> Graph:
+    """g with a path of `length` new vertices hung from each vertex in attach."""
+    edges, nxt = list(g.edges), g.n
+    for v in attach:
+        path = [v, *range(nxt, nxt + length)]
+        nxt += length
+        edges += zip(path, path[1:])
+    return from_edge_list(edges, n=nxt)
 
 
 def cycle_embedding(n: int) -> PlaneEmbedding:

@@ -222,3 +222,14 @@ def all_injections_matching(g: Graph, pattern) -> list[tuple[int, ...]]:
         if all(g.has_edge(image[u], image[v]) for u, v in pattern.edges):
             out.append(image)
     return out
+
+
+def subset_degeneracy(g: Graph) -> int:
+    """Degeneracy as the largest minimum degree of an induced subgraph,
+    over every nonempty vertex subset."""
+    best = 0
+    for bits in range(1, 1 << g.n):
+        members = [v for v in range(g.n) if (bits >> v) & 1]
+        best = max(best, min(sum(1 for u in g.adj[v] if (bits >> u) & 1)
+                             for v in members))
+    return best

@@ -4,10 +4,13 @@ import sys
 
 import dpcolor.cli
 import dpcolor.reducibility
-from dpcolor import encode_graph6, from_edge_list, parse_matching_file
+from dpcolor import (NonPlanarOrTooLarge, brute_force_embed, encode_graph6,
+                     from_edge_list, parse_matching_file)
 from dpcolor.cli import build_parser, main
-from fixtures import dodecahedron, tetrahedron
-from dpcolor import dump_embedding, cycle_graph, complete_graph
+from fixtures import (dodecahedron, subdivided, tetrahedron,
+                      with_pendant_paths)
+from dpcolor import (complete_bipartite, complete_graph, cycle_graph,
+                     dump_embedding)
 
 
 def run(capsys, *argv):
@@ -334,15 +337,91 @@ def test_budget_zero_is_a_budget(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_budget_zero_marks_every_candidate(tmp_path, capsys):
+    # cycles have an empty 3-core, so they pass without a search and a zero
+    # budget never comes into play
     lines = [encode_graph6(cycle_graph(m)) for m in (5, 10, 11)]
     lines.append(encode_graph6(complete_graph(4)))
     stream = write(tmp_path, "stream.g6", "\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "b68",
                        "--n-max", "11", "--budget", "0")
-    assert code == 2
+    assert code == 0
     rows = dict(ln.split("\t") for ln in out.splitlines() if "\t" in ln)
-    assert [rows[ln] for ln in lines] == ["budget"] * 3 + ["filtered:cycles"]
-    assert out.endswith("# checked=3 pass=0 fail=0 budget=3\n")
+    assert [rows[ln] for ln in lines] == ["pass"] * 3 + ["filtered:cycles"]
+    assert out.endswith("# checked=3 pass=3 fail=0 budget=0\n")
+
+
+def pentagonal_prism():
+    """C5 x K2: 3-regular, so its 3-core is the whole graph."""
+    return from_edge_list([(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                          + [(i, 5 + i) for i in range(5)])
+
+
+def test_verify_worker_searches_a_nonempty_core():
+    prism = pentagonal_prism()
+    assert dpcolor.cli._verify_worker(prism, 0) == ("budget", None)
+    assert dpcolor.cli._verify_worker(
+        prism, dpcolor.solver.DEFAULT_BUDGET) == ("pass", None)
+    # an empty 3-core passes before the budget is consulted
+    assert dpcolor.cli._verify_worker(cycle_graph(5), 0) == ("pass", None)
+
+
+def test_verify_sidecar_says_how_each_candidate_was_settled(
+        tmp_path, capsys, monkeypatch):
+    # the prism's 4-cycles keep it out of every variant, so the cycle filter
+    # is switched off here to send it to the search
+    monkeypatch.setattr(dpcolor.cli, "has_cycle_length", lambda g, lengths: False)
+    lines = [encode_graph6(cycle_graph(5)), encode_graph6(pentagonal_prism()),
+             encode_graph6(complete_graph(5))]
+    stream = write(tmp_path, "stream.g6", "\n".join(lines) + "\n")
+    sidecar = tmp_path / "verify.json"
+    for budget, code, prism_status in (("0", 2, "budget"),
+                                       ("100000", 0, "pass")):
+        assert run(capsys, "verify-theorem2", stream, "--variant", "a",
+                   "--n-max", "10", "--budget", budget,
+                   "--json", str(sidecar))[0] == code
+        doc = json.loads(sidecar.read_text())
+        assert doc["rows"] == [
+            {"graph6": lines[0], "status": "pass", "settled_by": "core-empty"},
+            {"graph6": lines[1], "status": prism_status,
+             "settled_by": "search"},
+            {"graph6": lines[2], "status": "filtered:nonplanar"},
+        ]
+
+
+def test_verify_planarity_rows_match_brute_force_embed(tmp_path, capsys):
+    # each graph has only cycles of length 10 or more, so the cycle filter
+    # passes it, and the row is the one brute_force_embed's answer gives
+    k33_tail = with_pendant_paths(subdivided(complete_bipartite(3, 3), 3),
+                                  [0], 2)
+    # three paths of length 5 between vertices 0 and 1
+    theta = from_edge_list([pair for i in range(3) for pair in zip(
+        [0, *range(2 + 4 * i, 6 + 4 * i)], [*range(2 + 4 * i, 6 + 4 * i), 1])])
+    star = from_edge_list([(0, v) for v in range(1, 12)])
+    graphs = [subdivided(complete_graph(5), 3), k33_tail, theta, star,
+              cycle_graph(12), cycle_graph(41)]
+    stream = write(tmp_path, "stream.g6",
+                   "".join(encode_graph6(g) + "\n" for g in graphs))
+    for n_max in (None, 40):
+        want = []
+        for g in graphs:
+            if n_max and g.n > n_max:
+                want.append("skipped:n")
+                continue
+            try:
+                brute_force_embed(g, max_n=max(9, n_max or 9))
+                want.append("pass")
+            except NonPlanarOrTooLarge as exc:
+                want.append("filtered:nonplanar" if exc.reason == "nonplanar"
+                            else "skipped:embed-bound")
+        argv = ["verify-theorem2", stream, "--variant", "a"]
+        if n_max:
+            argv += ["--n-max", str(n_max)]
+        code, out, _ = run(capsys, *argv)
+        rows = [ln.split("\t")[1] for ln in out.splitlines() if "\t" in ln]
+        assert code == 0 and rows == want, n_max
+    assert want == ["filtered:nonplanar", "filtered:nonplanar", "pass",
+                    "skipped:embed-bound", "pass", "skipped:n"]
 
 
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import pytest
 
 from dpcolor import (
@@ -11,9 +12,11 @@ from dpcolor import (
     classify_vertex,
     complete_bipartite,
     complete_graph,
+    cycle_graph,
     dump_embedding,
     face_adjacency,
     from_edge_list,
+    is_planar,
     load_embedding,
     trace_faces,
 )
@@ -22,9 +25,12 @@ from fixtures import (
     cycle_embedding,
     polygon_with_triangles,
     prism,
+    subdivided,
     tetrahedron,
     two_squares_sharing_a_vertex,
+    with_pendant_paths,
 )
+from smallgraphs import connected_graphs
 
 
 def test_tetrahedron_faces():
@@ -61,6 +67,70 @@ def test_k33_not_planar():
 def test_brute_force_prism():
     emb = brute_force_embed(prism().graph)
     assert sorted(f.length for f in emb.faces) == [3, 3, 4, 4, 4]
+
+
+def networkx_planar(g):
+    h = nx.Graph(sorted(g.edges))
+    h.add_nodes_from(range(g.n))
+    return nx.check_planarity(h)[0]
+
+
+def named_planarity_cases():
+    k5, k33 = complete_graph(5), complete_bipartite(3, 3)
+    theta = from_edge_list([(0, 2), (2, 1), (0, 3), (3, 4), (4, 1),
+                            (0, 5), (5, 6), (6, 7), (7, 1)])
+    # K3,3 plus a path of length two beside three of its edges: smoothing
+    # the middle vertices makes parallel edges, which are dropped
+    eared_k33 = from_edge_list(sorted(k33.edges) + [(0, 6), (6, 3), (1, 7),
+                                                    (7, 4), (2, 8), (8, 5)])
+    return {
+        "K5": (k5, False),
+        "K3,3": (k33, False),
+        "subdivided K5 with pendant paths":
+            (with_pendant_paths(subdivided(k5, 1), [0, 7], 2), False),
+        "subdivided K3,3 with pendant paths":
+            (with_pendant_paths(subdivided(k33, 1), [0, 9], 3), False),
+        "theta": (theta, True),
+        "eared K3,3 on 9 vertices": (eared_k33, False),
+        "subdivided K4 with a pendant path":
+            (with_pendant_paths(subdivided(complete_graph(4), 2), [0], 2), True),
+        "prism": (prism().graph, True),
+        "octahedron": (from_edge_list([(u, v) for u in range(6)
+                                       for v in range(u + 1, 6)
+                                       if v != u + 3]), True),
+    }
+
+
+def test_is_planar_named_graphs():
+    for name, (g, planar) in named_planarity_cases().items():
+        assert networkx_planar(g) == planar, name
+        assert is_planar(g, max_n=g.n) == planar, name
+
+
+def test_is_planar_matches_networkx_up_to_6_vertices():
+    # K6 and K6 - e exceed the default rotation space, which is measured
+    # on the graph as given; the edge bound decides them once it is lifted
+    for g in connected_graphs(6):
+        assert is_planar(g, rotation_limit=10**9) == networkx_planar(g), g.edges
+
+
+def test_is_planar_keeps_the_search_bounds():
+    # the bounds apply to the graph as given, not to its reduction (a star
+    # reduces to nothing), so is_planar refuses exactly where
+    # brute_force_embed does
+    star = from_edge_list([(0, v) for v in range(1, 12)])
+    cases = [(star, {"max_n": 12}), (cycle_graph(10), {}),
+             (complete_graph(6), {})]
+    for g, bounds in cases:
+        for check in (is_planar, brute_force_embed):
+            with pytest.raises(NonPlanarOrTooLarge) as exc:
+                check(g, **bounds)
+            assert exc.value.reason == "too-large"
+    assert is_planar(star, max_n=12, rotation_limit=10**7)
+    two_parts = from_edge_list([(0, 1), (2, 3)])
+    for check in (is_planar, brute_force_embed):
+        with pytest.raises(Disconnected):
+            check(two_parts)
 
 
 def test_trace_requires_connected():

@@ -25,7 +25,7 @@ from dpcolor import (
     uniform_lists,
 )
 from oracles import (reference_choosable_scan, reference_dp_scan,
-                     slow_choosable, slow_dp_verdict)
+                     slow_choosable, slow_dp_verdict, subset_degeneracy)
 from smallgraphs import connected_graphs
 
 
@@ -73,6 +73,12 @@ def test_degeneracy():
     assert degeneracy(path_graph(4)) == 1
 
 
+def test_degeneracy_matches_subset_oracle():
+    for g in connected_graphs(6):
+        assert degeneracy(g) == subset_degeneracy(g), g.edges
+    assert degeneracy(from_edge_list([], n=3)) == 0
+
+
 def test_dp_c4_k2_certificate_has_one_twisted_edge():
     cert = is_dp_k_colorable(cycle_graph(4), 2)
     assert cert is not True and cert.kind == "dp"
@@ -105,6 +111,32 @@ def test_chi_dp_values():
 def test_chi_dp_cycles_both_parities():
     for m in range(3, 9):
         assert chi_dp(cycle_graph(m)) == 3
+
+
+def test_chi_dp_stops_before_degeneracy_plus_one(monkeypatch):
+    calls = []
+    search = dpcolor.solver.is_dp_k_colorable
+
+    def counted(g, k, **kwargs):
+        calls.append(k)
+        return search(g, k, **kwargs)
+
+    monkeypatch.setattr(dpcolor.solver, "is_dp_k_colorable", counted)
+    assert chi_dp(cycle_graph(7)) == 3
+    assert calls == [1, 2]
+
+
+def test_chi_dp_matches_search_at_every_k():
+    # the least k the adversary search accepts, trying k = 1, 2, ... with
+    # no early stop; K5 is left out because its k = 5 space has 120^6
+    # cases, and chi(K5) = 5 = degeneracy + 1 pins its value anyway
+    for g in connected_graphs(5):
+        if g.m == 10:
+            assert chi_dp(g) == chi(g) == 5
+            continue
+        searched = next(k for k in range(1, g.n + 2)
+                        if is_dp_k_colorable(g, k) is True)
+        assert chi_dp(g) == searched, g.edges
 
 
 def test_dp_certificates_replay_unsatisfiable():
