@@ -297,18 +297,9 @@ def cmd_discharge(args) -> int:
     return EXIT_OK
 
 
-def _core_empty(g: Graph) -> bool:
-    """True when g has an empty 3-core (degeneracy below 3).  Greedy
-    coloring in reverse degeneracy order then colors every 3-fold cover, so
-    g is DP-3-colorable without a search."""
-    return solver.degeneracy(g) < 3
-
-
 def _verify_worker(g: Graph, budget: int) -> tuple[str, str | None]:
     """Row status and certificate text for one candidate, in a pool worker
     or in this process alike."""
-    if _core_empty(g):
-        return "pass", None
     try:
         result = solver.is_dp_k_colorable(g, 3, budget=budget)
     except solver.BudgetExceeded:
@@ -351,7 +342,9 @@ def cmd_verify(args) -> int:
         except planar.NonPlanarOrTooLarge:
             rows.append((line, "skipped:embed-bound"))
             continue
-        if _core_empty(g):
+        # an empty 3-core: greedy coloring in reverse degeneracy order
+        # colors every 3-fold cover, so no search is needed
+        if solver.degeneracy(g) < 3:
             settled_by[len(rows)] = "core-empty"
             rows.append((line, "pass"))
             continue

@@ -38,6 +38,9 @@ __all__ = [
 
 Dart = tuple[int, int]
 
+# default bound on the rotation systems an exhaustive search may try
+_ROTATION_LIMIT = 2_000_000
+
 
 class Disconnected(ValueError):
     """Face tracing requires a connected graph."""
@@ -203,24 +206,47 @@ def _check_search_bounds(g: Graph, max_n: int, rotation_limit: int) -> None:
                 f"rotation space exceeds limit {rotation_limit}")
 
 
-def _rotation_search(g: Graph) -> PlaneEmbedding | None:
-    """The first rotation system of g that passes the Euler check, or None."""
+def _rotation_search(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """The first rotation system of connected g that passes the Euler check,
+    or None.
+
+    Faces are counted as cycles of the dart successor map without building
+    an embedding.  Darts are numbered by head vertex, so the successor map
+    of a rotation system is one precomputed block per vertex, concatenated.
+    """
+    heads = [(u, v) for v in range(g.n) for u in sorted(g.adj[v])]
+    index = {d: i for i, d in enumerate(heads)}
     # fix the first neighbor at each vertex: cyclic orders, not linear ones
-    anchored = []
+    choices = []
     for v in range(g.n):
         nbrs = sorted(g.adj[v])
-        anchored.append([tuple(nbrs[:1]) + rest
-                         for rest in itertools.permutations(nbrs[1:])])
-    for rot in itertools.product(*anchored):
-        try:
-            return trace_faces(g, rot)
-        except NotGenusZero:
-            continue
+        options = []
+        for rest in itertools.permutations(nbrs[1:]):
+            order = tuple(nbrs[:1]) + rest
+            after = {u: order[(i + 1) % len(order)] for i, u in enumerate(order)}
+            options.append((order, tuple(index[(v, after[u])] for u in nbrs)))
+        choices.append(options)
+    # trace_faces counts one face, not none, for a graph without darts
+    want = g.m - g.n + 2 - (not heads)
+    darts = range(len(heads))
+    for combo in itertools.product(*choices):
+        succ = [d for _, block in combo for d in block]
+        seen = bytearray(len(heads))
+        faces = 0
+        for start in darts:
+            if not seen[start]:
+                faces += 1
+                d = start
+                while not seen[d]:
+                    seen[d] = 1
+                    d = succ[d]
+        if faces == want:
+            return tuple(order for order, _ in combo)
     return None
 
 
 def brute_force_embed(g: Graph, max_n: int = 9,
-                      rotation_limit: int = 2_000_000) -> PlaneEmbedding:
+                      rotation_limit: int = _ROTATION_LIMIT) -> PlaneEmbedding:
     """Search rotation systems for one passing the Euler check.
 
     Intended for small graphs; raises NonPlanarOrTooLarge when the graph
@@ -228,11 +254,11 @@ def brute_force_embed(g: Graph, max_n: int = 9,
     every rotation fails (certifying non-planarity for connected input).
     """
     _check_search_bounds(g, max_n, rotation_limit)
-    emb = _rotation_search(g)
-    if emb is None:
+    rotation = _rotation_search(g)
+    if rotation is None:
         raise NonPlanarOrTooLarge("no rotation system passes the Euler check",
                                   reason="nonplanar")
-    return emb
+    return trace_faces(g, rotation)
 
 
 def _smooth(g: Graph) -> Graph:
@@ -267,23 +293,19 @@ def _smooth(g: Graph) -> Graph:
                            if u < v], n=len(keep))
 
 
-def is_planar(g: Graph, max_n: int = 9,
-              rotation_limit: int = 2_000_000) -> bool:
+def is_planar(g: Graph, max_n: int = 9) -> bool:
     """Whether g is planar, decided on g reduced by _smooth.
 
     The bounds of brute_force_embed apply to g itself, before the
     reduction: past them this raises NonPlanarOrTooLarge (reason
     "too-large"), and on disconnected input Disconnected, as
     brute_force_embed does.  The reduced graph is planar when it has at
-    most 4 vertices, not planar when it has more than 3n - 6 edges, and
-    otherwise goes to the rotation search.
+    most 4 vertices and otherwise goes to the rotation search.
     """
-    _check_search_bounds(g, max_n, rotation_limit)
+    _check_search_bounds(g, max_n, _ROTATION_LIMIT)
     core = _smooth(g)
     if core.n <= 4:
         return True
-    if core.m > 3 * core.n - 6:
-        return False
     return _rotation_search(core) is not None
 
 

