@@ -127,13 +127,15 @@ class MatchingAssignment:
     def validate(self, g: Graph, lists: Lists) -> None:
         """Raise InvalidMatching unless every pair references listed colors
         on actual edges (injectivity is enforced at construction)."""
+        listed = [set(L) for L in lists]
         for (u, v), fwd in self._fwd.items():
             if not g.has_edge(u, v):
                 if fwd:
                     raise InvalidMatching(f"matching on non-edge ({u}, {v})")
                 continue
+            at_u, at_v = listed[u], listed[v]
             for a, b in fwd.items():
-                if a not in lists[u] or b not in lists[v]:
+                if a not in at_u or b not in at_v:
                     raise InvalidMatching(
                         f"pair {a}-{b} on edge ({u}, {v}) uses unlisted colors")
 

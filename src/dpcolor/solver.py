@@ -22,6 +22,24 @@ assignment.  Every leaf still counts as one attempted case, checked against
 the budget before it is examined, so budgets and BudgetExceeded.attempted
 mean what they meant for the plain per-assignment scan.
 
+The walk also prunes by the residual gauge symmetry.  Relabeling every
+vertex by the same permutation pi keeps the tree identities and maps each
+non-tree permutation s to pi s pi^-1, so it preserves colorability.  A
+prefix that some pi maps to a lexicographically smaller one is skipped with
+its whole subtree (orderly generation, as in McKay's isomorph-free
+exhaustive generation), so only the least prefix of each orbit is extended.
+Leaves are not tested, since a witness check costs less than the orbit
+test; about one leaf in k! is still visited.  Every skipped assignment has
+a conjugate earlier in the scan, and the scan only gets that far when
+everything before it was colorable, so the skipped ones are colorable too.
+Hence the verdict is unchanged, and the first failing assignment is the
+least of its orbit and is still the first certificate.  A skipped subtree
+adds its leaf count to the attempted cases; if that passes the budget, the
+scan stops with exactly budget attempted, as the plain scan would.  A block
+of the parallel split may skip leaves whose conjugates lie in an earlier
+block; the merge keeps a block's result only when every earlier block
+finished colorable, so that stays exact too.
+
 The choosability search enumerates list assignments up to color renaming.
 Splitting a color whose support induces a disconnected subgraph into one
 fresh color per component changes no verdict (matched colors never face
@@ -200,18 +218,77 @@ def normalized_assignment_count(g: Graph, k: int) -> int:
     return math.factorial(k) ** (g.m - g.n + components)
 
 
+class _GaugeOrbits(dict):
+    """Orderly generation of sequences over perms, the permutations of
+    range(k) in itertools order, up to simultaneous conjugation: a sequence
+    is kept only when it is lexicographically least among its images
+    s -> pi s pi^-1 for every pi.
+
+    A prefix carries eq, the non-identity pi (bits by index in perms) under
+    which its image still equals it; start holds all of them.  self[eq][i]
+    is eq after appending choice i, or -1 when some pi in eq maps choice i
+    to a smaller index, so every sequence through it has a smaller image.
+    Every other pi already maps the prefix to a larger one, so the kept
+    sequences are exactly one per orbit.  Rows and their entries are built
+    on first lookup and kept, so a walk pays only for the entries it reads.
+    """
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.perms = list(itertools.permutations(range(k)))
+        self.inv = [tuple(sorted(range(k), key=p.__getitem__))
+                    for p in self.perms]
+        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.start = (1 << len(self.perms)) - 2
+
+    def conj(self, pi: int, i: int) -> int:
+        """Index of perms[pi] o perms[i] o perms[pi]^-1."""
+        p, s = self.perms[pi], self.perms[i]
+        return self.index[tuple([p[s[c]] for c in self.inv[pi]])]
+
+    def __missing__(self, eq: int) -> _OrbitRow:
+        row = self[eq] = _OrbitRow(self, eq)
+        return row
+
+
+class _OrbitRow(dict):
+    """One row of _GaugeOrbits: choice index -> next eq, or -1."""
+
+    def __init__(self, orbits: _GaugeOrbits, eq: int):
+        super().__init__()
+        self.orbits, self.eq = orbits, eq
+        self.members = [pi for pi, bit in enumerate(bin(eq)[:1:-1])
+                        if bit == "1"]
+
+    def __missing__(self, i: int) -> int:
+        kept = self.eq
+        if i:  # every pi fixes the identity, perms[0]
+            kept = 0
+            for pi in self.members:
+                j = self.orbits.conj(pi, i)
+                if j < i:
+                    kept = -1
+                    break
+                if j == i:
+                    kept |= 1 << pi
+        self[i] = kept
+        return kept
+
+
 def _scan_block(g: Graph, k: int, first_indices, budget: int
                 ) -> tuple[str, MatchingAssignment | None, int]:
     """Scan the normalized assignments whose first non-tree edge uses one of
     first_indices (positions in itertools.permutations(range(k))), in
-    lexicographic order, reusing colorings already found.
+    lexicographic order, reusing colorings already found and extending
+    only the least prefix of each gauge orbit.
 
     Returns (status, certificate-or-None, attempted) with status in
-    {"ok", "cert", "budget"}; attempted counts enumerated assignments.
+    {"ok", "cert", "budget"}; attempted counts enumerated assignments,
+    those of pruned subtrees included.
     """
     nontree = sorted(g.edges - _spanning_forest(g))
-    perms = list(itertools.permutations(range(k)))
-    inv = [tuple(sorted(range(k), key=p.__getitem__)) for p in perms]
+    orbits = _GaugeOrbits(k)
+    perms, inv = orbits.perms, orbits.inv
     adj = [sorted(g.adj[v]) for v in range(g.n)]
     sizes = [k] * g.n
     part = {}
@@ -254,6 +331,12 @@ def _scan_block(g: Graph, k: int, first_indices, budget: int
     # Depth-first walk as an odometer over path, without recursion, so the
     # depth is not limited by the number of non-tree edges.  cursor[d] is
     # the index, in the choices of depth d, of the next perm to try there.
+    # steps[d] is the orbit row of the prefix path[:d]; a choice it marks -1
+    # is skipped with its whole subtree of skipped[d] leaves.  At the last
+    # edge a choice is one leaf, and the witness check costs less than the
+    # orbit test, so leaves are not tested.
+    steps = [orbits[orbits.start]] * depth
+    skipped = [nperm ** (depth - 1 - d) for d in range(depth)]
     top = list(first_indices)
     every = range(nperm)
     last = depth - 1
@@ -268,10 +351,20 @@ def _scan_block(g: Graph, k: int, first_indices, budget: int
                 d -= 1
                 continue
             cursor[d] = c + 1
-            i = path[d] = choices[c]
+            i = choices[c]
+            eq = steps[d][i]
+            if eq < 0:
+                # every leaf below has a conjugate earlier in the scan, so
+                # the plain scan counts them all as colorable
+                attempted += skipped[d]
+                if attempted > budget:
+                    return "budget", None, budget
+                continue
+            path[d] = i
             u, v = nontree[d]
             part[(u, v)], part[(v, u)] = perms[i], inv[i]
             masks[d + 1] = masks[d] & alive[d][i]
+            steps[d + 1] = orbits[eq]
             d += 1
             continue
         # leaf depth: every choice is one enumerated assignment

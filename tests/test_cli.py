@@ -10,7 +10,8 @@ from dpcolor.cli import build_parser, main
 from fixtures import (dodecahedron, subdivided, tetrahedron,
                       with_pendant_paths)
 from dpcolor import (complete_bipartite, complete_graph, cycle_graph,
-                     dump_embedding)
+                     dump_embedding, is_valid_coloring, path_graph,
+                     uniform_lists)
 
 
 def run(capsys, *argv):
@@ -114,6 +115,21 @@ def test_color_command(tmp_path, capsys):
                     "default identity k=2\n0 3 : 0-1, 1-0\n")
     code, out, _ = run(capsys, "color", path, "--matching", twisted)
     assert code == 1 and "UNSATISFIABLE" in out
+
+
+def test_color_large_default_identity(tmp_path, capsys):
+    # checking the pairs of 100,000-pair matchings against their lists is
+    # linear in k, so this 26-byte file colors P3 in well under a second
+    g = path_graph(3)
+    text = "default identity k=100000\n"
+    assert len(text) == 26
+    path = write(tmp_path, "p3.g6", encode_graph6(g))
+    matching = write(tmp_path, "m.txt", text)
+    code, out, _ = run(capsys, "color", path, "--matching", matching)
+    assert code == 0 and out.startswith("coloring: ")
+    coloring = [int(item.split(":")[1]) for item in out.split()[1:]]
+    assert is_valid_coloring(g, uniform_lists(3, 100_000),
+                             parse_matching_file(text, g)[0], coloring)
 
 
 def test_extend_command(tmp_path, capsys):

@@ -69,9 +69,9 @@ def test_matching_validation():
     g = path_graph(2)
     with pytest.raises(InvalidMatching):
         MatchingAssignment({(0, 1): ((0, 0), (0, 1))})  # color 0 used twice
-    bad = MatchingAssignment({(0, 1): ((0, 5),)})
-    with pytest.raises(InvalidMatching):
-        bad.validate(g, uniform_lists(2, 2))
+    for pairs in (((0, 5),), ((5, 0),)):
+        with pytest.raises(InvalidMatching):
+            MatchingAssignment({(0, 1): pairs}).validate(g, uniform_lists(2, 2))
     off_edge = MatchingAssignment({(0, 2): ((0, 0),)})
     with pytest.raises(InvalidMatching):
         off_edge.validate(path_graph(3), uniform_lists(3, 2))

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 import dpcolor.solver
@@ -21,10 +24,12 @@ from dpcolor import (
     is_k_choosable,
     normalized_assignment_count,
     parse_graph6,
+    parse_matching_file,
     path_graph,
     uniform_lists,
 )
-from oracles import (reference_choosable_scan, reference_dp_scan,
+from dpcolor.solver import _GaugeOrbits
+from oracles import (_dfs_forest, reference_choosable_scan, reference_dp_scan,
                      slow_choosable, slow_dp_verdict, subset_degeneracy)
 from smallgraphs import connected_graphs
 
@@ -315,3 +320,157 @@ def test_choosability_bound_guard():
     with pytest.raises(ValueError):
         is_k_choosable(cycle_graph(8), 2)  # default bound is 7
     assert is_k_choosable(cycle_graph(8), 2, max_n=8) is True
+
+
+def burnside_orbits(k, m):
+    """(1/k!) * sum over pi of |C(pi)|^m: the number of m-sequences of
+    permutations up to simultaneous conjugation, by Burnside's lemma."""
+    perms = list(itertools.permutations(range(k)))
+
+    def compose(p, q):
+        return tuple(p[q[c]] for c in range(k))
+
+    total = sum(sum(compose(p, q) == compose(q, p) for q in perms) ** m
+                for p in perms)
+    assert total % len(perms) == 0
+    return total // len(perms)
+
+
+def kept_sequences(orbits, m):
+    """Walk every sequence of m permutation indices through the orbit rows
+    the DP adversary uses, and count those no row marks as skipped."""
+    nperm = len(orbits.perms)
+
+    def count(eq, left):
+        row = orbits[eq]
+        if left == 1:
+            return sum(row[i] >= 0 for i in range(nperm))
+        return sum(count(row[i], left - 1) for i in range(nperm)
+                   if row[i] >= 0)
+
+    return count(orbits.start, m)
+
+
+def test_gauge_orbits_keep_one_sequence_per_burnside_orbit():
+    for k, m, orbits, cases in ((3, 7, 47_449, 279_936),
+                                (3, 8, 282_251, 1_679_616),
+                                (4, 3, 681, 13_824)):
+        assert math.factorial(k) ** m == cases
+        assert burnside_orbits(k, m) == orbits
+        assert kept_sequences(_GaugeOrbits(k), m) == orbits, (k, m)
+
+
+def test_gauge_orbits_keep_exactly_the_least_conjugate():
+    # by brute force over every sequence: a sequence survives every row on
+    # its path exactly when no simultaneous conjugate is smaller
+    for k, m in ((3, 4), (4, 2)):
+        orbits = _GaugeOrbits(k)
+        perms = list(itertools.permutations(range(k)))
+        position = {p: i for i, p in enumerate(perms)}
+        for seq in itertools.product(range(len(perms)), repeat=m):
+            eq, kept = orbits.start, True
+            for i in seq:
+                eq = orbits[eq][i]
+                if eq < 0:
+                    kept = False
+                    break
+            images = []
+            for pi in perms:
+                # pi s pi^-1 sends pi[a] to pi[s[a]]
+                conjugates = []
+                for i in seq:
+                    image = [0] * k
+                    for a, b in enumerate(perms[i]):
+                        image[pi[a]] = pi[b]
+                    conjugates.append(position[tuple(image)])
+                images.append(tuple(conjugates))
+            assert kept == (min(images) == seq), (k, seq)
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: the blocks run one after another
+    in this process, through the same split and merge."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def reference_outcomes(g, k, budgets):
+    """reference_dp_scan's outcome at each budget.  The plain scan is run
+    once without a limit; one that needs t cases (all of them for True, the
+    certificate's position in itertools.product order for a certificate)
+    gives that verdict at every budget >= t and stops with exactly the
+    budget below it.  The derivation is checked against direct runs of
+    reference_dp_scan around t."""
+    full = outcome(g, lambda: reference_dp_scan(g, k))
+    cases = normalized_assignment_count(g, k)
+    nontree = sorted(set(g.edges) - _dfs_forest(g))
+    perms = list(itertools.permutations(range(k)))
+    if full[0] == "ok":
+        needed = cases
+    else:
+        matching, _ = parse_matching_file(full[1], g)
+        needed = 0
+        for u, v in nontree:
+            sigma = tuple(b for _, b in matching.pairs(u, v))
+            needed = needed * len(perms) + perms.index(sigma)
+        needed += 1
+    want = {b: full if b >= needed else ("budget", b) for b in budgets}
+    for b in {0, needed - 1, needed} & set(budgets):
+        assert outcome(g, lambda: reference_dp_scan(g, k, b)) == want[b]
+    return want
+
+
+def test_every_budget_matches_reference_scan(monkeypatch):
+    # every budget from 0 to one past the case count, so a budget that runs
+    # out inside a skipped subtree, at every depth, is covered; jobs = 2
+    # runs the block split and merge with the blocks in this process
+    monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", SerialPool)
+    for g in (complete_graph(4), prism(3), parse_graph6("Dr{")):
+        assert g.m - g.n + 1 >= 3
+        budgets = range(normalized_assignment_count(g, 3) + 2)
+        want = reference_outcomes(g, 3, budgets)
+        for jobs in (1, 2):
+            for budget in budgets:
+                got = outcome(g, lambda: is_dp_k_colorable(
+                    g, 3, budget=budget, jobs=jobs))
+                assert got == want[budget], (g.edges, budget, jobs)
+
+
+def test_late_certificate_budgets_match_reference_scan():
+    # a first certificate past many skipped subtrees, with a real pool
+    g = parse_graph6("Es^o")
+    cases = normalized_assignment_count(g, 3)
+    assert cases == 7_776
+    first = 4_033  # the first certificate's position in the plain scan
+    budgets = (0, 1, 7, 36, 37, 216, 217, 1296, 1297, first - 1, first,
+               cases)
+    want = reference_outcomes(g, 3, budgets)
+    assert want[first - 1] == ("budget", first - 1)
+    assert want[first][0] == "cert"
+    for budget in budgets:
+        for jobs in (1, 2):
+            got = outcome(g, lambda: is_dp_k_colorable(
+                g, 3, budget=budget, jobs=jobs))
+            assert got == want[budget], (budget, jobs)
+
+
+def test_k4_matches_reference_scan():
+    # k = 4 has 24 permutations per edge and a conjugation group of 24
+    for g in (cycle_graph(4), complete_bipartite(2, 3), parse_graph6("Ds{"),
+              complete_graph(4)):
+        assert g.m - g.n + 1 <= 3
+        budgets = (1, 100, DEFAULT_BUDGET)
+        want = reference_outcomes(g, 4, budgets)
+        for budget in budgets:
+            got = outcome(g, lambda: is_dp_k_colorable(g, 4, budget=budget))
+            assert got == want[budget], (g.edges, budget)
