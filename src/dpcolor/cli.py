@@ -297,16 +297,34 @@ def cmd_discharge(args) -> int:
     return EXIT_OK
 
 
-def _verify_worker(g: Graph, budget: int) -> tuple[str, str | None]:
-    """Row status and certificate text for one candidate, in a pool worker
-    or in this process alike."""
+def _verify_search(g: Graph, budget: int, jobs: int
+                   ) -> tuple[str, str | None]:
+    """Row status and certificate text for one candidate that reaches the
+    DP-3 search."""
     try:
-        result = solver.is_dp_k_colorable(g, 3, budget=budget)
+        result = solver.is_dp_k_colorable(g, 3, budget=budget, jobs=jobs)
     except solver.BudgetExceeded:
         return "budget", None
     if result is True:
         return "pass", None
     return "FAIL", format_matching_file(result.matching, g)
+
+
+def _filter_status(g: Graph, forbidden, n_max: int | None) -> str | None:
+    """The row status of a graph that the filters drop, or None for a
+    candidate."""
+    if n_max and g.n > n_max:
+        return "skipped:n"
+    if not is_connected(g):
+        return "filtered:disconnected"
+    if has_cycle_length(g, forbidden):
+        return "filtered:cycles"
+    try:
+        if not planar.is_planar(g, max_n=max(9, n_max or 9)):
+            return "filtered:nonplanar"
+    except planar.NonPlanarOrTooLarge:
+        return "skipped:embed-bound"
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -315,72 +333,43 @@ def cmd_verify(args) -> int:
 
     The filters run cheapest first: connectivity, the cycle filter, then
     planarity, decided by planar.is_planar on the graph reduced by degree.
-    A candidate with an empty 3-core passes without a search and is settled
-    here, so only the others reach the DP search; with --jobs they run
-    per-graph in a process pool.  Output order stays the input order."""
-    work = functools.partial(_verify_worker, budget=_budget(args))
+    A candidate with an empty 3-core passes without a search; the others go
+    to solver.is_dp_k_colorable, which splits each search across --jobs
+    processes.  Rows are settled one at a time in input order, and the
+    refutation certificates are printed before them."""
+    budget = _budget(args)
     forbidden = discharging.VARIANTS[args.variant].forbidden
     lines = [ln.strip() for ln in _read_text(args.input).splitlines() if ln.strip()]
-    rows: list[tuple[str, str | None]] = []
-    settled_by: dict[int, str] = {}  # candidate row -> how it was settled
-    candidates: list[tuple[int, str, Graph]] = []
+    rows: list[dict] = []
+    refutations: list[tuple[str, str]] = []
     for line in lines:
         g = parse_graph6(line)
-        if args.n_max and g.n > args.n_max:
-            rows.append((line, "skipped:n"))
-            continue
-        if not is_connected(g):
-            rows.append((line, "filtered:disconnected"))
-            continue
-        if has_cycle_length(g, forbidden):
-            rows.append((line, "filtered:cycles"))
-            continue
-        try:
-            if not planar.is_planar(g, max_n=max(9, args.n_max or 9)):
-                rows.append((line, "filtered:nonplanar"))
-                continue
-        except planar.NonPlanarOrTooLarge:
-            rows.append((line, "skipped:embed-bound"))
-            continue
-        # an empty 3-core: greedy coloring in reverse degeneracy order
-        # colors every 3-fold cover, so no search is needed
-        if solver.degeneracy(g) < 3:
-            settled_by[len(rows)] = "core-empty"
-            rows.append((line, "pass"))
-            continue
-        settled_by[len(rows)] = "search"
-        candidates.append((len(rows), line, g))
-        rows.append((line, None))
-    graphs = [g for _, _, g in candidates]
-    if args.jobs > 1 and len(graphs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, graphs))
-    else:
-        results = list(map(work, graphs))
-    failures = budget_hits = 0
-    checked = len(settled_by)
-    for (slot, line, _), (status, certificate) in zip(candidates, results):
-        rows[slot] = (line, status)
-        if status == "FAIL":
-            failures += 1
-            print(f"refutation candidate {line}:")
-            print(certificate, end="")
-        elif status == "budget":
-            budget_hits += 1
-    for line, status in rows:
-        print(f"{line}\t{status}")
+        row = {"graph6": line, "status": _filter_status(g, forbidden, args.n_max)}
+        if row["status"] is None:
+            # an empty 3-core: greedy coloring in reverse degeneracy order
+            # colors every 3-fold cover, so no search is needed
+            if solver.degeneracy(g) < 3:
+                row["status"], row["settled_by"] = "pass", "core-empty"
+            else:
+                row["status"], certificate = _verify_search(g, budget,
+                                                            args.jobs)
+                row["settled_by"] = "search"
+                if certificate is not None:
+                    refutations.append((line, certificate))
+        rows.append(row)
+    checked = sum("settled_by" in row for row in rows)
+    failures = len(refutations)
+    budget_hits = sum(row["status"] == "budget" for row in rows)
+    for line, certificate in refutations:
+        print(f"refutation candidate {line}:")
+        print(certificate, end="")
+    for row in rows:
+        print(f"{row['graph6']}\t{row['status']}")
     print(f"# checked={checked} pass={checked - failures - budget_hits} "
           f"fail={failures} budget={budget_hits}")
-    json_rows = []
-    for slot, (line, status) in enumerate(rows):
-        row = {"graph6": line, "status": status}
-        if slot in settled_by:
-            row["settled_by"] = settled_by[slot]
-        json_rows.append(row)
     _write_json(args.json, {
         "variant": args.variant,
-        "rows": json_rows,
+        "rows": rows,
         "checked": checked, "fail": failures, "budget": budget_hits,
     })
     if failures:
@@ -403,8 +392,6 @@ def build_parser() -> _Parser:
     search.add_argument("--budget", type=_at_least(0), default=None,
                         help="case budget (default from DPCOLOR_BUDGET)")
     search.add_argument("--jobs", type=_at_least(1), default=1)
-    search.add_argument("--certificate", default=None,
-                        help="write the failing assignment here")
 
     def command(name, func, help, *groups):
         p = sub.add_parser(name, help=help, parents=groups)
@@ -421,6 +408,8 @@ def build_parser() -> _Parser:
         p = command(name, func, help, graph, search)
         p.add_argument("--k", type=int, default=None,
                        help="test one k instead of computing the minimum")
+        p.add_argument("--certificate", default=None,
+                       help="write the failing assignment here")
 
     p = command("color", cmd_color, "find one coloring for a matching file",
                 graph)

@@ -91,20 +91,17 @@ class MatchingAssignment:
 
     @classmethod
     def from_permutations(cls, g: Graph, k: int,
-                          perms: dict[tuple[int, int], tuple[int, ...]],
-                          default_identity: bool = True) -> "MatchingAssignment":
+                          perms: dict[tuple[int, int], tuple[int, ...]]
+                          ) -> "MatchingAssignment":
         """Full matchings: color i at u pairs with perm[i] at v for edge (u, v).
 
-        Unlisted edges get the identity when default_identity is set, else
-        the empty matching.
+        Unlisted edges get the identity.
         """
+        identity = tuple(range(k))
         table = {}
         for e in g.edges:
-            if e in perms:
-                sigma = perms[e]
-                table[e] = tuple((i, sigma[i]) for i in range(k))
-            elif default_identity:
-                table[e] = tuple((i, i) for i in range(k))
+            sigma = perms.get(e, identity)
+            table[e] = tuple((i, sigma[i]) for i in range(k))
         return cls(table)
 
     def pairs(self, u: int, v: int) -> tuple[tuple[int, int], ...]:

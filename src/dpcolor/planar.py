@@ -38,7 +38,7 @@ __all__ = [
 
 Dart = tuple[int, int]
 
-# default bound on the rotation systems an exhaustive search may try
+# bound on the rotation systems an exhaustive search may try
 _ROTATION_LIMIT = 2_000_000
 
 
@@ -188,9 +188,9 @@ def classify_vertex(emb: PlaneEmbedding, v: int, f: int) -> str:
     return "semi-rich" if hits else "rich"
 
 
-def _check_search_bounds(g: Graph, max_n: int, rotation_limit: int) -> None:
+def _check_search_bounds(g: Graph, max_n: int) -> None:
     """The guards of the rotation search, applied to the graph as given:
-    NonPlanarOrTooLarge past max_n vertices or rotation_limit rotation
+    NonPlanarOrTooLarge past max_n vertices or _ROTATION_LIMIT rotation
     systems, Disconnected for disconnected input."""
     if g.n > max_n:
         raise NonPlanarOrTooLarge(f"n={g.n} exceeds brute-force bound {max_n}")
@@ -201,9 +201,9 @@ def _check_search_bounds(g: Graph, max_n: int, rotation_limit: int) -> None:
         d = g.degree(v)
         for i in range(2, d):
             space *= i
-        if space > rotation_limit:
+        if space > _ROTATION_LIMIT:
             raise NonPlanarOrTooLarge(
-                f"rotation space exceeds limit {rotation_limit}")
+                f"rotation space exceeds limit {_ROTATION_LIMIT}")
 
 
 def _rotation_search(g: Graph) -> tuple[tuple[int, ...], ...] | None:
@@ -245,15 +245,14 @@ def _rotation_search(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     return None
 
 
-def brute_force_embed(g: Graph, max_n: int = 9,
-                      rotation_limit: int = _ROTATION_LIMIT) -> PlaneEmbedding:
+def brute_force_embed(g: Graph, max_n: int = 9) -> PlaneEmbedding:
     """Search rotation systems for one passing the Euler check.
 
     Intended for small graphs; raises NonPlanarOrTooLarge when the graph
-    exceeds max_n, when the rotation space exceeds rotation_limit, or when
+    exceeds max_n, when the rotation space exceeds _ROTATION_LIMIT, or when
     every rotation fails (certifying non-planarity for connected input).
     """
-    _check_search_bounds(g, max_n, rotation_limit)
+    _check_search_bounds(g, max_n)
     rotation = _rotation_search(g)
     if rotation is None:
         raise NonPlanarOrTooLarge("no rotation system passes the Euler check",
@@ -302,7 +301,7 @@ def is_planar(g: Graph, max_n: int = 9) -> bool:
     brute_force_embed does.  The reduced graph is planar when it has at
     most 4 vertices and otherwise goes to the rotation search.
     """
-    _check_search_bounds(g, max_n, _ROTATION_LIMIT)
+    _check_search_bounds(g, max_n)
     core = _smooth(g)
     if core.n <= 4:
         return True

@@ -58,12 +58,13 @@ budget count are those of a plain scan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .graphs import Graph, from_edge_list
+from .graphs import Graph
 from .dp import Lists, MatchingAssignment, search_positions
 
 __all__ = [
@@ -389,11 +390,6 @@ def _scan_block(g: Graph, k: int, first_indices, budget: int
     return "ok", None, attempted
 
 
-def _dp_block_worker(payload):
-    n, edges, k, first_indices, budget = payload
-    return _scan_block(from_edge_list(edges, n=n), k, first_indices, budget)
-
-
 def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
                       jobs: int = 1):
     """True if every matching assignment admits a coloring, else the
@@ -412,10 +408,9 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
         # split the first edge's permutations into contiguous blocks, each
         # scanned with the full budget since none knows how far the blocks
         # before it get
-        payloads = [(g.n, tuple(g.edges), k, blk, budget)
-                    for blk in _contiguous_blocks(nperm, jobs)]
+        scan = functools.partial(_scan_block, g, k, budget=budget)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_dp_block_worker, payloads))
+            results = list(pool.map(scan, _contiguous_blocks(nperm, jobs)))
     # merge in block order with cumulative counts: a block's result stands
     # only where the serial scan would have reached it within budget, so
     # the first certificate and the attempted count are the serial ones

@@ -65,6 +65,10 @@ def test_chi_rejects_search_flags(tmp_path, capsys):
                   ["--certificate", str(cert)]):
         code, out, err = run(capsys, "chi", path, *flags)
         assert code == 3 and not out and err.startswith("usage:"), flags
+    # verify-theorem2 prints its refutations, so it has no certificate file
+    code, out, err = run(capsys, "verify-theorem2", path, "--variant", "a",
+                         "--certificate", str(cert))
+    assert code == 3 and not out and err.startswith("usage:")
     assert not cert.exists()
     assert run(capsys, "chi", path)[:2] == (0, "chi = 3\n")
 
@@ -375,9 +379,9 @@ def pentagonal_prism():
 
 def test_verify_worker_searches_a_nonempty_core():
     prism = pentagonal_prism()
-    assert dpcolor.cli._verify_worker(prism, 0) == ("budget", None)
-    assert dpcolor.cli._verify_worker(
-        prism, dpcolor.solver.DEFAULT_BUDGET) == ("pass", None)
+    assert dpcolor.cli._verify_search(prism, 0, 1) == ("budget", None)
+    assert dpcolor.cli._verify_search(
+        prism, dpcolor.solver.DEFAULT_BUDGET, 1) == ("pass", None)
 
 
 def test_verify_sidecar_says_how_each_candidate_was_settled(
@@ -391,10 +395,17 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
     sidecar = tmp_path / "verify.json"
     for budget, code, prism_status in (("0", 2, "budget"),
                                        ("100000", 0, "pass")):
-        assert run(capsys, "verify-theorem2", stream, "--variant", "a",
-                   "--n-max", "10", "--budget", budget,
-                   "--json", str(sidecar))[0] == code
-        doc = json.loads(sidecar.read_text())
+        # --jobs splits the prism's search; rows, exit code and sidecar
+        # do not depend on it
+        runs = []
+        for jobs in ("1", "2"):
+            result = run(capsys, "verify-theorem2", stream, "--variant", "a",
+                         "--n-max", "10", "--budget", budget,
+                         "--jobs", jobs, "--json", str(sidecar))
+            runs.append((result, sidecar.read_text()))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] == code
+        doc = json.loads(runs[0][1])
         assert doc["rows"] == [
             {"graph6": lines[0], "status": "pass", "settled_by": "core-empty"},
             {"graph6": lines[1], "status": prism_status,
