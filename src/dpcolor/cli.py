@@ -17,9 +17,9 @@ import sys
 from . import discharging, planar, reducibility, solver
 from .dp import (MatchingAssignment, find_coloring, format_matching_file,
                  parse_matching_file, uniform_lists)
-from .graphs import (Graph, cycle_spectrum, encode_graph6, has_cycle_length,
-                     is_connected, parse_edge_list, parse_graph6,
-                     satisfied_variants)
+from .graphs import (Graph, _build_graph, _connected, _cycle_lengths,
+                     _decode_graph6, cycle_spectrum, encode_graph6,
+                     parse_edge_list, parse_graph6, satisfied_variants)
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -310,42 +310,50 @@ def _verify_search(g: Graph, budget: int, jobs: int
     return "FAIL", format_matching_file(result.matching, g)
 
 
-def _filter_status(g: Graph, forbidden, n_max: int | None) -> str | None:
-    """The row status of a graph that the filters drop, or None for a
-    candidate."""
-    if n_max and g.n > n_max:
-        return "skipped:n"
-    if not is_connected(g):
-        return "filtered:disconnected"
-    if has_cycle_length(g, forbidden):
-        return "filtered:cycles"
+def _filter_status(n: int, pairs, masks, forbidden, n_max: int | None
+                   ) -> tuple[str | None, Graph | None]:
+    """The row status of a decoded graph6 line that the filters drop, or
+    None for a candidate; and its Graph, built only once the vertex bound,
+    connectivity and the cycle filter have passed it on its bitmasks."""
+    if n_max and n > n_max:
+        return "skipped:n", None
+    if not _connected(masks):
+        return "filtered:disconnected", None
+    if _cycle_lengths(masks, forbidden, 1):
+        return "filtered:cycles", None
+    g = _build_graph(n, set(pairs))
     try:
         if not planar.is_planar(g, max_n=max(9, n_max or 9)):
-            return "filtered:nonplanar"
+            return "filtered:nonplanar", g
     except planar.NonPlanarOrTooLarge:
-        return "skipped:embed-bound"
-    return None
+        return "skipped:embed-bound", g
+    return None, g
 
 
 def cmd_verify(args) -> int:
     """Scan a graph6 stream: keep connected graphs that satisfy the variant's
     cycle condition and are planar, and check each is DP-3-colorable.
 
-    The filters run cheapest first: connectivity, the cycle filter, then
+    The filters run cheapest first: the vertex bound, connectivity and the
+    cycle filter on the neighbor bitmasks decoded from the line, then
     planarity, decided by planar.is_planar on the graph reduced by degree.
-    A candidate with an empty 3-core passes without a search; the others go
-    to solver.is_dp_k_colorable, which splits each search across --jobs
+    A Graph is built only for the lines that reach planarity.  A candidate
+    with an empty 3-core passes without a search; the others go to
+    solver.is_dp_k_colorable, which splits each large search across --jobs
     processes.  Rows are settled one at a time in input order, and the
     refutation certificates are printed before them."""
     budget = _budget(args)
     forbidden = discharging.VARIANTS[args.variant].forbidden
-    lines = [ln.strip() for ln in _read_text(args.input).splitlines() if ln.strip()]
     rows: list[dict] = []
     refutations: list[tuple[str, str]] = []
-    for line in lines:
-        g = parse_graph6(line)
-        row = {"graph6": line, "status": _filter_status(g, forbidden, args.n_max)}
-        if row["status"] is None:
+    for line in _read_text(args.input).splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        status, g = _filter_status(*_decode_graph6(line), forbidden,
+                                   args.n_max)
+        row = {"graph6": line, "status": status}
+        if status is None:
             # an empty 3-core: greedy coloring in reverse degeneracy order
             # colors every 3-fold cover, so no search is needed
             if solver.degeneracy(g) < 3:

@@ -263,9 +263,12 @@ def find_coloring(g: Graph, lists: Lists,
     for u, v in g.edges:
         fwd = [-1] * ks[u]
         bwd = [-1] * ks[v]
-        for a, b in matching.pairs(u, v):
-            fwd[index[u][a]] = index[v][b]
-            bwd[index[v][b]] = index[u][a]
+        at_u, at_v = index[u], index[v]
+        # a matching pairs each color once, so the pairs' order is immaterial
+        for a, b in matching._fwd.get((u, v), {}).items():
+            i, j = at_u[a], at_v[b]
+            fwd[i] = j
+            bwd[j] = i
         part[(u, v)] = fwd
         part[(v, u)] = bwd
     adj = [sorted(g.adj[v]) for v in range(n)]

@@ -7,10 +7,17 @@ The cycle queries share one depth-first search and ask it only their own
 question: cycle_spectrum wants every length up to a bound, forbidden_cycles
 wants exactly which of the given lengths occur, and has_cycle_length, the
 hypothesis filter, stops at the first forbidden length it finds.
+
+The search and the connectivity test work on neighbor bitmasks, one per
+vertex.  A graph6 line decodes to its edge pairs and those bitmasks, so a
+census filter (dpcolor verify-theorem2) runs connectivity and the cycle
+filter on the decoded bitmasks before a Graph exists, and builds a Graph
+only for the lines that pass.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -92,6 +99,12 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
         n = top + 1
     elif top >= n:
         raise ValueError(f"edge mentions vertex {top} but n={n}")
+    return _build_graph(n, edges)
+
+
+def _build_graph(n: int, edges: set[tuple[int, int]]) -> Graph:
+    """The Graph on 0..n-1 with the given edges (u, v), u < v; adj is filled
+    in the set's iteration order."""
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
@@ -117,18 +130,35 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return from_edge_list([(i, a + j) for i in range(a) for j in range(b)], n=a + b)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
+def _masks(g: Graph) -> list[int]:
+    """The neighbor set of each vertex as a bitmask."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _connected(masks) -> bool:
+    """Whether the graph with these neighbor bitmasks is connected: grow the
+    set reached from vertex 0 one layer at a time until it stops growing."""
+    n = len(masks)
+    if n <= 1:
         return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= masks[bit.bit_length() - 1]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << n) - 1
+
+
+def is_connected(g: Graph) -> bool:
+    return _connected(_masks(g))
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +167,28 @@ def is_connected(g: Graph) -> bool:
 _G6_HEADER = ">>graph6<<"
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a Graph."""
-    s = text.strip()
+_G6_BYTES = re.compile("[?-~]*")  # the bytes 63..126
+# byte value minus 63, modulo 256: graph6 bytes '?'..'~' become 0..63
+_MINUS_63 = bytes((b - 63) % 256 for b in range(256))
+
+
+def _decode_graph6(s: str) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """Decode one graph6 line, without surrounding whitespace, into
+    (n, pairs, masks).
+
+    pairs lists the edges (i, j), i < j, in column order: (0,1), (0,2),
+    (1,2), (0,3), ...  masks[v] is the neighbor set of v as a bitmask.
+    """
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
         raise MalformedGraph6("empty graph6 string")
     if s[0] in ":;&":
         raise MalformedGraph6("sparse6/digraph6 input is not supported")
-    vals = []
-    for ch in s:
-        x = ord(ch) - 63
-        if not 0 <= x <= 63:
-            raise MalformedGraph6(f"byte {ch!r} out of graph6 range")
-        vals.append(x)
+    if not _G6_BYTES.fullmatch(s):
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        raise MalformedGraph6(f"byte {bad!r} out of graph6 range")
+    vals = s.encode("ascii").translate(_MINUS_63)
     if vals[0] < 63:
         n = vals[0]
         idx = 1
@@ -172,7 +209,7 @@ def parse_graph6(text: str) -> Graph:
             f"expected {need} adjacency bytes for n={n}, got {len(vals) - idx}"
         )
     # the adjacency bytes as one integer: bit k of the upper triangle, in
-    # column order (0,1), (0,2), (1,2), (0,3), ..., is bit nbits - 1 - k
+    # column order, is bit nbits - 1 - k
     word = 0
     for x in vals[idx:]:
         word = (word << 6) | x
@@ -180,23 +217,28 @@ def parse_graph6(text: str) -> Graph:
     if word & ((1 << pad) - 1):
         raise MalformedGraph6("nonzero padding bits")
     word >>= pad
-    # edges go in in column order and adj is filled from the edge set, as
-    # from_edge_list does, so both iterate as they do in a Graph built by
-    # from_edge_list from the same column-ordered pairs
-    edges = set()
+    pairs = []
+    masks = [0] * n
     shift = nbits
     for j in range(1, n):
         shift -= j
         column = (word >> shift) & ((1 << j) - 1)
+        bit_j = 1 << j
         while column:
-            top = column.bit_length() - 1
-            edges.add((j - 1 - top, j))
-            column ^= 1 << top
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n=n, edges=frozenset(edges), adj=tuple(frozenset(a) for a in adj))
+            high = column.bit_length()
+            i = j - high
+            pairs.append((i, j))
+            masks[i] |= bit_j
+            masks[j] |= 1 << i
+            column ^= 1 << (high - 1)
+    return n, pairs, masks
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line into a Graph, equal to from_edge_list of its
+    column-ordered pairs, with edges and every adj[v] iterating alike."""
+    n, pairs, _ = _decode_graph6(text.strip())
+    return _build_graph(n, set(pairs))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -264,29 +306,25 @@ class CycleSpectrum:
         return length in self.present
 
 
-def _cycle_lengths(g: Graph, lengths, enough: int) -> set[int]:
-    """The lengths in `lengths` at which g has a cycle, searched until
-    `enough` of them are found.
+def _cycle_lengths(adj, lengths, enough: int) -> set[int]:
+    """The lengths in `lengths` at which the graph with neighbor bitmasks
+    adj has a cycle, searched until `enough` of them are found.
 
     Depth-first search over paths whose vertices after the first all exceed
     it, so each cycle is found from its smallest vertex.  Vertex sets are
     bitmasks, and a path of p vertices closes to a (p+1)-cycle when one of
     its next vertices is a neighbor of the start, which is one mask test.
-    Lengths below 3 or above g.n cannot occur and are dropped; a path is
+    Lengths below 3 or above n cannot occur and are dropped; a path is
     extended only while a longer missing length remains, and a start
     vertex is tried only if enough vertices follow it for the shortest
     requested length.
     """
-    n = g.n
+    n = len(adj)
     missing = {length for length in lengths if 3 <= length <= n}
     found: set[int] = set()
     enough = min(enough, len(missing))
     if enough <= 0:
         return found
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     longest = max(missing)
     for s in range(n - min(missing) + 1):
         above = -2 << s  # every vertex after s
@@ -333,20 +371,20 @@ def cycle_spectrum(g: Graph, max_len: int = 9) -> CycleSpectrum:
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     lengths = range(3, min(max_len, g.n) + 1)
-    present = _cycle_lengths(g, lengths, len(lengths))
+    present = _cycle_lengths(_masks(g), lengths, len(lengths))
     return CycleSpectrum(present=frozenset(present), search_bound=max_len)
 
 
 def forbidden_cycles(g: Graph, lengths) -> frozenset[int]:
     """Exactly those lengths in `lengths` at which g has a cycle."""
     lengths = frozenset(lengths)
-    return frozenset(_cycle_lengths(g, lengths, len(lengths)))
+    return frozenset(_cycle_lengths(_masks(g), lengths, len(lengths)))
 
 
 def has_cycle_length(g: Graph, lengths) -> bool:
     """Whether g has a cycle of some length in `lengths`; the search stops
     at the first one found."""
-    return bool(_cycle_lengths(g, lengths, 1))
+    return bool(_cycle_lengths(_masks(g), lengths, 1))
 
 
 #: The three forbidden-cycle hypothesis sets, keyed by short name.

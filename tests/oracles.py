@@ -212,6 +212,20 @@ def all_cycle_lengths(g: Graph, max_len: int) -> set[int]:
     return found
 
 
+def bfs_connected(g: Graph) -> bool:
+    """Connectivity by breadth-first search over g.adj from vertex 0."""
+    if g.n == 0:
+        return True
+    seen = {0}
+    queue = [0]
+    for v in queue:
+        for u in g.adj[v]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == g.n
+
+
 def all_injections_matching(g: Graph, pattern) -> list[tuple[int, ...]]:
     """Pattern occurrences by filtering every injective vertex tuple."""
     out = []

@@ -387,8 +387,11 @@ def test_verify_worker_searches_a_nonempty_core():
 def test_verify_sidecar_says_how_each_candidate_was_settled(
         tmp_path, capsys, monkeypatch):
     # the prism's 4-cycles keep it out of every variant, so the cycle filter
-    # is switched off here to send it to the search
-    monkeypatch.setattr(dpcolor.cli, "has_cycle_length", lambda g, lengths: False)
+    # is switched off here to send it to the search, and the pool threshold
+    # is lowered so that --jobs 2 splits that search
+    monkeypatch.setattr(dpcolor.cli, "_cycle_lengths",
+                        lambda masks, lengths, enough: set())
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
     lines = [encode_graph6(cycle_graph(5)), encode_graph6(pentagonal_prism()),
              encode_graph6(complete_graph(5))]
     stream = write(tmp_path, "stream.g6", "\n".join(lines) + "\n")
@@ -412,6 +415,45 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
              "settled_by": "search"},
             {"graph6": lines[2], "status": "filtered:nonplanar"},
         ]
+
+
+def test_verify_builds_a_graph_only_past_the_cycle_filter(
+        tmp_path, capsys, monkeypatch):
+    # the vertex bound, connectivity and the cycle filter read the decoded
+    # bitmasks; only the lines that pass them are built into a Graph
+    built = []
+    build = dpcolor.cli._build_graph
+
+    def counted(n, edges):
+        g = build(n, edges)
+        built.append(encode_graph6(g))
+        return g
+
+    def no_parse(text):
+        raise AssertionError("verify-theorem2 parsed a line into a Graph")
+
+    monkeypatch.setattr(dpcolor.cli, "_build_graph", counted)
+    monkeypatch.setattr(dpcolor.cli, "parse_graph6", no_parse)
+    disconnected = [from_edge_list([(0, 1), (2, 3)], n=4),
+                    from_edge_list([(0, 1), (1, 2), (2, 0)], n=5)]
+    cyclic = [complete_graph(4), cycle_graph(8), complete_bipartite(3, 3)]
+    nonplanar = [subdivided(complete_graph(5), 3)]
+    passing = [cycle_graph(5), cycle_graph(10), path_graph(6)]
+    stream = write(tmp_path, "stream.g6", "".join(
+        encode_graph6(g) + "\n"
+        for g in (disconnected[0], cyclic[0], passing[0], nonplanar[0],
+                  cyclic[1], disconnected[1], passing[1], cyclic[2],
+                  passing[2])))
+    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a",
+                       "--n-max", "40")
+    assert code == 0
+    rows = [ln.split("\t")[1] for ln in out.splitlines() if "\t" in ln]
+    assert rows == ["filtered:disconnected", "filtered:cycles", "pass",
+                    "filtered:nonplanar", "filtered:cycles",
+                    "filtered:disconnected", "pass", "filtered:cycles",
+                    "pass"]
+    assert built == [encode_graph6(g) for g in
+                     (passing[0], nonplanar[0], passing[1], passing[2])]
 
 
 def test_verify_planarity_rows_match_brute_force_embed(tmp_path, capsys):

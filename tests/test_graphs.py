@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -17,13 +18,14 @@ from dpcolor import (
     forbidden_cycles,
     from_edge_list,
     has_cycle_length,
+    is_connected,
     parse_edge_list,
     parse_graph6,
     satisfied_variants,
 )
 from dpcolor import graphs
 from fixtures import dodecahedron
-from oracles import all_cycle_lengths
+from oracles import all_cycle_lengths, bfs_connected
 from smallgraphs import connected_graphs
 
 
@@ -79,6 +81,76 @@ def test_parse_graph6_header_and_errors():
         parse_graph6("A_\x19")
     with pytest.raises(MalformedGraph6):
         parse_graph6(":Fa@x^")  # sparse6
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty graph6 string"),
+    (">>graph6<<", "empty graph6 string"),
+    (":Fa@x^", "sparse6/digraph6 input is not supported"),
+    (";Fa@x^", "sparse6/digraph6 input is not supported"),
+    ("&B?o", "sparse6/digraph6 input is not supported"),
+    ("A_\x19", "byte '\\x19' out of graph6 range"),
+    ("B o", "byte ' ' out of graph6 range"),
+    ("Aé", "byte 'é' out of graph6 range"),
+    ("A\x7f", "byte '\\x7f' out of graph6 range"),
+    ("~", "truncated vertex count"),
+    ("~?@", "truncated vertex count"),
+    ("~~?????", "truncated vertex count"),
+    ("A", "expected 1 adjacency bytes for n=2, got 0"),
+    ("A__", "expected 1 adjacency bytes for n=2, got 2"),
+    ("~?@?", "expected 336 adjacency bytes for n=64, got 0"),
+    ("A`", "nonzero padding bits"),
+    ("Bx", "nonzero padding bits"),
+])
+def test_parse_graph6_error_messages(text, message):
+    with pytest.raises(MalformedGraph6) as info:
+        parse_graph6(text)
+    assert str(info.value) == message
+
+
+def _column_pairs(g):
+    return [(i, j) for j in range(g.n) for i in range(j) if g.has_edge(i, j)]
+
+
+def _assert_decodes_like_from_edge_list(g):
+    text = encode_graph6(g)
+    pairs = _column_pairs(g)
+    n, decoded, masks = graphs._decode_graph6(text)
+    assert (n, decoded) == (g.n, pairs)
+    assert masks == [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+    got, want = parse_graph6(text), from_edge_list(pairs, n=g.n)
+    assert got == want
+    # the same iteration order, not only the same sets
+    assert list(got.edges) == list(want.edges)
+    assert [list(a) for a in got.adj] == [list(a) for a in want.adj]
+
+
+def test_parse_graph6_matches_from_edge_list_on_census():
+    for g in connected_graphs(7):
+        _assert_decodes_like_from_edge_list(g)
+
+
+def test_parse_graph6_matches_from_edge_list_on_random_graphs():
+    # n > 62 takes the four-byte vertex count
+    rng = random.Random(6)
+    for n in [*range(12), 30, 62, 63, 64, 70]:
+        for p in (0.05, 0.3, 0.7):
+            pairs = [(i, j) for j in range(n) for i in range(j)
+                     if rng.random() < p]
+            _assert_decodes_like_from_edge_list(from_edge_list(pairs, n=n))
+
+
+def test_connectivity_core_matches_bfs_on_all_small_graphs():
+    # every labelled graph on at most 5 vertices, disconnected ones included
+    for n in range(6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for bits in range(1 << len(pairs)):
+            g = from_edge_list([e for k, e in enumerate(pairs)
+                                if bits >> k & 1], n=n)
+            want = bfs_connected(g)
+            assert is_connected(g) == want, g.edges
+            _, _, masks = graphs._decode_graph6(encode_graph6(g))
+            assert graphs._connected(masks) == want, g.edges
 
 
 @settings(max_examples=150, deadline=None)

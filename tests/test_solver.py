@@ -221,7 +221,23 @@ def test_budget_exceeded_is_distinct():
     assert cert is not True
 
 
-def test_parallel_blocks_agree_with_serial():
+def test_small_spaces_open_no_pool(monkeypatch):
+    # below the threshold a pool costs more than it saves, so jobs > 1
+    # scans in this process
+    def no_pool(max_workers):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", no_pool)
+    g = prism(5)
+    assert normalized_assignment_count(g, 3) < dpcolor.solver._POOL_MIN_CASES
+    assert is_dp_k_colorable(g, 3, jobs=2) is True
+    with pytest.raises(BudgetExceeded) as info:
+        is_dp_k_colorable(g, 3, budget=46_655, jobs=2)
+    assert info.value.attempted == 46_655
+
+
+def test_parallel_blocks_agree_with_serial(monkeypatch):
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
     g = cycle_graph(5)
     assert is_dp_k_colorable(g, 3, jobs=2) is True
     cert_serial = is_dp_k_colorable(g, 2)
@@ -230,9 +246,10 @@ def test_parallel_blocks_agree_with_serial():
     assert cert_par.matching == cert_serial.matching
 
 
-def test_parallel_budget_matches_serial():
+def test_parallel_budget_matches_serial(monkeypatch):
     # every block sees the whole budget, so the verdict and the attempted
     # count do not depend on how the first edge is split
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
     g = prism(5)
     assert is_dp_k_colorable(g, 3, budget=46_656, jobs=4) is True
     for jobs in (1, 4):
@@ -435,6 +452,7 @@ def test_every_budget_matches_reference_scan(monkeypatch):
     # out inside a skipped subtree, at every depth, is covered; jobs = 2
     # runs the block split and merge with the blocks in this process
     monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
     for g in (complete_graph(4), prism(3), parse_graph6("Dr{")):
         assert g.m - g.n + 1 >= 3
         budgets = range(normalized_assignment_count(g, 3) + 2)
@@ -446,8 +464,9 @@ def test_every_budget_matches_reference_scan(monkeypatch):
                 assert got == want[budget], (g.edges, budget, jobs)
 
 
-def test_late_certificate_budgets_match_reference_scan():
+def test_late_certificate_budgets_match_reference_scan(monkeypatch):
     # a first certificate past many skipped subtrees, with a real pool
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
     g = parse_graph6("Es^o")
     cases = normalized_assignment_count(g, 3)
     assert cases == 7_776
