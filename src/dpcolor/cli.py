@@ -17,8 +17,7 @@ import sys
 from . import discharging, planar, reducibility, solver
 from .dp import (MatchingAssignment, find_coloring, format_matching_file,
                  parse_matching_file, uniform_lists)
-from .graphs import (Graph, _build_graph, _connected, _cycle_lengths,
-                     _decode_graph6, cycle_spectrum, encode_graph6,
+from .graphs import (Graph, cycle_spectrum, encode_graph6, filter_graph6,
                      parse_edge_list, parse_graph6, satisfied_variants)
 
 EXIT_OK = 0
@@ -310,23 +309,18 @@ def _verify_search(g: Graph, budget: int, jobs: int
     return "FAIL", format_matching_file(result.matching, g)
 
 
-def _filter_status(n: int, pairs, masks, forbidden, n_max: int | None
+def _filter_status(line: str, forbidden, n_max: int | None
                    ) -> tuple[str | None, Graph | None]:
-    """The row status of a decoded graph6 line that the filters drop, or
-    None for a candidate; and its Graph, built only once the vertex bound,
-    connectivity and the cycle filter have passed it on its bitmasks."""
-    if n_max and n > n_max:
-        return "skipped:n", None
-    if not _connected(masks):
-        return "filtered:disconnected", None
-    if _cycle_lengths(masks, forbidden, 1):
-        return "filtered:cycles", None
-    g = _build_graph(n, set(pairs))
+    """The row status of a graph6 line that the filters drop, with None; or
+    None with the Graph of a candidate."""
+    status, g = filter_graph6(line, forbidden, n_max)
+    if status is not None:
+        return status, None
     try:
         if not planar.is_planar(g, max_n=max(9, n_max or 9)):
-            return "filtered:nonplanar", g
+            return "filtered:nonplanar", None
     except planar.NonPlanarOrTooLarge:
-        return "skipped:embed-bound", g
+        return "skipped:embed-bound", None
     return None, g
 
 
@@ -334,8 +328,8 @@ def cmd_verify(args) -> int:
     """Scan a graph6 stream: keep connected graphs that satisfy the variant's
     cycle condition and are planar, and check each is DP-3-colorable.
 
-    The filters run cheapest first: the vertex bound, connectivity and the
-    cycle filter on the neighbor bitmasks decoded from the line, then
+    The filters run cheapest first: graphs.filter_graph6 applies the vertex
+    bound, connectivity and the cycle filter to the line's bitmasks, then
     planarity, decided by planar.is_planar on the graph reduced by degree.
     A Graph is built only for the lines that reach planarity.  A candidate
     with an empty 3-core passes without a search; the others go to
@@ -350,8 +344,7 @@ def cmd_verify(args) -> int:
         line = line.strip()
         if not line:
             continue
-        status, g = _filter_status(*_decode_graph6(line), forbidden,
-                                   args.n_max)
+        status, g = _filter_status(line, forbidden, args.n_max)
         row = {"graph6": line, "status": status}
         if status is None:
             # an empty 3-core: greedy coloring in reverse degeneracy order

@@ -9,16 +9,18 @@ wants exactly which of the given lengths occur, and has_cycle_length, the
 hypothesis filter, stops at the first forbidden length it finds.
 
 The search and the connectivity test work on neighbor bitmasks, one per
-vertex.  A graph6 line decodes to its edge pairs and those bitmasks, so a
-census filter (dpcolor verify-theorem2) runs connectivity and the cycle
-filter on the decoded bitmasks before a Graph exists, and builds a Graph
-only for the lines that pass.
+vertex, which a Graph builds on first use and keeps (Graph.masks).
+filter_graph6 runs the census filters of dpcolor verify-theorem2 (vertex
+bound, connectivity, cycle filter) on the bitmasks of a graph6 line's
+decoded edge pairs before a Graph exists, and builds a Graph only for the
+lines that pass.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "Graph",
@@ -27,6 +29,7 @@ __all__ = [
     "MalformedGraph6",
     "from_edge_list",
     "parse_graph6",
+    "filter_graph6",
     "encode_graph6",
     "parse_edge_list",
     "cycle_spectrum",
@@ -75,6 +78,11 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adj)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The neighbor set of each vertex as a bitmask, built on first use."""
+        return tuple(_pair_masks(self.n, self.edges))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -130,10 +138,11 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return from_edge_list([(i, a + j) for i in range(a) for j in range(b)], n=a + b)
 
 
-def _masks(g: Graph) -> list[int]:
-    """The neighbor set of each vertex as a bitmask."""
-    masks = [0] * g.n
-    for u, v in g.edges:
+def _pair_masks(n: int, pairs) -> list[int]:
+    """The neighbor set of each of the n vertices as a bitmask, from the
+    edges (u, v)."""
+    masks = [0] * n
+    for u, v in pairs:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
@@ -158,7 +167,7 @@ def _connected(masks) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    return _connected(_masks(g))
+    return _connected(g.masks)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +181,10 @@ _G6_BYTES = re.compile("[?-~]*")  # the bytes 63..126
 _MINUS_63 = bytes((b - 63) % 256 for b in range(256))
 
 
-def _decode_graph6(s: str) -> tuple[int, list[tuple[int, int]], list[int]]:
+def _decode_graph6(s: str) -> tuple[int, list[tuple[int, int]]]:
     """Decode one graph6 line, without surrounding whitespace, into
-    (n, pairs, masks).
-
-    pairs lists the edges (i, j), i < j, in column order: (0,1), (0,2),
-    (1,2), (0,3), ...  masks[v] is the neighbor set of v as a bitmask.
-    """
+    (n, pairs): pairs lists the edges (i, j), i < j, in column order
+    (0,1), (0,2), (1,2), (0,3), ..."""
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
@@ -218,27 +224,47 @@ def _decode_graph6(s: str) -> tuple[int, list[tuple[int, int]], list[int]]:
         raise MalformedGraph6("nonzero padding bits")
     word >>= pad
     pairs = []
-    masks = [0] * n
     shift = nbits
     for j in range(1, n):
         shift -= j
         column = (word >> shift) & ((1 << j) - 1)
-        bit_j = 1 << j
         while column:
             high = column.bit_length()
-            i = j - high
-            pairs.append((i, j))
-            masks[i] |= bit_j
-            masks[j] |= 1 << i
+            pairs.append((j - high, j))
             column ^= 1 << (high - 1)
-    return n, pairs, masks
+    return n, pairs
 
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a Graph, equal to from_edge_list of its
     column-ordered pairs, with edges and every adj[v] iterating alike."""
-    n, pairs, _ = _decode_graph6(text.strip())
+    n, pairs = _decode_graph6(text.strip())
     return _build_graph(n, set(pairs))
+
+
+def filter_graph6(line: str, forbidden, n_max: int | None = None
+                  ) -> tuple[str | None, Graph | None]:
+    """The census filters that need no Graph, on one graph6 line without
+    surrounding whitespace: at most n_max vertices (if n_max is set),
+    connected, and no cycle of a length in `forbidden`.
+
+    They run on the bitmasks of the decoded edge pairs.  Returns the status
+    of a line they drop, "skipped:n", "filtered:disconnected" or
+    "filtered:cycles", with None; or None with the line's Graph, which
+    equals parse_graph6(line), iterates alike and holds the bitmasks.
+    """
+    n, pairs = _decode_graph6(line)
+    if n_max and n > n_max:
+        return "skipped:n", None
+    masks = _pair_masks(n, pairs)
+    if not _connected(masks):
+        return "filtered:disconnected", None
+    if _cycle_lengths(masks, forbidden, 1):
+        return "filtered:cycles", None
+    g = _build_graph(n, set(pairs))
+    # the Graph keeps the bitmasks, for the connectivity test of planarity
+    object.__setattr__(g, "masks", tuple(masks))
+    return None, g
 
 
 def encode_graph6(g: Graph) -> str:
@@ -371,20 +397,20 @@ def cycle_spectrum(g: Graph, max_len: int = 9) -> CycleSpectrum:
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     lengths = range(3, min(max_len, g.n) + 1)
-    present = _cycle_lengths(_masks(g), lengths, len(lengths))
+    present = _cycle_lengths(g.masks, lengths, len(lengths))
     return CycleSpectrum(present=frozenset(present), search_bound=max_len)
 
 
 def forbidden_cycles(g: Graph, lengths) -> frozenset[int]:
     """Exactly those lengths in `lengths` at which g has a cycle."""
     lengths = frozenset(lengths)
-    return frozenset(_cycle_lengths(_masks(g), lengths, len(lengths)))
+    return frozenset(_cycle_lengths(g.masks, lengths, len(lengths)))
 
 
 def has_cycle_length(g: Graph, lengths) -> bool:
     """Whether g has a cycle of some length in `lengths`; the search stops
     at the first one found."""
-    return bool(_cycle_lengths(_masks(g), lengths, 1))
+    return bool(_cycle_lengths(g.masks, lengths, 1))
 
 
 #: The three forbidden-cycle hypothesis sets, keyed by short name.

@@ -83,11 +83,16 @@ __all__ = [
 
 DEFAULT_BUDGET = 100_000_000
 
-#: is_dp_k_colorable scans a space of fewer normalized cases than this in
-#: this process whatever jobs is, since a pool costs more than it saves
-#: there.  On a 2-vCPU host, k = 3: C8xK2 (10,077,696 cases) took 0.64 s
-#: serially and 0.70 s at jobs 2; C9xK2 (60,466,176 cases) 3.65 s and 2.68 s.
-_POOL_MIN_CASES = 20_000_000
+#: is_dp_k_colorable scans a space in this process whatever jobs is when it
+#: has fewer than this many normalized cases per k!.  The gauge pruning
+#: visits one case per orbit, about one in k!, so this bounds the work
+#: scanned at every k, where a bound on raw cases would not.  Medians of 4
+#: runs on a 2-vCPU host, serial vs. jobs 2, at k = 3 for CnxK2, n = 7, 8, 9
+#: (279,936, 1,679,616 and 10,077,696 cases per k!): 0.12 vs 0.16 s, 0.72
+#: vs 0.50 s (10 runs), 3.6 vs 2.6 s; at k = 4 for the cube and C5xK2
+#: (331,776 and 7,962,624): 0.050 vs 0.065 s, 1.46 vs 1.35 s.  Unmeasured
+#: at other k.
+_POOL_MIN_WORK = 1_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -403,14 +408,15 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
 
     Raises BudgetExceeded with the attempted case count if the normalized
     space cannot be settled within budget.  The verdict, the certificate
-    and the count do not depend on jobs.  Spaces of at least
-    _POOL_MIN_CASES cases are split across jobs processes.
+    and the count do not depend on jobs.  A space of at least
+    _POOL_MIN_WORK times k! cases is split across jobs processes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     nperm = math.factorial(k)
     # a space of one case has no first edge to split
-    if jobs <= 1 or normalized_assignment_count(g, k) < max(_POOL_MIN_CASES, 2):
+    if jobs <= 1 or normalized_assignment_count(g, k) < max(
+            _POOL_MIN_WORK * nperm, 2):
         results = [_scan_block(g, k, range(nperm), budget)]
     else:
         # split the first edge's permutations into contiguous blocks, each

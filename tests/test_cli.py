@@ -389,9 +389,10 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
     # the prism's 4-cycles keep it out of every variant, so the cycle filter
     # is switched off here to send it to the search, and the pool threshold
     # is lowered so that --jobs 2 splits that search
-    monkeypatch.setattr(dpcolor.cli, "_cycle_lengths",
-                        lambda masks, lengths, enough: set())
-    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
+    screen = dpcolor.cli.filter_graph6
+    monkeypatch.setattr(dpcolor.cli, "filter_graph6",
+                        lambda line, forbidden, n_max: screen(line, (), n_max))
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     lines = [encode_graph6(cycle_graph(5)), encode_graph6(pentagonal_prism()),
              encode_graph6(complete_graph(5))]
     stream = write(tmp_path, "stream.g6", "\n".join(lines) + "\n")
@@ -420,20 +421,9 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
 def test_verify_builds_a_graph_only_past_the_cycle_filter(
         tmp_path, capsys, monkeypatch):
     # the vertex bound, connectivity and the cycle filter read the decoded
-    # bitmasks; only the lines that pass them are built into a Graph
-    built = []
-    build = dpcolor.cli._build_graph
-
-    def counted(n, edges):
-        g = build(n, edges)
-        built.append(encode_graph6(g))
-        return g
-
-    def no_parse(text):
-        raise AssertionError("verify-theorem2 parsed a line into a Graph")
-
-    monkeypatch.setattr(dpcolor.cli, "_build_graph", counted)
-    monkeypatch.setattr(dpcolor.cli, "parse_graph6", no_parse)
+    # bitmasks; only the lines that pass them are built into a Graph.  Every
+    # Graph, including those planarity builds, is charged to the line being
+    # screened when it is built
     disconnected = [from_edge_list([(0, 1), (2, 3)], n=4),
                     from_edge_list([(0, 1), (1, 2), (2, 0)], n=5)]
     cyclic = [complete_graph(4), cycle_graph(8), complete_bipartite(3, 3)]
@@ -444,6 +434,19 @@ def test_verify_builds_a_graph_only_past_the_cycle_filter(
         for g in (disconnected[0], cyclic[0], passing[0], nonplanar[0],
                   cyclic[1], disconnected[1], passing[1], cyclic[2],
                   passing[2])))
+    built = []
+    screen, build = dpcolor.cli.filter_graph6, dpcolor.graphs._build_graph
+
+    def screened(line, forbidden, n_max):
+        built.append([line, 0])
+        return screen(line, forbidden, n_max)
+
+    def counted(n, edges):
+        built[-1][1] += 1
+        return build(n, edges)
+
+    monkeypatch.setattr(dpcolor.cli, "filter_graph6", screened)
+    monkeypatch.setattr(dpcolor.graphs, "_build_graph", counted)
     code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a",
                        "--n-max", "40")
     assert code == 0
@@ -452,8 +455,9 @@ def test_verify_builds_a_graph_only_past_the_cycle_filter(
                     "filtered:nonplanar", "filtered:cycles",
                     "filtered:disconnected", "pass", "filtered:cycles",
                     "pass"]
-    assert built == [encode_graph6(g) for g in
-                     (passing[0], nonplanar[0], passing[1], passing[2])]
+    assert [line for line, count in built if count] == [
+        encode_graph6(g)
+        for g in (passing[0], nonplanar[0], passing[1], passing[2])]
 
 
 def test_verify_planarity_rows_match_brute_force_embed(tmp_path, capsys):

@@ -15,6 +15,7 @@ from dpcolor import (
     cycle_spectrum,
     delete_vertices,
     encode_graph6,
+    filter_graph6,
     forbidden_cycles,
     from_edge_list,
     has_cycle_length,
@@ -115,14 +116,19 @@ def _column_pairs(g):
 def _assert_decodes_like_from_edge_list(g):
     text = encode_graph6(g)
     pairs = _column_pairs(g)
-    n, decoded, masks = graphs._decode_graph6(text)
-    assert (n, decoded) == (g.n, pairs)
-    assert masks == [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
-    got, want = parse_graph6(text), from_edge_list(pairs, n=g.n)
-    assert got == want
-    # the same iteration order, not only the same sets
-    assert list(got.edges) == list(want.edges)
-    assert [list(a) for a in got.adj] == [list(a) for a in want.adj]
+    assert graphs._decode_graph6(text) == (g.n, pairs)
+    want = from_edge_list(pairs, n=g.n)
+    assert want.masks == tuple(sum(1 << u for u in g.adj[v])
+                               for v in range(g.n))
+    built = [parse_graph6(text)]
+    if is_connected(want):
+        built.append(filter_graph6(text, ())[1])
+    for got in built:
+        assert got == want
+        # the same iteration order, not only the same sets
+        assert list(got.edges) == list(want.edges)
+        assert [list(a) for a in got.adj] == [list(a) for a in want.adj]
+        assert got.masks == want.masks
 
 
 def test_parse_graph6_matches_from_edge_list_on_census():
@@ -149,8 +155,33 @@ def test_connectivity_core_matches_bfs_on_all_small_graphs():
                                 if bits >> k & 1], n=n)
             want = bfs_connected(g)
             assert is_connected(g) == want, g.edges
-            _, _, masks = graphs._decode_graph6(encode_graph6(g))
-            assert graphs._connected(masks) == want, g.edges
+            status, _ = filter_graph6(encode_graph6(g), ())
+            assert (status != "filtered:disconnected") == want, g.edges
+
+
+def test_filter_graph6_matches_the_graph_queries():
+    # every labelled graph on at most 5 vertices against each variant's
+    # forbidden lengths and a vertex bound of 4
+    variants = [frozenset(f) for f in FORBIDDEN_VARIANTS.values()]
+    for n in range(6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for bits in range(1 << len(pairs)):
+            g = from_edge_list([e for k, e in enumerate(pairs)
+                                if bits >> k & 1], n=n)
+            text = encode_graph6(g)
+            for forbidden in [frozenset({3}), *variants]:
+                for n_max in (None, 4):
+                    if n_max and n > n_max:
+                        want = "skipped:n"
+                    elif not is_connected(g):
+                        want = "filtered:disconnected"
+                    elif has_cycle_length(g, forbidden):
+                        want = "filtered:cycles"
+                    else:
+                        want = None
+                    status, got = filter_graph6(text, forbidden, n_max)
+                    assert status == want, (g.edges, forbidden, n_max)
+                    assert got == (g if want is None else None)
 
 
 @settings(max_examples=150, deadline=None)

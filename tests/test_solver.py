@@ -166,9 +166,11 @@ def test_normalized_search_matches_unrestricted_oracle_small():
             assert (reference_dp_scan(g, k) is True) == slow, (g.edges, k)
 
 
-def test_adversary_matches_reference_scan():
+def test_adversary_matches_reference_scan(monkeypatch):
     # witness reuse and block splitting must not change the verdict, the
-    # first certificate or the attempted count of the plain scan
+    # first certificate or the attempted count of the plain scan; the pool
+    # threshold is lowered so that jobs = 2 runs the split
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     for g in connected_graphs(5):
         for k in (2, 3):
             for budget in (1, 7, 100, DEFAULT_BUDGET):
@@ -229,7 +231,7 @@ def test_small_spaces_open_no_pool(monkeypatch):
 
     monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", no_pool)
     g = prism(5)
-    assert normalized_assignment_count(g, 3) < dpcolor.solver._POOL_MIN_CASES
+    assert normalized_assignment_count(g, 3) // 6 < dpcolor.solver._POOL_MIN_WORK
     assert is_dp_k_colorable(g, 3, jobs=2) is True
     with pytest.raises(BudgetExceeded) as info:
         is_dp_k_colorable(g, 3, budget=46_655, jobs=2)
@@ -237,7 +239,7 @@ def test_small_spaces_open_no_pool(monkeypatch):
 
 
 def test_parallel_blocks_agree_with_serial(monkeypatch):
-    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     g = cycle_graph(5)
     assert is_dp_k_colorable(g, 3, jobs=2) is True
     cert_serial = is_dp_k_colorable(g, 2)
@@ -249,7 +251,7 @@ def test_parallel_blocks_agree_with_serial(monkeypatch):
 def test_parallel_budget_matches_serial(monkeypatch):
     # every block sees the whole budget, so the verdict and the attempted
     # count do not depend on how the first edge is split
-    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     g = prism(5)
     assert is_dp_k_colorable(g, 3, budget=46_656, jobs=4) is True
     for jobs in (1, 4):
@@ -452,7 +454,7 @@ def test_every_budget_matches_reference_scan(monkeypatch):
     # out inside a skipped subtree, at every depth, is covered; jobs = 2
     # runs the block split and merge with the blocks in this process
     monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     for g in (complete_graph(4), prism(3), parse_graph6("Dr{")):
         assert g.m - g.n + 1 >= 3
         budgets = range(normalized_assignment_count(g, 3) + 2)
@@ -466,7 +468,7 @@ def test_every_budget_matches_reference_scan(monkeypatch):
 
 def test_late_certificate_budgets_match_reference_scan(monkeypatch):
     # a first certificate past many skipped subtrees, with a real pool
-    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_CASES", 0)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     g = parse_graph6("Es^o")
     cases = normalized_assignment_count(g, 3)
     assert cases == 7_776
