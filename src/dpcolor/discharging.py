@@ -19,6 +19,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import forbidden_cycles, FORBIDDEN_VARIANTS
 from .planar import PlaneEmbedding, classify_vertex
@@ -79,8 +80,7 @@ VARIANTS: dict[str, RuleVariant] = {
 }
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     phase: str
     rule: str
     source: str
@@ -114,15 +114,14 @@ class ChargeState:
 
     def move(self, phase: str, rule: str, src: tuple[str, int],
              snk: tuple[str, int], amount: Fraction) -> None:
-        assert amount.numerator >= 0, "rules never move negative charge"
-        if not amount:
-            return
-        charges = self.vertex_charge if src[0] == "v" else self.face_charge
-        charges[src[1]] -= amount
-        charges = self.vertex_charge if snk[0] == "v" else self.face_charge
-        charges[snk[1]] += amount
-        self.log.append(Transfer(phase, rule, f"{src[0]}{src[1]}",
-                                 f"{snk[0]}{snk[1]}", amount))
+        assert amount.numerator > 0, "rules move only positive charge"
+        (kind, i), (sink_kind, j) = src, snk
+        charges = self.vertex_charge if kind == "v" else self.face_charge
+        charges[i] -= amount
+        charges = self.vertex_charge if sink_kind == "v" else self.face_charge
+        charges[j] += amount
+        self.log.append(Transfer(phase, rule, f"{kind}{i}", f"{sink_kind}{j}",
+                                 amount))
 
     def end_phase(self, phase: str) -> None:
         t = self.total()
@@ -137,11 +136,11 @@ class ChargeState:
 
 def initial_charges(emb: PlaneEmbedding) -> ChargeState:
     """Charge d(x) - 4 on every vertex and face; asserts the -8 total."""
-    g = emb.graph
-    state = ChargeState(
-        [Fraction(g.degree(v) - 4) for v in range(g.n)],
-        [Fraction(f.length - 4) for f in emb.faces],
-    )
+    degrees, lengths = emb.graph.degrees(), emb.face_lengths
+    # one Fraction per distinct value: they are immutable, so slots share them
+    charge = {x: Fraction(x - 4) for x in {*degrees, *lengths}}
+    state = ChargeState([charge[d] for d in degrees],
+                        [charge[x] for x in lengths])
     if state.total() != TOTAL:
         raise ChargeSumMismatch(f"initial total {state.total()} != -8")
     return state
@@ -168,17 +167,14 @@ class FaceRoles:
     reviews: tuple[str, ...]
 
 
-def _face_degree_pattern(emb: PlaneEmbedding, f: int) -> tuple[int, ...]:
-    return tuple(sorted(emb.graph.degree(u) for u in emb.faces[f].vertices()))
-
-
-def _is_small_witness_face(emb: PlaneEmbedding, f: int) -> bool:
-    """A (3,3,4+)-triangle or a (3,3,3,3,4+)-pentagon."""
-    degs = _face_degree_pattern(emb, f)
+def _is_small_witness_face(degrees, verts) -> bool:
+    """Whether the face with these boundary vertices is a (3,3,4+)-triangle
+    or a (3,3,3,3,4+)-pentagon."""
+    degs = sorted(degrees[u] for u in verts)
     if len(degs) == 3:
         return degs[0] == 3 and degs[1] == 3 and degs[2] >= 4
     if len(degs) == 5:
-        return degs[:4] == (3, 3, 3, 3) and degs[4] >= 4
+        return degs[:4] == [3, 3, 3, 3] and degs[4] >= 4
     return False
 
 
@@ -192,44 +188,40 @@ def _good_pairs(emb: PlaneEmbedding) -> tuple[list[tuple[int, int]], list[str]]:
     (3,3,3,3,4+)-face adjacent to both.  Only this stated prefix is
     checked; every detection is listed for review.
     """
-    g = emb.graph
-    receivers = set()
-    for f in range(len(emb.faces)):
-        verts = emb.faces[f].vertices()
-        if (emb.face_len(f) == 10 and len(set(verts)) == 10
-                and all(g.degree(u) == 3 for u in verts)):
-            receivers.add(f)
+    deg = emb.graph.degrees()
+    length, verts, across = emb.face_lengths, emb.face_vertices, emb.across
+    receivers = {
+        f for f, L in enumerate(length)
+        if L == 10 and len(set(verts[f])) == 10
+        and all(deg[u] == 3 for u in verts[f])
+    }
     pairs: set[tuple[int, int]] = set()
     reviews: list[str] = []
 
     def end_ok(donor: int, pos: int, step: int, receiver: int) -> bool:
-        walk = emb.faces[donor].walk
+        walk = verts[donor]
         L = len(walk)
-        second = walk[(pos + step) % L][0]
-        third = walk[(pos + 2 * step) % L][0]
-        if g.degree(second) < 4 or g.degree(third) < 3:
+        second = walk[(pos + step) % L]
+        third = walk[(pos + 2 * step) % L]
+        if deg[second] < 4 or deg[third] < 3:
             return False
-        donor_edges = emb.faces[donor].edge_set()
-        receiver_edges = emb.faces[receiver].edge_set()
-        for w in set(emb.corners(second)):
-            if not _is_small_witness_face(emb, w):
-                continue
-            we = emb.faces[w].edge_set()
-            if (we & donor_edges) and (we & receiver_edges):
+        # w is a 3- or 5-face, so neither the donor nor the receiver, and
+        # it shares an edge with a face exactly when it lies across one
+        for w in set(emb.corner_faces[second]):
+            if (_is_small_witness_face(deg, verts[w])
+                    and w in across[donor] and w in across[receiver]):
                 return True
         return False
 
-    for donor in range(len(emb.faces)):
-        if emb.face_len(donor) < 10:
+    for donor, L in enumerate(length):
+        if L < 10:
             continue
-        walk = emb.faces[donor].walk
-        L = len(walk)
-        for i, dart in enumerate(walk):
-            receiver = emb.opposite(dart)
+        for i, (dart, receiver) in enumerate(zip(emb.faces[donor].walk,
+                                                 across[donor])):
             if receiver not in receivers or receiver == donor:
                 continue
             w1, w2 = dart
-            if g.degree(w1) != 3 or g.degree(w2) != 3:
+            if deg[w1] != 3 or deg[w2] != 3:
                 continue
             # walk[i] leaves w1 toward w2; away from the edge means the
             # previous walk vertex on the w1 side, the +2 vertex on the w2 side
@@ -244,26 +236,26 @@ def _good_pairs(emb: PlaneEmbedding) -> tuple[list[tuple[int, int]], list[str]]:
 
 def classify_face_roles(emb: PlaneEmbedding) -> FaceRoles:
     g = emb.graph
+    deg = g.degrees()
+    length, corners, verts = emb.face_lengths, emb.corner_faces, emb.face_vertices
     on_three = frozenset(
-        v for v in range(g.n)
-        if any(emb.face_len(f) == 3 for f in emb.corners(v))
-    )
-    triangular = frozenset(v for v in on_three if g.degree(v) == 3)
+        v for v in range(g.n) if any(length[f] == 3 for f in corners[v]))
+    triangular = frozenset(v for v in on_three if deg[v] == 3)
     labels: dict[tuple[int, int], str] = {}
     for v in range(g.n):
-        if g.degree(v) < 4:
+        if deg[v] < 4:
             continue
-        for f in set(emb.corners(v)):
-            if emb.face_len(f) >= 10:
+        for f in set(corners[v]):
+            if length[f] >= 10:
                 labels[(v, f)] = classify_vertex(emb, v, f)
     semi_somewhere = {v for (v, _), lab in labels.items() if lab == "semi-rich"}
     rich_somewhere = {v for (v, _), lab in labels.items() if lab == "rich"}
     special = frozenset(semi_somewhere & rich_somewhere)
     bad_five = frozenset(
-        f for f in range(len(emb.faces))
-        if emb.face_len(f) == 5
-        and sum(1 for u in emb.faces[f].vertices() if g.degree(u) == 3) == 5
-        and sum(1 for af in emb.adjacent_faces(f) if emb.face_len(af) == 5) == 2
+        f for f, L in enumerate(length)
+        if L == 5
+        and all(deg[u] == 3 for u in verts[f])
+        and sum(1 for af in emb.across[f] if length[af] == 5) == 2
     )
     pairs, reviews = _good_pairs(emb)
     return FaceRoles(
@@ -285,11 +277,11 @@ def path_stats(emb: PlaneEmbedding, f: int) -> dict[int, int]:
     borders a 5--face.  t_1 counts boundary slots on no such path; a fully
     covered boundary is one path with d(f) vertices.  Always satisfies
     sum(i * t_i) = d(f)."""
-    d = emb.face_len(f)
+    length = emb.face_lengths
+    d = length[f]
     if d < 10:
         raise ValueError(f"face {f} has length {d} < 10")
-    covered = [emb.face_len(emb.opposite(dart)) <= 5
-               for dart in emb.faces[f].walk]
+    covered = [length[other] <= 5 for other in emb.across[f]]
     t: dict[int, int] = defaultdict(int)
     if all(covered):
         t[d] = 1
@@ -327,17 +319,17 @@ class FaceStats:
 
 
 def face_stats(emb: PlaneEmbedding, roles: FaceRoles, f: int) -> FaceStats:
-    g = emb.graph
-    verts = emb.faces[f].vertices()
-    d = emb.face_len(f)
-    s3 = sum(1 for u in verts if g.degree(u) == 3)
-    adjacent = emb.adjacent_faces(f)
-    r5 = sum(1 for af in adjacent if emb.face_len(af) == 5)
+    deg, length = emb.graph.degrees(), emb.face_lengths
+    verts = emb.face_vertices[f]
+    d = length[f]
+    s3 = sum(1 for u in verts if deg[u] == 3)
+    adjacent = emb.across[f]
+    r5 = sum(1 for af in adjacent if length[af] == 5)
     b5 = sum(1 for af in adjacent if af in roles.bad_five)
     s = sum(
         1 for u in verts
-        if g.degree(u) >= 5
-        or (g.degree(u) == 4 and roles.labels.get((u, f)) == "semi-rich")
+        if deg[u] >= 5
+        or (deg[u] == 4 and roles.labels.get((u, f)) == "semi-rich")
     )
     if d >= 12:
         x = 0
@@ -397,35 +389,34 @@ def _resolve_variant(variant) -> RuleVariant:
 
 
 def _phase_r1(emb: PlaneEmbedding, state: ChargeState) -> None:
-    g = emb.graph
-    for f in range(len(emb.faces)):
-        if emb.face_len(f) != 3:
+    deg, length, move = emb.graph.degrees(), emb.face_lengths, state.move
+    for f, L in enumerate(length):
+        if L != 3:
             continue
-        for dart in emb.faces[f].walk:
-            other = emb.opposite(dart)
-            if emb.face_len(other) >= 5:
-                state.move("P1", "R1", ("f", other), ("f", f), THIRD)
-    for f in range(len(emb.faces)):
-        if emb.face_len(f) < 5:
+        for other in emb.across[f]:
+            if length[other] >= 5:
+                move("P1", "R1", ("f", other), ("f", f), THIRD)
+    for f, L in enumerate(length):
+        if L < 5:
             continue
-        for u in emb.faces[f].vertices():
-            if g.degree(u) >= 5:
-                state.move("P1", "R1", ("v", u), ("f", f), FIFTH)
+        for u in emb.face_vertices[f]:
+            if deg[u] >= 5:
+                move("P1", "R1", ("v", u), ("f", f), FIFTH)
     state.end_phase("P1")
 
 
 def _phase_r2(emb: PlaneEmbedding, state: ChargeState, roles: FaceRoles) -> None:
-    g = emb.graph
-    for f in range(len(emb.faces)):
-        if emb.face_len(f) < 10:
+    deg = emb.graph.degrees()
+    for f, L in enumerate(emb.face_lengths):
+        if L < 10:
             continue
-        for u in emb.faces[f].vertices():
-            if g.degree(u) < 4:
+        for u in emb.face_vertices[f]:
+            if deg[u] < 4:
                 continue
             lab = roles.labels.get((u, f))
             if lab == "semi-rich" and u in roles.special:
                 state.move("P2", "R2", ("v", u), ("f", f), SIXTH)
-            if lab == "rich" and g.degree(u) == 4 and u in roles.on_three_face:
+            if lab == "rich" and deg[u] == 4 and u in roles.on_three_face:
                 state.move("P2", "R2", ("f", f), ("v", u), THIRD)
     state.end_phase("P2")
 
@@ -433,7 +424,7 @@ def _phase_r2(emb: PlaneEmbedding, state: ChargeState, roles: FaceRoles) -> None
 def _third_face_at(emb: PlaneEmbedding, v: int, skip1: int, skip2: int) -> int | None:
     """The remaining corner face at a 3-vertex after removing one occurrence
     each of two known faces; None in degenerate walks."""
-    corners = list(emb.corners(v))
+    corners = list(emb.corner_faces[v])
     for skip in (skip1, skip2):
         if skip in corners:
             corners.remove(skip)
@@ -447,29 +438,26 @@ def _third_face_at(emb: PlaneEmbedding, v: int, skip1: int, skip2: int) -> int |
 def _variant_a_phases(emb: PlaneEmbedding, state: ChargeState,
                       roles: FaceRoles) -> None:
     g = emb.graph
-    fives = [f for f in range(len(emb.faces)) if emb.face_len(f) == 5]
+    deg, length, across, move = g.degrees(), emb.face_lengths, emb.across, state.move
+    fives = [f for f, L in enumerate(length) if L == 5]
 
     # P3: gifts from big faces to 5-faces that touch a 3-face
     for f in fives:
-        walk = emb.faces[f].walk
+        sides = list(zip(emb.faces[f].walk, across[f]))
         shares_33 = any(
-            emb.face_len(emb.opposite(d)) == 3
-            and g.degree(d[0]) == 3 and g.degree(d[1]) == 3
-            for d in walk
+            length[other] == 3 and deg[x] == 3 and deg[y] == 3
+            for (x, y), other in sides
         )
         if shares_33:
-            for d in walk:
-                other = emb.opposite(d)
-                if emb.face_len(other) >= 10:
-                    state.move("P3", "R4a", ("f", other), ("f", f), THIRD)
-        for d in walk:
-            tface = emb.opposite(d)
-            if emb.face_len(tface) != 3:
+            for other in across[f]:
+                if length[other] >= 10:
+                    move("P3", "R4a", ("f", other), ("f", f), THIRD)
+        for (x, y), tface in sides:
+            if length[tface] != 3:
                 continue
-            x, y = d
-            if g.degree(x) == 3 and g.degree(y) >= 4:
+            if deg[x] == 3 and deg[y] >= 4:
                 three = x
-            elif g.degree(y) == 3 and g.degree(x) >= 4:
+            elif deg[y] == 3 and deg[x] >= 4:
                 three = y
             else:
                 continue
@@ -477,8 +465,8 @@ def _variant_a_phases(emb: PlaneEmbedding, state: ChargeState,
             if donor is None:
                 state.notes.append(
                     f"R4a: no third face at 3-vertex {three} of face f{f}")
-            elif emb.face_len(donor) >= 10:
-                state.move("P3", "R4a", ("f", donor), ("f", f), THIRD)
+            elif length[donor] >= 10:
+                move("P3", "R4a", ("f", donor), ("f", f), THIRD)
                 state.notes.append(
                     f"R4a: f{donor} chosen as the big face at 3-vertex "
                     f"{three} for the (3,4+)-edge of f{f}")
@@ -486,9 +474,9 @@ def _variant_a_phases(emb: PlaneEmbedding, state: ChargeState,
 
     # P4: each 5-face pays 1 to each incident triangular 3-vertex
     for f in fives:
-        for u in emb.faces[f].vertices():
+        for u in emb.face_vertices[f]:
             if u in roles.triangular:
-                state.move("P4", "R4a", ("f", f), ("v", u), ONE)
+                move("P4", "R4a", ("f", f), ("v", u), ONE)
     state.end_phase("P4")
 
     # P5: each 5-face spreads its remaining positive charge over adjacent 10-faces
@@ -496,65 +484,63 @@ def _variant_a_phases(emb: PlaneEmbedding, state: ChargeState,
         c = state.face_charge[f]
         if c <= 0:
             continue
-        targets = [emb.opposite(d) for d in emb.faces[f].walk
-                   if emb.face_len(emb.opposite(d)) == 10]
+        targets = [other for other in across[f] if length[other] == 10]
         if not targets:
             state.notes.append(f"R4a: f{f} has surplus {c} but no adjacent 10-face")
             continue
         share = c / len(targets)
         for tgt in targets:
-            state.move("P5", "R4a", ("f", f), ("f", tgt), share)
+            move("P5", "R4a", ("f", f), ("f", tgt), share)
     state.end_phase("P5")
 
     # P6: each 3-vertex pulls what it still needs from incident 6+-faces
     for v in range(g.n):
-        if g.degree(v) != 3:
+        if deg[v] != 3:
             continue
         needed = -state.vertex_charge[v]
         if needed <= 0:
             continue
-        donors = [f for f in emb.corners(v) if emb.face_len(f) >= 6]
+        donors = [f for f in emb.corner_faces[v] if length[f] >= 6]
         if not donors:
             state.notes.append(f"R4a: 3-vertex {v} needs {needed} but has no 6+-face")
             continue
         share = needed / len(donors)
         for f in donors:
-            state.move("P6", "R4a", ("f", f), ("v", v), share)
+            move("P6", "R4a", ("f", f), ("v", v), share)
     state.end_phase("P6")
 
 
 def _variant_b_phases(emb: PlaneEmbedding, state: ChargeState,
                       roles: FaceRoles) -> None:
     g = emb.graph
-    fives = [f for f in range(len(emb.faces)) if emb.face_len(f) == 5]
+    deg, length, across, move = g.degrees(), emb.face_lengths, emb.across, state.move
+    fives = [f for f, L in enumerate(length) if L == 5]
 
     # P3: each 3-vertex pulls 1 evenly from its incident 5+-faces
     for v in range(g.n):
-        if g.degree(v) != 3:
+        if deg[v] != 3:
             continue
-        donors = [f for f in emb.corners(v) if emb.face_len(f) >= 5]
+        donors = [f for f in emb.corner_faces[v] if length[f] >= 5]
         if not donors:
             state.notes.append(f"R4b: 3-vertex {v} has no incident 5+-face")
             continue
         share = ONE / len(donors)
         for f in donors:
-            state.move("P3", "R4b", ("f", f), ("v", v), share)
+            move("P3", "R4b", ("f", f), ("v", v), share)
     state.end_phase("P3")
 
     # P4: each 5-face gets 1/6 from each adjacent 7+-face
     for f in fives:
-        for d in emb.faces[f].walk:
-            other = emb.opposite(d)
-            if emb.face_len(other) >= 7:
-                state.move("P4", "R4b", ("f", other), ("f", f), SIXTH)
+        for other in across[f]:
+            if length[other] >= 7:
+                move("P4", "R4b", ("f", other), ("f", f), SIXTH)
     state.end_phase("P4")
 
     # P5: each bad 5-face gets 1/12 from each adjacent 5-face
     for f in sorted(roles.bad_five):
-        for d in emb.faces[f].walk:
-            other = emb.opposite(d)
-            if emb.face_len(other) == 5:
-                state.move("P5", "R4b", ("f", other), ("f", f), TWELFTH)
+        for other in across[f]:
+            if length[other] == 5:
+                move("P5", "R4b", ("f", other), ("f", f), TWELFTH)
     state.end_phase("P5")
 
     # P6: one synchronous surplus pass among 5-faces, no cascading
@@ -563,14 +549,13 @@ def _variant_b_phases(emb: PlaneEmbedding, state: ChargeState,
         c = snapshot[f]
         if c <= 0:
             continue
-        targets = [emb.opposite(d) for d in emb.faces[f].walk
-                   if emb.face_len(emb.opposite(d)) == 5]
+        targets = [other for other in across[f] if length[other] == 5]
         if not targets:
             state.notes.append(f"R4b: f{f} has surplus {c} but no adjacent 5-face")
             continue
         share = c / len(targets)
         for tgt in targets:
-            state.move("P6", "R4b", ("f", f), ("f", tgt), share)
+            move("P6", "R4b", ("f", f), ("f", tgt), share)
     state.end_phase("P6")
 
 
@@ -693,7 +678,7 @@ def audit(emb: PlaneEmbedding, variant, patterns=(),
     g = emb.graph
     present = forbidden_cycles(g, var.forbidden)
     degrees = g.degrees() if g.n else (0,)
-    low = tuple(v for v in range(g.n) if g.degree(v) < 3)
+    low = tuple(v for v, d in enumerate(g.degrees()) if d < 3)
     hits = {pat.name: len(find_pattern(g, pat)) for pat in patterns}
     roles = classify_face_roles(emb)
     state = apply_rules(emb, var, strict=strict, roles=roles,

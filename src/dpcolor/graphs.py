@@ -9,7 +9,8 @@ wants exactly which of the given lengths occur, and has_cycle_length, the
 hypothesis filter, stops at the first forbidden length it finds.
 
 The search and the connectivity test work on neighbor bitmasks, one per
-vertex, which a Graph builds on first use and keeps (Graph.masks).
+vertex, which a Graph builds on first use and keeps (Graph.masks), as it
+keeps its degree tuple (Graph.degrees).
 filter_graph6 runs the census filters of dpcolor verify-theorem2 (vertex
 bound, connectivity, cycle filter) on the bitmasks of a graph6 line's
 decoded edge pairs before a Graph exists, and builds a Graph only for the
@@ -77,6 +78,10 @@ class Graph:
         return v in self.adj[u]
 
     def degrees(self) -> tuple[int, ...]:
+        return self._degrees
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adj)
 
     @cached_property

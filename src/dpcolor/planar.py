@@ -9,6 +9,15 @@ which certifies genus 0 for connected input.
 Face length counts boundary vertices with repetition; bridges and cut
 vertices are allowed, so a face may repeat a vertex or be adjacent to
 itself across a bridge.  All incidence statistics count such repetitions.
+
+A PlaneEmbedding derives its incidence tables from its faces, rotation and
+face_of_dart on first use and keeps them: face lengths (face_lengths), the
+face at each corner of each vertex (corner_faces), the face across each
+walk dart (across) and each face's boundary vertices (face_vertices).
+face_len, corners and adjacent_faces read them, and the discharging rules
+index them directly.  Two distinct faces share an edge exactly when one
+lies across a dart of the other, so across also answers edge-sharing
+questions.
 """
 
 from __future__ import annotations
@@ -16,8 +25,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .graphs import Graph, from_edge_list, is_connected
+from .graphs import Graph, _build_graph, from_edge_list, is_connected
 
 __all__ = [
     "Face",
@@ -27,7 +37,6 @@ __all__ = [
     "NonPlanarOrTooLarge",
     "NotOnFace",
     "trace_faces",
-    "face_adjacency",
     "classify_vertex",
     "brute_force_embed",
     "is_planar",
@@ -86,17 +95,47 @@ class Face:
 
 @dataclass(frozen=True)
 class PlaneEmbedding:
+    """A rotation system with its facial walks; face_of_dart maps each dart
+    to the index of the face whose walk holds it.
+
+    The incidence tables below are derived from these fields on first use
+    and kept, so the queries built on them are tuple reads.
+    """
+
     graph: Graph
     rotation: tuple[tuple[int, ...], ...]
     faces: tuple[Face, ...]
     face_of_dart: dict[Dart, int] = field(compare=False, repr=False)
 
+    @cached_property
+    def face_lengths(self) -> tuple[int, ...]:
+        return tuple(len(f.walk) for f in self.faces)
+
+    @cached_property
+    def corner_faces(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the face at each corner, in rotation order."""
+        face_of = self.face_of_dart
+        return tuple(tuple(face_of[(u, v)] for u in order)
+                     for v, order in enumerate(self.rotation))
+
+    @cached_property
+    def across(self) -> tuple[tuple[int, ...], ...]:
+        """Per face, the face across each walk dart, in walk order."""
+        face_of = self.face_of_dart
+        return tuple(tuple(face_of[(v, u)] for u, v in f.walk)
+                     for f in self.faces)
+
+    @cached_property
+    def face_vertices(self) -> tuple[tuple[int, ...], ...]:
+        """Per face, its boundary vertices in walk order, with repetition."""
+        return tuple(f.vertices() for f in self.faces)
+
     def face_len(self, f: int) -> int:
-        return self.faces[f].length
+        return self.face_lengths[f]
 
     def corners(self, v: int) -> tuple[int, ...]:
         """Face indices at v, one per corner (so deg(v) entries, repeats allowed)."""
-        return tuple(self.face_of_dart[(u, v)] for u in self.rotation[v])
+        return self.corner_faces[v]
 
     def opposite(self, dart: Dart) -> int:
         """Index of the face on the other side of this dart's edge."""
@@ -104,37 +143,35 @@ class PlaneEmbedding:
 
     def adjacent_faces(self, f: int) -> tuple[int, ...]:
         """Faces across each boundary edge of f, in walk order (multiplicity kept)."""
-        return tuple(self.opposite(d) for d in self.faces[f].walk)
+        return self.across[f]
 
     def vertex_on_face(self, v: int, f: int) -> bool:
-        return v in self.faces[f].vertices()
-
-
-def _validate_rotation(g: Graph, rot) -> tuple[tuple[int, ...], ...]:
-    if len(rot) != g.n:
-        raise ValueError(f"rotation has {len(rot)} entries for {g.n} vertices")
-    out = []
-    for v, order in enumerate(rot):
-        order = tuple(order)
-        if len(order) != len(set(order)) or set(order) != set(g.adj[v]):
-            raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
-        out.append(order)
-    return tuple(out)
+        return v in self.face_vertices[f]
 
 
 def trace_faces(g: Graph, rot) -> PlaneEmbedding:
     """Trace facial walks of (g, rot) and verify Euler's formula.
 
-    Raises Disconnected for disconnected input and NotGenusZero when the
+    Raises ValueError unless rot orders each vertex's neighbors exactly
+    once, Disconnected for disconnected input and NotGenusZero when the
     face count does not certify a plane embedding.
     """
-    rotation = _validate_rotation(g, rot)
+    if len(rot) != g.n:
+        raise ValueError(f"rotation has {len(rot)} entries for {g.n} vertices")
+    rotation = tuple(map(tuple, rot))
+    # the dart successor map: entering v along (u, v), leave along (v, w)
+    # where w follows u in the rotation at v
+    succ: dict[Dart, Dart] = {}
+    for v, order in enumerate(rotation):
+        if len(order) != len(g.adj[v]) or g.adj[v] != set(order):
+            raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
+        for i, u in enumerate(order):
+            succ[(u, v)] = (v, order[i + 1 - len(order)])
     if not is_connected(g):
         raise Disconnected("face tracing requires a connected graph")
-    pos = [{u: i for i, u in enumerate(order)} for order in rotation]
     face_of: dict[Dart, int] = {}
     faces: list[Face] = []
-    for start in sorted((u, v) for u in range(g.n) for v in rotation[u]):
+    for start in sorted(succ):
         if start in face_of:
             continue
         walk = []
@@ -142,9 +179,7 @@ def trace_faces(g: Graph, rot) -> PlaneEmbedding:
         while d not in face_of:
             face_of[d] = len(faces)
             walk.append(d)
-            u, v = d
-            succ = rotation[v][(pos[v][u] + 1) % len(rotation[v])]
-            d = (v, succ)
+            d = succ[d]
         faces.append(Face(index=len(faces), walk=tuple(walk)))
     if not faces:
         # single vertex: one face with an empty boundary walk
@@ -158,13 +193,6 @@ def trace_faces(g: Graph, rot) -> PlaneEmbedding:
                           face_of_dart=face_of)
 
 
-def face_adjacency(emb: PlaneEmbedding, f: int) -> list[tuple[Dart, Face]]:
-    """For each boundary dart of f, the face across that edge (may be f itself)."""
-    if not 0 <= f < len(emb.faces):
-        raise ValueError(f"no face {f}")
-    return [(d, emb.faces[emb.opposite(d)]) for d in emb.faces[f].walk]
-
-
 def classify_vertex(emb: PlaneEmbedding, v: int, f: int) -> str:
     """Label v relative to f: 'poor', 'semi-rich' or 'rich'.
 
@@ -172,17 +200,14 @@ def classify_vertex(emb: PlaneEmbedding, v: int, f: int) -> str:
     two or more means poor, one semi-rich, zero rich.  Requires deg(v) >= 4
     and v on f's boundary.
     """
-    if emb.graph.degree(v) < 4:
-        raise ValueError(f"vertex {v} has degree {emb.graph.degree(v)} < 4")
-    if not emb.vertex_on_face(v, f):
+    d = emb.graph.degrees()[v]
+    if d < 4:
+        raise ValueError(f"vertex {v} has degree {d} < 4")
+    if v not in emb.face_vertices[f]:
         raise NotOnFace(f"vertex {v} is not on face {f}")
-    f_edges = emb.faces[f].edge_set()
-    hits = set()
-    for t in set(emb.corners(v)):
-        if t == f or emb.face_len(t) != 3:
-            continue
-        if emb.faces[t].edge_set() & f_edges:
-            hits.add(t)
+    length, sides = emb.face_lengths, emb.across[f]
+    hits = {t for t in emb.corner_faces[v]
+            if t != f and length[t] == 3 and t in sides}
     if len(hits) >= 2:
         return "poor"
     return "semi-rich" if hits else "rich"
@@ -355,9 +380,9 @@ def load_embedding(source) -> PlaneEmbedding:
         raise ValueError("embedding document needs 'n' and 'rotation'")
     n, rotation = doc["n"], doc["rotation"]
     if not (isinstance(n, int) and isinstance(rotation, list)
-            and all(isinstance(order, list)
-                    and all(isinstance(u, int) for u in order)
-                    for order in rotation)):
+            and all(map(isinstance, rotation, itertools.repeat(list)))
+            and all(map(isinstance, itertools.chain.from_iterable(rotation),
+                        itertools.repeat(int)))):
         raise ValueError("embedding 'n' must be an integer and 'rotation' a "
                          "list of integer lists")
     rot = [tuple(order) for order in rotation]
@@ -374,8 +399,9 @@ def load_embedding(source) -> PlaneEmbedding:
     for u, v in edges:
         if u not in rot[v] or v not in rot[u]:
             raise ValueError(f"edge ({u}, {v}) is not symmetric in the rotation")
-    g = from_edge_list(sorted(edges), n=n)
-    return trace_faces(g, rot)
+    # the loops above checked what from_edge_list would; trace_faces checks
+    # that each order lists its vertex's neighbors once
+    return trace_faces(_build_graph(n, edges), rot)
 
 
 def dump_embedding(emb: PlaneEmbedding) -> str:

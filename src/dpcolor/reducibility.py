@@ -343,13 +343,19 @@ def pattern_to_json(pat: ConfigPattern) -> str:
 
 def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
     """All injective maps of the pattern into g that preserve pattern edges
-    and give every pattern vertex its exact host degree."""
+    and give every pattern vertex its exact host degree, in lexicographic
+    order.
+
+    Pattern vertex i takes its candidates from the neighbors of the image
+    of its first earlier pattern neighbor, or from every vertex of its host
+    degree when it has none, in increasing order either way.
+    """
     if pat.size > g.n:
         return []
-    candidates = [
-        [v for v in range(g.n) if g.degree(v) == pat.host_degree[i]]
-        for i in range(pat.size)
-    ]
+    adj, deg, want = g.adj, g.degrees(), pat.host_degree
+    earlier = [sorted(j for j in pat.adj[i] if j < i) for i in range(pat.size)]
+    of_degree = {want[i]: [v for v in range(g.n) if deg[v] == want[i]]
+                 for i in range(pat.size) if not earlier[i]}
     image = [-1] * pat.size
     used = [False] * g.n
     out: list[tuple[int, ...]] = []
@@ -358,11 +364,17 @@ def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
         if i == pat.size:
             out.append(tuple(image))
             return
-        for v in candidates[i]:
+        back = earlier[i]
+        if back:
+            candidates = sorted(v for v in adj[image[back[0]]]
+                                if deg[v] == want[i])
+        else:
+            candidates = of_degree[want[i]]
+        rest = back[1:]
+        for v in candidates:
             if used[v]:
                 continue
-            if any(image[j] not in g.adj[v]
-                   for j in pat.adj[i] if j < i):
+            if rest and any(image[j] not in adj[v] for j in rest):
                 continue
             image[i] = v
             used[v] = True

@@ -6,8 +6,8 @@ from __future__ import annotations
 import math
 import random
 
-from dpcolor import (Graph, PlaneEmbedding, from_edge_list, trace_faces,
-                     rotation_from_faces)
+from dpcolor import (Disconnected, Graph, NotGenusZero, PlaneEmbedding,
+                     from_edge_list, trace_faces, rotation_from_faces)
 
 
 def embed_from_coordinates(g: Graph, coords) -> PlaneEmbedding:
@@ -279,3 +279,35 @@ def random_plane_embedding(rng: random.Random, n_target: int,
         rot[vtx].insert(rot[vtx].index(pv) + 1, u)
         emb = trace()
     return emb
+
+
+#: One embedding document per way load_embedding rejects its input, with
+#: the exception type and message it raises: (document, type, message).
+EMBEDDING_REJECTIONS = {
+    "rotation length differs from n": (
+        '{"n": 3, "rotation": [[1], [0]]}', ValueError,
+        "rotation length disagrees with n"),
+    "non-integer entry": (
+        '{"n": 2, "rotation": [[1.0], [0]]}', ValueError,
+        "embedding 'n' must be an integer and 'rotation' a list of integer "
+        "lists"),
+    "neighbor out of range": (
+        '{"n": 2, "rotation": [[2], [0]]}', ValueError,
+        "neighbor 2 out of range at vertex 0"),
+    "self-loop": (
+        '{"n": 2, "rotation": [[0, 1], [0]]}', ValueError,
+        "self-loop at vertex 0"),
+    "asymmetric edge": (
+        '{"n": 2, "rotation": [[1], []]}', ValueError,
+        "edge (0, 1) is not symmetric in the rotation"),
+    "repeated neighbor": (
+        '{"n": 2, "rotation": [[1, 1], [0]]}', ValueError,
+        "rotation at 0 is not a permutation of its neighbors"),
+    "disconnected": (
+        '{"n": 4, "rotation": [[1], [0], [3], [2]]}', Disconnected,
+        "face tracing requires a connected graph"),
+    "not genus 0": (
+        '{"n": 5, "rotation": [[1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4], '
+        '[0, 1, 2, 4], [0, 1, 2, 3]]}', NotGenusZero,
+        "V-E+F = 5-10+3 = -2, want 2"),
+}

@@ -2,13 +2,15 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import dpcolor.cli
 import dpcolor.reducibility
 from dpcolor import (NonPlanarOrTooLarge, brute_force_embed, encode_graph6,
                      from_edge_list, parse_matching_file)
 from dpcolor.cli import build_parser, main
-from fixtures import (dodecahedron, subdivided, tetrahedron,
-                      with_pendant_paths)
+from fixtures import (EMBEDDING_REJECTIONS, dodecahedron, subdivided,
+                      tetrahedron, with_pendant_paths)
 from dpcolor import (complete_bipartite, complete_graph, cycle_graph,
                      dump_embedding, is_valid_coloring, path_graph,
                      uniform_lists)
@@ -180,6 +182,17 @@ def test_discharge_strict_exit(tmp_path, capsys):
     assert code == 1 and "strict mode" in err
     code, out, _ = run(capsys, "discharge", emb, "--variant", "b67")
     assert code == 0 and "hypothesis satisfied: no" in out
+
+
+@pytest.mark.parametrize("doc, message",
+                         [(doc, message) for doc, _, message
+                          in EMBEDDING_REJECTIONS.values()],
+                         ids=EMBEDDING_REJECTIONS)
+def test_discharge_rejects_bad_embedding(tmp_path, capsys, doc, message):
+    emb = write(tmp_path, "emb.json", doc)
+    code, out, err = run(capsys, "discharge", emb, "--variant", "a")
+    assert code == 3 and not out
+    assert err == f"error: {message}\n"
 
 
 def test_verify_stream(tmp_path, capsys):

@@ -314,6 +314,8 @@ def test_good_pair_gift_in_both_schedules():
         assert len(r3) == 1
         assert r3[0].source == f"f{donor}" and r3[0].sink == f"f{receiver}"
         assert r3[0].amount == Fraction(1, 6)
+        # a Transfer is a named tuple
+        assert r3[0] == ("P7", "R3", f"f{donor}", f"f{receiver}", Fraction(1, 6))
 
 
 def test_special_vertex_accounting():
@@ -388,6 +390,31 @@ def golden_embeddings():
     for _ in range(24):
         yield random_plane_embedding(rng, rng.randint(4, 30),
                                      chord_tries=rng.choice((6, 20)))
+
+
+def test_incidence_tables_match_their_derivation():
+    for emb in golden_embeddings():
+        g, faces, face_of = emb.graph, emb.faces, emb.face_of_dart
+        assert g.degrees() == tuple(len(g.adj[v]) for v in range(g.n))
+        assert emb.face_lengths == tuple(len(f.walk) for f in faces)
+        assert emb.corner_faces == tuple(
+            tuple(face_of[(u, v)] for u in emb.rotation[v]) for v in range(g.n))
+        assert emb.across == tuple(
+            tuple(face_of[(v, u)] for u, v in f.walk) for f in faces)
+        assert emb.face_vertices == tuple(
+            tuple(u for u, _ in f.walk) for f in faces)
+        for f in range(len(faces)):
+            assert emb.face_len(f) == faces[f].length
+            assert emb.adjacent_faces(f) == emb.across[f]
+            # the rules read edge sharing off across
+            for t in range(len(faces)):
+                if t != f:
+                    shared = faces[f].edge_set() & faces[t].edge_set()
+                    assert (t in emb.across[f]) == bool(shared)
+        for v in range(g.n):
+            assert emb.corners(v) == emb.corner_faces[v]
+            assert [emb.vertex_on_face(v, f) for f in range(len(faces))] == \
+                [v in f.vertices() for f in faces]
 
 
 def test_audit_output_is_pinned():

@@ -14,13 +14,13 @@ from dpcolor import (
     complete_graph,
     cycle_graph,
     dump_embedding,
-    face_adjacency,
     from_edge_list,
     is_planar,
     load_embedding,
     trace_faces,
 )
 from fixtures import (
+    EMBEDDING_REJECTIONS,
     cube,
     cycle_embedding,
     polygon_with_triangles,
@@ -171,17 +171,17 @@ def test_euler_charge_identity():
 def test_face_adjacency_cube():
     emb = cube()
     for f in emb.faces:
-        others = {face.index for _, face in face_adjacency(emb, f.index)}
+        others = set(emb.adjacent_faces(f.index))
         assert len(others) == 4 and f.index not in others
 
 
 def test_face_adjacency_cycle_and_k4():
     emb = cycle_embedding(6)
     inner, outer = emb.faces
-    assert all(face.index == outer.index for _, face in face_adjacency(emb, inner.index))
+    assert all(other == outer.index for other in emb.adjacent_faces(inner.index))
     emb = tetrahedron()
     for f in emb.faces:
-        neighbors = [face.index for _, face in face_adjacency(emb, f.index)]
+        neighbors = emb.adjacent_faces(f.index)
         assert len(set(neighbors)) == 3
 
 
@@ -252,3 +252,12 @@ def test_embedding_file_validation():
         load_embedding('{"rotation": []}')
     with pytest.raises(ValueError):
         load_embedding('[1]')  # JSON text, never a file name
+
+
+@pytest.mark.parametrize("doc, kind, message", EMBEDDING_REJECTIONS.values(),
+                         ids=EMBEDDING_REJECTIONS)
+def test_load_embedding_rejections(doc, kind, message):
+    with pytest.raises(ValueError) as exc:
+        load_embedding(doc)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message

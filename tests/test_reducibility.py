@@ -180,19 +180,41 @@ def test_find_pattern_too_big():
 
 
 def test_find_pattern_matches_all_injections():
+    rng = random.Random(6)
+    wheel = [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]
     hosts = [complete_graph(4), cycle_graph(6),
-             from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])]
+             from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]),
+             from_edge_list(wheel),
+             # a vertex of degree 2 on two rim vertices: degrees 2 to 5
+             from_edge_list(wheel + [(1, 6), (2, 6)]),
+             complete_graph(6),
+             # its neighbor sets do not all iterate in increasing order
+             from_edge_list([(u, v) for u in range(12) for v in range(u + 1, 12)
+                             if rng.random() < 0.35], n=12)]
     patterns = [
         edge_pattern(),
         ConfigPattern.build(edges=[(0, 1), (1, 2)], host_degree=(2, 3, 2),
                             order=[0, 1, 2]),
         ConfigPattern.build(edges=[(0, 1), (1, 2), (0, 2)],
                             host_degree=(3, 3, 3), order=[0, 1, 2]),
+        ConfigPattern.build(edges=[(0, 1), (0, 2), (1, 2), (2, 3)],
+                            host_degree=(5, 3, 4, 2), order=[0, 1, 2, 3]),
+        ConfigPattern.build(edges=[(0, 1), (0, 2), (0, 3)],
+                            host_degree=(5, 3, 3, 4), order=[0, 1, 2, 3]),
+        # vertex 1 has no earlier pattern neighbor
+        ConfigPattern.build(edges=[(0, 2), (1, 2)], host_degree=(3, 4, 5),
+                            order=[0, 1, 2]),
+        ConfigPattern.build(edges=[(0, 2), (1, 2), (2, 3)],
+                            host_degree=(2, 3, 4, 4), order=[0, 1, 2, 3]),
     ]
+    found = 0
     for g in hosts:
         for pat in patterns:
-            assert sorted(find_pattern(g, pat)) == \
-                sorted(all_injections_matching(g, pat))
+            # the same list in the same (lexicographic) order
+            hits = find_pattern(g, pat)
+            assert hits == all_injections_matching(g, pat), (g.edges, pat)
+            found += len(hits)
+    assert found > 0
 
 
 def test_certify_single_vertex_pattern():
