@@ -6,7 +6,7 @@ from dpcolor import (chi_dp, cycle_graph, find_coloring, format_matching_file,
 
 for m in (4, 6, 8):
     c = cycle_graph(m)
-    choosable = is_k_choosable(c, 2, max_n=m) is True
+    choosable = is_k_choosable(c, 2) is True
     print(f"C{m}: 2-choosable? {choosable}")
     cert = is_dp_k_colorable(c, 2)
     print(f"C{m}: DP-2-colorable? {cert is True}")

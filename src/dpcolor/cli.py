@@ -17,8 +17,8 @@ import sys
 from . import discharging, planar, reducibility, solver
 from .dp import (MatchingAssignment, find_coloring, format_matching_file,
                  parse_matching_file, uniform_lists)
-from .graphs import (Graph, cycle_spectrum, encode_graph6, filter_graph6,
-                     parse_edge_list, parse_graph6, satisfied_variants)
+from .graphs import (Graph, cycle_spectrum, filter_graph6, parse_edge_list,
+                     parse_graph6, satisfied_variants)
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -126,7 +126,7 @@ def cmd_chi_list(args) -> int:
     g = _read_graph(args.input, args.format)
     budget = _budget(args)
     if args.k is not None:
-        result = solver.is_k_choosable(g, args.k, max_n=g.n, budget=budget)
+        result = solver.is_k_choosable(g, args.k, budget=budget)
         if result is True:
             print(f"{args.k}-choosable: yes")
             _write_json(args.json, {"k": args.k, "choosable": True})
@@ -291,7 +291,7 @@ def cmd_discharge(args) -> int:
         "variant": report.variant,
         "hypothesis_ok": report.hypothesis_ok,
         "total": str(report.total),
-        "findings": report.findings(),
+        "findings": report.findings,
     })
     return EXIT_OK
 

@@ -19,10 +19,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import forbidden_cycles, FORBIDDEN_VARIANTS
 from .planar import PlaneEmbedding, classify_vertex
+from .reducibility import find_pattern
 
 __all__ = [
     "ChargeSumMismatch",
@@ -108,9 +110,6 @@ class ChargeState:
 
     def total(self) -> Fraction:
         return _exact_sum(self.vertex_charge + self.face_charge)
-
-    def charge(self, kind: str, idx: int) -> Fraction:
-        return (self.vertex_charge if kind == "v" else self.face_charge)[idx]
 
     def move(self, phase: str, rule: str, src: tuple[str, int],
              snk: tuple[str, int], amount: Fraction) -> None:
@@ -626,7 +625,9 @@ class AuditReport:
     reviews: tuple[str, ...]
     state: ChargeState = field(compare=False, repr=False)
 
-    def findings(self) -> list[str]:
+    @cached_property
+    def findings(self) -> tuple[str, ...]:
+        """Each escape hatch as one line, built once per report."""
         out = []
         if not self.hypothesis_ok:
             out.append(
@@ -640,7 +641,7 @@ class AuditReport:
             out.append(f"vertex {v} ends with charge {c}")
         for f, c in self.negative_faces:
             out.append(f"face {f} ends with charge {c}")
-        return out
+        return tuple(out)
 
     def format(self) -> str:
         lines = [
@@ -649,10 +650,9 @@ class AuditReport:
             f"minimum degree: {self.min_degree}",
             f"final total charge: {self.total}",
         ]
-        findings = self.findings()
-        if findings:
+        if self.findings:
             lines.append("findings:")
-            lines.extend(f"  - {x}" for x in findings)
+            lines.extend(f"  - {x}" for x in self.findings)
         else:
             lines.append("findings: none")
         for note in self.notes:
@@ -672,8 +672,6 @@ def audit(emb: PlaneEmbedding, variant, patterns=(),
     negative, so an empty findings list on such input would certify a
     counterexample candidate.
     """
-    from .reducibility import find_pattern
-
     var = _resolve_variant(variant)
     g = emb.graph
     present = forbidden_cycles(g, var.forbidden)

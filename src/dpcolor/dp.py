@@ -19,7 +19,6 @@ from .graphs import Graph
 __all__ = [
     "InvalidMatching",
     "NonUniformLists",
-    "NotSpanningTree",
     "MatchingAssignment",
     "CoverGraph",
     "uniform_lists",
@@ -27,7 +26,6 @@ __all__ = [
     "find_coloring",
     "is_valid_coloring",
     "from_list_assignment",
-    "gauge_normalize",
     "parse_matching_file",
     "format_matching_file",
 ]
@@ -41,10 +39,6 @@ class InvalidMatching(ValueError):
 
 class NonUniformLists(ValueError):
     """Operation requires all lists to share one size k."""
-
-
-class NotSpanningTree(ValueError):
-    """The given edge set is not a spanning tree of the graph."""
 
 
 def uniform_lists(n: int, k: int) -> Lists:
@@ -191,9 +185,10 @@ def is_valid_coloring(g: Graph, lists: Lists, matching: MatchingAssignment,
 
 
 def search_positions(adj, sizes, part) -> tuple[int, ...] | None:
-    """The one coloring backtracker: find_coloring, the DP adversary and the
-    choosability search all run on it (list coloring as the DP-coloring
-    whose darts pair the positions of equal colors).
+    """The one coloring backtracker: find_coloring, chi, the DP adversary
+    and the choosability search all run on it (proper coloring as the
+    DP-coloring with identity matchings, list coloring as the one whose
+    darts pair the positions of equal colors).
 
     adj[v] lists v's neighbors in increasing order; vertex v chooses a
     position in range(sizes[v]).  part[(v, u)][i] is the position at u
@@ -303,53 +298,6 @@ def from_list_assignment(g: Graph, lists: Lists
                 pairs.append((i, pos_v[c]))
         table[(u, v)] = tuple(pairs)
     return uniform_lists(g.n, k), MatchingAssignment(table)
-
-
-def gauge_normalize(g: Graph, k: int, matching: MatchingAssignment, tree_edges
-                    ) -> tuple[MatchingAssignment, tuple[tuple[int, ...], ...]]:
-    """Relabel colors per vertex so every tree edge carries the identity.
-
-    Relabeling by permutations pi_v turns the matching a->b on edge (u, v)
-    into pi_u(a) -> pi_v(b) and preserves colorability; the returned
-    witness permutations transport colorings back and forth.  Tree edges
-    must carry full (size-k) matchings.
-    """
-    tree = {tuple(sorted(e)) for e in tree_edges}
-    if len(tree) != g.n - 1 or not tree <= set(g.edges):
-        raise NotSpanningTree("edge set has wrong size or non-edges")
-    # BFS from 0 assigns pi_v = pi_u o sigma_uv^-1 along tree edges
-    pi: list[tuple[int, ...] | None] = [None] * g.n
-    pi[0] = tuple(range(k))
-    queue = [0]
-    seen = 1
-    tree_adj = [[] for _ in range(g.n)]
-    for u, v in tree:
-        tree_adj[u].append(v)
-        tree_adj[v].append(u)
-    while queue:
-        u = queue.pop()
-        for v in tree_adj[u]:
-            if pi[v] is not None:
-                continue
-            sigma = [-1] * k  # color at u -> color at v
-            for a, b in matching.pairs(u, v):
-                sigma[a] = b
-            if -1 in sigma:
-                raise InvalidMatching(
-                    f"tree edge ({u}, {v}) does not carry a full matching")
-            pv = [-1] * k
-            for a in range(k):
-                pv[sigma[a]] = pi[u][a]
-            pi[v] = tuple(pv)
-            queue.append(v)
-            seen += 1
-    if seen != g.n:
-        raise NotSpanningTree("edge set does not span the graph")
-    table = {}
-    for u, v in g.edges:
-        pairs = tuple((pi[u][a], pi[v][b]) for a, b in matching.pairs(u, v))
-        table[(u, v)] = pairs
-    return MatchingAssignment(table), tuple(pi)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

@@ -331,11 +331,6 @@ class CycleSpectrum:
     present: frozenset[int]
     search_bound: int
 
-    def has(self, length: int) -> bool:
-        if length > self.search_bound:
-            raise ValueError(f"length {length} beyond search bound {self.search_bound}")
-        return length in self.present
-
 
 def _cycle_lengths(adj, lengths, enough: int) -> set[int]:
     """The lengths in `lengths` at which the graph with neighbor bitmasks

@@ -1,4 +1,4 @@
-"""Plane embeddings as rotation systems, with face tracing and incidence queries.
+"""Plane embeddings as rotation systems, with face tracing and incidence tables.
 
 A rotation system gives each vertex a cyclic order of its neighbors.  Faces
 are the orbits of the dart successor map: after entering v along (u, v) the
@@ -14,10 +14,9 @@ A PlaneEmbedding derives its incidence tables from its faces, rotation and
 face_of_dart on first use and keeps them: face lengths (face_lengths), the
 face at each corner of each vertex (corner_faces), the face across each
 walk dart (across) and each face's boundary vertices (face_vertices).
-face_len, corners and adjacent_faces read them, and the discharging rules
-index them directly.  Two distinct faces share an edge exactly when one
-lies across a dart of the other, so across also answers edge-sharing
-questions.
+The discharging rules index them directly.  Two distinct faces share an
+edge exactly when one lies across a dart of the other, so across also
+answers edge-sharing questions.
 """
 
 from __future__ import annotations
@@ -89,9 +88,6 @@ class Face:
         """Boundary vertices in walk order, with repetition."""
         return tuple(u for u, _ in self.walk)
 
-    def edge_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(d) for d in self.walk)
-
 
 @dataclass(frozen=True)
 class PlaneEmbedding:
@@ -129,24 +125,6 @@ class PlaneEmbedding:
     def face_vertices(self) -> tuple[tuple[int, ...], ...]:
         """Per face, its boundary vertices in walk order, with repetition."""
         return tuple(f.vertices() for f in self.faces)
-
-    def face_len(self, f: int) -> int:
-        return self.face_lengths[f]
-
-    def corners(self, v: int) -> tuple[int, ...]:
-        """Face indices at v, one per corner (so deg(v) entries, repeats allowed)."""
-        return self.corner_faces[v]
-
-    def opposite(self, dart: Dart) -> int:
-        """Index of the face on the other side of this dart's edge."""
-        return self.face_of_dart[(dart[1], dart[0])]
-
-    def adjacent_faces(self, f: int) -> tuple[int, ...]:
-        """Faces across each boundary edge of f, in walk order (multiplicity kept)."""
-        return self.across[f]
-
-    def vertex_on_face(self, v: int, f: int) -> bool:
-        return v in self.face_vertices[f]
 
 
 def trace_faces(g: Graph, rot) -> PlaneEmbedding:

@@ -13,6 +13,7 @@ is colored last.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -399,14 +400,13 @@ def certify_reducible(g: Graph, pat: ConfigPattern, k: int,
     if pat.size == 1:
         return pat.host_degree[0] < k
     embeddings = find_pattern(g, pat)
-    import itertools as _it
     for image in embeddings:
         if search_orders:
             if pat.size > 8:
                 raise ValueError("order search is limited to 8 vertices")
             good = any(
                 check_extension_order(g, [image[i] for i in perm], k).ok
-                for perm in _it.permutations(range(pat.size))
+                for perm in itertools.permutations(range(pat.size))
             )
         else:
             good = check_extension_order(

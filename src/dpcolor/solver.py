@@ -72,7 +72,6 @@ __all__ = [
     "AdversaryCertificate",
     "DEFAULT_BUDGET",
     "chi",
-    "is_k_colorable",
     "degeneracy",
     "is_dp_k_colorable",
     "chi_dp",
@@ -137,36 +136,17 @@ def _max_clique(g: Graph) -> int:
     return best
 
 
-def is_k_colorable(g: Graph, k: int) -> bool:
-    """Proper k-colorability by backtracking with canonical color symmetry."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-    color = [-1] * g.n
-
-    def rec(i: int, used: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        taken = {color[u] for u in g.adj[v] if color[u] >= 0}
-        # a fresh color index is interchangeable with any other fresh one
-        for c in range(min(used + 1, k)):
-            if c not in taken:
-                color[v] = c
-                if rec(i + 1, max(used, c + 1)):
-                    return True
-                color[v] = -1
-        return False
-
-    return rec(0, 0)
-
-
 def chi(g: Graph) -> int:
-    """Chromatic number (exact)."""
+    """Chromatic number (exact): the least k from the clique number up at
+    which identity matchings on uniform lists admit a DP-coloring, found
+    by dp.search_positions with one identity partner list on every dart."""
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
+    adj = [sorted(g.adj[v]) for v in range(g.n)]
+    darts = [(v, u) for v in range(g.n) for u in adj[v]]
     for k in range(_max_clique(g), g.n + 1):
-        if is_k_colorable(g, k):
+        part = dict.fromkeys(darts, list(range(k)))
+        if search_positions(adj, [k] * g.n, part) is not None:
             return k
     raise AssertionError("unreachable: n colors always suffice")
 
@@ -514,8 +494,7 @@ def _list_coloring(adj, edges, k: int, lists: Lists) -> tuple[int, ...] | None:
     return tuple(lists[v][i] for v, i in enumerate(chosen))
 
 
-def is_k_choosable(g: Graph, k: int, max_n: int = 7,
-                   budget: int = DEFAULT_BUDGET):
+def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
     """True if every k-list assignment admits a proper coloring from the
     lists, else an AdversaryCertificate carrying a failing assignment.
 
@@ -530,8 +509,6 @@ def is_k_choosable(g: Graph, k: int, max_n: int = 7,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.n > max_n:
-        raise ValueError(f"n={g.n} exceeds the configured bound {max_n}")
     if g.n == 0:
         return True
     classes = sorted(_connected_subsets(g), reverse=True)
@@ -636,8 +613,7 @@ def is_k_choosable(g: Graph, k: int, max_n: int = 7,
     return True
 
 
-def chi_list(g: Graph, max_n: int | None = None,
-             budget: int = DEFAULT_BUDGET) -> int:
+def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Choosability (exact).
 
     Greedy coloring along a removal order shows every graph is
@@ -648,8 +624,7 @@ def chi_list(g: Graph, max_n: int | None = None,
         raise ValueError("choosability of the empty graph is undefined")
     low = chi(g)
     high = degeneracy(g) + 1
-    bound = g.n if max_n is None else max_n
     for k in range(low, high):
-        if is_k_choosable(g, k, max_n=bound, budget=budget) is True:
+        if is_k_choosable(g, k, budget=budget) is True:
             return k
     return high

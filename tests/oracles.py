@@ -2,15 +2,17 @@
 paths.  Only reference_dp_scan and reference_choosable_scan share search
 code with the package: they call the public find_coloring once per
 assignment, so they check the adversaries' enumeration, and
-slow_dp_verdict and slow_choosable check them in turn."""
+slow_dp_verdict and slow_choosable check them in turn.  gauge_normalize
+is the per-vertex relabeling that the adversary's normalization rests on,
+done explicitly on one matching assignment."""
 
 from __future__ import annotations
 
 import itertools
 
-from dpcolor import (BudgetExceeded, DEFAULT_BUDGET, Graph, MatchingAssignment,
-                     find_coloring, from_list_assignment, is_valid_coloring,
-                     uniform_lists)
+from dpcolor import (BudgetExceeded, DEFAULT_BUDGET, Graph, InvalidMatching,
+                     MatchingAssignment, find_coloring, from_list_assignment,
+                     is_valid_coloring, uniform_lists)
 
 
 def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
@@ -25,6 +27,14 @@ def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
         if ok:
             return True
     return False
+
+
+def brute_k_colorable(g: Graph, k: int) -> bool:
+    """Proper k-colorability as brute_has_coloring on uniform lists with
+    identity pair sets on every edge."""
+    same = {(c, c) for c in range(k)}
+    return brute_has_coloring(g, [range(k)] * g.n,
+                              dict.fromkeys(g.edges, same))
 
 
 def _partial_matchings(k: int):
@@ -99,6 +109,57 @@ def reference_dp_scan(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
             return matching
         assert is_valid_coloring(g, lists, matching, found), (choice, found)
     return True
+
+
+class NotSpanningTree(ValueError):
+    """The given edge set is not a spanning tree of the graph."""
+
+
+def gauge_normalize(g: Graph, k: int, matching: MatchingAssignment, tree_edges
+                    ) -> tuple[MatchingAssignment, tuple[tuple[int, ...], ...]]:
+    """Relabel colors per vertex so every tree edge carries the identity.
+
+    Relabeling by permutations pi_v turns the matching a->b on edge (u, v)
+    into pi_u(a) -> pi_v(b) and preserves colorability; the returned
+    witness permutations transport colorings back and forth.  Tree edges
+    must carry full (size-k) matchings.
+    """
+    tree = {tuple(sorted(e)) for e in tree_edges}
+    if len(tree) != g.n - 1 or not tree <= set(g.edges):
+        raise NotSpanningTree("edge set has wrong size or non-edges")
+    # BFS from 0 assigns pi_v = pi_u o sigma_uv^-1 along tree edges
+    pi: list[tuple[int, ...] | None] = [None] * g.n
+    pi[0] = tuple(range(k))
+    queue = [0]
+    seen = 1
+    tree_adj = [[] for _ in range(g.n)]
+    for u, v in tree:
+        tree_adj[u].append(v)
+        tree_adj[v].append(u)
+    while queue:
+        u = queue.pop()
+        for v in tree_adj[u]:
+            if pi[v] is not None:
+                continue
+            sigma = [-1] * k  # color at u -> color at v
+            for a, b in matching.pairs(u, v):
+                sigma[a] = b
+            if -1 in sigma:
+                raise InvalidMatching(
+                    f"tree edge ({u}, {v}) does not carry a full matching")
+            pv = [-1] * k
+            for a in range(k):
+                pv[sigma[a]] = pi[u][a]
+            pi[v] = tuple(pv)
+            queue.append(v)
+            seen += 1
+    if seen != g.n:
+        raise NotSpanningTree("edge set does not span the graph")
+    table = {}
+    for u, v in g.edges:
+        pairs = tuple((pi[u][a], pi[v][b]) for a, b in matching.pairs(u, v))
+        table[(u, v)] = pairs
+    return MatchingAssignment(table), tuple(pi)  # type: ignore[arg-type]
 
 
 def slow_choosable(g: Graph, k: int) -> bool:

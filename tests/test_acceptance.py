@@ -93,9 +93,9 @@ def test_even_cycle_facts():
     started = time.time()
     for m in (4, 6, 8):
         c = cycle_graph(m)
-        assert is_k_choosable(c, 1, max_n=m) is not True
-        assert is_k_choosable(c, 2, max_n=m) is True
-        assert chi_list(c, max_n=m) == 2
+        assert is_k_choosable(c, 1) is not True
+        assert is_k_choosable(c, 2) is True
+        assert chi_list(c) == 2
         assert is_dp_k_colorable(c, 2) is not True
         assert is_dp_k_colorable(c, 3) is True
         assert chi_dp(c) == 3

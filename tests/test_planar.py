@@ -171,24 +171,24 @@ def test_euler_charge_identity():
 def test_face_adjacency_cube():
     emb = cube()
     for f in emb.faces:
-        others = set(emb.adjacent_faces(f.index))
+        others = set(emb.across[f.index])
         assert len(others) == 4 and f.index not in others
 
 
 def test_face_adjacency_cycle_and_k4():
     emb = cycle_embedding(6)
     inner, outer = emb.faces
-    assert all(other == outer.index for other in emb.adjacent_faces(inner.index))
+    assert all(other == outer.index for other in emb.across[inner.index])
     emb = tetrahedron()
     for f in emb.faces:
-        neighbors = emb.adjacent_faces(f.index)
+        neighbors = emb.across[f.index]
         assert len(set(neighbors)) == 3
 
 
 def test_classify_vertex_rich_at_cut_vertex():
     emb = two_squares_sharing_a_vertex()
     assert emb.graph.degree(0) == 4
-    for f in set(emb.corners(0)):
+    for f in set(emb.corner_faces[0]):
         assert classify_vertex(emb, 0, f) == "rich"
     # vertex 0 appears twice on the outer walk
     outer = max(emb.faces, key=lambda f: f.length)

@@ -29,8 +29,10 @@ from dpcolor import (
     uniform_lists,
 )
 from dpcolor.solver import _GaugeOrbits
-from oracles import (_dfs_forest, reference_choosable_scan, reference_dp_scan,
-                     slow_choosable, slow_dp_verdict, subset_degeneracy)
+from dpcolor.dp import search_positions
+from oracles import (_dfs_forest, brute_k_colorable, reference_choosable_scan,
+                     reference_dp_scan, slow_choosable, slow_dp_verdict,
+                     subset_degeneracy)
 from smallgraphs import connected_graphs
 
 
@@ -66,10 +68,43 @@ def outcome(g, search):
     return "cert", result
 
 
+def grotzsch():
+    """The Mycielskian of C5: triangle-free and 4-chromatic."""
+    return from_edge_list(
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+        + [(5 + i, 10) for i in range(5)]
+    )
+
+
+def least_proper_k(g):
+    return next(k for k in itertools.count(1) if brute_k_colorable(g, k))
+
+
 def test_chi_basics():
     assert chi(complete_graph(4)) == 4
     assert chi(cycle_graph(5)) == 3
     assert chi(petersen()) == 3
+
+
+def test_chi_matches_brute_force():
+    for g in connected_graphs(6):
+        assert chi(g) == least_proper_k(g), g.edges
+
+
+def test_chi_refutes_below_grotzsch(monkeypatch):
+    # the clique bound is 2, so the kernel itself must refute k = 2 and 3
+    calls = []
+
+    def spy(adj, sizes, part):
+        found = search_positions(adj, sizes, part)
+        calls.append((sizes[0], found is not None))
+        return found
+
+    monkeypatch.setattr(dpcolor.solver, "search_positions", spy)
+    g = grotzsch()
+    assert chi(g) == least_proper_k(g) == 4
+    assert calls == [(2, False), (3, False), (4, True)]
 
 
 def test_degeneracy():
@@ -336,9 +371,8 @@ def test_chi_list_values():
 
 
 def test_choosability_bound_guard():
-    with pytest.raises(ValueError):
-        is_k_choosable(cycle_graph(8), 2)  # default bound is 7
-    assert is_k_choosable(cycle_graph(8), 2, max_n=8) is True
+    # no vertex bound: the case budget alone bounds the search
+    assert is_k_choosable(cycle_graph(8), 2) is True
 
 
 def burnside_orbits(k, m):
