@@ -54,6 +54,25 @@ witness survives is translated to list positions and partner tables (-1
 where a neighbor's list lacks the color) and handed to
 dp.search_positions, so the list systems, the first failing one and the
 budget count are those of a plain scan.
+
+A witness that fits every class chosen so far and uses no other color
+colors every leaf below, since the classes added later only widen the
+lists.  Such a subtree is not walked: its leaves, counted by a memoized
+copy of the walk's choice rule keyed on the slots each vertex still needs
+and the next class allowed, are added to the attempted cases, and a count
+that passes the budget stops the scan with exactly budget attempted, as
+the DP walk's pruned subtrees do.  No leaf below needed the backtracker,
+so the witnesses, the first failing list system and the count are those
+of the plain scan.
+
+chi_list searches less than the whole graph.  A vertex of degree < k can
+be colored last from any k-list, so G is k-choosable exactly when every
+component of its k-core (what is left after deleting vertices of degree
+< k until none is left) is (Erdos, Rubin and Taylor, 1979).  For each k
+it searches those components one after another, relabelled in increasing
+vertex order, each with the budget the earlier ones left, so its budget
+counts the list systems of the core's components.  is_k_choosable itself
+searches the graph it is given.
 """
 
 from __future__ import annotations
@@ -64,7 +83,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, delete_vertices
 from .dp import Lists, MatchingAssignment, search_positions
 
 __all__ = [
@@ -119,34 +138,48 @@ class AdversaryCertificate:
 # ---------------------------------------------------------------------------
 # Ordinary chromatic number.
 
-def _max_clique(g: Graph) -> int:
-    best = 0
+def _max_clique(g: Graph) -> list[int]:
+    """A largest clique, its vertices in the order they were added."""
+    best: list[int] = []
     adj = g.adj
+    clique: list[int] = []
 
-    def expand(cand: list[int], size: int) -> None:
+    def expand(cand: list[int]) -> None:
         nonlocal best
-        if size > best:
-            best = size
+        if len(clique) > len(best):
+            best = list(clique)
         for i, v in enumerate(cand):
-            if size + len(cand) - i <= best:
+            if len(clique) + len(cand) - i <= len(best):
                 return
-            expand([u for u in cand[i + 1:] if u in adj[v]], size + 1)
+            clique.append(v)
+            expand([u for u in cand[i + 1:] if u in adj[v]])
+            clique.pop()
 
-    expand(sorted(range(g.n), key=g.degree, reverse=True), 0)
+    expand(sorted(range(g.n), key=g.degree, reverse=True))
     return best
 
 
 def chi(g: Graph) -> int:
     """Chromatic number (exact): the least k from the clique number up at
     which identity matchings on uniform lists admit a DP-coloring, found
-    by dp.search_positions with one identity partner list on every dart."""
+    by dp.search_positions with one identity partner list on every dart.
+
+    The colors of a largest clique are fixed: its i-th vertex may use only
+    positions 0..i, which leaves it position i once the ones before it are
+    colored.  Any k-coloring relabels to one of that form, so the verdict
+    holds, and the relabelings of the clique's colors are not tried again.
+    """
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
     adj = [sorted(g.adj[v]) for v in range(g.n)]
     darts = [(v, u) for v in range(g.n) for u in adj[v]]
-    for k in range(_max_clique(g), g.n + 1):
+    clique = _max_clique(g)
+    for k in range(len(clique), g.n + 1):
+        sizes = [k] * g.n
+        for i, v in enumerate(clique):
+            sizes[v] = i + 1
         part = dict.fromkeys(darts, list(range(k)))
-        if search_positions(adj, [k] * g.n, part) is not None:
+        if search_positions(adj, sizes, part) is not None:
             return k
     raise AssertionError("unreachable: n colors always suffice")
 
@@ -477,18 +510,26 @@ def _connected_subsets(g: Graph) -> list[int]:
     return out
 
 
-def _list_coloring(adj, edges, k: int, lists: Lists) -> tuple[int, ...] | None:
+def _list_coloring(adj, lists: Lists, colors: int) -> tuple[int, ...] | None:
     """One list system through the shared kernel: position i at v stands
     for color lists[v][i], and a dart pairs the positions of equal colors
-    (-1 where the neighbor's list lacks the color).  Returns the chosen
+    (-1 where the neighbor's list lacks the color).  Colors lie in
+    range(colors); each vertex gets one table from color to position, and
+    a dart reads its partners from its far end's table.  Returns the chosen
     color per vertex, or None when the lists admit no proper coloring."""
+    at = []
+    for own in lists:
+        row = [-1] * colors
+        for i, c in enumerate(own):
+            row[c] = i
+        at.append(row)
     part = {}
-    for u, v in edges:
-        at_u = {c: i for i, c in enumerate(lists[u])}
-        at_v = {c: i for i, c in enumerate(lists[v])}
-        part[(u, v)] = [at_v.get(c, -1) for c in lists[u]]
-        part[(v, u)] = [at_u.get(c, -1) for c in lists[v]]
-    chosen = search_positions(adj, [k] * len(adj), part)
+    for v, near in enumerate(adj):
+        own = lists[v]
+        for u in near:
+            far = at[u]
+            part[(v, u)] = [far[c] for c in own]
+    chosen = search_positions(adj, [len(own) for own in lists], part)
     if chosen is None:
         return None
     return tuple(lists[v][i] for v, i in enumerate(chosen))
@@ -504,21 +545,19 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
     first, so for a graph that is not even k-colorable the uniform
     assignment fails immediately.  Colorings already found are reused as
     witnesses, so the backtracker runs only on list systems none of them
-    colors.  Raises BudgetExceeded with the attempted count once budget
-    list systems are tried without a verdict, as is_dp_k_colorable does.
+    colors, and a subtree that one witness colors throughout is counted
+    without being walked.  Raises BudgetExceeded with the attempted count
+    once budget list systems are tried without a verdict, as
+    is_dp_k_colorable does.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n == 0:
         return True
-    classes = sorted(_connected_subsets(g), reverse=True)
-    by_min: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for c in classes:
-        by_min[(c & -c).bit_length() - 1].append(c)
+    by_min = _class_groups(g)
     rank = {c: i for group in by_min.values() for i, c in enumerate(group)}
-    members = {c: [v for v in range(g.n) if (c >> v) & 1] for c in classes}
+    members = {c: [v for v in range(g.n) if (c >> v) & 1] for c in rank}
     adj = [sorted(g.adj[v]) for v in range(g.n)]
-    edges = sorted(g.edges)
     need = [k] * g.n
     defmask = (1 << g.n) - 1
     chosen: list[int] = []
@@ -535,6 +574,7 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
     within = [0] * (depth + 1)
     fits: list[dict[int, list[int]]] = [{} for _ in range(depth)]
     color_sets: list[list[int]] = []
+    counts: dict = {}  # _count_list_systems' memo
 
     def fit(j: int, c: int) -> int:
         entry = fits[j].get(c)
@@ -561,7 +601,7 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
             tuple(i for i, c in enumerate(chosen) if (c >> v) & 1)
             for v in range(g.n)
         )
-        coloring = _list_coloring(adj, edges, k, lists)
+        coloring = _list_coloring(adj, lists, len(chosen))
         if coloring is None:
             found.append(lists)
             return True
@@ -578,7 +618,7 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
         return False
 
     def rec(j: int, group_vertex: int, bound: int) -> bool:
-        nonlocal defmask
+        nonlocal defmask, attempted
         vstar = (defmask & -defmask).bit_length() - 1
         # classes of one group come in decreasing order, from bound down
         start = rank[bound] if vstar == group_vertex else 0
@@ -595,8 +635,18 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
                 need[v] -= 1
                 if not need[v]:
                     cleared |= 1 << v
+            stop = False
             if cleared == defmask:
                 stop = leaf(j + 1)
+            elif masks[j + 1] & within[j + 1]:
+                # a witness fits every class chosen so far and uses no
+                # other color, so it colors every leaf below: the plain
+                # scan would count them all as colorable
+                skipped = _count_list_systems(
+                    by_min, tuple(need), rank[c] if need[vstar] else 0, counts)
+                if attempted + skipped > budget:
+                    raise BudgetExceeded(budget)
+                attempted += skipped
             else:
                 defmask ^= cleared
                 stop = rec(j + 1, vstar, c)
@@ -613,18 +663,103 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
     return True
 
 
+def _class_groups(g: Graph) -> dict[int, list[int]]:
+    """The color classes of the choosability walk, the connected vertex
+    sets, grouped by least vertex, each group in decreasing order."""
+    by_min: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    for c in sorted(_connected_subsets(g), reverse=True):
+        by_min[(c & -c).bit_length() - 1].append(c)
+    return by_min
+
+
+def _count_list_systems(by_min, left: tuple[int, ...], start: int,
+                        memo: dict) -> int:
+    """The list systems the choosability walk enumerates below a node whose
+    vertex v still needs left[v] classes and whose next class comes from
+    position start of the least such vertex's group: the walk's choice
+    rule, counted, with memo keeping the counts already made."""
+    key = (left, start)
+    total = memo.get(key)
+    if total is None:
+        total = 0
+        vstar = next(v for v, r in enumerate(left) if r)
+        group = by_min[vstar]
+        for i in range(start, len(group)):
+            c = group[i]
+            after = tuple(r - ((c >> v) & 1) for v, r in enumerate(left))
+            if -1 in after:
+                continue
+            if not any(after):
+                total += 1
+            else:
+                # the group goes on from c while its vertex is still open
+                total += _count_list_systems(
+                    by_min, after, i if after[vstar] else 0, memo)
+        memo[key] = total
+    return total
+
+
+def _core_components(g: Graph, k: int) -> list[Graph]:
+    """The components of the k-core of g, what is left after deleting
+    vertices of degree < k until none is left, ordered by least vertex and
+    each relabelled in increasing vertex order."""
+    degs = [len(a) for a in g.adj]
+    gone = [d < k for d in degs]
+    stack = [v for v in range(g.n) if gone[v]]
+    while stack:
+        for u in g.adj[stack.pop()]:
+            if not gone[u]:
+                degs[u] -= 1
+                if degs[u] < k:
+                    gone[u] = True
+                    stack.append(u)
+    seen = list(gone)
+    components = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for v in comp:
+            for u in g.adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        keep = set(comp)
+        components.append(
+            delete_vertices(g, [v for v in range(g.n) if v not in keep])[0])
+    return components
+
+
 def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Choosability (exact).
 
     Greedy coloring along a removal order shows every graph is
     (degeneracy+1)-choosable, and chi is always a lower bound, so only the
-    gap between the two needs the enumeration.
+    gap between the two needs the enumeration.  A vertex of degree < k can
+    be colored last from any k-list, so g is k-choosable exactly when every
+    component of its k-core is; each k searches those components in turn,
+    each with the budget the earlier ones left.
     """
     if g.n == 0:
         raise ValueError("choosability of the empty graph is undefined")
     low = chi(g)
     high = degeneracy(g) + 1
     for k in range(low, high):
-        if is_k_choosable(g, k, budget=budget) is True:
+        cores = _core_components(g, k)
+        left = budget
+        for i, core in enumerate(cores):
+            try:
+                verdict = is_k_choosable(core, k, left)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(budget - left + exc.attempted) from None
+            if verdict is not True:
+                break
+            if i + 1 < len(cores):
+                # a choosable core was tried on every one of its list
+                # systems; counting them costs a walk, so only when needed
+                left -= _count_list_systems(
+                    _class_groups(core), (k,) * core.n, 0, {})
+        else:
             return k
     return high

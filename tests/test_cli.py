@@ -113,6 +113,25 @@ def test_chi_list_command(tmp_path, capsys):
     assert code == 0 and "chi_list = 3" in out
 
 
+def test_chi_list_budget_counts_the_core(tmp_path, capsys):
+    # K2,4 with a pendant path of two vertices: its 2-core, the K2,4, fails
+    # after 1,568 list systems, and the whole graph after 6,485.  chi-list
+    # searches the core, so it settles within a budget that chi-list --k 2,
+    # which searches the whole graph, runs out of.
+    g = with_pendant_paths(complete_bipartite(2, 4), [0], 2)
+    path = write(tmp_path, "k24path.g6", encode_graph6(g))
+    code, out, _ = run(capsys, "chi-list", path, "--budget", "1568")
+    assert (code, out) == (0, "chi_list = 3\n")
+    code, out, err = run(capsys, "chi-list", path, "--budget", "1567")
+    assert (code, out, err) == (2, "", "budget exceeded after 1567 cases\n")
+    code, out, err = run(capsys, "chi-list", path, "--k", "2",
+                         "--budget", "1568")
+    assert (code, out, err) == (2, "", "budget exceeded after 1568 cases\n")
+    code, out, _ = run(capsys, "chi-list", path, "--k", "2",
+                       "--budget", "6485")
+    assert code == 1 and "2-choosable: no" in out
+
+
 def test_color_command(tmp_path, capsys):
     path = write(tmp_path, "c4.g6", encode_graph6(cycle_graph(4)))
     code, out, _ = run(capsys, "color", path, "--k", "2")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -28,11 +29,12 @@ from dpcolor import (
     path_graph,
     uniform_lists,
 )
-from dpcolor.solver import _GaugeOrbits
+from dpcolor.solver import _GaugeOrbits, _core_components
 from dpcolor.dp import search_positions
-from oracles import (_dfs_forest, brute_k_colorable, reference_choosable_scan,
-                     reference_dp_scan, slow_choosable, slow_dp_verdict,
-                     subset_degeneracy)
+from oracles import (_dfs_forest, _list_systems, brute_k_colorable,
+                     reference_choosable_scan, reference_dp_scan,
+                     slow_choosable, slow_dp_verdict, subset_degeneracy)
+from fixtures import with_pendant_paths
 from smallgraphs import connected_graphs
 
 
@@ -105,6 +107,55 @@ def test_chi_refutes_below_grotzsch(monkeypatch):
     g = grotzsch()
     assert chi(g) == least_proper_k(g) == 4
     assert calls == [(2, False), (3, False), (4, True)]
+
+
+def mycielskian(g):
+    """The Mycielskian of g: chi goes up by one, the clique number stays."""
+    n = g.n
+    return from_edge_list(
+        list(g.edges)
+        + [(u, n + v) for u, v in g.edges]
+        + [(v, n + u) for u, v in g.edges]
+        + [(n + v, 2 * n) for v in range(n)]
+    )
+
+
+def inner_code(func, name):
+    """The code object of the function named name nested in func."""
+    return next(c for c in func.__code__.co_consts
+                if getattr(c, "co_name", None) == name)
+
+
+def calls_of(codes, call):
+    """call()'s result and the number of calls into the code objects in
+    codes, counted with sys.settrace."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code in codes:
+            count += 1
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, count
+
+
+def test_chi_fixes_the_clique_colors_on_mycielski5():
+    # 23 vertices, clique number 2, chi 5: refuting k = 2, 3 and 4 without
+    # the clique's colors fixed tries every partial coloring again under
+    # each relabeling of its colors, about 26,700 steps of the backtracker
+    g = mycielskian(mycielskian(mycielskian(path_graph(2))))
+    assert (g.n, g.m) == (23, 71)
+    solve = inner_code(search_positions, "solve")
+    value, steps = calls_of({solve}, lambda: chi(g))
+    assert value == 5
+    assert steps <= 3_000
 
 
 def test_degeneracy():
@@ -362,12 +413,137 @@ def test_choosability_budget_counts_like_dp_adversary():
         assert lists.value.attempted == matchings.value.attempted == budget
 
 
+def choosable_outcomes(g, k, stride):
+    """reference_choosable_scan's outcome at every stride-th budget from 0
+    to one past the verdict, and at those around the verdict and the
+    list-system count.  As in reference_outcomes, the plain scan runs once
+    without a limit; one that needs t list systems (all of them for True,
+    the certificate's position in _list_systems order for a certificate)
+    gives that verdict at every budget >= t and stops with exactly the
+    budget below it.  The derivation is checked by a direct run at t - 1."""
+    full = outcome(g, lambda: reference_choosable_scan(g, k))
+    cases = needed = 0
+    for seq in _list_systems(g, k):
+        cases += 1
+        lists = tuple(tuple(i for i, cls in enumerate(seq) if v in cls)
+                      for v in range(g.n))
+        if not needed and full == ("cert", lists):
+            needed = cases
+    needed = needed or cases
+    budgets = set(range(0, needed + 2, stride))
+    budgets |= {needed - 1, needed, needed + 1, cases, cases + 1}
+    want = {b: full if b >= needed else ("budget", b) for b in budgets}
+    below = needed - 1
+    assert outcome(g, lambda: reference_choosable_scan(g, k, below)) == (
+        "budget", below)
+    return want
+
+
+@pytest.mark.parametrize("g, k, stride", [
+    (cycle_graph(4), 2, 1),
+    (cycle_graph(4), 3, 1),
+    (complete_bipartite(2, 3), 2, 1),
+    (parse_graph6("Ds["), 2, 1),
+    # 9,488 list systems: every 89th budget, and those around the end
+    (complete_bipartite(2, 3), 3, 89),
+    (parse_graph6("Ds["), 3, 89),
+    # a certificate after 1,567 of 6,258 list systems
+    (complete_bipartite(2, 4), 2, 7),
+], ids=["C4-2", "C4-3", "K23-2", "Ds[-2", "K23-3", "Ds[-3", "K24-2"])
+def test_every_choosability_budget_matches_reference_scan(g, k, stride):
+    # budgets from 0 to one past the verdict, so a budget that runs out
+    # inside a subtree counted without a walk is covered
+    want = choosable_outcomes(g, k, stride)
+    for budget in sorted(want):
+        got = outcome(g, lambda: is_k_choosable(g, k, budget=budget))
+        assert got == want[budget], (g.edges, k, budget)
+
+
+def test_choosability_counts_covered_subtrees_without_walking():
+    # a witness that fits every class chosen so far colors every leaf
+    # below; counting those leaves instead of walking them takes Dr{ at
+    # k = 3 from 41,053 rec and 20,852 leaf calls to 12,283 and 1,593
+    walk = {inner_code(is_k_choosable, "rec"),
+            inner_code(is_k_choosable, "leaf")}
+    verdict, steps = calls_of(
+        walk, lambda: is_k_choosable(parse_graph6("Dr{"), 3))
+    assert verdict is True
+    assert steps <= 20_000
+
+
 def test_chi_list_values():
     assert chi_list(cycle_graph(4)) == 2
     assert chi_list(cycle_graph(5)) == 3
     assert chi_list(complete_graph(4)) == 4
     assert chi_list(complete_graph(5)) == 5
     assert chi_list(complete_bipartite(2, 4)) == 3
+
+
+def plain_chi_list(g):
+    """chi_list without the core reduction: the least k from chi up that
+    is_k_choosable accepts on the whole graph, else degeneracy + 1."""
+    return next((k for k in range(chi(g), degeneracy(g) + 1)
+                 if is_k_choosable(g, k) is True), degeneracy(g) + 1)
+
+
+def searched_cores(monkeypatch):
+    """Record (vertices, edges, k) of every choosability search chi_list
+    makes."""
+    searched = []
+    scan = dpcolor.solver.is_k_choosable
+
+    def spy(g, k, budget):
+        searched.append((g.n, g.m, k))
+        return scan(g, k, budget)
+
+    monkeypatch.setattr(dpcolor.solver, "is_k_choosable", spy)
+    return searched
+
+
+def test_chi_list_matches_plain_loop():
+    for g in connected_graphs(5):
+        assert chi_list(g) == plain_chi_list(g), g.edges
+
+
+def test_chi_list_searches_only_the_core(monkeypatch):
+    searched = searched_cores(monkeypatch)
+    # K2,3 with pendant trees: a path and a star hang from its vertices
+    g = with_pendant_paths(complete_bipartite(2, 3), [4], 3)
+    g = from_edge_list(list(g.edges) + [(0, 8), (8, 9), (8, 10), (8, 11)])
+    assert (g.n, degeneracy(g)) == (12, 2)
+    assert chi_list(g) == 2
+    assert searched == [(5, 6, 2)]
+    searched.clear()
+    # K2,4 is not 2-choosable, and a pendant path keeps it that way
+    g = with_pendant_paths(complete_bipartite(2, 4), [0], 2)
+    assert chi_list(g) == 3
+    assert searched == [(6, 8, 2)]
+    searched.clear()
+    # two K4s joined by a path: chi = 4 = degeneracy + 1 needs no search,
+    # and the 3-core is the two K4s, each relabelled to 0..3
+    g = from_edge_list(list(complete_graph(4).edges)
+                       + [(4 + u, 4 + v) for u, v in complete_graph(4).edges]
+                       + [(3, 8), (8, 9), (9, 4)])
+    assert chi_list(g) == 4
+    assert searched == []
+    assert _core_components(g, 3) == [complete_graph(4)] * 2
+    assert _core_components(g, 2) == [g]
+    assert _core_components(g, 4) == []
+
+
+def test_chi_list_passes_the_budget_left_to_each_component(monkeypatch):
+    # K2,3 and K2,4 side by side: at k = 2 the K2,3 component is settled
+    # after its 709 list systems, and the K2,4 one fails after 1,568
+    g = from_edge_list(list(complete_bipartite(2, 3).edges)
+                       + [(5 + u, 5 + v)
+                          for u, v in complete_bipartite(2, 4).edges])
+    searched = searched_cores(monkeypatch)
+    assert chi_list(g, budget=709 + 1568) == 3
+    assert searched == [(5, 6, 2), (6, 8, 2)]
+    for budget in (0, 708, 709, 709 + 1567):
+        with pytest.raises(BudgetExceeded) as info:
+            chi_list(g, budget=budget)
+        assert info.value.attempted == budget
 
 
 def test_choosability_bound_guard():
