@@ -316,8 +316,9 @@ def _filter_status(line: str, forbidden, n_max: int | None
     status, g = filter_graph6(line, forbidden, n_max)
     if status is not None:
         return status, None
+    bound = 9 if n_max is None else max(9, n_max)
     try:
-        if not planar.is_planar(g, max_n=max(9, n_max or 9)):
+        if not planar.is_planar(g, max_n=bound):
             return "filtered:nonplanar", None
     except planar.NonPlanarOrTooLarge:
         return "skipped:embed-bound", None
@@ -332,10 +333,10 @@ def cmd_verify(args) -> int:
     bound, connectivity and the cycle filter to the line's bitmasks, then
     planarity, decided by planar.is_planar on the graph reduced by degree.
     A Graph is built only for the lines that reach planarity.  A candidate
-    with an empty 3-core passes without a search; the others go to
-    solver.is_dp_k_colorable, which splits each large search across --jobs
-    processes.  Rows are settled one at a time in input order, and the
-    refutation certificates are printed before them."""
+    with an empty 3-core (solver.core_components) passes without a search;
+    the others go to solver.is_dp_k_colorable, which splits each large
+    search across --jobs processes.  Rows are settled one at a time in
+    input order, and the refutation certificates are printed before them."""
     budget = _budget(args)
     forbidden = discharging.VARIANTS[args.variant].forbidden
     rows: list[dict] = []
@@ -347,9 +348,10 @@ def cmd_verify(args) -> int:
         status, g = _filter_status(line, forbidden, args.n_max)
         row = {"graph6": line, "status": status}
         if status is None:
-            # an empty 3-core: greedy coloring in reverse degeneracy order
-            # colors every 3-fold cover, so no search is needed
-            if solver.degeneracy(g) < 3:
+            # an empty 3-core: each vertex, colored in reverse order of
+            # deletion, has at most 2 colored neighbors, so every 3-fold
+            # cover is colored without a search
+            if not solver.core_components(g, 3):
                 row["status"], row["settled_by"] = "pass", "core-empty"
             else:
                 row["status"], certificate = _verify_search(g, budget,
@@ -428,13 +430,13 @@ def build_parser() -> _Parser:
     p = command("find-config", cmd_find_config, "locate and certify a pattern",
                 graph)
     p.add_argument("--pattern", required=True, help="pattern JSON file")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_at_least(1), default=3)
     p.add_argument("--search-order", action="store_true",
                    help="try every ordering of the pattern vertices")
-    p.add_argument("--validate", type=int, default=0,
+    p.add_argument("--validate", type=_at_least(0), default=0,
                    help="randomized extension trials")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--show", type=int, default=5)
+    p.add_argument("--show", type=_at_least(0), default=5)
 
     p = command("discharge", cmd_discharge,
                 "run the charge rules on an embedding")
@@ -450,7 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="graph6 lines, or - for stdin")
     p.add_argument("--variant", choices=sorted(discharging.VARIANTS),
                    required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_at_least(0), default=None)
 
     for p in sub.choices.values():  # every command can write a JSON report
         p.add_argument("--json", default=None)

@@ -5,8 +5,9 @@ labels; those are mapped to dense indices on ingestion.
 
 The cycle queries share one depth-first search and ask it only their own
 question: cycle_spectrum wants every length up to a bound, forbidden_cycles
-wants exactly which of the given lengths occur, and has_cycle_length, the
-hypothesis filter, stops at the first forbidden length it finds.
+wants exactly which of the given lengths occur, and has_cycle_length stops
+at the first of the given lengths it finds.  The census filter,
+filter_graph6 below, asks that last question too.
 
 The search and the connectivity test work on neighbor bitmasks, one per
 vertex, which a Graph builds on first use and keeps (Graph.masks), as it
@@ -259,7 +260,7 @@ def filter_graph6(line: str, forbidden, n_max: int | None = None
     equals parse_graph6(line), iterates alike and holds the bitmasks.
     """
     n, pairs = _decode_graph6(line)
-    if n_max and n > n_max:
+    if n_max is not None and n > n_max:
         return "skipped:n", None
     masks = _pair_masks(n, pairs)
     if not _connected(masks):

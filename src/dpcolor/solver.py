@@ -65,14 +65,17 @@ the DP walk's pruned subtrees do.  No leaf below needed the backtracker,
 so the witnesses, the first failing list system and the count are those
 of the plain scan.
 
-chi_list searches less than the whole graph.  A vertex of degree < k can
-be colored last from any k-list, so G is k-choosable exactly when every
+chi_list and chi_dp search less than the whole graph, in one loop over k.
+A vertex of degree < k can be colored last from any k-list and in any
+k-fold cover, so G is k-choosable, or DP-k-colorable, exactly when every
 component of its k-core (what is left after deleting vertices of degree
-< k until none is left) is (Erdos, Rubin and Taylor, 1979).  For each k
-it searches those components one after another, relabelled in increasing
-vertex order, each with the budget the earlier ones left, so its budget
-counts the list systems of the core's components.  is_k_choosable itself
-searches the graph it is given.
+< k until none is left) is (Erdos, Rubin and Taylor, 1979, for lists).
+For each k the loop searches those components one after another,
+relabelled in increasing vertex order, each with the budget the earlier
+ones left, so the budget counts the cases of the core's components.  An
+empty k-core, as at every k above the largest minimum degree of a
+subgraph, settles k without a search.  is_k_choosable and
+is_dp_k_colorable themselves search the graph they are given.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ __all__ = [
     "AdversaryCertificate",
     "DEFAULT_BUDGET",
     "chi",
-    "degeneracy",
+    "core_components",
     "is_dp_k_colorable",
     "chi_dp",
     "is_k_choosable",
@@ -182,38 +185,6 @@ def chi(g: Graph) -> int:
         if search_positions(adj, sizes, part) is not None:
             return k
     raise AssertionError("unreachable: n colors always suffice")
-
-
-def degeneracy(g: Graph) -> int:
-    """Max over the removal process of the minimum degree.
-
-    Vertices wait in one bucket per degree.  A removal files each neighbor
-    again one bucket down and leaves its old entry behind, to be dropped as
-    stale when reached.  The least live degree falls by at most one per
-    removal, so each scan starts one bucket below the last.
-    """
-    degs = [len(a) for a in g.adj]
-    buckets: list[list[int]] = [[] for _ in range(max(degs, default=0) + 1)]
-    for v, d in enumerate(degs):
-        buckets[d].append(v)
-    removed = [False] * g.n
-    best = d = 0
-    for _ in range(g.n):
-        d = max(d - 1, 0)
-        while True:
-            if not buckets[d]:
-                d += 1
-                continue
-            v = buckets[d].pop()
-            if not removed[v] and degs[v] == d:
-                break
-        best = max(best, d)
-        removed[v] = True
-        for u in g.adj[v]:
-            if not removed[u]:
-                degs[u] -= 1
-                buckets[degs[u]].append(u)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -463,22 +434,6 @@ def _contiguous_blocks(total: int, parts: int) -> list[list[int]]:
     return blocks
 
 
-def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
-    """Least k for which the DP adversary search returns True.
-
-    Coloring greedily against a removal order leaves each vertex at most
-    degeneracy blocked colors, whatever the matchings, so degeneracy + 1
-    always succeeds and is returned without a search.
-    """
-    if g.n == 0:
-        raise ValueError("DP-chromatic number of the empty graph is undefined")
-    high = degeneracy(g) + 1
-    for k in range(1, high):
-        if is_dp_k_colorable(g, k, budget=budget, jobs=jobs) is True:
-            return k
-    return high
-
-
 # ---------------------------------------------------------------------------
 # Choosability.
 
@@ -489,10 +444,7 @@ def _connected_subsets(g: Graph) -> list[int]:
     when first seen as a neighbor of the current subset, so each subset is
     generated exactly once (from its minimum vertex).
     """
-    adjmask = [0] * g.n
-    for v in range(g.n):
-        for u in g.adj[v]:
-            adjmask[v] |= 1 << u
+    adjmask = g.masks
     out: list[int] = []
 
     def rec(cur: int, ext: int, nbhd: int) -> None:
@@ -699,7 +651,10 @@ def _count_list_systems(by_min, left: tuple[int, ...], start: int,
     return total
 
 
-def _core_components(g: Graph, k: int) -> list[Graph]:
+# ---------------------------------------------------------------------------
+# Least k, searched on the k-core.
+
+def core_components(g: Graph, k: int) -> list[Graph]:
     """The components of the k-core of g, what is left after deleting
     vertices of degree < k until none is left, ordered by least vertex and
     each relabelled in increasing vertex order."""
@@ -731,35 +686,51 @@ def _core_components(g: Graph, k: int) -> list[Graph]:
     return components
 
 
-def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Choosability (exact).
+def _least_k(g: Graph, k: int, search, count, budget: int, **options) -> int:
+    """The least k from the given one up at which search(core, k) is True
+    on every component of g's k-core; an empty k-core needs no search.
 
-    Greedy coloring along a removal order shows every graph is
-    (degeneracy+1)-choosable, and chi is always a lower bound, so only the
-    gap between the two needs the enumeration.  A vertex of degree < k can
-    be colored last from any k-list, so g is k-choosable exactly when every
-    component of its k-core is; each k searches those components in turn,
-    each with the budget the earlier ones left.
+    The components are searched in turn, each with the budget the earlier
+    ones left.  A component found True was tried on all of its count(core,
+    k) cases; counting them can cost a walk, so only when another follows.
+    The callers pass the module's search function as it is when they are
+    called, so a wrapper set on the module sees every search.
     """
-    if g.n == 0:
-        raise ValueError("choosability of the empty graph is undefined")
-    low = chi(g)
-    high = degeneracy(g) + 1
-    for k in range(low, high):
-        cores = _core_components(g, k)
+    while True:
+        cores = core_components(g, k)
         left = budget
         for i, core in enumerate(cores):
             try:
-                verdict = is_k_choosable(core, k, left)
+                verdict = search(core, k, budget=left, **options)
             except BudgetExceeded as exc:
                 raise BudgetExceeded(budget - left + exc.attempted) from None
             if verdict is not True:
                 break
             if i + 1 < len(cores):
-                # a choosable core was tried on every one of its list
-                # systems; counting them costs a walk, so only when needed
-                left -= _count_list_systems(
-                    _class_groups(core), (k,) * core.n, 0, {})
+                left -= count(core, k)
         else:
             return k
-    return high
+        k += 1
+
+
+def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
+    """DP-chromatic number (exact): the least k at which the DP adversary
+    search returns True on every component of the k-core, each searched
+    with the budget the earlier ones left."""
+    if g.n == 0:
+        raise ValueError("DP-chromatic number of the empty graph is undefined")
+    return _least_k(g, 1, is_dp_k_colorable, normalized_assignment_count,
+                    budget, jobs=jobs)
+
+
+def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
+    """Choosability (exact): the least k from chi up at which the
+    choosability search returns True on every component of the k-core,
+    each searched with the budget the earlier ones left."""
+    if g.n == 0:
+        raise ValueError("choosability of the empty graph is undefined")
+    return _least_k(
+        g, chi(g), is_k_choosable,
+        lambda core, k: _count_list_systems(
+            _class_groups(core), (k,) * core.n, 0, {}),
+        budget)

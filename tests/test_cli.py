@@ -132,6 +132,21 @@ def test_chi_list_budget_counts_the_core(tmp_path, capsys):
     assert code == 1 and "2-choosable: no" in out
 
 
+def test_chi_dp_budget_counts_the_core(tmp_path, capsys):
+    # C5 x K2 and a vertex joined to 0 and 2: its 3-core, the prism, is
+    # settled after 46,656 cases, and the whole graph after 279,936.  chi-dp
+    # searches the core, so it settles within a budget that chi-dp --k 3,
+    # which searches the whole graph, runs out of.
+    path = write(tmp_path, "prism_plus.g6", "JheAHCPBL??")
+    code, out, _ = run(capsys, "chi-dp", path, "--budget", "46656")
+    assert (code, out) == (0, "chi_DP = 3\n")
+    code, out, err = run(capsys, "chi-dp", path, "--budget", "46655")
+    assert (code, out, err) == (2, "", "budget exceeded after 46655 cases\n")
+    code, out, err = run(capsys, "chi-dp", path, "--k", "3",
+                         "--budget", "46656")
+    assert (code, out, err) == (2, "", "budget exceeded after 46656 cases\n")
+
+
 def test_color_command(tmp_path, capsys):
     path = write(tmp_path, "c4.g6", encode_graph6(cycle_graph(4)))
     code, out, _ = run(capsys, "color", path, "--k", "2")
@@ -183,6 +198,24 @@ def test_find_config_command(tmp_path, capsys):
     assert "4 occurrences" in out
     assert "reducible for k=3: yes" in out
     assert "25/25 trials extended" in out
+
+
+def test_find_config_rejects_numbers_out_of_range(tmp_path, capsys):
+    graph = write(tmp_path, "g.edges", "0 1\n1 2\n0 2\n")
+    pattern = write(tmp_path, "pat.json", json.dumps({
+        "name": "triangle",
+        "vertices": [{"hostDegree": 2, "outsideNeighbors": 0}] * 3,
+        "edges": [[0, 1], [1, 2], [0, 2]],
+        "order": [0, 1, 2],
+    }))
+    for flag, value in (("--show", "-2"), ("--validate", "-5"),
+                        ("--k", "0")):
+        code, out, err = run(capsys, "find-config", graph, "--pattern",
+                             pattern, flag, value)
+        assert code == 3 and not out and err.startswith("usage:"), flag
+    code, out, _ = run(capsys, "find-config", graph, "--pattern", pattern,
+                       "--show", "0", "--validate", "0", "--k", "1")
+    assert code == 1 and "6 occurrences" in out and "(0," not in out
 
 
 def test_discharge_command(tmp_path, capsys):

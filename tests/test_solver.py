@@ -15,8 +15,8 @@ from dpcolor import (
     chi_list,
     complete_bipartite,
     complete_graph,
+    core_components,
     cycle_graph,
-    degeneracy,
     find_coloring,
     format_matching_file,
     from_edge_list,
@@ -29,7 +29,7 @@ from dpcolor import (
     path_graph,
     uniform_lists,
 )
-from dpcolor.solver import _GaugeOrbits, _core_components
+from dpcolor.solver import _GaugeOrbits
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, brute_k_colorable,
                      reference_choosable_scan, reference_dp_scan,
@@ -158,16 +158,22 @@ def test_chi_fixes_the_clique_colors_on_mycielski5():
     assert steps <= 3_000
 
 
-def test_degeneracy():
-    assert degeneracy(complete_graph(5)) == 4
-    assert degeneracy(cycle_graph(7)) == 2
-    assert degeneracy(path_graph(4)) == 1
+def test_core_components():
+    assert core_components(complete_graph(5), 4) == [complete_graph(5)]
+    assert core_components(complete_graph(5), 5) == []
+    assert core_components(cycle_graph(7), 2) == [cycle_graph(7)]
+    assert core_components(cycle_graph(7), 3) == []
+    assert core_components(path_graph(4), 1) == [path_graph(4)]
+    assert core_components(path_graph(4), 2) == []
 
 
-def test_degeneracy_matches_subset_oracle():
-    for g in connected_graphs(6):
-        assert degeneracy(g) == subset_degeneracy(g), g.edges
-    assert degeneracy(from_edge_list([], n=3)) == 0
+def test_core_is_empty_exactly_past_the_subset_degeneracy():
+    edgeless = from_edge_list([], n=3)
+    for g in list(connected_graphs(6)) + [edgeless]:
+        d = subset_degeneracy(g)
+        for k in range(g.n + 2):
+            assert (core_components(g, k) == []) == (k > d), (g.edges, k)
+    assert core_components(edgeless, 0) == [from_edge_list([], n=1)] * 3
 
 
 def test_dp_c4_k2_certificate_has_one_twisted_edge():
@@ -482,21 +488,22 @@ def test_chi_list_values():
 def plain_chi_list(g):
     """chi_list without the core reduction: the least k from chi up that
     is_k_choosable accepts on the whole graph, else degeneracy + 1."""
-    return next((k for k in range(chi(g), degeneracy(g) + 1)
-                 if is_k_choosable(g, k) is True), degeneracy(g) + 1)
+    high = subset_degeneracy(g) + 1
+    return next((k for k in range(chi(g), high)
+                 if is_k_choosable(g, k) is True), high)
 
 
-def searched_cores(monkeypatch):
-    """Record (vertices, edges, k) of every choosability search chi_list
-    makes."""
+def searched_cores(monkeypatch, name="is_k_choosable"):
+    """Record (vertices, edges, k) of every search by the solver function
+    name that chi_list or chi_dp makes."""
     searched = []
-    scan = dpcolor.solver.is_k_choosable
+    scan = getattr(dpcolor.solver, name)
 
-    def spy(g, k, budget):
+    def spy(g, k, **options):
         searched.append((g.n, g.m, k))
-        return scan(g, k, budget)
+        return scan(g, k, **options)
 
-    monkeypatch.setattr(dpcolor.solver, "is_k_choosable", spy)
+    monkeypatch.setattr(dpcolor.solver, name, spy)
     return searched
 
 
@@ -510,7 +517,7 @@ def test_chi_list_searches_only_the_core(monkeypatch):
     # K2,3 with pendant trees: a path and a star hang from its vertices
     g = with_pendant_paths(complete_bipartite(2, 3), [4], 3)
     g = from_edge_list(list(g.edges) + [(0, 8), (8, 9), (8, 10), (8, 11)])
-    assert (g.n, degeneracy(g)) == (12, 2)
+    assert (g.n, subset_degeneracy(g)) == (12, 2)
     assert chi_list(g) == 2
     assert searched == [(5, 6, 2)]
     searched.clear()
@@ -526,9 +533,9 @@ def test_chi_list_searches_only_the_core(monkeypatch):
                        + [(3, 8), (8, 9), (9, 4)])
     assert chi_list(g) == 4
     assert searched == []
-    assert _core_components(g, 3) == [complete_graph(4)] * 2
-    assert _core_components(g, 2) == [g]
-    assert _core_components(g, 4) == []
+    assert core_components(g, 3) == [complete_graph(4)] * 2
+    assert core_components(g, 2) == [g]
+    assert core_components(g, 4) == []
 
 
 def test_chi_list_passes_the_budget_left_to_each_component(monkeypatch):
@@ -543,6 +550,55 @@ def test_chi_list_passes_the_budget_left_to_each_component(monkeypatch):
     for budget in (0, 708, 709, 709 + 1567):
         with pytest.raises(BudgetExceeded) as info:
             chi_list(g, budget=budget)
+        assert info.value.attempted == budget
+
+
+def test_chi_dp_searches_only_the_core(monkeypatch):
+    searched = searched_cores(monkeypatch, "is_dp_k_colorable")
+    # C4 with a pendant path: the 1-core is the whole graph, the 2-core the
+    # C4, which is not DP-2-colorable, and the 3-core is empty
+    g = with_pendant_paths(cycle_graph(4), [0], 2)
+    assert chi_dp(g) == 3
+    assert searched == [(6, 6, 1), (4, 4, 2)]
+    searched.clear()
+    # C5 x K2 and a vertex joined to 0 and 2: the 3-core is the prism
+    g = parse_graph6("JheAHCPBL??")
+    assert chi_dp(g) == 3
+    assert searched == [(11, 17, 1), (11, 17, 2), (10, 15, 3)]
+    searched.clear()
+    # two K4s joined by a path: the 3-core is the two K4s, and the first
+    # one refutes k = 3
+    g = from_edge_list(list(complete_graph(4).edges)
+                       + [(4 + u, 4 + v) for u, v in complete_graph(4).edges]
+                       + [(3, 8), (8, 9), (9, 4)])
+    assert chi_dp(g) == 4
+    assert searched == [(10, 15, 1), (10, 15, 2), (4, 6, 3)]
+
+
+def test_dp_scan_of_a_colorable_graph_attempts_every_case():
+    # chi_dp subtracts normalized_assignment_count for a component found
+    # colorable, so that count must be what its scan attempted
+    for g in connected_graphs(5):
+        for k in (1, 2, 3):
+            if is_dp_k_colorable(g, k) is not True:
+                continue
+            count = normalized_assignment_count(g, k)
+            assert is_dp_k_colorable(g, k, budget=count) is True
+            with pytest.raises(BudgetExceeded):
+                is_dp_k_colorable(g, k, budget=count - 1)
+
+
+def test_chi_dp_passes_the_budget_left_to_each_component(monkeypatch):
+    # the triangular prism and K4 side by side: at k = 3 the prism is
+    # settled after its 1,296 cases, and K4 fails at its first
+    g = from_edge_list(list(prism(3).edges)
+                       + [(6 + u, 6 + v) for u, v in complete_graph(4).edges])
+    searched = searched_cores(monkeypatch, "is_dp_k_colorable")
+    assert chi_dp(g, budget=1296 + 1) == 4
+    assert searched[-2:] == [(6, 9, 3), (4, 6, 3)]
+    for budget in (0, 1295, 1296):
+        with pytest.raises(BudgetExceeded) as info:
+            chi_dp(g, budget=budget)
         assert info.value.attempted == budget
 
 
