@@ -336,16 +336,21 @@ def cmd_verify(args) -> int:
     with an empty 3-core (solver.core_components) passes without a search;
     the others go to solver.is_dp_k_colorable, which splits each large
     search across --jobs processes.  Rows are settled one at a time in
-    input order, and the refutation certificates are printed before them."""
+    input order, and the refutation certificates are printed before them.
+    A line that is not graph6 raises ValueError with the input's path and
+    the line number in front of the decoder's message."""
     budget = _budget(args)
     forbidden = discharging.VARIANTS[args.variant].forbidden
     rows: list[dict] = []
     refutations: list[tuple[str, str]] = []
-    for line in _read_text(args.input).splitlines():
+    for lineno, line in enumerate(_read_text(args.input).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        status, g = _filter_status(line, forbidden, args.n_max)
+        try:
+            status, g = _filter_status(line, forbidden, args.n_max)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}:{lineno}: {exc}") from None
         row = {"graph6": line, "status": status}
         if status is None:
             # an empty 3-core: each vertex, colored in reverse order of

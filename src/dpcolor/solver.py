@@ -35,10 +35,12 @@ everything before it was colorable, so the skipped ones are colorable too.
 Hence the verdict is unchanged, and the first failing assignment is the
 least of its orbit and is still the first certificate.  A skipped subtree
 adds its leaf count to the attempted cases; if that passes the budget, the
-scan stops with exactly budget attempted, as the plain scan would.  A block
-of the parallel split may skip leaves whose conjugates lie in an earlier
-block; the merge keeps a block's result only when every earlier block
-finished colorable, so that stays exact too.
+scan stops with exactly budget attempted, as the plain scan would.  The
+parallel split cuts the first edge's choices into contiguous blocks that
+hold equal shares of the first choices the pruning keeps.  A block may skip
+leaves whose conjugates lie in an earlier block; the merge keeps a block's
+result only when every earlier block finished colorable, so that stays
+exact too.
 
 The choosability search enumerates list assignments up to color renaming.
 Splitting a color whose support induces a disconnected subgraph into one
@@ -64,6 +66,22 @@ that passes the budget stops the scan with exactly budget attempted, as
 the DP walk's pruned subtrees do.  No leaf below needed the backtracker,
 so the witnesses, the first failing list system and the count are those
 of the plain scan.
+
+The choosability walk also prunes by the automorphisms of the graph, on the
+orbit table of the gauge pruning (_OrbitTable).  An automorphism sigma maps
+each class to the class of its image vertices, and a list system L to
+sigma(L), which is colorable exactly when L is.  Classes compare by their
+places in the walk's order, and the leaves, each the sorted sequence of its
+classes, come in lexicographic order.  Let sigma fix every class of a
+prefix P but the last, c, and map c to an earlier class.  Then
+sorted(sigma(P)) < P, and since adding elements to a multiset never raises
+its i-th smallest one, every leaf L below P has sorted(sigma(L)) < L: an
+image earlier in the scan, which the scan passed only if it was colorable.
+So such a subtree is counted without a walk, under the witness skip's
+budget rule, and the verdict, the first failing list system and the count
+stay those of the plain scan.  Pruning by any set of automorphisms is
+sound, so _automorphisms lists at most _AUT_LIMIT of them, and a graph with
+more costs what one with that many does.
 
 chi_list and chi_dp search less than the whole graph, in one loop over k.
 A vertex of degree < k can be colored last from any k-list and in any
@@ -214,61 +232,71 @@ def normalized_assignment_count(g: Graph, k: int) -> int:
     return math.factorial(k) ** (g.m - g.n + components)
 
 
-class _GaugeOrbits(dict):
-    """Orderly generation of sequences over perms, the permutations of
-    range(k) in itertools order, up to simultaneous conjugation: a sequence
-    is kept only when it is lexicographically least among its images
-    s -> pi s pi^-1 for every pi.
+class _OrbitTable(dict):
+    """Orderly generation of choice sequences up to a finite group acting
+    on choice indices, act(m, i) being the index member m maps choice i
+    to: a choice is cut when a member that fixes every earlier choice of
+    the sequence maps it to a smaller index.
 
-    A prefix carries eq, the non-identity pi (bits by index in perms) under
-    which its image still equals it; start holds all of them.  self[eq][i]
-    is eq after appending choice i, or -1 when some pi in eq maps choice i
-    to a smaller index, so every sequence through it has a smaller image.
-    Every other pi already maps the prefix to a larger one, so the kept
-    sequences are exactly one per orbit.  Rows and their entries are built
-    on first lookup and kept, so a walk pays only for the entries it reads.
+    A prefix carries eq, the members (bits by number) that fix each of its
+    choices; start holds all of them.  self[eq][i] is eq after appending
+    choice i, or -1 when some member of eq maps choice i to a smaller
+    index.  The members left out of eq move an earlier choice and are not
+    used again; pruning by any set of members is sound, so the set need
+    not be a group.  Rows and their entries are built on first lookup and
+    kept, so a walk pays only for the entries it reads.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, act, members):
         super().__init__()
+        self.act = act
+        self.start = sum(1 << m for m in members)
+
+    def __missing__(self, eq: int) -> _OrbitRow:
+        row = self[eq] = _OrbitRow(self.act, eq)
+        return row
+
+
+class _OrbitRow(dict):
+    """One row of _OrbitTable: choice index -> next eq, or -1."""
+
+    def __init__(self, act, eq: int):
+        super().__init__()
+        self.act = act
+        self.members = [m for m, bit in enumerate(bin(eq)[:1:-1])
+                        if bit == "1"]
+
+    def __missing__(self, i: int) -> int:
+        kept = 0
+        for m in self.members:
+            j = self.act(m, i)
+            if j < i:
+                kept = -1
+                break
+            if j == i:
+                kept |= 1 << m
+        self[i] = kept
+        return kept
+
+
+class _GaugeOrbits(_OrbitTable):
+    """The orbit table of the DP walk: perms, the permutations of range(k)
+    in itertools order, under simultaneous conjugation s -> pi s pi^-1 by
+    every pi but the identity.  A sequence is kept exactly when it is the
+    least of its orbit: a pi left out of eq maps the prefix to a larger
+    one, so only the members of eq can still map it lower."""
+
+    def __init__(self, k: int):
         self.perms = list(itertools.permutations(range(k)))
         self.inv = [tuple(sorted(range(k), key=p.__getitem__))
                     for p in self.perms]
         self.index = {p: i for i, p in enumerate(self.perms)}
-        self.start = (1 << len(self.perms)) - 2
+        super().__init__(self.conj, range(1, len(self.perms)))
 
     def conj(self, pi: int, i: int) -> int:
         """Index of perms[pi] o perms[i] o perms[pi]^-1."""
         p, s = self.perms[pi], self.perms[i]
         return self.index[tuple([p[s[c]] for c in self.inv[pi]])]
-
-    def __missing__(self, eq: int) -> _OrbitRow:
-        row = self[eq] = _OrbitRow(self, eq)
-        return row
-
-
-class _OrbitRow(dict):
-    """One row of _GaugeOrbits: choice index -> next eq, or -1."""
-
-    def __init__(self, orbits: _GaugeOrbits, eq: int):
-        super().__init__()
-        self.orbits, self.eq = orbits, eq
-        self.members = [pi for pi, bit in enumerate(bin(eq)[:1:-1])
-                        if bit == "1"]
-
-    def __missing__(self, i: int) -> int:
-        kept = self.eq
-        if i:  # every pi fixes the identity, perms[0]
-            kept = 0
-            for pi in self.members:
-                j = self.orbits.conj(pi, i)
-                if j < i:
-                    kept = -1
-                    break
-                if j == i:
-                    kept |= 1 << pi
-        self[i] = kept
-        return kept
 
 
 def _scan_block(g: Graph, k: int, first_indices, budget: int
@@ -393,7 +421,8 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
     Raises BudgetExceeded with the attempted case count if the normalized
     space cannot be settled within budget.  The verdict, the certificate
     and the count do not depend on jobs.  A space of at least
-    _POOL_MIN_WORK times k! cases is split across jobs processes.
+    _POOL_MIN_WORK times k! cases is split across jobs processes, at most
+    one per first choice the gauge pruning keeps.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -408,7 +437,7 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
         # before it get
         scan = functools.partial(_scan_block, g, k, budget=budget)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan, _contiguous_blocks(nperm, jobs)))
+            results = list(pool.map(scan, _first_edge_blocks(k, jobs)))
     # merge in block order with cumulative counts: a block's result stands
     # only where the serial scan would have reached it within budget, so
     # the first certificate and the attempted count are the serial ones
@@ -423,15 +452,24 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
     return True
 
 
-def _contiguous_blocks(total: int, parts: int) -> list[list[int]]:
-    parts = min(parts, total)
-    size, extra = divmod(total, parts)
-    blocks, at = [], 0
-    for i in range(parts):
-        width = size + (1 if i < extra else 0)
-        blocks.append(list(range(at, at + width)))
-        at += width
-    return blocks
+def _first_edge_blocks(k: int, jobs: int) -> list[range]:
+    """Contiguous blocks of the first edge's permutation indices that cover
+    range(k!), at most jobs of them, each holding as many of the first
+    choices the gauge pruning keeps (the start row's) as the others, to
+    one.  The others are skipped in every block, so a block holds at least
+    one kept choice and has work to do."""
+    orbits = _GaugeOrbits(k)
+    row = orbits[orbits.start]
+    nperm = len(orbits.perms)
+    kept = [i for i in range(nperm) if row[i] >= 0]
+    parts = min(jobs, len(kept))
+    size, extra = divmod(len(kept), parts)
+    cuts, at = [0], 0
+    for b in range(parts - 1):
+        at += size + (b < extra)
+        cuts.append(kept[at])
+    cuts.append(nperm)
+    return [range(a, z) for a, z in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +535,8 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
     first, so for a graph that is not even k-colorable the uniform
     assignment fails immediately.  Colorings already found are reused as
     witnesses, so the backtracker runs only on list systems none of them
-    colors, and a subtree that one witness colors throughout is counted
+    colors.  A subtree that one witness colors throughout, or that an
+    automorphism of g maps to an earlier part of the scan, is counted
     without being walked.  Raises BudgetExceeded with the attempted count
     once budget list systems are tried without a verdict, as
     is_dp_k_colorable does.
@@ -507,8 +546,23 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
     if g.n == 0:
         return True
     by_min = _class_groups(g)
-    rank = {c: i for group in by_min.values() for i, c in enumerate(group)}
-    members = {c: [v for v in range(g.n) if (c >> v) & 1] for c in rank}
+    # the walk's order of the classes; group v starts at first[v]
+    classes = [c for v in range(g.n) for c in by_min[v]]
+    place = {c: i for i, c in enumerate(classes)}
+    first = [place[by_min[v][0]] for v in range(g.n)] + [len(classes)]
+    members: dict[int, list[int]] = {}  # vertices of each class met
+    # automorphisms act on the classes by their places in that order
+    images = [[1 << w for w in sigma] for sigma in _automorphisms(g)]
+
+    def act(m: int, i: int) -> int:
+        image, c, out = images[m], classes[i], 0
+        while c:
+            low = c & -c
+            c ^= low
+            out |= image[low.bit_length() - 1]
+        return place[out]
+
+    orbits = _OrbitTable(act, range(len(images)))
     adj = [sorted(g.adj[v]) for v in range(g.n)]
     need = [k] * g.n
     defmask = (1 << g.n) - 1
@@ -569,50 +623,128 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
             within[j] |= bit
         return False
 
-    def rec(j: int, group_vertex: int, bound: int) -> bool:
+    def rec(j: int, start: int, row) -> bool:
         nonlocal defmask, attempted
         vstar = (defmask & -defmask).bit_length() - 1
-        # classes of one group come in decreasing order, from bound down
-        start = rank[bound] if vstar == group_vertex else 0
+        # the classes of the least open vertex, from the last one chosen on
         outside = ~defmask
-        for c in by_min[vstar][start:]:
+        for p in range(max(start, first[vstar]), first[vstar + 1]):
+            c = classes[p]
             if c & outside:
                 continue
             chosen.append(c)
             # a witness found below this depth has joined masks[j] since
             alive = masks[j]
             masks[j + 1] = alive & fit(j, c) if alive else 0
+            cover = members.get(c)
+            if cover is None:
+                cover = members[c] = [v for v in range(vstar, c.bit_length())
+                                      if (c >> v) & 1]
             cleared = 0
-            for v in members[c]:
+            for v in cover:
                 need[v] -= 1
                 if not need[v]:
                     cleared |= 1 << v
             stop = False
             if cleared == defmask:
                 stop = leaf(j + 1)
-            elif masks[j + 1] & within[j + 1]:
+            elif masks[j + 1] & within[j + 1] or (eq := row[p]) < 0:
                 # a witness fits every class chosen so far and uses no
-                # other color, so it colors every leaf below: the plain
-                # scan would count them all as colorable
+                # other color, so it colors every leaf below; or an
+                # automorphism that fixes every class chosen before maps c
+                # to an earlier class, so every leaf below has an image
+                # earlier in the scan: the plain scan would count them all
+                # as colorable
                 skipped = _count_list_systems(
-                    by_min, tuple(need), rank[c] if need[vstar] else 0, counts)
+                    by_min, tuple(need), p - first[vstar] if need[vstar] else 0,
+                    counts)
                 if attempted + skipped > budget:
                     raise BudgetExceeded(budget)
                 attempted += skipped
             else:
                 defmask ^= cleared
-                stop = rec(j + 1, vstar, c)
+                stop = rec(j + 1, p, orbits[eq])
                 defmask ^= cleared
-            for v in members[c]:
+            for v in cover:
                 need[v] += 1
             chosen.pop()
             if stop:
                 return True
         return False
 
-    if rec(0, -1, 0):
+    if rec(0, 0, orbits[orbits.start]):
         return AdversaryCertificate(kind="list", k=k, lists=found[0])
     return True
+
+
+#: _automorphisms lists at most this many.  Pruning by any set of
+#: automorphisms is sound, and the walk pays up to this many class images
+#: for each orbit-table entry it reads, so a very symmetric graph (the
+#: edgeless one on n vertices has n!) costs what one with this many does.
+_AUT_LIMIT = 64
+
+
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Non-identity automorphisms of g, each as the tuple of vertex images,
+    at most _AUT_LIMIT of them, in the lexicographic order of their images
+    along a breadth-first order of the vertices.
+
+    A depth-first search, run as a loop so its depth is not bounded by the
+    interpreter's, maps the vertices in that order.  A vertex goes to an
+    unused vertex of the same degree whose neighbors among the images so
+    far are exactly the images of its own earlier neighbors (so a neighbor
+    of one of those images, unless it starts a component): every full map
+    is an automorphism, and every automorphism is one of them."""
+    n, masks = g.n, g.masks
+    order: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            component = [root]
+            for v in component:
+                for u in sorted(g.adj[v]):
+                    if not seen[u]:
+                        seen[u] = True
+                        component.append(u)
+            order += component
+    sigma = [-1] * n  # the images of the vertices mapped so far
+    used = 0
+
+    def options(v: int) -> list[int]:
+        want = 0
+        for u in g.adj[v]:
+            if sigma[u] >= 0:
+                want |= 1 << sigma[u]
+        free = ((1 << n) - 1) & ~used
+        pool = masks[(want & -want).bit_length() - 1] & free if want else free
+        out = []
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            w = low.bit_length() - 1
+            if len(g.adj[w]) == len(g.adj[v]) and masks[w] & used == want:
+                out.append(w)
+        return out[::-1]  # popped from the end, least first
+
+    found: list[tuple[int, ...]] = []
+    stack = [options(order[0])] if n else []
+    while stack and len(found) < _AUT_LIMIT:
+        d = len(stack) - 1
+        v = order[d]
+        if sigma[v] >= 0:
+            used ^= 1 << sigma[v]
+            sigma[v] = -1
+        if not stack[d]:
+            stack.pop()
+            continue
+        sigma[v] = w = stack[d].pop()
+        used |= 1 << w
+        if d + 1 < n:
+            stack.append(options(order[d + 1]))
+        elif any(sigma[u] != u for u in range(n)):
+            found.append(tuple(sigma))
+    return found
 
 
 def _class_groups(g: Graph) -> dict[int, list[int]]:

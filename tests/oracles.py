@@ -4,7 +4,9 @@ code with the package: they call the public find_coloring once per
 assignment, so they check the adversaries' enumeration, and
 slow_dp_verdict and slow_choosable check them in turn.  gauge_normalize
 is the per-vertex relabeling that the adversary's normalization rests on,
-done explicitly on one matching assignment."""
+done explicitly on one matching assignment, and
+automorphisms_by_permutation the symmetry that the choosability walk
+prunes by."""
 
 from __future__ import annotations
 
@@ -308,3 +310,11 @@ def subset_degeneracy(g: Graph) -> int:
         best = max(best, min(sum(1 for u in g.adj[v] if (bits >> u) & 1)
                              for v in members))
     return best
+
+
+def automorphisms_by_permutation(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism, the identity included, as the tuple of vertex
+    images: all n! permutations, kept when they map the edge set onto
+    itself."""
+    return [p for p in itertools.permutations(range(g.n))
+            if all(g.has_edge(p[u], p[v]) for u, v in g.edges)]

@@ -398,6 +398,29 @@ def test_recursion_limit_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_chi_list_on_long_cycles(tmp_path, capsys):
+    # C300 has 89,701 connected classes and 600 automorphisms; the walk
+    # stops at its budget.  C1200 passes the recursion limit and is one
+    # error line, with no traceback
+    c300 = write(tmp_path, "c300.g6", encode_graph6(cycle_graph(300)))
+    code, _, err = run(capsys, "chi-list", c300, "--budget", "10")
+    assert code == 2 and err == "budget exceeded after 10 cases\n", err
+    c1200 = write(tmp_path, "c1200.g6", encode_graph6(cycle_graph(1200)))
+    code, _, err = run(capsys, "chi-list", c1200)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_names_the_malformed_line(tmp_path, capsys):
+    # the error names the file and the line of the stream that is bad
+    good = encode_graph6(cycle_graph(5))
+    stream = write(tmp_path, "s.g6", f"{good}\n\n{good}\ng??\n{good}\n")
+    code, out, err = run(capsys, "verify-theorem2", stream, "--variant", "a")
+    assert code == 3 and out == ""
+    assert err == (f"error: {stream}:4: expected 130 adjacency bytes for "
+                   "n=40, got 2\n"), err
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "dpcolor", "cycles", "-"],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import time
 
 import pytest
 
@@ -29,11 +30,13 @@ from dpcolor import (
     path_graph,
     uniform_lists,
 )
-from dpcolor.solver import _GaugeOrbits
+from dpcolor.solver import (_AUT_LIMIT, _GaugeOrbits, _automorphisms,
+                            _first_edge_blocks)
 from dpcolor.dp import search_positions
-from oracles import (_dfs_forest, _list_systems, brute_k_colorable,
-                     reference_choosable_scan, reference_dp_scan,
-                     slow_choosable, slow_dp_verdict, subset_degeneracy)
+from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
+                     brute_k_colorable, reference_choosable_scan,
+                     reference_dp_scan, slow_choosable, slow_dp_verdict,
+                     subset_degeneracy)
 from fixtures import with_pendant_paths
 from smallgraphs import connected_graphs
 
@@ -344,12 +347,13 @@ def test_parallel_budget_matches_serial(monkeypatch):
     # every block sees the whole budget, so the verdict and the attempted
     # count do not depend on how the first edge is split
     monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
-    g = prism(5)
-    assert is_dp_k_colorable(g, 3, budget=46_656, jobs=4) is True
-    for jobs in (1, 4):
-        with pytest.raises(BudgetExceeded) as info:
-            is_dp_k_colorable(g, 3, budget=46_655, jobs=jobs)
-        assert info.value.attempted == 46_655
+    for g, k, cases in ((prism(5), 3, 46_656), (prism(3), 4, 331_776)):
+        assert normalized_assignment_count(g, k) == cases
+        assert is_dp_k_colorable(g, k, budget=cases, jobs=4) is True
+        for jobs in (1, 2, 4):
+            with pytest.raises(BudgetExceeded) as info:
+                is_dp_k_colorable(g, k, budget=cases - 1, jobs=jobs)
+            assert info.value.attempted == cases - 1
 
 
 def test_choosability_even_cycles():
@@ -455,7 +459,12 @@ def choosable_outcomes(g, k, stride):
     (parse_graph6("Ds["), 3, 89),
     # a certificate after 1,567 of 6,258 list systems
     (complete_bipartite(2, 4), 2, 7),
-], ids=["C4-2", "C4-3", "K23-2", "Ds[-2", "K23-3", "Ds[-3", "K24-2"])
+    # the walk prunes by 11 and 7 automorphisms: C6 has 1,688 list
+    # systems at k = 2, and Dr{ 20,852 at k = 3
+    (cycle_graph(6), 2, 7),
+    (parse_graph6("Dr{"), 3, 149),
+], ids=["C4-2", "C4-3", "K23-2", "Ds[-2", "K23-3", "Ds[-3", "K24-2", "C6-2",
+        "Dr{-3"])
 def test_every_choosability_budget_matches_reference_scan(g, k, stride):
     # budgets from 0 to one past the verdict, so a budget that runs out
     # inside a subtree counted without a walk is covered
@@ -468,13 +477,83 @@ def test_every_choosability_budget_matches_reference_scan(g, k, stride):
 def test_choosability_counts_covered_subtrees_without_walking():
     # a witness that fits every class chosen so far colors every leaf
     # below; counting those leaves instead of walking them takes Dr{ at
-    # k = 3 from 41,053 rec and 20,852 leaf calls to 12,283 and 1,593
+    # k = 3 from 41,053 rec and 20,852 leaf calls to 12,254 and 1,593
+    # (6,199 and 995 with the automorphism pruning too)
     walk = {inner_code(is_k_choosable, "rec"),
             inner_code(is_k_choosable, "leaf")}
     verdict, steps = calls_of(
         walk, lambda: is_k_choosable(parse_graph6("Dr{"), 3))
     assert verdict is True
     assert steps <= 20_000
+
+
+def test_choosability_prunes_by_automorphisms(monkeypatch):
+    # an automorphism that fixes the classes chosen before and maps the
+    # next one to an earlier class cuts its subtree: Dr{ (the wheel W4,
+    # 8 automorphisms) at k = 3 takes 7,194 rec and leaf calls, against
+    # 13,847 with no automorphisms
+    walk = {inner_code(is_k_choosable, "rec"),
+            inner_code(is_k_choosable, "leaf")}
+    g = parse_graph6("Dr{")
+    verdict, steps = calls_of(walk, lambda: is_k_choosable(g, 3))
+    assert verdict is True
+    assert steps <= 9_000
+    monkeypatch.setattr(dpcolor.solver, "_automorphisms", lambda g: [])
+    verdict, unpruned = calls_of(walk, lambda: is_k_choosable(g, 3))
+    assert verdict is True
+    assert unpruned > 9_000
+
+
+def check_automorphisms(g):
+    want = automorphisms_by_permutation(g)
+    assert tuple(range(g.n)) in want
+    got = _automorphisms(g)
+    assert len(set(got)) == len(got)
+    assert tuple(range(g.n)) not in got
+    if len(want) - 1 <= _AUT_LIMIT:
+        assert sorted(got) == sorted(p for p in want if p != tuple(range(g.n)))
+    else:
+        assert len(got) == _AUT_LIMIT
+        assert set(got) <= set(want)
+
+
+def test_automorphisms_match_permutation_oracle():
+    for g in connected_graphs(6):
+        check_automorphisms(g)
+    # two components, one a copy of the other, and the edgeless graph
+    check_automorphisms(from_edge_list([(0, 1), (1, 2), (3, 4), (4, 5)]))
+    check_automorphisms(from_edge_list([(0, 1), (1, 2), (2, 0), (3, 4)]))
+    check_automorphisms(from_edge_list([], n=5))
+    assert _automorphisms(from_edge_list([], n=0)) == []
+
+
+def test_automorphisms_are_bounded():
+    # the edgeless graph on 10 vertices has 10! - 1 non-identity
+    # automorphisms and K7 5,039; the list stops at _AUT_LIMIT = 64.  C1200
+    # has 2,399, more vertices than the recursion limit: the search is a
+    # loop
+    assert _AUT_LIMIT == 64
+    check_automorphisms(complete_graph(7))
+    for g in (from_edge_list([], n=10), cycle_graph(1200)):
+        got = _automorphisms(g)
+        assert len(got) == _AUT_LIMIT
+        assert tuple(range(g.n)) not in got
+        for sigma in got:
+            assert sorted(sigma) == list(range(g.n))
+            assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges)
+
+
+@pytest.mark.parametrize("g, k, want", [
+    (from_edge_list([], n=10), 1, True),
+    (complete_graph(7), 2, False),
+], ids=["edgeless10-1", "K7-2"])
+def test_choosability_is_quick_on_symmetric_graphs(g, k, want):
+    # the automorphism list is bounded, so a graph with many of them costs
+    # no more than one with _AUT_LIMIT
+    start = time.perf_counter()
+    verdict = is_k_choosable(g, k)
+    assert time.perf_counter() - start < 1.0
+    assert (verdict is True) == want
 
 
 def test_chi_list_values():
@@ -751,13 +830,36 @@ def test_late_certificate_budgets_match_reference_scan(monkeypatch):
             assert got == want[budget], (budget, jobs)
 
 
-def test_k4_matches_reference_scan():
-    # k = 4 has 24 permutations per edge and a conjugation group of 24
+def test_k4_matches_reference_scan(monkeypatch):
+    # k = 4 has 24 permutations per edge and a conjugation group of 24;
+    # jobs 2 to 5 run the block split and merge with the blocks in this
+    # process, and the outcome must not depend on jobs
+    monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     for g in (cycle_graph(4), complete_bipartite(2, 3), parse_graph6("Ds{"),
               complete_graph(4)):
         assert g.m - g.n + 1 <= 3
         budgets = (1, 100, DEFAULT_BUDGET)
         want = reference_outcomes(g, 4, budgets)
         for budget in budgets:
-            got = outcome(g, lambda: is_dp_k_colorable(g, 4, budget=budget))
-            assert got == want[budget], (g.edges, budget)
+            for jobs in (1, 2, 3, 5):
+                got = outcome(g, lambda: is_dp_k_colorable(
+                    g, 4, budget=budget, jobs=jobs))
+                assert got == want[budget], (g.edges, budget, jobs)
+
+
+@pytest.mark.parametrize("k, kept", [(3, [0, 1, 3]), (4, [0, 1, 3, 7, 9])])
+def test_first_edge_blocks_hold_kept_choices(k, kept):
+    # the gauge pruning keeps one first choice per conjugacy class; the
+    # blocks cover every index in order, and each holds as many kept
+    # choices as the others, to one, so none is left without work
+    orbits = _GaugeOrbits(k)
+    row = orbits[orbits.start]
+    nperm = math.factorial(k)
+    assert [i for i in range(nperm) if row[i] >= 0] == kept
+    for jobs in (2, 3, 4, 5):
+        blocks = _first_edge_blocks(k, jobs)
+        assert len(blocks) == min(jobs, len(kept)), (k, jobs)
+        assert [i for block in blocks for i in block] == list(range(nperm))
+        held = [sum(i in block for i in kept) for block in blocks]
+        assert min(held) >= 1 and max(held) - min(held) <= 1, (k, jobs, held)
