@@ -1,99 +1,58 @@
 """Chromatic parameters by exhaustive search: chi, choosability, DP-chromatic.
 
-The DP adversary search enumerates matching assignments restricted to full
-permutation matchings with the identity fixed on a spanning forest.  Both
-restrictions preserve the verdict: adding pairs to a matching only adds
-cover-graph edges (so a bad partial assignment extends to a bad full one),
-and relabeling colors at a vertex re-indexes matchings without changing
-whether an independent transversal exists.  The restricted space has
-(k!)^(|E|-|V|+components) cases, enumerated in lexicographic order so the
-first failing assignment is deterministic.
+Both adversary searches, is_dp_k_colorable and is_k_choosable, run on one
+loop, _orderly_walk, over sequences of choices, depth first in
+lexicographic order and without recursion.  A full sequence is a leaf, one
+case: it is checked against the budget, then counted as attempted, and the
+first leaf with no coloring is the certificate.  The backtracker
+(dp.search_positions) runs only on a leaf that no rule below settles.
 
-The enumeration reuses the colorings it has found ("witnesses").  It walks
-the non-tree edges depth first in that same lexicographic order, as a loop
-rather than a recursion so any number of non-tree edges fits, keeping at
-each depth the witnesses that avoid every matched pair on the edges set so
-far; the backtracker (dp.search_positions) runs only at a leaf that no
-witness survives.  A coloring it returns is valid on every prefix of its
-assignment, so it joins the witnesses of every open depth.  A surviving
-witness proves its leaf colorable, so skipping the search changes no
-verdict, and the first leaf with no coloring is the same first failing
-assignment.  Every leaf still counts as one attempted case, checked against
-the budget before it is examined, so budgets and BudgetExceeded.attempted
-mean what they meant for the plain per-assignment scan.
+- Witness reuse.  Each coloring found is a witness, one bit.  alive[d][i]
+  holds those that fit choice i at depth d, masks[d] those that fit the
+  prefix path[:d]; a leaf's coloring fits each of its prefixes.  A leaf
+  that a witness fits needs no search.
+- Covered skip.  within[d] holds the witnesses that color every leaf below
+  a node at depth d that they fit; a node with one in masks[d] & within[d]
+  is not walked.
+- Orbit skip.  A group acting on the choices and preserving colorability
+  gives an _OrbitTable, which cuts a choice that a member fixing every
+  earlier choice maps lower (orderly generation, as in McKay's
+  isomorph-free exhaustive generation).  Each leaf below a cut has an
+  image earlier in the scan, passed only if it was colorable.  Leaves are
+  not tested; a witness check costs less.
 
-The walk also prunes by the residual gauge symmetry.  Relabeling every
-vertex by the same permutation pi keeps the tree identities and maps each
-non-tree permutation s to pi s pi^-1, so it preserves colorability.  A
-prefix that some pi maps to a lexicographically smaller one is skipped with
-its whole subtree (orderly generation, as in McKay's isomorph-free
-exhaustive generation), so only the least prefix of each orbit is extended.
-Leaves are not tested, since a witness check costs less than the orbit
-test; about one leaf in k! is still visited.  Every skipped assignment has
-a conjugate earlier in the scan, and the scan only gets that far when
-everything before it was colorable, so the skipped ones are colorable too.
-Hence the verdict is unchanged, and the first failing assignment is the
-least of its orbit and is still the first certificate.  A skipped subtree
-adds its leaf count to the attempted cases; if that passes the budget, the
-scan stops with exactly budget attempted, as the plain scan would.  The
-parallel split cuts the first edge's choices into contiguous blocks that
-hold equal shares of the first choices the pruning keeps.  A block may skip
-leaves whose conjugates lie in an earlier block; the merge keeps a block's
-result only when every earlier block finished colorable, so that stays
-exact too.
+A skipped subtree adds its leaf count to the attempted cases, stopping the
+walk with exactly budget attempted if that passes the budget.  So the
+verdict, the first certificate and the count at every budget are those of
+a plain scan (tests/oracles.py has one for each adversary).
 
-The choosability search enumerates list assignments up to color renaming.
+The DP walk (_scan_block) tries full permutation matchings with the
+identity on a spanning forest, which keeps the verdict: adding pairs to a
+matching only adds cover-graph edges, and relabeling colors at a vertex
+re-indexes matchings.  A choice is one of the k! permutations on the next
+non-tree edge, so r edges left hold (k!)^r leaves.  A witness fits a
+permutation that does not match its colors at the edge's ends; within
+holds every witness at the leaves and none above.  The group relabels all
+vertices by one pi, mapping each permutation s to pi s pi^-1.  A --jobs
+block may skip leaves whose conjugates lie in an earlier block; the merge
+keeps its result only when every earlier block was colorable.
+
+The list walk (is_k_choosable) tries list systems up to color renaming.
 Splitting a color whose support induces a disconnected subgraph into one
-fresh color per component changes no verdict (matched colors never face
-each other across the split), so only assignments whose color classes
-induce connected subgraphs are generated: multisets of connected vertex
-sets covering every vertex exactly k times.  It reuses colorings in the
-same way, on the same backtracker.  A witness stores the class index each
-vertex takes; along the walk over the chosen classes it survives while the
-vertices of each of its colors lie inside that color's class, and at a leaf
-it must use no class beyond the last one.  Only a list system that no
-witness survives is translated to list positions and partner tables (-1
-where a neighbor's list lacks the color) and handed to
-dp.search_positions, so the list systems, the first failing one and the
-budget count are those of a plain scan.
+per component changes no verdict, so a list system is a multiset of
+connected vertex sets, classes, covering every vertex exactly k times.  A
+choice is a class holding the least open vertex, from the last class on,
+in the order of least vertex, then decreasing bitmask; _count_list_systems
+counts a subtree by that rule.  The j-th class is color j: a witness fits
+class c at depth j when its color-j vertices lie in c, and within[j] holds
+those that use no color from j on, as later classes only widen the lists.
+The group is the graph's automorphisms, at most _AUT_LIMIT of them.  A cut
+is exact: leaves are sorted sequences, and if sigma fixes every class of a
+prefix P but the last and maps that one lower, then sorted(sigma(P)) < P;
+adding elements to a multiset never raises its i-th smallest, so every
+leaf L below P has sorted(sigma(L)) < L.
 
-A witness that fits every class chosen so far and uses no other color
-colors every leaf below, since the classes added later only widen the
-lists.  Such a subtree is not walked: its leaves, counted by a memoized
-copy of the walk's choice rule keyed on the slots each vertex still needs
-and the next class allowed, are added to the attempted cases, and a count
-that passes the budget stops the scan with exactly budget attempted, as
-the DP walk's pruned subtrees do.  No leaf below needed the backtracker,
-so the witnesses, the first failing list system and the count are those
-of the plain scan.
-
-The choosability walk also prunes by the automorphisms of the graph, on the
-orbit table of the gauge pruning (_OrbitTable).  An automorphism sigma maps
-each class to the class of its image vertices, and a list system L to
-sigma(L), which is colorable exactly when L is.  Classes compare by their
-places in the walk's order, and the leaves, each the sorted sequence of its
-classes, come in lexicographic order.  Let sigma fix every class of a
-prefix P but the last, c, and map c to an earlier class.  Then
-sorted(sigma(P)) < P, and since adding elements to a multiset never raises
-its i-th smallest one, every leaf L below P has sorted(sigma(L)) < L: an
-image earlier in the scan, which the scan passed only if it was colorable.
-So such a subtree is counted without a walk, under the witness skip's
-budget rule, and the verdict, the first failing list system and the count
-stay those of the plain scan.  Pruning by any set of automorphisms is
-sound, so _automorphisms lists at most _AUT_LIMIT of them, and a graph with
-more costs what one with that many does.
-
-chi_list and chi_dp search less than the whole graph, in one loop over k.
-A vertex of degree < k can be colored last from any k-list and in any
-k-fold cover, so G is k-choosable, or DP-k-colorable, exactly when every
-component of its k-core (what is left after deleting vertices of degree
-< k until none is left) is (Erdos, Rubin and Taylor, 1979, for lists).
-For each k the loop searches those components one after another,
-relabelled in increasing vertex order, each with the budget the earlier
-ones left, so the budget counts the cases of the core's components.  An
-empty k-core, as at every k above the largest minimum degree of a
-subgraph, settles k without a search.  is_k_choosable and
-is_dp_k_colorable themselves search the graph they are given.
+chi_list and chi_dp search only the k-core, in one loop over k (_least_k).
 """
 
 from __future__ import annotations
@@ -101,6 +60,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -206,7 +166,7 @@ def chi(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# DP adversary search.
+# The orderly walk, and the DP adversary search on it.
 
 def _spanning_forest(g: Graph) -> set[tuple[int, int]]:
     seen = [False] * g.n
@@ -232,51 +192,105 @@ def normalized_assignment_count(g: Graph, k: int) -> int:
     return math.factorial(k) ** (g.m - g.n + components)
 
 
-class _OrbitTable(dict):
-    """Orderly generation of choice sequences up to a finite group acting
-    on choice indices, act(m, i) being the index member m maps choice i
-    to: a choice is cut when a member that fixes every earlier choice of
-    the sequence maps it to a smaller index.
+class _Lazy(dict):
+    """A dict that builds a missing value as make(key) and keeps it."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _OrbitTable(_Lazy):
+    """Orderly generation of choice sequences up to a finite group whose
+    member m maps choice index i to act(m, i).
 
     A prefix carries eq, the members (bits by number) that fix each of its
     choices; start holds all of them.  self[eq][i] is eq after appending
-    choice i, or -1 when some member of eq maps choice i to a smaller
-    index.  The members left out of eq move an earlier choice and are not
-    used again; pruning by any set of members is sound, so the set need
-    not be a group.  Rows and their entries are built on first lookup and
-    kept, so a walk pays only for the entries it reads.
+    choice i, or -1 when a member of eq maps choice i to a smaller index.
+    The members left out of eq move an earlier choice and are not used
+    again; any set of members prunes soundly, so it need not be a group.
     """
 
     def __init__(self, act, members):
-        super().__init__()
+        super().__init__(self.row)
         self.act = act
         self.start = sum(1 << m for m in members)
 
-    def __missing__(self, eq: int) -> _OrbitRow:
-        row = self[eq] = _OrbitRow(self.act, eq)
-        return row
+    def row(self, eq: int) -> _Lazy:
+        members = [m for m, bit in enumerate(bin(eq)[:1:-1]) if bit == "1"]
+        return _Lazy(functools.partial(self.entry, members))
 
-
-class _OrbitRow(dict):
-    """One row of _OrbitTable: choice index -> next eq, or -1."""
-
-    def __init__(self, act, eq: int):
-        super().__init__()
-        self.act = act
-        self.members = [m for m, bit in enumerate(bin(eq)[:1:-1])
-                        if bit == "1"]
-
-    def __missing__(self, i: int) -> int:
+    def entry(self, members: list[int], i: int) -> int:
         kept = 0
-        for m in self.members:
+        for m in members:
             j = self.act(m, i)
             if j < i:
-                kept = -1
-                break
+                return -1
             if j == i:
                 kept |= 1 << m
-        self[i] = kept
         return kept
+
+
+def _orderly_walk(orbits: _OrbitTable, expand, alive, within, count, kernel,
+                  witness, budget: int) -> tuple[list | None, int]:
+    """Walk one adversary's choice sequences by the module docstring's
+    rules.  expand(d, path) gives the choices at the node path[:d] as
+    (leaves, inner), the leaves tried first; alive and within are the
+    witness rows; count(d, i) is the leaf count below inner choice i at
+    depth d; kernel(leaf) is a coloring of the leaf or None; and
+    witness(coloring, bit) files a new witness in alive and within.
+
+    Returns (the first leaf no coloring fits, or None, attempted); raises
+    BudgetExceeded once budget leaves are attempted without a verdict.
+    """
+    depth = len(alive)
+    masks = [0] * (depth + 1)
+    steps = [orbits[orbits.start]] * (depth + 1)  # orbit row of each prefix
+    path = [0] * depth
+    todo = [None] * depth  # the inner choices left at each open node
+    attempted = witnesses = d = 0
+    while d >= 0:
+        if todo[d] is None:
+            # a new node: its leaves in one inline loop, the hot path
+            leaves, inner = expand(d, path)
+            todo[d] = iter(inner)
+            row, cover = alive[d], masks[d] & within[d + 1]
+            for i in leaves:
+                if attempted >= budget:
+                    raise BudgetExceeded(attempted)
+                attempted += 1
+                if cover & row[i]:
+                    continue
+                path[d] = i
+                coloring = kernel(path[:d + 1])
+                if coloring is None:
+                    return path[:d + 1], attempted
+                bit = 1 << witnesses
+                witnesses += 1
+                for j in range(d + 1):
+                    masks[j] |= bit
+                witness(coloring, bit)
+                cover = masks[d] & within[d + 1]
+        i = next(todo[d], None)
+        if i is None:
+            todo[d] = None
+            d -= 1
+            continue
+        fits = masks[d] and masks[d] & alive[d][i]
+        if fits & within[d + 1] or (eq := steps[d][i]) < 0:
+            attempted += count(d, i)
+            if attempted > budget:
+                raise BudgetExceeded(budget)
+            continue
+        path[d] = i
+        masks[d + 1] = fits
+        steps[d + 1] = orbits[eq]
+        d += 1
+    return None, attempted
 
 
 class _GaugeOrbits(_OrbitTable):
@@ -302,115 +316,48 @@ class _GaugeOrbits(_OrbitTable):
 def _scan_block(g: Graph, k: int, first_indices, budget: int
                 ) -> tuple[str, MatchingAssignment | None, int]:
     """Scan the normalized assignments whose first non-tree edge uses one of
-    first_indices (positions in itertools.permutations(range(k))), in
-    lexicographic order, reusing colorings already found and extending
-    only the least prefix of each gauge orbit.
-
-    Returns (status, certificate-or-None, attempted) with status in
-    {"ok", "cert", "budget"}; attempted counts enumerated assignments,
-    those of pruned subtrees included.
+    first_indices (positions in itertools.permutations(range(k))) on
+    _orderly_walk.  Returns (status, certificate-or-None, attempted) with
+    status in {"ok", "cert", "budget"}, so a pool can return it.
     """
     nontree = sorted(g.edges - _spanning_forest(g))
     orbits = _GaugeOrbits(k)
     perms, inv = orbits.perms, orbits.inv
     adj = [sorted(g.adj[v]) for v in range(g.n)]
     sizes = [k] * g.n
-    part = {}
-    for u, v in g.edges:
-        part[(u, v)] = part[(v, u)] = perms[0]
-    depth = len(nontree)
-    if not depth:
-        # no non-tree edges: the single all-identity assignment
-        if budget < 1:
-            return "budget", None, 0
-        if search_positions(adj, sizes, part) is None:
-            return "cert", MatchingAssignment.identity(g, k), 1
-        return "ok", None, 1
-    # Witnesses are found colorings, one bit each.  alive[d][i] holds the
-    # witnesses that avoid the matched pairs of non-tree edge d under perm
-    # i; masks[d] holds those valid on edges 0..d-1 of the current path.
-    # Until the first witness every row is the shared all-zero row.
-    nperm = len(perms)
-    zeros = [0] * nperm
-    alive = [zeros] * depth
-    masks = [0] * depth
-    path = [0] * depth
-    witnesses = attempted = 0
+    part = {dart: perms[0] for u, v in g.edges for dart in ((u, v), (v, u))}
+    # no non-tree edge leaves one assignment, all identity: one leaf
+    depth, nperm = len(nontree) or 1, len(perms)
+    # inner choices at every depth but the last, whose choices are leaves
+    choices = [list(first_indices) if nontree else [0]]
+    choices += [range(nperm)] * (depth - 1)
+    levels = [((), c) for c in choices[:-1]] + [(choices[-1], ())]
+    below = [nperm ** (depth - 1 - d) for d in range(depth)]
+    alive = [[0] * nperm for _ in range(depth)]
 
-    def add_witness(coloring) -> None:
-        nonlocal witnesses
-        bit = 1 << witnesses
-        witnesses += 1
-        for d, (u, v) in enumerate(nontree):
-            row = alive[d]
-            if row is zeros:
-                row = alive[d] = [0] * nperm
+    def kernel(leaf):
+        for (u, v), i in zip(nontree, leaf):
+            part[(u, v)], part[(v, u)] = perms[i], inv[i]
+        return search_positions(adj, sizes, part)
+
+    def witness(coloring, bit: int) -> None:
+        for row, (u, v) in zip(alive, nontree):
             cu, cv = coloring[u], coloring[v]
             for i, p in enumerate(perms):
                 if p[cu] != cv:
                     row[i] |= bit
-            # valid on every prefix of the current path
-            masks[d] |= bit
 
-    # Depth-first walk as an odometer over path, without recursion, so the
-    # depth is not limited by the number of non-tree edges.  cursor[d] is
-    # the index, in the choices of depth d, of the next perm to try there.
-    # steps[d] is the orbit row of the prefix path[:d]; a choice it marks -1
-    # is skipped with its whole subtree of skipped[d] leaves.  At the last
-    # edge a choice is one leaf, and the witness check costs less than the
-    # orbit test, so leaves are not tested.
-    steps = [orbits[orbits.start]] * depth
-    skipped = [nperm ** (depth - 1 - d) for d in range(depth)]
-    top = list(first_indices)
-    every = range(nperm)
-    last = depth - 1
-    cursor = [0] * depth
-    d = 0
-    while d >= 0:
-        choices = top if d == 0 else every
-        if d < last:
-            c = cursor[d]
-            if c == len(choices):
-                cursor[d] = 0
-                d -= 1
-                continue
-            cursor[d] = c + 1
-            i = choices[c]
-            eq = steps[d][i]
-            if eq < 0:
-                # every leaf below has a conjugate earlier in the scan, so
-                # the plain scan counts them all as colorable
-                attempted += skipped[d]
-                if attempted > budget:
-                    return "budget", None, budget
-                continue
-            path[d] = i
-            u, v = nontree[d]
-            part[(u, v)], part[(v, u)] = perms[i], inv[i]
-            masks[d + 1] = masks[d] & alive[d][i]
-            steps[d + 1] = orbits[eq]
-            d += 1
-            continue
-        # leaf depth: every choice is one enumerated assignment
-        u, v = nontree[d]
-        row, mask = alive[d], masks[d]
-        for i in choices:
-            if attempted >= budget:
-                return "budget", None, attempted
-            attempted += 1
-            if mask & row[i]:
-                continue
-            path[d] = i
-            part[(u, v)], part[(v, u)] = perms[i], inv[i]
-            coloring = search_positions(adj, sizes, part)
-            if coloring is None:
-                chosen = {e: perms[j] for e, j in zip(nontree, path)}
-                matching = MatchingAssignment.from_permutations(g, k, chosen)
-                return "cert", matching, attempted
-            add_witness(coloring)
-            row, mask = alive[d], masks[d]
-        d -= 1
-    return "ok", None, attempted
+    try:
+        leaf, attempted = _orderly_walk(
+            orbits, lambda d, path: levels[d], alive, [0] * depth + [-1],
+            lambda d, i: below[d], kernel, witness, budget)
+    except BudgetExceeded as exc:
+        return "budget", None, exc.attempted
+    if leaf is None:
+        return "ok", None, attempted
+    chosen = {e: perms[i] for e, i in zip(nontree, leaf)}
+    matching = MatchingAssignment.from_permutations(g, k, chosen)
+    return "cert", matching, attempted
 
 
 def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
@@ -419,10 +366,9 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
     lexicographically first failing assignment as an AdversaryCertificate.
 
     Raises BudgetExceeded with the attempted case count if the normalized
-    space cannot be settled within budget.  The verdict, the certificate
-    and the count do not depend on jobs.  A space of at least
-    _POOL_MIN_WORK times k! cases is split across jobs processes, at most
-    one per first choice the gauge pruning keeps.
+    space cannot be settled within budget.  None of that depends on jobs.
+    A space of at least _POOL_MIN_WORK times k! cases is split across jobs
+    processes, at most one per first choice the gauge pruning keeps.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -432,15 +378,13 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
             _POOL_MIN_WORK * nperm, 2):
         results = [_scan_block(g, k, range(nperm), budget)]
     else:
-        # split the first edge's permutations into contiguous blocks, each
-        # scanned with the full budget since none knows how far the blocks
-        # before it get
+        # each block gets the full budget: none knows how far those before
+        # it get
         scan = functools.partial(_scan_block, g, k, budget=budget)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(scan, _first_edge_blocks(k, jobs)))
     # merge in block order with cumulative counts: a block's result stands
-    # only where the serial scan would have reached it within budget, so
-    # the first certificate and the attempted count are the serial ones
+    # only where the serial scan would have reached it within budget
     offset = 0
     for status, matching, attempted in results:
         offset += attempted
@@ -453,15 +397,12 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
 
 
 def _first_edge_blocks(k: int, jobs: int) -> list[range]:
-    """Contiguous blocks of the first edge's permutation indices that cover
-    range(k!), at most jobs of them, each holding as many of the first
-    choices the gauge pruning keeps (the start row's) as the others, to
-    one.  The others are skipped in every block, so a block holds at least
-    one kept choice and has work to do."""
-    orbits = _GaugeOrbits(k)
-    row = orbits[orbits.start]
-    nperm = len(orbits.perms)
-    kept = [i for i in range(nperm) if row[i] >= 0]
+    """Contiguous blocks of the first edge's permutation indices covering
+    range(k!), at most jobs of them, holding equal shares, to one, of the
+    first choices the gauge pruning keeps (the start row's), so each block
+    has work to do."""
+    orbits, nperm = _GaugeOrbits(k), math.factorial(k)
+    kept = [i for i in range(nperm) if orbits[orbits.start][i] >= 0]
     parts = min(jobs, len(kept))
     size, extra = divmod(len(kept), parts)
     cuts, at = [0], 0
@@ -475,38 +416,11 @@ def _first_edge_blocks(k: int, jobs: int) -> list[range]:
 # ---------------------------------------------------------------------------
 # Choosability.
 
-def _connected_subsets(g: Graph) -> list[int]:
-    """All connected vertex subsets as bitmasks.
-
-    Exclusive-neighborhood extension: a vertex enters the extension set only
-    when first seen as a neighbor of the current subset, so each subset is
-    generated exactly once (from its minimum vertex).
-    """
-    adjmask = g.masks
-    out: list[int] = []
-
-    def rec(cur: int, ext: int, nbhd: int) -> None:
-        out.append(cur)
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            v = low.bit_length() - 1
-            add = adjmask[v] & upper & ~nbhd
-            rec(cur | low, ext | add, nbhd | adjmask[v])
-
-    for s in range(g.n):
-        upper = ~((1 << (s + 1)) - 1)
-        rec(1 << s, adjmask[s] & upper, adjmask[s])
-    return out
-
-
 def _list_coloring(adj, lists: Lists, colors: int) -> tuple[int, ...] | None:
-    """One list system through the shared kernel: position i at v stands
-    for color lists[v][i], and a dart pairs the positions of equal colors
-    (-1 where the neighbor's list lacks the color).  Colors lie in
-    range(colors); each vertex gets one table from color to position, and
-    a dart reads its partners from its far end's table.  Returns the chosen
-    color per vertex, or None when the lists admit no proper coloring."""
+    """One list system, colors in range(colors), through the shared kernel:
+    position i at v stands for color lists[v][i], and a dart pairs the
+    positions of equal colors (-1 where the far list lacks the color).
+    Returns the chosen color per vertex, or None."""
     at = []
     for own in lists:
         row = [-1] * colors
@@ -525,176 +439,133 @@ def _list_coloring(adj, lists: Lists, colors: int) -> tuple[int, ...] | None:
     return tuple(lists[v][i] for v, i in enumerate(chosen))
 
 
+class _ClassGroups(_Lazy):
+    """The classes of the choosability walk at k by least vertex: self[v]
+    lists, built on first use, the keys of the connected vertex sets whose
+    least vertex is v.  Class c has key v << n | full ^ c (full = 2^n - 1),
+    so keys sort as the walk orders classes, and key & full ^ full is c.
+
+    Exclusive-neighborhood extension, as a loop, lists a group: a vertex
+    enters the extension set only when first seen as a neighbor of the
+    current set, so each set comes once."""
+
+    def __init__(self, g: Graph, k: int):
+        super().__init__(self.group)
+        self.n, self.masks, self.full = g.n, g.masks, (1 << g.n) - 1
+        self.rep = ((1 << g.n * k) - 1) // self.full  # bit t*n for t < k
+
+    def group(self, v: int) -> list[int]:
+        n, masks, full, upper = self.n, self.masks, self.full, -1 << (v + 1)
+        keys = []
+        todo = [(1 << v, masks[v] & upper, masks[v])]
+        while todo:
+            cur, ext, near = todo.pop()
+            keys.append(v << n | full ^ cur)
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                u = low.bit_length() - 1
+                todo.append((cur | low, ext | masks[u] & upper & ~near,
+                             near | masks[u]))
+        return sorted(keys)
+
+
 def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
     """True if every k-list assignment admits a proper coloring from the
-    lists, else an AdversaryCertificate carrying a failing assignment.
-
-    Enumerates list systems up to color renaming as multisets of connected
-    color classes covering every vertex exactly k times (see module
-    docstring for why that is exhaustive).  Classes are tried largest
-    first, so for a graph that is not even k-colorable the uniform
-    assignment fails immediately.  Colorings already found are reused as
-    witnesses, so the backtracker runs only on list systems none of them
-    colors.  A subtree that one witness colors throughout, or that an
-    automorphism of g maps to an earlier part of the scan, is counted
-    without being walked.  Raises BudgetExceeded with the attempted count
-    once budget list systems are tried without a verdict, as
-    is_dp_k_colorable does.
+    lists, else an AdversaryCertificate carrying the first failing list
+    system of the module docstring's walk.  Classes are tried largest
+    first, so a graph that is not even k-colorable fails at the uniform
+    lists.  Raises BudgetExceeded as is_dp_k_colorable does.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n == 0:
         return True
-    by_min = _class_groups(g)
-    # the walk's order of the classes; group v starts at first[v]
-    classes = [c for v in range(g.n) for c in by_min[v]]
-    place = {c: i for i, c in enumerate(classes)}
-    first = [place[by_min[v][0]] for v in range(g.n)] + [len(classes)]
-    members: dict[int, list[int]] = {}  # vertices of each class met
-    # automorphisms act on the classes by their places in that order
-    images = [[1 << w for w in sigma] for sigma in _automorphisms(g)]
+    n, full = g.n, (1 << g.n) - 1
+    groups = _ClassGroups(g, k)
+    rep, sigmas = groups.rep, _automorphisms(g)
 
-    def act(m: int, i: int) -> int:
-        image, c, out = images[m], classes[i], 0
-        while c:
-            low = c & -c
-            c ^= low
-            out |= image[low.bit_length() - 1]
-        return place[out]
+    def act(m: int, key: int) -> int:
+        c, sigma = key & full ^ full, sigmas[m]
+        out = sum(1 << sigma[v] for v in range(n) if c >> v & 1)
+        return ((out & -out).bit_length() - 1) << n | full ^ out
 
-    orbits = _OrbitTable(act, range(len(images)))
-    adj = [sorted(g.adj[v]) for v in range(g.n)]
-    need = [k] * g.n
-    defmask = (1 << g.n) - 1
-    chosen: list[int] = []
-    attempted = 0
-    found: list[Lists] = []
-    # Witnesses are found colorings, one bit each, kept as the vertex set of
-    # each color; a color is a class index.  masks[j] holds the witnesses
-    # whose colors 0..j-1 lie inside chosen[0..j-1], and within[j] those
-    # that use no color from j on.  fits[j][c] caches the witnesses whose
-    # color-j set lies inside class c, with the number of witnesses it has
-    # looked at, so it catches up only on the ones found since.
-    depth = k * g.n  # every class covers at least one of the k*n slots
-    masks = [0] * (depth + 1)
-    within = [0] * (depth + 1)
-    fits: list[dict[int, list[int]]] = [{} for _ in range(depth)]
-    color_sets: list[list[int]] = []
+    adj = [sorted(g.adj[v]) for v in range(n)]
+    depth = k * n  # every class covers at least one of the k*n slots
+    needs = [(1 << n * k) - 1] + [0] * depth  # as _count_list_systems' left
+    color_sets: list[list[int]] = []  # each witness's vertex set per color
     counts: dict = {}  # _count_list_systems' memo
 
-    def fit(j: int, c: int) -> int:
-        entry = fits[j].get(c)
-        if entry is None:
-            entry = fits[j][c] = [0, 0]
-        mask, seen = entry
-        if seen < len(color_sets):
-            outside = ~c
-            for t in range(seen, len(color_sets)):
-                sets = color_sets[t]
-                if j >= len(sets) or not sets[j] & outside:
-                    mask |= 1 << t
-            entry[0], entry[1] = mask, len(color_sets)
-        return mask
+    def fits(j: int, key: int) -> int:
+        # a key's low bits are the vertices outside its class
+        return sum(1 << t for t, sets in enumerate(color_sets)
+                   if j >= len(sets) or not sets[j] & key)
 
-    def leaf(top: int) -> bool:
-        nonlocal attempted
-        if attempted >= budget:
-            raise BudgetExceeded(attempted)
-        attempted += 1
-        if masks[top] & within[top]:
-            return False
-        lists = tuple(
-            tuple(i for i, c in enumerate(chosen) if (c >> v) & 1)
-            for v in range(g.n)
-        )
-        coloring = _list_coloring(adj, lists, len(chosen))
-        if coloring is None:
-            found.append(lists)
-            return True
+    alive = [_Lazy(functools.partial(fits, j)) for j in range(depth)]
+    within = [0] * (depth + 1)
+
+    def expand(d: int, path: list[int]):
+        if d:  # take class path[d - 1] as _count_list_systems does
+            up, cr = needs[d - 1], (path[d - 1] & full ^ full) * rep
+            needs[d] = up & ~cr | up >> n & cr
+        left = needs[d]
+        closed = full ^ left & full
+        v = (left & -left).bit_length() - 1
+        group = groups[v]
+        start = bisect_left(group, path[d - 1]) if d else 0
+        # the classes that miss every closed vertex, whose keys hold them all
+        inner = [key for key in group[start:] if key & closed == closed]
+        # the open vertices, when none needs two classes, end the sequence
+        if inner and inner[0] == v << n | closed and left <= full:
+            return inner[:1], inner[1:]
+        return (), inner
+
+    def count(d: int, key: int) -> int:
+        up, cr, v = needs[d], (key & full ^ full) * rep, key >> n
+        after = up & ~cr | up >> n & cr
+        start = bisect_left(groups[v], key) if after >> v & 1 else 0
+        return _count_list_systems(groups, after, start, counts)
+
+    def lists_of(leaf: list[int]) -> Lists:
+        return tuple(tuple(j for j, key in enumerate(leaf) if not key >> v & 1)
+                     for v in range(n))
+
+    def witness(coloring, bit: int) -> None:
         sets = [0] * (max(coloring) + 1)
         for v, c in enumerate(coloring):
             sets[c] |= 1 << v
-        bit = 1 << len(color_sets)
         color_sets.append(sets)
-        # valid on every prefix of the current list system
-        for j in range(top + 1):
-            masks[j] |= bit
+        for j, row in enumerate(alive):
+            colored = sets[j] if j < len(sets) else 0
+            for key, old in row.items():
+                if not colored & key:
+                    row[key] = old | bit
         for j in range(len(sets), depth + 1):
             within[j] |= bit
-        return False
 
-    def rec(j: int, start: int, row) -> bool:
-        nonlocal defmask, attempted
-        vstar = (defmask & -defmask).bit_length() - 1
-        # the classes of the least open vertex, from the last one chosen on
-        outside = ~defmask
-        for p in range(max(start, first[vstar]), first[vstar + 1]):
-            c = classes[p]
-            if c & outside:
-                continue
-            chosen.append(c)
-            # a witness found below this depth has joined masks[j] since
-            alive = masks[j]
-            masks[j + 1] = alive & fit(j, c) if alive else 0
-            cover = members.get(c)
-            if cover is None:
-                cover = members[c] = [v for v in range(vstar, c.bit_length())
-                                      if (c >> v) & 1]
-            cleared = 0
-            for v in cover:
-                need[v] -= 1
-                if not need[v]:
-                    cleared |= 1 << v
-            stop = False
-            if cleared == defmask:
-                stop = leaf(j + 1)
-            elif masks[j + 1] & within[j + 1] or (eq := row[p]) < 0:
-                # a witness fits every class chosen so far and uses no
-                # other color, so it colors every leaf below; or an
-                # automorphism that fixes every class chosen before maps c
-                # to an earlier class, so every leaf below has an image
-                # earlier in the scan: the plain scan would count them all
-                # as colorable
-                skipped = _count_list_systems(
-                    by_min, tuple(need), p - first[vstar] if need[vstar] else 0,
-                    counts)
-                if attempted + skipped > budget:
-                    raise BudgetExceeded(budget)
-                attempted += skipped
-            else:
-                defmask ^= cleared
-                stop = rec(j + 1, p, orbits[eq])
-                defmask ^= cleared
-            for v in cover:
-                need[v] += 1
-            chosen.pop()
-            if stop:
-                return True
-        return False
-
-    if rec(0, 0, orbits[orbits.start]):
-        return AdversaryCertificate(kind="list", k=k, lists=found[0])
-    return True
+    leaf, _ = _orderly_walk(
+        _OrbitTable(act, range(len(sigmas))), expand, alive, within, count,
+        lambda leaf: _list_coloring(adj, lists_of(leaf), len(leaf)),
+        witness, budget)
+    if leaf is None:
+        return True
+    return AdversaryCertificate(kind="list", k=k, lists=lists_of(leaf))
 
 
-#: _automorphisms lists at most this many.  Pruning by any set of
-#: automorphisms is sound, and the walk pays up to this many class images
-#: for each orbit-table entry it reads, so a very symmetric graph (the
-#: edgeless one on n vertices has n!) costs what one with this many does.
+#: _automorphisms lists at most this many.  Any set of them prunes soundly,
+#: and the walk pays up to this many class images per orbit-table entry, so
+#: a very symmetric graph (the edgeless one has n!) costs no more.
 _AUT_LIMIT = 64
 
 
 def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Non-identity automorphisms of g, each as the tuple of vertex images,
-    at most _AUT_LIMIT of them, in the lexicographic order of their images
-    along a breadth-first order of the vertices.
-
-    A depth-first search, run as a loop so its depth is not bounded by the
-    interpreter's, maps the vertices in that order.  A vertex goes to an
-    unused vertex of the same degree whose neighbors among the images so
-    far are exactly the images of its own earlier neighbors (so a neighbor
-    of one of those images, unless it starts a component): every full map
-    is an automorphism, and every automorphism is one of them."""
+    """Non-identity automorphisms of g as tuples of vertex images, at most
+    _AUT_LIMIT of them, in the lexicographic order of their images along a
+    breadth-first order of the vertices, which a depth-first search, as a
+    loop, maps in turn.  A vertex goes to an unused vertex of its degree
+    whose neighbors among the images so far are exactly the images of its
+    own earlier neighbors: every full map is an automorphism, and every
+    automorphism is one."""
     n, masks = g.n, g.masks
     order: list[int] = []
     seen = [False] * n
@@ -747,40 +618,47 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return found
 
 
-def _class_groups(g: Graph) -> dict[int, list[int]]:
-    """The color classes of the choosability walk, the connected vertex
-    sets, grouped by least vertex, each group in decreasing order."""
-    by_min: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for c in sorted(_connected_subsets(g), reverse=True):
-        by_min[(c & -c).bit_length() - 1].append(c)
-    return by_min
-
-
-def _count_list_systems(by_min, left: tuple[int, ...], start: int,
+def _count_list_systems(groups: _ClassGroups, left: int, start: int,
                         memo: dict) -> int:
-    """The list systems the choosability walk enumerates below a node whose
-    vertex v still needs left[v] classes and whose next class comes from
-    position start of the least such vertex's group: the walk's choice
-    rule, counted, with memo keeping the counts already made."""
-    key = (left, start)
-    total = memo.get(key)
-    if total is None:
-        total = 0
-        vstar = next(v for v, r in enumerate(left) if r)
-        group = by_min[vstar]
-        for i in range(start, len(group)):
-            c = group[i]
-            after = tuple(r - ((c >> v) & 1) for v, r in enumerate(left))
-            if -1 in after:
-                continue
-            if not any(after):
-                total += 1
-            else:
-                # the group goes on from c while its vertex is still open
-                total += _count_list_systems(
-                    by_min, after, i if after[vstar] else 0, memo)
-        memo[key] = total
-    return total
+    """The list systems the choosability walk enumerates below a node, by
+    its choice rule, counted depth first as a loop with memo keeping the
+    counts made.  left holds the open slots in layers of n bits, bit t*n + v
+    set while v needs more than t classes; taking class c moves its vertices
+    down a layer (c * groups.rep is c in every layer).  The next class comes
+    from position start of the least open vertex's group."""
+    root = (left, start)
+    if root in memo:
+        return memo[root]
+    n, full, rep = groups.n, groups.full, groups.rep
+    split = {}  # node -> (leaves, nodes below), until those are counted
+    todo = [root]
+    while todo:
+        node = todo[-1]
+        if node in memo:
+            todo.pop()
+        elif node in split:
+            leaves, below = split.pop(node)
+            memo[node] = leaves + sum(memo[b] for b in below)
+            todo.pop()
+        else:
+            need, first = node
+            closed = full ^ need & full
+            v = (need & -need).bit_length() - 1
+            group = groups[v]
+            leaves, below = 0, []
+            for i in range(first, len(group)):
+                if group[i] & closed != closed:
+                    continue  # the class holds a closed vertex
+                cr = (group[i] & full ^ full) * rep
+                after = need & ~cr | need >> n & cr
+                if after:
+                    # the group goes on from this class while v is open
+                    below.append((after, i if after >> v & 1 else 0))
+                else:
+                    leaves += 1
+            split[node] = leaves, below
+            todo += below
+    return memo[root]
 
 
 # ---------------------------------------------------------------------------
@@ -800,17 +678,16 @@ def core_components(g: Graph, k: int) -> list[Graph]:
                 if degs[u] < k:
                     gone[u] = True
                     stack.append(u)
-    seen = list(gone)
-    components = []
+    components = []  # each marks its vertices gone as it is found
     for root in range(g.n):
-        if seen[root]:
+        if gone[root]:
             continue
-        seen[root] = True
+        gone[root] = True
         comp = [root]
         for v in comp:
             for u in g.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
+                if not gone[u]:
+                    gone[u] = True
                     comp.append(u)
         keep = set(comp)
         components.append(
@@ -820,13 +697,17 @@ def core_components(g: Graph, k: int) -> list[Graph]:
 
 def _least_k(g: Graph, k: int, search, count, budget: int, **options) -> int:
     """The least k from the given one up at which search(core, k) is True
-    on every component of g's k-core; an empty k-core needs no search.
+    on every component of g's k-core.  A vertex of degree < k can be
+    colored last from any k-list and in any k-fold cover, so g is
+    k-choosable, or DP-k-colorable, exactly when every such component is
+    (Erdos, Rubin and Taylor, 1979, for lists); an empty k-core, as at
+    every k past the degeneracy, settles k without a search.
 
     The components are searched in turn, each with the budget the earlier
-    ones left.  A component found True was tried on all of its count(core,
-    k) cases; counting them can cost a walk, so only when another follows.
-    The callers pass the module's search function as it is when they are
-    called, so a wrapper set on the module sees every search.
+    ones left, so the budget counts their cases.  A component found True
+    was tried on all of its count(core, k) cases, counted only when another
+    follows.  The callers pass the module's search function as it is when
+    they are called, so a wrapper set on the module sees every search.
     """
     while True:
         cores = core_components(g, k)
@@ -864,5 +745,5 @@ def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     return _least_k(
         g, chi(g), is_k_choosable,
         lambda core, k: _count_list_systems(
-            _class_groups(core), (k,) * core.n, 0, {}),
+            _ClassGroups(core, k), (1 << core.n * k) - 1, 0, {}),
         budget)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import sys
@@ -30,7 +31,8 @@ from dpcolor import (
     path_graph,
     uniform_lists,
 )
-from dpcolor.solver import (_AUT_LIMIT, _GaugeOrbits, _automorphisms,
+from dpcolor.solver import (_AUT_LIMIT, _ClassGroups, _GaugeOrbits,
+                            _automorphisms, _count_list_systems,
                             _first_edge_blocks)
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
@@ -147,6 +149,48 @@ def calls_of(codes, call):
     finally:
         sys.settrace(previous)
     return result, count
+
+
+def kernel_calls(call):
+    """call()'s result and the input of each dp.search_positions call the
+    solver makes during it, in order: the sizes and the partner tables."""
+    calls = []
+    kernel = dpcolor.solver.search_positions
+
+    def spy(adj, sizes, part):
+        calls.append((tuple(sizes), {dart: tuple(partners)
+                                     for dart, partners in part.items()}))
+        return kernel(adj, sizes, part)
+
+    dpcolor.solver.search_positions = spy
+    try:
+        result = call()
+    finally:
+        dpcolor.solver.search_positions = kernel
+    return result, calls
+
+
+def walk_steps(call):
+    """call()'s result, the nodes its orderly walks enter and the leaves
+    offered there, which are the leaves examined when no walk stops
+    early."""
+    steps = [0, 0]
+    walk = dpcolor.solver._orderly_walk
+
+    def counted(orbits, expand, *rest):
+        def expand_counted(d, path):
+            leaves, inner = expand(d, path)
+            steps[0] += 1
+            steps[1] += len(leaves)
+            return leaves, inner
+
+        return walk(orbits, expand_counted, *rest)
+
+    dpcolor.solver._orderly_walk = counted
+    try:
+        return (call(), *steps)
+    finally:
+        dpcolor.solver._orderly_walk = walk
 
 
 def test_chi_fixes_the_clique_colors_on_mycielski5():
@@ -276,20 +320,31 @@ def test_adversary_matches_reference_scan(monkeypatch):
                     assert got == want, (g.edges, k, budget, jobs)
 
 
-def test_witness_reuse_skips_most_searches(monkeypatch):
-    calls = 0
-    kernel = dpcolor.solver.search_positions
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(dpcolor.solver, "search_positions", counted)
+def test_witness_reuse_skips_most_searches():
     g = prism(5)
     assert normalized_assignment_count(g, 3) == 46_656
-    assert is_dp_k_colorable(g, 3) is True
-    assert calls <= 100
+    verdict, calls = kernel_calls(lambda: is_dp_k_colorable(g, 3))
+    assert verdict is True
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("g6, search, most, examined", [
+    # the two hard-dp instances of the benchmark: 10,077,696 and 46,656
+    # assignments, about one leaf in 3! examined
+    ("K{CY?SBG?G_F", is_dp_k_colorable, 74, 48_306),
+    ("IheAHCPBG", is_dp_k_colorable, 34, 8_358),
+    # 20,852 list systems
+    ("Dr{", is_k_choosable, 207, 995),
+], ids=["truncated-tetrahedron", "C5xK2", "Dr{"])
+def test_kernel_calls_at_k3_are_pinned(g6, search, most, examined):
+    # the walk reuses witnesses and skips covered and cut subtrees: each
+    # kernel call is a leaf that none of that settles
+    g = parse_graph6(g6)
+    verdict, calls = kernel_calls(lambda: search(g, 3))
+    assert verdict is True
+    assert len(calls) <= most
+    verdict, nodes, leaves = walk_steps(lambda: search(g, 3))
+    assert leaves <= examined
 
 
 def test_cycle_rank_beyond_recursion_limit():
@@ -396,19 +451,12 @@ def test_choosability_matches_reference_scan():
                 assert got == want, (g.edges, k, budget)
 
 
-def test_choosability_witness_reuse_skips_most_searches(monkeypatch):
-    calls = 0
-    kernel = dpcolor.solver.search_positions
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(dpcolor.solver, "search_positions", counted)
+def test_choosability_witness_reuse_skips_most_searches():
     # 20,852 list systems, each one kernel call without witness reuse
-    assert is_k_choosable(parse_graph6("Dr{"), 3) is True
-    assert calls <= 500
+    verdict, calls = kernel_calls(
+        lambda: is_k_choosable(parse_graph6("Dr{"), 3))
+    assert verdict is True
+    assert len(calls) <= 500
 
 
 def test_choosability_budget_counts_like_dp_adversary():
@@ -477,31 +525,54 @@ def test_every_choosability_budget_matches_reference_scan(g, k, stride):
 def test_choosability_counts_covered_subtrees_without_walking():
     # a witness that fits every class chosen so far colors every leaf
     # below; counting those leaves instead of walking them takes Dr{ at
-    # k = 3 from 41,053 rec and 20,852 leaf calls to 12,254 and 1,593
+    # k = 3 from 41,053 nodes and 20,852 leaves to 12,254 and 1,593
     # (6,199 and 995 with the automorphism pruning too)
-    walk = {inner_code(is_k_choosable, "rec"),
-            inner_code(is_k_choosable, "leaf")}
-    verdict, steps = calls_of(
-        walk, lambda: is_k_choosable(parse_graph6("Dr{"), 3))
+    verdict, nodes, leaves = walk_steps(
+        lambda: is_k_choosable(parse_graph6("Dr{"), 3))
     assert verdict is True
-    assert steps <= 20_000
+    assert nodes + leaves <= 20_000
 
 
 def test_choosability_prunes_by_automorphisms(monkeypatch):
     # an automorphism that fixes the classes chosen before and maps the
     # next one to an earlier class cuts its subtree: Dr{ (the wheel W4,
-    # 8 automorphisms) at k = 3 takes 7,194 rec and leaf calls, against
-    # 13,847 with no automorphisms
-    walk = {inner_code(is_k_choosable, "rec"),
-            inner_code(is_k_choosable, "leaf")}
+    # 8 automorphisms) at k = 3 enters 6,199 nodes and examines 995
+    # leaves, 7,194 in all, against 13,847 with no automorphisms
     g = parse_graph6("Dr{")
-    verdict, steps = calls_of(walk, lambda: is_k_choosable(g, 3))
+    verdict, nodes, leaves = walk_steps(lambda: is_k_choosable(g, 3))
     assert verdict is True
-    assert steps <= 9_000
+    assert nodes + leaves <= 9_000
     monkeypatch.setattr(dpcolor.solver, "_automorphisms", lambda g: [])
-    verdict, unpruned = calls_of(walk, lambda: is_k_choosable(g, 3))
+    verdict, nodes, leaves = walk_steps(lambda: is_k_choosable(g, 3))
     assert verdict is True
-    assert unpruned > 9_000
+    assert nodes + leaves > 9_000
+
+
+def test_choosability_lists_classes_on_first_use():
+    # the uniform 1-list system of a path fails at its first leaf, which
+    # needs only the classes of vertex 0, 700 of the 245,350
+    g = path_graph(700)
+    start = time.perf_counter()
+    cert = is_k_choosable(g, 1)
+    assert time.perf_counter() - start < 0.5
+    assert cert.lists == ((0,),) * 700
+
+
+def test_class_helpers_do_not_recurse():
+    # a path on 100 vertices has 100 classes with least vertex 0 and 2^99
+    # list systems at k = 1; the edgeless graph on 100 vertices has one,
+    # of 100 classes, so its count goes 100 classes deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        for g, count in ((path_graph(100), 2 ** 99),
+                         (from_edge_list([], n=100), 1)):
+            groups = _ClassGroups(g, 1)
+            assert len(groups[0]) == (100 if g.m else 1)
+            left = (1 << 100) - 1  # every vertex needs one class
+            assert _count_list_systems(groups, left, 0, {}) == count
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def check_automorphisms(g):
