@@ -310,35 +310,37 @@ def _verify_search(g: Graph, budget: int, jobs: int
 
 
 def _filter_status(line: str, forbidden, n_max: int | None
-                   ) -> tuple[str | None, Graph | None]:
+                   ) -> tuple[str | None, tuple[int, ...] | None]:
     """The row status of a graph6 line that the filters drop, with None; or
-    None with the Graph of a candidate."""
-    status, g = filter_graph6(line, forbidden, n_max)
+    None with the neighbor bitmasks of a candidate."""
+    status, masks = filter_graph6(line, forbidden, n_max)
     if status is not None:
         return status, None
     bound = 9 if n_max is None else max(9, n_max)
     try:
-        if not planar.is_planar(g, max_n=bound):
+        if not planar.is_planar_masks(masks, max_n=bound):
             return "filtered:nonplanar", None
     except planar.NonPlanarOrTooLarge:
         return "skipped:embed-bound", None
-    return None, g
+    return None, masks
 
 
 def cmd_verify(args) -> int:
     """Scan a graph6 stream: keep connected graphs that satisfy the variant's
     cycle condition and are planar, and check each is DP-3-colorable.
 
-    The filters run cheapest first: graphs.filter_graph6 applies the vertex
-    bound, connectivity and the cycle filter to the line's bitmasks, then
-    planarity, decided by planar.is_planar on the graph reduced by degree.
-    A Graph is built only for the lines that reach planarity.  A candidate
-    with an empty 3-core (solver.core_components) passes without a search;
-    the others go to solver.is_dp_k_colorable, which splits each large
-    search across --jobs processes.  Rows are settled one at a time in
-    input order, and the refutation certificates are printed before them.
-    A line that is not graph6 raises ValueError with the input's path and
-    the line number in front of the decoder's message."""
+    The filters run cheapest first on the neighbor bitmasks that
+    graphs.filter_graph6 decodes from the line: the vertex bound,
+    connectivity and the cycle filter there, then planarity
+    (planar.is_planar_masks, on the graph reduced by degree).  A candidate
+    whose 3-core (solver.k_core) is empty passes without a search.  A
+    Graph is built only for a reduced graph that reaches the rotation
+    search and for a candidate that goes to solver.is_dp_k_colorable,
+    which splits each large search across --jobs processes.  Rows are
+    settled one at a time in input order, and the refutation certificates
+    are printed before them.  A line that is not graph6 raises ValueError
+    with the input's path and the line number in front of the decoder's
+    message."""
     budget = _budget(args)
     forbidden = discharging.VARIANTS[args.variant].forbidden
     rows: list[dict] = []
@@ -348,7 +350,7 @@ def cmd_verify(args) -> int:
         if not line:
             continue
         try:
-            status, g = _filter_status(line, forbidden, args.n_max)
+            status, masks = _filter_status(line, forbidden, args.n_max)
         except ValueError as exc:
             raise ValueError(f"{args.input}:{lineno}: {exc}") from None
         row = {"graph6": line, "status": status}
@@ -356,11 +358,11 @@ def cmd_verify(args) -> int:
             # an empty 3-core: each vertex, colored in reverse order of
             # deletion, has at most 2 colored neighbors, so every 3-fold
             # cover is colored without a search
-            if not solver.core_components(g, 3):
+            if not solver.k_core(masks, 3):
                 row["status"], row["settled_by"] = "pass", "core-empty"
             else:
-                row["status"], certificate = _verify_search(g, budget,
-                                                            args.jobs)
+                row["status"], certificate = _verify_search(
+                    parse_graph6(line), budget, args.jobs)
                 row["settled_by"] = "search"
                 if certificate is not None:
                     refutations.append((line, certificate))

@@ -7,15 +7,17 @@ The cycle queries share one depth-first search and ask it only their own
 question: cycle_spectrum wants every length up to a bound, forbidden_cycles
 wants exactly which of the given lengths occur, and has_cycle_length stops
 at the first of the given lengths it finds.  The census filter,
-filter_graph6 below, asks that last question too.
+filter_graph6 below, asks that last question too.  Whenever 4 is among the
+lengths asked for, a sweep in O(m) mask operations settles it before the
+search starts.
 
 The search and the connectivity test work on neighbor bitmasks, one per
 vertex, which a Graph builds on first use and keeps (Graph.masks), as it
-keeps its degree tuple (Graph.degrees).
-filter_graph6 runs the census filters of dpcolor verify-theorem2 (vertex
-bound, connectivity, cycle filter) on the bitmasks of a graph6 line's
-decoded edge pairs before a Graph exists, and builds a Graph only for the
-lines that pass.
+keeps its degree tuple (Graph.degrees).  The graph6 decoder yields those
+bitmasks directly.  filter_graph6 runs the census filters of dpcolor
+verify-theorem2 (vertex bound, connectivity, cycle filter) on them and
+returns them, not a Graph, for a line that passes; planar.is_planar_masks
+and solver.k_core take them from there.
 """
 
 from __future__ import annotations
@@ -185,12 +187,13 @@ _G6_HEADER = ">>graph6<<"
 _G6_BYTES = re.compile("[?-~]*")  # the bytes 63..126
 # byte value minus 63, modulo 256: graph6 bytes '?'..'~' become 0..63
 _MINUS_63 = bytes((b - 63) % 256 for b in range(256))
+# each 6-bit value with its bits in reverse order
+_REVERSED_6 = tuple(int(f"{x:06b}"[::-1], 2) for x in range(64))
 
 
-def _decode_graph6(s: str) -> tuple[int, list[tuple[int, int]]]:
+def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
     """Decode one graph6 line, without surrounding whitespace, into
-    (n, pairs): pairs lists the edges (i, j), i < j, in column order
-    (0,1), (0,2), (1,2), (0,3), ..."""
+    (n, masks): masks[v] is the neighbor set of vertex v as a bitmask."""
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
@@ -220,57 +223,68 @@ def _decode_graph6(s: str) -> tuple[int, list[tuple[int, int]]]:
         raise MalformedGraph6(
             f"expected {need} adjacency bytes for n={n}, got {len(vals) - idx}"
         )
-    # the adjacency bytes as one integer: bit k of the upper triangle, in
-    # column order, is bit nbits - 1 - k
+    # the adjacency bits as one integer, read from the last byte back: bit k
+    # of the upper triangle in column order (0,1), (0,2), (1,2), (0,3), ...
+    # is bit k of word, and the padding lies above bit nbits - 1
     word = 0
-    for x in vals[idx:]:
-        word = (word << 6) | x
-    pad = 6 * need - nbits
-    if word & ((1 << pad) - 1):
+    for x in reversed(vals[idx:]):
+        word = (word << 6) | _REVERSED_6[x]
+    if word >> nbits:
         raise MalformedGraph6("nonzero padding bits")
-    word >>= pad
-    pairs = []
-    shift = nbits
+    masks = [0] * n
     for j in range(1, n):
-        shift -= j
-        column = (word >> shift) & ((1 << j) - 1)
+        column = word & ((1 << j) - 1)  # bit i: the pair (i, j)
+        word >>= j
+        masks[j] = column
         while column:
-            high = column.bit_length()
-            pairs.append((j - high, j))
-            column ^= 1 << (high - 1)
-    return n, pairs
+            bit = column & -column
+            column ^= bit
+            masks[bit.bit_length() - 1] |= 1 << j
+    return n, tuple(masks)
+
+
+def _from_masks(masks) -> Graph:
+    """The Graph with these neighbor bitmasks, which it keeps.  Its edges
+    are added in column order (0,1), (0,2), (1,2), (0,3), ..., the order of
+    a graph6 line, so it equals from_edge_list of that pair list and its
+    edges and every adj[v] iterate alike."""
+    edges = set()
+    for j, mask in enumerate(masks):
+        below = mask & ((1 << j) - 1)
+        while below:
+            bit = below & -below
+            below ^= bit
+            edges.add((bit.bit_length() - 1, j))
+    g = _build_graph(len(masks), edges)
+    object.__setattr__(g, "masks", tuple(masks))
+    return g
 
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a Graph, equal to from_edge_list of its
     column-ordered pairs, with edges and every adj[v] iterating alike."""
-    n, pairs = _decode_graph6(text.strip())
-    return _build_graph(n, set(pairs))
+    return _from_masks(_decode_graph6(text.strip())[1])
 
 
 def filter_graph6(line: str, forbidden, n_max: int | None = None
-                  ) -> tuple[str | None, Graph | None]:
+                  ) -> tuple[str | None, tuple[int, ...] | None]:
     """The census filters that need no Graph, on one graph6 line without
     surrounding whitespace: at most n_max vertices (if n_max is set),
     connected, and no cycle of a length in `forbidden`.
 
-    They run on the bitmasks of the decoded edge pairs.  Returns the status
-    of a line they drop, "skipped:n", "filtered:disconnected" or
-    "filtered:cycles", with None; or None with the line's Graph, which
-    equals parse_graph6(line), iterates alike and holds the bitmasks.
+    They run on the decoded neighbor bitmasks.  Returns the status of a
+    line they drop, "skipped:n", "filtered:disconnected" or
+    "filtered:cycles", with None; or None with the line's bitmasks, equal
+    to parse_graph6(line).masks.
     """
-    n, pairs = _decode_graph6(line)
+    n, masks = _decode_graph6(line)
     if n_max is not None and n > n_max:
         return "skipped:n", None
-    masks = _pair_masks(n, pairs)
     if not _connected(masks):
         return "filtered:disconnected", None
     if _cycle_lengths(masks, forbidden, 1):
         return "filtered:cycles", None
-    g = _build_graph(n, set(pairs))
-    # the Graph keeps the bitmasks, for the connectivity test of planarity
-    object.__setattr__(g, "masks", tuple(masks))
-    return None, g
+    return None, masks
 
 
 def encode_graph6(g: Graph) -> str:
@@ -333,18 +347,36 @@ class CycleSpectrum:
     search_bound: int
 
 
+def _has_four_cycle(adj) -> bool:
+    """Whether the graph with neighbor bitmasks adj has a 4-cycle: some
+    vertex u has two neighbors with a common neighbor other than u.  One
+    pass over the neighbors of each u, O(m) mask operations."""
+    for u, nbrs in enumerate(adj):
+        others = ~(1 << u)
+        seen = 0  # the neighbors, u aside, of u's neighbors passed so far
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            two_away = adj[bit.bit_length() - 1] & others
+            if seen & two_away:
+                return True
+            seen |= two_away
+    return False
+
+
 def _cycle_lengths(adj, lengths, enough: int) -> set[int]:
     """The lengths in `lengths` at which the graph with neighbor bitmasks
     adj has a cycle, searched until `enough` of them are found.
 
-    Depth-first search over paths whose vertices after the first all exceed
-    it, so each cycle is found from its smallest vertex.  Vertex sets are
-    bitmasks, and a path of p vertices closes to a (p+1)-cycle when one of
-    its next vertices is a neighbor of the start, which is one mask test.
-    Lengths below 3 or above n cannot occur and are dropped; a path is
-    extended only while a longer missing length remains, and a start
-    vertex is tried only if enough vertices follow it for the shortest
-    requested length.
+    Length 4, when asked for, is settled first by _has_four_cycle.  The
+    others go to a depth-first search over paths whose vertices after the
+    first all exceed it, so each cycle is found from its smallest vertex.
+    Vertex sets are bitmasks, and a path of p vertices closes to a
+    (p+1)-cycle when one of its next vertices is a neighbor of the start,
+    which is one mask test.  Lengths below 3 or above n cannot occur and
+    are dropped; a path is extended only while a longer missing length
+    remains, and a start vertex is tried only if enough vertices follow it
+    for the shortest requested length.
     """
     n = len(adj)
     missing = {length for length in lengths if 3 <= length <= n}
@@ -352,6 +384,15 @@ def _cycle_lengths(adj, lengths, enough: int) -> set[int]:
     enough = min(enough, len(missing))
     if enough <= 0:
         return found
+    if 4 in missing:
+        missing.discard(4)
+        if _has_four_cycle(adj):
+            found.add(4)
+        # each length is now found or missing, so a search for more than
+        # those would never stop
+        enough = min(enough, len(found) + len(missing))
+        if len(found) >= enough:
+            return found
     longest = max(missing)
     for s in range(n - min(missing) + 1):
         above = -2 << s  # every vertex after s

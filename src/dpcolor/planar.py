@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graphs import Graph, _build_graph, from_edge_list, is_connected
+from .graphs import Graph, _build_graph, _connected, _from_masks, is_connected
 
 __all__ = [
     "Face",
@@ -39,6 +39,7 @@ __all__ = [
     "classify_vertex",
     "brute_force_embed",
     "is_planar",
+    "is_planar_masks",
     "rotation_from_faces",
     "load_embedding",
     "dump_embedding",
@@ -191,18 +192,18 @@ def classify_vertex(emb: PlaneEmbedding, v: int, f: int) -> str:
     return "semi-rich" if hits else "rich"
 
 
-def _check_search_bounds(g: Graph, max_n: int) -> None:
-    """The guards of the rotation search, applied to the graph as given:
-    NonPlanarOrTooLarge past max_n vertices or _ROTATION_LIMIT rotation
-    systems, Disconnected for disconnected input."""
-    if g.n > max_n:
-        raise NonPlanarOrTooLarge(f"n={g.n} exceeds brute-force bound {max_n}")
-    if not is_connected(g):
+def _check_search_bounds(masks, max_n: int) -> None:
+    """The guards of the rotation search, applied to the graph with these
+    neighbor bitmasks as given: NonPlanarOrTooLarge past max_n vertices or
+    _ROTATION_LIMIT rotation systems, Disconnected for disconnected input."""
+    if len(masks) > max_n:
+        raise NonPlanarOrTooLarge(
+            f"n={len(masks)} exceeds brute-force bound {max_n}")
+    if not _connected(masks):
         raise Disconnected("embedding search requires a connected graph")
     space = 1
-    for v in range(g.n):
-        d = g.degree(v)
-        for i in range(2, d):
+    for mask in masks:
+        for i in range(2, mask.bit_count()):
             space *= i
         if space > _ROTATION_LIMIT:
             raise NonPlanarOrTooLarge(
@@ -255,7 +256,7 @@ def brute_force_embed(g: Graph, max_n: int = 9) -> PlaneEmbedding:
     exceeds max_n, when the rotation space exceeds _ROTATION_LIMIT, or when
     every rotation fails (certifying non-planarity for connected input).
     """
-    _check_search_bounds(g, max_n)
+    _check_search_bounds(g.masks, max_n)
     rotation = _rotation_search(g)
     if rotation is None:
         raise NonPlanarOrTooLarge("no rotation system passes the Euler check",
@@ -263,52 +264,68 @@ def brute_force_embed(g: Graph, max_n: int = 9) -> PlaneEmbedding:
     return trace_faces(g, rotation)
 
 
-def _smooth(g: Graph) -> Graph:
-    """g with vertices of degree at most 1 deleted and vertices of degree 2
-    smoothed, dropping parallel edges, until neither step applies.
+def _smooth(masks) -> list[int]:
+    """The neighbor bitmasks of the graph with bitmasks `masks` after
+    deleting vertices of degree at most 1 and smoothing vertices of degree
+    2, dropping parallel edges, until neither step applies; the vertices
+    left keep their order and are numbered from 0.
 
     Both steps keep planarity in both directions, so the result is planar
-    exactly when g is.  It has no vertex of degree below 3, so it is empty,
-    K4, or has at least 5 vertices.
+    exactly when the graph is.  It has no vertex of degree below 3, so it
+    is empty, K4, or has at least 5 vertices.
     """
-    adj = [set(a) for a in g.adj]
-    removed = [False] * g.n
-    stack = [v for v in range(g.n) if len(adj[v]) <= 2]
+    adj = list(masks)
+    left = (1 << len(adj)) - 1
+    stack = [v for v, mask in enumerate(adj) if mask.bit_count() <= 2]
     while stack:
         v = stack.pop()
         nbrs = adj[v]
-        if removed[v] or len(nbrs) > 2:
+        if not left >> v & 1 or nbrs.bit_count() > 2:
             continue
-        removed[v] = True
-        for u in nbrs:
-            adj[u].discard(v)
-        if len(nbrs) == 2:
-            a, b = nbrs
-            adj[a].add(b)
-            adj[b].add(a)
-        for u in nbrs:
-            if len(adj[u]) <= 2:
-                stack.append(u)
-    keep = [v for v in range(g.n) if not removed[v]]
-    index = {v: i for i, v in enumerate(keep)}
-    return from_edge_list([(index[u], index[v]) for u in keep for v in adj[u]
-                           if u < v], n=len(keep))
+        bit = 1 << v
+        left ^= bit
+        # drop v from its neighbors' sets and join the two of them, if
+        # there are two; an edge already there stays single
+        low = nbrs & -nbrs
+        high = nbrs ^ low
+        for end, other in ((low, high), (high, low)):
+            if end:
+                u = end.bit_length() - 1
+                adj[u] = adj[u] ^ bit | other
+                if adj[u].bit_count() <= 2:
+                    stack.append(u)
+    keep = [v for v in range(len(adj)) if left >> v & 1]
+    return [sum(1 << i for i, u in enumerate(keep) if adj[v] >> u & 1)
+            for v in keep]
 
 
-def is_planar(g: Graph, max_n: int = 9) -> bool:
-    """Whether g is planar, decided on g reduced by _smooth.
+def is_planar_masks(masks, max_n: int = 9) -> bool:
+    """Whether the graph with these neighbor bitmasks (as Graph.masks) is
+    planar, decided on the graph reduced by _smooth.
 
-    The bounds of brute_force_embed apply to g itself, before the
+    The bounds of brute_force_embed apply to the graph itself, before the
     reduction: past them this raises NonPlanarOrTooLarge (reason
     "too-large"), and on disconnected input Disconnected, as
     brute_force_embed does.  The reduced graph is planar when it has at
-    most 4 vertices and otherwise goes to the rotation search.
+    most 4 vertices; otherwise it becomes a Graph, the only one built
+    here, for the rotation search.
     """
-    _check_search_bounds(g, max_n)
-    core = _smooth(g)
-    if core.n <= 4:
+    _check_search_bounds(masks, max_n)
+    # on connected input _smooth never raises m - n unless it deletes every
+    # vertex, and what it leaves has minimum degree 3, so 2m >= 3n: with
+    # m - n <= 2 it leaves at most 4 vertices, and the graph is planar
+    if sum(mask.bit_count() for mask in masks) // 2 - len(masks) <= 2:
         return True
-    return _rotation_search(core) is not None
+    core = _smooth(masks)
+    if len(core) <= 4:
+        return True
+    return _rotation_search(_from_masks(core)) is not None
+
+
+def is_planar(g: Graph, max_n: int = 9) -> bool:
+    """Whether g is planar: is_planar_masks on g.masks, with its bounds
+    and exceptions."""
+    return is_planar_masks(g.masks, max_n)
 
 
 def rotation_from_faces(n: int, walks) -> tuple[tuple[int, ...], ...]:

@@ -73,6 +73,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "chi",
     "core_components",
+    "k_core",
     "is_dp_k_colorable",
     "chi_dp",
     "is_k_choosable",
@@ -664,20 +665,33 @@ def _count_list_systems(groups: _ClassGroups, left: int, start: int,
 # ---------------------------------------------------------------------------
 # Least k, searched on the k-core.
 
-def core_components(g: Graph, k: int) -> list[Graph]:
-    """The components of the k-core of g, what is left after deleting
-    vertices of degree < k until none is left, ordered by least vertex and
-    each relabelled in increasing vertex order."""
-    degs = [len(a) for a in g.adj]
-    gone = [d < k for d in degs]
-    stack = [v for v in range(g.n) if gone[v]]
+def k_core(masks, k: int) -> int:
+    """The vertices of the k-core of the graph with these neighbor bitmasks
+    (as Graph.masks), as a bitmask: what is left after deleting vertices
+    of degree < k until none is left."""
+    degs = [mask.bit_count() for mask in masks]
+    stack = [v for v, d in enumerate(degs) if d < k]
+    core = (1 << len(masks)) - 1
+    for v in stack:
+        core ^= 1 << v
     while stack:
-        for u in g.adj[stack.pop()]:
-            if not gone[u]:
-                degs[u] -= 1
-                if degs[u] < k:
-                    gone[u] = True
-                    stack.append(u)
+        nbrs = masks[stack.pop()] & core
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            u = bit.bit_length() - 1
+            degs[u] -= 1
+            if degs[u] < k:
+                core ^= bit
+                stack.append(u)
+    return core
+
+
+def core_components(g: Graph, k: int) -> list[Graph]:
+    """The components of the k-core of g (k_core), ordered by least vertex
+    and each relabelled in increasing vertex order."""
+    core = k_core(g.masks, k)
+    gone = [not core >> v & 1 for v in range(g.n)]
     components = []  # each marks its vertices gone as it is found
     for root in range(g.n):
         if gone[root]:

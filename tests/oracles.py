@@ -6,7 +6,9 @@ slow_dp_verdict and slow_choosable check them in turn.  gauge_normalize
 is the per-vertex relabeling that the adversary's normalization rests on,
 done explicitly on one matching assignment, and
 automorphisms_by_permutation the symmetry that the choosability walk
-prunes by."""
+prunes by.  decode_graph6_pairs and reference_core_components are the
+pair-list graph6 decoder and the adjacency-set k-core peel that the
+bitmask versions in dpcolor.graphs and dpcolor.solver replaced."""
 
 from __future__ import annotations
 
@@ -318,3 +320,56 @@ def automorphisms_by_permutation(g: Graph) -> list[tuple[int, ...]]:
     itself."""
     return [p for p in itertools.permutations(range(g.n))
             if all(g.has_edge(p[u], p[v]) for u, v in g.edges)]
+
+
+def decode_graph6_pairs(s: str) -> tuple[int, list[tuple[int, int]]]:
+    """A valid graph6 line as (n, pairs): pairs lists the edges (i, j),
+    i < j, in column order (0,1), (0,2), (1,2), (0,3), ..., read one bit
+    at a time."""
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    vals = [ord(ch) - 63 for ch in s]
+    if vals[0] < 63:
+        n, rest = vals[0], vals[1:]
+    elif vals[1] < 63:
+        n, rest = (vals[1] << 12) | (vals[2] << 6) | vals[3], vals[4:]
+    else:
+        n = 0
+        for x in vals[2:8]:
+            n = (n << 6) | x
+        rest = vals[8:]
+    bits = [x >> (5 - b) & 1 for x in rest for b in range(6)]
+    column_order = [(i, j) for j in range(n) for i in range(j)]
+    assert len(bits) - len(column_order) in range(6)
+    assert not any(bits[len(column_order):]), "nonzero padding"
+    return n, [pair for pair, bit in zip(column_order, bits) if bit]
+
+
+def reference_core_components(g: Graph, k: int) -> list[list[int]]:
+    """The vertices of each component of the k-core of g, ordered by least
+    vertex: a degree count per vertex over g.adj, lowered as the vertices
+    of degree < k are deleted, then a search over g.adj from each vertex
+    left."""
+    degs = [len(a) for a in g.adj]
+    gone = [d < k for d in degs]
+    stack = [v for v in range(g.n) if gone[v]]
+    while stack:
+        for u in g.adj[stack.pop()]:
+            if not gone[u]:
+                degs[u] -= 1
+                if degs[u] < k:
+                    gone[u] = True
+                    stack.append(u)
+    components = []
+    for root in range(g.n):
+        if gone[root]:
+            continue
+        gone[root] = True
+        comp = [root]
+        for v in comp:
+            for u in g.adj[v]:
+                if not gone[u]:
+                    gone[u] = True
+                    comp.append(u)
+        components.append(sorted(comp))
+    return components

@@ -7,6 +7,7 @@ the minimum is a complete invariant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from dpcolor import Graph, from_edge_list, cycle_spectrum
@@ -87,3 +88,17 @@ def connected_graphs(max_n: int, forbid_cycles=frozenset()) -> list[Graph]:
         reps.extend(nxt)
         level = nxt
     return reps
+
+
+@functools.cache
+def labelled_graphs(max_n: int) -> tuple[Graph, ...]:
+    """Every graph on the vertices 0..n-1 for n up to max_n, connected or
+    not: one per set of vertex pairs, in order of n, then of the set's
+    bits over the pairs in column order."""
+    out = []
+    for n in range(max_n + 1):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for bits in range(1 << len(pairs)):
+            out.append(from_edge_list(
+                [e for k, e in enumerate(pairs) if bits >> k & 1], n=n))
+    return tuple(out)

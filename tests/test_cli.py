@@ -458,6 +458,29 @@ def test_verify_budget_zero_marks_every_candidate(tmp_path, capsys):
     assert out.endswith("# checked=3 pass=3 fail=0 budget=0\n")
 
 
+def test_verify_rows_on_the_smallest_streams(tmp_path, capsys):
+    # an empty stream, and the graphs on 0, 1 and 2 vertices: the empty
+    # graph and K1 are connected, and none of the three has a 3-core
+    sidecar = tmp_path / "verify.json"
+    for text, rows in (("", []),
+                       ("?\n@\nA_\n", [("?", "pass"), ("@", "pass"),
+                                        ("A_", "pass")])):
+        stream = write(tmp_path, "stream.g6", text)
+        for variant in ("a", "b67", "b68"):
+            code, out, err = run(capsys, "verify-theorem2", stream,
+                                 "--variant", variant, "--json", str(sidecar))
+            assert (code, err) == (0, "")
+            checked = len(rows)
+            assert out == "".join(f"{g}\t{status}\n" for g, status in rows) + (
+                f"# checked={checked} pass={checked} fail=0 budget=0\n")
+            doc = json.loads(sidecar.read_text())
+            assert doc["rows"] == [
+                {"graph6": g, "status": status, "settled_by": "core-empty"}
+                for g, status in rows]
+            assert (doc["checked"], doc["fail"], doc["budget"]) == (
+                checked, 0, 0)
+
+
 def pentagonal_prism():
     """C5 x K2: 3-regular, so its 3-core is the whole graph."""
     return from_edge_list([(i, (i + 1) % 5) for i in range(5)]
@@ -508,10 +531,10 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
 
 def test_verify_builds_a_graph_only_past_the_cycle_filter(
         tmp_path, capsys, monkeypatch):
-    # the vertex bound, connectivity and the cycle filter read the decoded
-    # bitmasks; only the lines that pass them are built into a Graph.  Every
-    # Graph, including those planarity builds, is charged to the line being
-    # screened when it is built
+    # every step reads the decoded bitmasks; a Graph is built only for a
+    # reduced graph that goes to the rotation search, here subdivided K5's,
+    # and for a candidate that goes to the DP search, here none.  Every
+    # Graph is charged to the line being screened when it is built
     disconnected = [from_edge_list([(0, 1), (2, 3)], n=4),
                     from_edge_list([(0, 1), (1, 2), (2, 0)], n=5)]
     cyclic = [complete_graph(4), cycle_graph(8), complete_bipartite(3, 3)]
@@ -543,9 +566,8 @@ def test_verify_builds_a_graph_only_past_the_cycle_filter(
                     "filtered:nonplanar", "filtered:cycles",
                     "filtered:disconnected", "pass", "filtered:cycles",
                     "pass"]
-    assert [line for line, count in built if count] == [
-        encode_graph6(g)
-        for g in (passing[0], nonplanar[0], passing[1], passing[2])]
+    assert [(line, count) for line, count in built if count] == [
+        (encode_graph6(nonplanar[0]), 1)]
 
 
 def test_verify_planarity_rows_match_brute_force_embed(tmp_path, capsys):

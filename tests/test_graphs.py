@@ -1,5 +1,6 @@
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +27,8 @@ from dpcolor import (
 )
 from dpcolor import graphs
 from fixtures import dodecahedron
-from oracles import all_cycle_lengths, bfs_connected
-from smallgraphs import connected_graphs
+from oracles import all_cycle_lengths, bfs_connected, decode_graph6_pairs
+from smallgraphs import connected_graphs, labelled_graphs
 
 
 def petersen():
@@ -113,37 +114,49 @@ def _column_pairs(g):
     return [(i, j) for j in range(g.n) for i in range(j) if g.has_edge(i, j)]
 
 
-def _assert_decodes_like_from_edge_list(g):
-    text = encode_graph6(g)
-    pairs = _column_pairs(g)
-    assert graphs._decode_graph6(text) == (g.n, pairs)
-    want = from_edge_list(pairs, n=g.n)
-    assert want.masks == tuple(sum(1 << u for u in g.adj[v])
-                               for v in range(g.n))
-    built = [parse_graph6(text)]
-    if is_connected(want):
-        built.append(filter_graph6(text, ())[1])
-    for got in built:
-        assert got == want
-        # the same iteration order, not only the same sets
-        assert list(got.edges) == list(want.edges)
-        assert [list(a) for a in got.adj] == [list(a) for a in want.adj]
-        assert got.masks == want.masks
+def _assert_decodes_like_the_pair_list_reference(text):
+    n, pairs = decode_graph6_pairs(text)
+    want = from_edge_list(pairs, n=n)
+    assert graphs._decode_graph6(text) == (n, want.masks)
+    assert want.masks == tuple(sum(1 << u for u in want.adj[v])
+                               for v in range(n))
+    status, masks = filter_graph6(text, ())
+    assert masks == (want.masks if is_connected(want) else None)
+    got = parse_graph6(text)
+    assert got == want
+    # the same iteration order, not only the same sets
+    assert list(got.edges) == list(want.edges)
+    assert [list(a) for a in got.adj] == [list(a) for a in want.adj]
+    assert got.masks == want.masks
+
+
+CENSUS_STREAMS = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def test_parse_graph6_matches_from_edge_list_on_census():
     for g in connected_graphs(7):
-        _assert_decodes_like_from_edge_list(g)
+        text = encode_graph6(g)
+        assert decode_graph6_pairs(text) == (g.n, _column_pairs(g))
+        _assert_decodes_like_the_pair_list_reference(text)
+    # the streams verify-theorem2 is benchmarked on
+    for name in ("census_filter_a.tsv", "census_search_a.tsv",
+                 "census_search_b68.tsv"):
+        lines = (CENSUS_STREAMS / name).read_text().splitlines()
+        assert len(lines) in (12_113, 756, 572)
+        for line in lines:
+            _assert_decodes_like_the_pair_list_reference(line.split("\t")[0])
 
 
 def test_parse_graph6_matches_from_edge_list_on_random_graphs():
     # n > 62 takes the four-byte vertex count
     rng = random.Random(6)
-    for n in [*range(12), 30, 62, 63, 64, 70]:
+    for n in [*range(12), 30, 62, 63, 64, 70, 130]:
         for p in (0.05, 0.3, 0.7):
             pairs = [(i, j) for j in range(n) for i in range(j)
                      if rng.random() < p]
-            _assert_decodes_like_from_edge_list(from_edge_list(pairs, n=n))
+            text = encode_graph6(from_edge_list(pairs, n=n))
+            assert decode_graph6_pairs(text) == (n, pairs)
+            _assert_decodes_like_the_pair_list_reference(text)
 
 
 def test_connectivity_core_matches_bfs_on_all_small_graphs():
@@ -181,7 +194,7 @@ def test_filter_graph6_matches_the_graph_queries():
                         want = None
                     status, got = filter_graph6(text, forbidden, n_max)
                     assert status == want, (g.edges, forbidden, n_max)
-                    assert got == (g if want is None else None)
+                    assert got == (g.masks if want is None else None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,6 +274,12 @@ def test_cycle_spectrum_against_subset_oracle():
         assert cycle_spectrum(g, 8).present == want, g.edges
         for lengths in FORBIDDEN_VARIANTS.values():
             assert forbidden_cycles(g, lengths) == want & lengths, g.edges
+    # the 4-cycle sweep, on every labelled graph with at most 6 vertices
+    for g in labelled_graphs(6):
+        want = all_cycle_lengths(g, 4)
+        assert graphs._has_four_cycle(g.masks) == (4 in want), g.edges
+        assert has_cycle_length(g, {4}) == (4 in want), g.edges
+        assert cycle_spectrum(g, 4).present == want, g.edges
 
 
 def test_cycle_filters_agree_with_spectrum_up_to_7():

@@ -3,6 +3,7 @@ import itertools
 import networkx as nx
 import pytest
 
+import dpcolor.planar
 from dpcolor import (
     Disconnected,
     NonPlanarOrTooLarge,
@@ -16,6 +17,7 @@ from dpcolor import (
     dump_embedding,
     from_edge_list,
     is_planar,
+    is_planar_masks,
     load_embedding,
     trace_faces,
 )
@@ -107,7 +109,7 @@ def test_is_planar_named_graphs():
         assert is_planar(g, max_n=g.n) == planar, name
 
 
-def test_is_planar_matches_networkx_up_to_6_vertices():
+def test_is_planar_matches_networkx_up_to_6_vertices(monkeypatch):
     # K6 and K6 - e (14 and 15 edges) exceed the rotation space bound,
     # which is measured on the graph as given
     for g in connected_graphs(6):
@@ -117,6 +119,41 @@ def test_is_planar_matches_networkx_up_to_6_vertices():
             assert exc.value.reason == "too-large"
         else:
             assert is_planar(g) == networkx_planar(g), g.edges
+    # every labelled connected graph with at most 6 vertices, as the
+    # relabellings of the classes above, through is_planar_masks.  An
+    # exhaustive search of the larger nonplanar reductions tries up to
+    # 995,328 rotation systems each, so here networkx decides the reduced
+    # graph that would go to the search; the search itself is checked on
+    # the classes above
+    searched = []
+
+    def search(core):
+        assert core.n >= 5 and min(core.degrees()) >= 3, core.edges
+        searched.append(core.n)
+        return () if networkx_planar(core) else None
+
+    monkeypatch.setattr(dpcolor.planar, "_rotation_search", search)
+    labelled = [0] * 7
+    for g in connected_graphs(6):
+        want = g.m < 14 and networkx_planar(g)
+        seen = set()
+        for perm in itertools.permutations(range(g.n)):
+            masks = [0] * g.n
+            for u, v in g.edges:
+                masks[perm[u]] |= 1 << perm[v]
+                masks[perm[v]] |= 1 << perm[u]
+            masks = tuple(masks)
+            if masks in seen:
+                continue
+            seen.add(masks)
+            if g.m >= 14:
+                with pytest.raises(NonPlanarOrTooLarge):
+                    is_planar_masks(masks)
+            else:
+                assert is_planar_masks(masks) == want, masks
+        labelled[g.n] += len(seen)
+    assert labelled == [0, 1, 1, 4, 38, 728, 26_704]  # OEIS A001187
+    assert len(searched) > 5_000
 
 
 def test_is_planar_keeps_the_search_bounds():

@@ -19,12 +19,14 @@ from dpcolor import (
     complete_graph,
     core_components,
     cycle_graph,
+    delete_vertices,
     find_coloring,
     format_matching_file,
     from_edge_list,
     from_list_assignment,
     is_dp_k_colorable,
     is_k_choosable,
+    k_core,
     normalized_assignment_count,
     parse_graph6,
     parse_matching_file,
@@ -37,10 +39,10 @@ from dpcolor.solver import (_AUT_LIMIT, _ClassGroups, _GaugeOrbits,
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
                      brute_k_colorable, reference_choosable_scan,
-                     reference_dp_scan, slow_choosable, slow_dp_verdict,
-                     subset_degeneracy)
+                     reference_core_components, reference_dp_scan,
+                     slow_choosable, slow_dp_verdict, subset_degeneracy)
 from fixtures import with_pendant_paths
-from smallgraphs import connected_graphs
+from smallgraphs import connected_graphs, labelled_graphs
 
 
 def petersen():
@@ -221,6 +223,19 @@ def test_core_is_empty_exactly_past_the_subset_degeneracy():
         for k in range(g.n + 2):
             assert (core_components(g, k) == []) == (k > d), (g.edges, k)
     assert core_components(edgeless, 0) == [from_edge_list([], n=1)] * 3
+    # the bitmask peel against the adjacency-set one, on every labelled
+    # graph with at most 6 vertices, connected or not, and the components
+    # built from it on the census
+    for g in labelled_graphs(6):
+        for k in range(1, 6):
+            want = reference_core_components(g, k)
+            assert k_core(g.masks, k) == sum(1 << v for comp in want
+                                             for v in comp), (g.edges, k)
+    for g in connected_graphs(6):
+        for k in range(1, 6):
+            assert core_components(g, k) == [
+                delete_vertices(g, set(range(g.n)) - set(comp))[0]
+                for comp in reference_core_components(g, k)], (g.edges, k)
 
 
 def test_dp_c4_k2_certificate_has_one_twisted_edge():
