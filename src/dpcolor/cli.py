@@ -65,16 +65,16 @@ def _budget(args) -> int:
 
 def _read_graph(path: str, fmt: str) -> Graph:
     text = _read_text(path)
-    if not text.strip():
+    # the format is detected on, and graph6 read from, the first line left
+    # once '#' comments are stripped: two tokens there mean an edge list
+    first = next(filter(None, (ln.split("#", 1)[0].strip()
+                               for ln in text.splitlines())), "")
+    if not first:
         raise ValueError(f"{path}: empty input, expected a graph")
     if fmt == "auto":
-        stripped = next(
-            (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
-            "",
-        )
-        fmt = "edges" if len(stripped.split()) == 2 else "graph6"
+        fmt = "edges" if len(first.split()) == 2 else "graph6"
     if fmt == "graph6":
-        return parse_graph6(text.strip().splitlines()[0])
+        return parse_graph6(first)
     g, _ = parse_edge_list(text)
     return g
 
@@ -316,9 +316,8 @@ def _filter_status(line: str, forbidden, n_max: int | None
     status, masks = filter_graph6(line, forbidden, n_max)
     if status is not None:
         return status, None
-    bound = 9 if n_max is None else max(9, n_max)
     try:
-        if not planar.is_planar_masks(masks, max_n=bound):
+        if not planar.is_planar_masks(masks):
             return "filtered:nonplanar", None
     except planar.NonPlanarOrTooLarge:
         return "skipped:embed-bound", None
@@ -332,11 +331,12 @@ def cmd_verify(args) -> int:
     The filters run cheapest first on the neighbor bitmasks that
     graphs.filter_graph6 decodes from the line: the vertex bound,
     connectivity and the cycle filter there, then planarity
-    (planar.is_planar_masks, on the graph reduced by degree).  A candidate
-    whose 3-core (solver.k_core) is empty passes without a search.  A
-    Graph is built only for a reduced graph that reaches the rotation
-    search and for a candidate that goes to solver.is_dp_k_colorable,
-    which splits each large search across --jobs processes.  Rows are
+    (planar.is_planar_masks, on the graph reduced by degree).  --n-max is
+    the only vertex bound: skipped:embed-bound means the reduced graph has
+    too many rotation systems to search.  A candidate whose 3-core
+    (solver.k_core) is empty passes without a search.  A Graph is built
+    only for a candidate that goes to solver.is_dp_k_colorable, which
+    splits each large search across --jobs processes.  Rows are
     settled one at a time in input order, and the refutation certificates
     are printed before them.  A line that is not graph6 raises ValueError
     with the input's path and the line number in front of the decoder's

@@ -243,11 +243,12 @@ def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
     return n, tuple(masks)
 
 
-def _from_masks(masks) -> Graph:
-    """The Graph with these neighbor bitmasks, which it keeps.  Its edges
-    are added in column order (0,1), (0,2), (1,2), (0,3), ..., the order of
-    a graph6 line, so it equals from_edge_list of that pair list and its
-    edges and every adj[v] iterate alike."""
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line into a Graph that keeps the decoded neighbor
+    bitmasks.  Its edges are added in column order (0,1), (0,2), (1,2),
+    (0,3), ..., the order of the line, so it equals from_edge_list of the
+    line's pairs, with edges and every adj[v] iterating alike."""
+    masks = _decode_graph6(text.strip())[1]
     edges = set()
     for j, mask in enumerate(masks):
         below = mask & ((1 << j) - 1)
@@ -256,14 +257,8 @@ def _from_masks(masks) -> Graph:
             below ^= bit
             edges.add((bit.bit_length() - 1, j))
     g = _build_graph(len(masks), edges)
-    object.__setattr__(g, "masks", tuple(masks))
+    object.__setattr__(g, "masks", masks)
     return g
-
-
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a Graph, equal to from_edge_list of its
-    column-ordered pairs, with edges and every adj[v] iterating alike."""
-    return _from_masks(_decode_graph6(text.strip())[1])
 
 
 def filter_graph6(line: str, forbidden, n_max: int | None = None

@@ -17,16 +17,21 @@ walk dart (across) and each face's boundary vertices (face_vertices).
 The discharging rules index them directly.  Two distinct faces share an
 edge exactly when one lies across a dart of the other, so across also
 answers edge-sharing questions.
+
+is_planar reduces the graph by degree and searches the rotation systems of
+what is left; the search settles m > 3n - 6 at once and refuses more than
+_ROTATION_LIMIT rotation systems.  No vertex count is bounded.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graphs import Graph, _build_graph, _connected, _from_masks, is_connected
+from .graphs import Graph, _build_graph, _connected, is_connected
 
 __all__ = [
     "Face",
@@ -60,9 +65,10 @@ class NotGenusZero(ValueError):
 
 
 class NonPlanarOrTooLarge(ValueError):
-    """Exhaustive rotation search failed or was not attempted.
+    """The rotation search found no plane embedding, or was not attempted.
 
-    reason is "nonplanar" when every rotation was tried, else "too-large".
+    reason is "nonplanar" when every rotation failed or m > 3n - 6, else
+    "too-large": the graph searched has over _ROTATION_LIMIT rotations.
     """
 
     def __init__(self, message: str, reason: str = "too-large"):
@@ -192,46 +198,37 @@ def classify_vertex(emb: PlaneEmbedding, v: int, f: int) -> str:
     return "semi-rich" if hits else "rich"
 
 
-def _check_search_bounds(masks, max_n: int) -> None:
-    """The guards of the rotation search, applied to the graph with these
-    neighbor bitmasks as given: NonPlanarOrTooLarge past max_n vertices or
-    _ROTATION_LIMIT rotation systems, Disconnected for disconnected input."""
-    if len(masks) > max_n:
-        raise NonPlanarOrTooLarge(
-            f"n={len(masks)} exceeds brute-force bound {max_n}")
-    if not _connected(masks):
-        raise Disconnected("embedding search requires a connected graph")
-    space = 1
-    for mask in masks:
-        for i in range(2, mask.bit_count()):
-            space *= i
-        if space > _ROTATION_LIMIT:
-            raise NonPlanarOrTooLarge(
-                f"rotation space exceeds limit {_ROTATION_LIMIT}")
+def _rotation_search(masks) -> tuple[tuple[int, ...], ...] | None:
+    """The first rotation system of the connected graph with these neighbor
+    bitmasks that passes the Euler check, or None.
 
-
-def _rotation_search(g: Graph) -> tuple[tuple[int, ...], ...] | None:
-    """The first rotation system of connected g that passes the Euler check,
-    or None.
-
+    A graph with n >= 3 and m > 3n - 6 has none; a rotation space
+    prod (deg - 1)! above _ROTATION_LIMIT raises NonPlanarOrTooLarge.
     Faces are counted as cycles of the dart successor map without building
     an embedding.  Darts are numbered by head vertex, so the successor map
     of a rotation system is one precomputed block per vertex, concatenated.
     """
-    heads = [(u, v) for v in range(g.n) for u in sorted(g.adj[v])]
+    n, m = len(masks), sum(mask.bit_count() for mask in masks) // 2
+    if n >= 3 and m > 3 * n - 6:
+        return None
+    if math.prod(math.factorial(max(mask.bit_count() - 1, 0))
+                 for mask in masks) > _ROTATION_LIMIT:
+        raise NonPlanarOrTooLarge(
+            f"rotation space exceeds limit {_ROTATION_LIMIT}")
+    nbrs = [[u for u in range(n) if mask >> u & 1] for mask in masks]
+    heads = [(u, v) for v in range(n) for u in nbrs[v]]
     index = {d: i for i, d in enumerate(heads)}
     # fix the first neighbor at each vertex: cyclic orders, not linear ones
     choices = []
-    for v in range(g.n):
-        nbrs = sorted(g.adj[v])
+    for v, row in enumerate(nbrs):
         options = []
-        for rest in itertools.permutations(nbrs[1:]):
-            order = tuple(nbrs[:1]) + rest
+        for rest in itertools.permutations(row[1:]):
+            order = tuple(row[:1]) + rest
             after = {u: order[(i + 1) % len(order)] for i, u in enumerate(order)}
-            options.append((order, tuple(index[(v, after[u])] for u in nbrs)))
+            options.append((order, tuple(index[(v, after[u])] for u in row)))
         choices.append(options)
     # trace_faces counts one face, not none, for a graph without darts
-    want = g.m - g.n + 2 - (not heads)
+    want = m - n + 2 - (not heads)
     darts = range(len(heads))
     for combo in itertools.product(*choices):
         succ = [d for _, block in combo for d in block]
@@ -249,15 +246,16 @@ def _rotation_search(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     return None
 
 
-def brute_force_embed(g: Graph, max_n: int = 9) -> PlaneEmbedding:
-    """Search rotation systems for one passing the Euler check.
+def brute_force_embed(g: Graph) -> PlaneEmbedding:
+    """Search rotation systems of g for one passing the Euler check.
 
-    Intended for small graphs; raises NonPlanarOrTooLarge when the graph
-    exceeds max_n, when the rotation space exceeds _ROTATION_LIMIT, or when
-    every rotation fails (certifying non-planarity for connected input).
+    Raises Disconnected for disconnected input, and NonPlanarOrTooLarge
+    when g is not planar (reason "nonplanar") or has more than
+    _ROTATION_LIMIT rotation systems ("too-large").
     """
-    _check_search_bounds(g.masks, max_n)
-    rotation = _rotation_search(g)
+    if not _connected(g.masks):
+        raise Disconnected("embedding search requires a connected graph")
+    rotation = _rotation_search(g.masks)
     if rotation is None:
         raise NonPlanarOrTooLarge("no rotation system passes the Euler check",
                                   reason="nonplanar")
@@ -299,33 +297,29 @@ def _smooth(masks) -> list[int]:
             for v in keep]
 
 
-def is_planar_masks(masks, max_n: int = 9) -> bool:
-    """Whether the graph with these neighbor bitmasks (as Graph.masks) is
-    planar, decided on the graph reduced by _smooth.
+def is_planar_masks(masks) -> bool:
+    """Whether the connected graph with these neighbor bitmasks (as
+    Graph.masks) is planar, decided on the graph reduced by _smooth.
 
-    The bounds of brute_force_embed apply to the graph itself, before the
-    reduction: past them this raises NonPlanarOrTooLarge (reason
-    "too-large"), and on disconnected input Disconnected, as
-    brute_force_embed does.  The reduced graph is planar when it has at
-    most 4 vertices; otherwise it becomes a Graph, the only one built
-    here, for the rotation search.
+    Raises Disconnected on disconnected input, and NonPlanarOrTooLarge
+    (reason "too-large") when the reduced graph has more than 4 vertices
+    and more than _ROTATION_LIMIT rotation systems.
     """
-    _check_search_bounds(masks, max_n)
+    if not _connected(masks):
+        raise Disconnected("planarity is decided on connected graphs")
     # on connected input _smooth never raises m - n unless it deletes every
     # vertex, and what it leaves has minimum degree 3, so 2m >= 3n: with
     # m - n <= 2 it leaves at most 4 vertices, and the graph is planar
     if sum(mask.bit_count() for mask in masks) // 2 - len(masks) <= 2:
         return True
     core = _smooth(masks)
-    if len(core) <= 4:
-        return True
-    return _rotation_search(_from_masks(core)) is not None
+    return len(core) <= 4 or _rotation_search(core) is not None
 
 
-def is_planar(g: Graph, max_n: int = 9) -> bool:
-    """Whether g is planar: is_planar_masks on g.masks, with its bounds
-    and exceptions."""
-    return is_planar_masks(g.masks, max_n)
+def is_planar(g: Graph) -> bool:
+    """Whether connected g is planar: is_planar_masks on g.masks, with its
+    exceptions."""
+    return is_planar_masks(g.masks)
 
 
 def rotation_from_faces(n: int, walks) -> tuple[tuple[int, ...], ...]:

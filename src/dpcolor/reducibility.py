@@ -13,7 +13,6 @@ is colored last.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -387,6 +386,28 @@ def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
     return out
 
 
+def _has_extension_order(g: Graph, subset, k: int) -> bool:
+    """Whether some order of subset passes check_extension_order: for each
+    v1, vl that pass the guaranteed condition 1 and condition 2, peel the
+    interior from the back, dropping each vertex with at most k - 1
+    neighbors among the rest, v1 and the outside.  Dropping only lowers
+    these counts, so an order exists exactly when the peel empties it."""
+    subset = set(subset)
+    out = {v: len(g.adj[v] - subset) for v in subset}
+    for v1 in [v for v in subset if not out[v]]:
+        for vl in g.adj[v1] & subset:
+            if not 1 <= out[vl] <= k - 1 or g.degree(vl) > k:
+                continue
+            rest = subset - {v1, vl}
+            while rest and (low := {
+                    v for v in rest
+                    if len(g.adj[v] & rest) + (v1 in g.adj[v]) + out[v] < k}):
+                rest -= low
+            if not rest:
+                return True
+    return False
+
+
 def certify_reducible(g: Graph, pat: ConfigPattern, k: int,
                       search_orders: bool = False) -> bool:
     """True when every occurrence of the pattern in g passes the extension
@@ -395,22 +416,11 @@ def certify_reducible(g: Graph, pat: ConfigPattern, k: int,
 
     A single-vertex pattern certifies by the low-degree rule alone.  With
     search_orders, each occurrence may use any ordering of the pattern
-    vertices instead of the designated one.
+    vertices instead of the designated one (_has_extension_order).
     """
     if pat.size == 1:
         return pat.host_degree[0] < k
-    embeddings = find_pattern(g, pat)
-    for image in embeddings:
-        if search_orders:
-            if pat.size > 8:
-                raise ValueError("order search is limited to 8 vertices")
-            good = any(
-                check_extension_order(g, [image[i] for i in perm], k).ok
-                for perm in itertools.permutations(range(pat.size))
-            )
-        else:
-            good = check_extension_order(
-                g, [image[i] for i in pat.order], k).ok
-        if not good:
-            return False
-    return True
+    return all(
+        _has_extension_order(g, image, k) if search_orders
+        else check_extension_order(g, [image[i] for i in pat.order], k).ok
+        for image in find_pattern(g, pat))

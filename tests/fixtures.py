@@ -118,7 +118,7 @@ def truncated_tetrahedron() -> PlaneEmbedding:
     for x in range(4):
         for y in range(x + 1, 4):
             edges.append((ids[(x, y)], ids[(y, x)]))
-    return brute_force_embed(from_edge_list(edges), max_n=12)
+    return brute_force_embed(from_edge_list(edges))
 
 
 def polygon_with_triangles(n: int, covered_edges) -> PlaneEmbedding:

@@ -8,15 +8,17 @@ done explicitly on one matching assignment, and
 automorphisms_by_permutation the symmetry that the choosability walk
 prunes by.  decode_graph6_pairs and reference_core_components are the
 pair-list graph6 decoder and the adjacency-set k-core peel that the
-bitmask versions in dpcolor.graphs and dpcolor.solver replaced."""
+bitmask versions in dpcolor.graphs and dpcolor.solver replaced, and
+any_extension_order the loop over every vertex order that the exact order
+search in dpcolor.reducibility replaced."""
 
 from __future__ import annotations
 
 import itertools
 
 from dpcolor import (BudgetExceeded, DEFAULT_BUDGET, Graph, InvalidMatching,
-                     MatchingAssignment, find_coloring, from_list_assignment,
-                     is_valid_coloring, uniform_lists)
+                     MatchingAssignment, check_extension_order, find_coloring,
+                     from_list_assignment, is_valid_coloring, uniform_lists)
 
 
 def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
@@ -301,6 +303,13 @@ def all_injections_matching(g: Graph, pattern) -> list[tuple[int, ...]]:
         if all(g.has_edge(image[u], image[v]) for u, v in pattern.edges):
             out.append(image)
     return out
+
+
+def any_extension_order(g: Graph, vertices, k: int) -> bool:
+    """Whether some ordering of vertices passes check_extension_order,
+    trying all of them."""
+    return any(check_extension_order(g, order, k).ok
+               for order in itertools.permutations(vertices))
 
 
 def subset_degeneracy(g: Graph) -> int:

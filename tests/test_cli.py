@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 
 import dpcolor.cli
@@ -198,6 +199,26 @@ def test_find_config_command(tmp_path, capsys):
     assert "4 occurrences" in out
     assert "reducible for k=3: yes" in out
     assert "25/25 trials extended" in out
+
+
+def test_find_config_searches_orders_of_nine_vertices(tmp_path, capsys):
+    # a 9-cycle whose vertex 8 has one neighbor outside; the designated
+    # order starts at vertex 8, so only a searched order certifies it
+    graph = write(tmp_path, "g.edges", "".join(
+        f"{v} {(v + 1) % 9}\n" for v in range(9)) + "8 9\n")
+    pattern = write(tmp_path, "pat.json", json.dumps({
+        "name": "nine-cycle",
+        "vertices": [{"hostDegree": 2, "outsideNeighbors": 0}] * 8
+        + [{"hostDegree": 3, "outsideNeighbors": 1}],
+        "edges": [[v, (v + 1) % 9] for v in range(9)],
+        "order": [8, *range(8)],
+    }))
+    argv = ["find-config", graph, "--pattern", pattern, "--k", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "2 occurrences" in out
+    assert "reducible for k=3: no" in out
+    code, out, _ = run(capsys, *argv, "--search-order")
+    assert code == 0 and "reducible for k=3: yes" in out
 
 
 def test_find_config_rejects_numbers_out_of_range(tmp_path, capsys):
@@ -531,10 +552,10 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
 
 def test_verify_builds_a_graph_only_past_the_cycle_filter(
         tmp_path, capsys, monkeypatch):
-    # every step reads the decoded bitmasks; a Graph is built only for a
-    # reduced graph that goes to the rotation search, here subdivided K5's,
-    # and for a candidate that goes to the DP search, here none.  Every
-    # Graph is charged to the line being screened when it is built
+    # every step reads the decoded bitmasks, the rotation search too (here
+    # on subdivided K5's reduction); a Graph is built only for a candidate
+    # that goes to the DP search, here none.  Every Graph is charged to the
+    # line being screened when it is built
     disconnected = [from_edge_list([(0, 1), (2, 3)], n=4),
                     from_edge_list([(0, 1), (1, 2), (2, 0)], n=5)]
     cyclic = [complete_graph(4), cycle_graph(8), complete_bipartite(3, 3)]
@@ -566,13 +587,15 @@ def test_verify_builds_a_graph_only_past_the_cycle_filter(
                     "filtered:nonplanar", "filtered:cycles",
                     "filtered:disconnected", "pass", "filtered:cycles",
                     "pass"]
-    assert [(line, count) for line, count in built if count] == [
-        (encode_graph6(nonplanar[0]), 1)]
+    assert len(built) == 9 and not any(count for _, count in built)
 
 
 def test_verify_planarity_rows_match_brute_force_embed(tmp_path, capsys):
     # each graph has only cycles of length 10 or more, so the cycle filter
-    # passes it, and the row is the one brute_force_embed's answer gives
+    # passes it, and the row is the one networkx's planarity test gives.
+    # brute_force_embed agrees wherever it decides; it refuses the star, with
+    # 10! rotations at its centre, which the planarity filter settles by
+    # m - n <= 2 without a search
     k33_tail = with_pendant_paths(subdivided(complete_bipartite(3, 3), 3),
                                   [0], 2)
     # three paths of length 5 between vertices 0 and 1
@@ -581,20 +604,23 @@ def test_verify_planarity_rows_match_brute_force_embed(tmp_path, capsys):
     star = from_edge_list([(0, v) for v in range(1, 12)])
     graphs = [subdivided(complete_graph(5), 3), k33_tail, theta, star,
               cycle_graph(12), cycle_graph(41)]
+    planar = [nx.check_planarity(nx.Graph(sorted(g.edges)))[0]
+              for g in graphs]
+    embedded = []
+    for g in graphs:
+        try:
+            brute_force_embed(g)
+            embedded.append(True)
+        except NonPlanarOrTooLarge as exc:
+            embedded.append(None if exc.reason == "too-large" else False)
+    assert planar == [False, False, True, True, True, True]
+    assert embedded == [False, False, True, None, True, True]
     stream = write(tmp_path, "stream.g6",
                    "".join(encode_graph6(g) + "\n" for g in graphs))
     for n_max in (None, 40):
-        want = []
-        for g in graphs:
-            if n_max and g.n > n_max:
-                want.append("skipped:n")
-                continue
-            try:
-                brute_force_embed(g, max_n=max(9, n_max or 9))
-                want.append("pass")
-            except NonPlanarOrTooLarge as exc:
-                want.append("filtered:nonplanar" if exc.reason == "nonplanar"
-                            else "skipped:embed-bound")
+        want = ["skipped:n" if n_max and g.n > n_max
+                else "pass" if p else "filtered:nonplanar"
+                for g, p in zip(graphs, planar)]
         argv = ["verify-theorem2", stream, "--variant", "a"]
         if n_max:
             argv += ["--n-max", str(n_max)]
@@ -602,7 +628,32 @@ def test_verify_planarity_rows_match_brute_force_embed(tmp_path, capsys):
         rows = [ln.split("\t")[1] for ln in out.splitlines() if "\t" in ln]
         assert code == 0 and rows == want, n_max
     assert want == ["filtered:nonplanar", "filtered:nonplanar", "pass",
-                    "skipped:embed-bound", "pass", "skipped:n"]
+                    "pass", "pass", "skipped:n"]
+
+
+def test_verify_decides_a_star_past_nine_vertices(tmp_path, capsys):
+    # K1,11: --n-max is the only vertex bound, and a tree needs no search
+    stream = write(tmp_path, "star.g6", "KsaCCA?_C?O?\n")
+    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a",
+                       "--n-max", "12")
+    assert code == 0
+    assert out.splitlines() == ["KsaCCA?_C?O?\tpass",
+                                "# checked=1 pass=1 fail=0 budget=0"]
+
+
+def test_format_is_detected_on_the_line_that_is_read(tmp_path, capsys):
+    # an inline comment is not a token, and a leading comment line is
+    # neither detected nor parsed as graph6
+    edges = write(tmp_path, "c3.txt", "0 1  # first edge\n1 2\n2 0\n")
+    graph6 = write(tmp_path, "c3.g6", "# triangle\nBw\n")
+    for argv in (["chi", edges], ["chi", graph6],
+                 ["chi", graph6, "--format", "graph6"],
+                 ["chi", edges, "--format", "edges"]):
+        assert run(capsys, *argv) == (0, "chi = 3\n", ""), argv
+    only_comments = write(tmp_path, "none.g6", "# nothing here\n\n")
+    for fmt in ("auto", "graph6", "edges"):
+        code, out, err = run(capsys, "chi", only_comments, "--format", fmt)
+        assert code == 3 and not out and "empty input" in err, fmt
 
 
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -106,36 +106,32 @@ def named_planarity_cases():
 def test_is_planar_named_graphs():
     for name, (g, planar) in named_planarity_cases().items():
         assert networkx_planar(g) == planar, name
-        assert is_planar(g, max_n=g.n) == planar, name
+        assert is_planar(g) == planar, name
 
 
 def test_is_planar_matches_networkx_up_to_6_vertices(monkeypatch):
-    # K6 and K6 - e (14 and 15 edges) exceed the rotation space bound,
-    # which is measured on the graph as given
     for g in connected_graphs(6):
-        if g.m >= 14:
-            with pytest.raises(NonPlanarOrTooLarge) as exc:
-                is_planar(g)
-            assert exc.value.reason == "too-large"
-        else:
-            assert is_planar(g) == networkx_planar(g), g.edges
+        assert is_planar(g) == networkx_planar(g), g.edges
     # every labelled connected graph with at most 6 vertices, as the
     # relabellings of the classes above, through is_planar_masks.  An
     # exhaustive search of the larger nonplanar reductions tries up to
-    # 995,328 rotation systems each, so here networkx decides the reduced
+    # 110,592 rotation systems each, so here networkx decides the reduced
     # graph that would go to the search; the search itself is checked on
     # the classes above
     searched = []
 
     def search(core):
-        assert core.n >= 5 and min(core.degrees()) >= 3, core.edges
-        searched.append(core.n)
-        return () if networkx_planar(core) else None
+        degrees = [mask.bit_count() for mask in core]
+        assert len(core) >= 5 and min(degrees) >= 3, core
+        searched.append(len(core))
+        pairs = [(u, v) for u, mask in enumerate(core)
+                 for v in range(u + 1, len(core)) if mask >> v & 1]
+        return () if networkx_planar(from_edge_list(pairs)) else None
 
     monkeypatch.setattr(dpcolor.planar, "_rotation_search", search)
     labelled = [0] * 7
     for g in connected_graphs(6):
-        want = g.m < 14 and networkx_planar(g)
+        want = networkx_planar(g)
         seen = set()
         for perm in itertools.permutations(range(g.n)):
             masks = [0] * g.n
@@ -146,28 +142,37 @@ def test_is_planar_matches_networkx_up_to_6_vertices(monkeypatch):
             if masks in seen:
                 continue
             seen.add(masks)
-            if g.m >= 14:
-                with pytest.raises(NonPlanarOrTooLarge):
-                    is_planar_masks(masks)
-            else:
-                assert is_planar_masks(masks) == want, masks
+            assert is_planar_masks(masks) == want, masks
         labelled[g.n] += len(seen)
     assert labelled == [0, 1, 1, 4, 38, 728, 26_704]  # OEIS A001187
     assert len(searched) > 5_000
 
 
 def test_is_planar_keeps_the_search_bounds():
-    # the bounds apply to the graph as given, not to its reduction (a star
-    # reduces to nothing), so is_planar refuses exactly where
-    # brute_force_embed does
+    # no vertex bound: a star reduces to nothing and a cycle to K3
     star = from_edge_list([(0, v) for v in range(1, 12)])
-    cases = [(star, {"max_n": 12}), (cycle_graph(10), {}),
-             (complete_graph(6), {})]
-    for g, bounds in cases:
-        for check in (is_planar, brute_force_embed):
-            with pytest.raises(NonPlanarOrTooLarge) as exc:
-                check(g, **bounds)
-            assert exc.value.reason == "too-large"
+    assert is_planar(star) and is_planar(cycle_graph(10))
+    # m > 3n - 6 is nonplanar without a search
+    k6 = complete_graph(6)
+    k6_minus_e = from_edge_list(sorted(k6.edges)[1:])
+    for g in (k6, k6_minus_e):
+        assert is_planar(g) is False
+        with pytest.raises(NonPlanarOrTooLarge) as exc:
+            brute_force_embed(g)
+        assert exc.value.reason == "nonplanar"
+    # the only bound is the rotation space of the graph searched: the
+    # cubic prism C11 x K2 has 2^22 rotation systems, and degree reduction
+    # leaves it whole.  brute_force_embed measures the star itself (10! at
+    # its centre), which is_planar never searches
+    prism_11 = from_edge_list(
+        [(i, (i + 1) % 11) for i in range(11)]
+        + [(11 + i, 11 + (i + 1) % 11) for i in range(11)]
+        + [(i, 11 + i) for i in range(11)])
+    for g, check in ((prism_11, is_planar), (prism_11, brute_force_embed),
+                     (star, brute_force_embed)):
+        with pytest.raises(NonPlanarOrTooLarge) as exc:
+            check(g)
+        assert exc.value.reason == "too-large"
     two_parts = from_edge_list([(0, 1), (2, 3)])
     for check in (is_planar, brute_force_embed):
         with pytest.raises(Disconnected):

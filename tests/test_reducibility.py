@@ -24,7 +24,8 @@ from dpcolor import (
 )
 from instances import (random_extension_instance, random_full_matching,
                        random_low_degree_instance)
-from oracles import all_injections_matching
+from dpcolor.reducibility import _has_extension_order
+from oracles import all_injections_matching, any_extension_order
 
 
 def test_residual_lists_no_outside_neighbors():
@@ -284,6 +285,37 @@ def test_search_orders_can_rescue_a_bad_designated_order():
     host = from_edge_list([(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)])
     assert not certify_reducible(host, pat, 3)
     assert certify_reducible(host, pat, 3, search_orders=True)
+
+
+def test_order_search_matches_every_permutation():
+    rng = random.Random(7)
+    positive = 0
+    for _ in range(600):
+        n = rng.randint(2, 10)
+        p = rng.uniform(0.15, 0.6)
+        g = from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p], n=n)
+        subset = rng.sample(range(n), rng.randint(2, min(n, 6)))
+        k = rng.randint(2, 4)
+        want = any_extension_order(g, subset, k)
+        assert _has_extension_order(g, subset, k) == want, (g.edges, subset, k)
+        positive += want
+    assert positive > 50
+    # through certify_reducible, on every pattern occurrence
+    host = from_edge_list([(0, 1), (1, 2), (0, 2), (1, 3), (2, 3), (3, 4),
+                           (4, 5), (5, 3)])
+    for pat in (
+            ConfigPattern.build(edges=[(0, 1), (1, 2), (0, 2)],
+                                host_degree=(2, 3, 3), order=[1, 2, 0]),
+            ConfigPattern.build(edges=[(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)],
+                                host_degree=(2, 3, 3, 4), order=[3, 0, 1, 2]),
+            ConfigPattern.build(edges=[(0, 1), (0, 2)], host_degree=(4, 2, 2),
+                                order=[0, 1, 2])):
+        for k in (2, 3, 4):
+            hits = find_pattern(host, pat)
+            assert hits, pat
+            assert certify_reducible(host, pat, k, search_orders=True) == all(
+                any_extension_order(host, image, k) for image in hits)
 
 
 def test_pattern_json_roundtrip():
