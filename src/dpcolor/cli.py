@@ -81,8 +81,10 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 def _write_json(path: str | None, payload: dict) -> None:
     if path:
+        # one write of the whole text: json.dump writes many small chunks
+        text = json.dumps(payload, indent=2, default=str)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+            fh.write(text)
 
 
 def _read_matching(path: str, g: Graph, k: int | None
@@ -222,7 +224,8 @@ def cmd_find_config(args) -> int:
     print(f"reducible for k={args.k}: {'yes' if certified else 'no'}")
     if args.validate and certified and hits:
         failures = _monte_carlo_validate(g, pat, hits, args.k,
-                                         args.validate, args.seed)
+                                         args.validate, args.seed,
+                                         args.search_order)
         print(f"randomized extension check: {args.validate - failures}/"
               f"{args.validate} trials extended")
         if failures:
@@ -234,8 +237,12 @@ def cmd_find_config(args) -> int:
     return EXIT_OK if certified or not hits else EXIT_CERTIFICATE
 
 
-def _monte_carlo_validate(g, pat, hits, k, trials, seed) -> int:
-    """Random full matchings and colorings of the rest; count failed extensions."""
+def _monte_carlo_validate(g, pat, hits, k, trials, seed,
+                          search_orders) -> int:
+    """Random full matchings and colorings of the rest; count failed
+    extensions.  Each occurrence is extended along the order that
+    certified it: the designated one, or with search_orders the one the
+    order search found."""
     import random
 
     from .dp import is_valid_coloring
@@ -246,7 +253,10 @@ def _monte_carlo_validate(g, pat, hits, k, trials, seed) -> int:
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         image = hits[rng.randrange(len(hits))]
-        order = [image[i] for i in pat.order]
+        if search_orders:
+            order = reducibility._extension_order(g, image, k)
+        else:
+            order = [image[i] for i in pat.order]
         perms = {}
         for e in g.edges:
             p = list(range(k))
@@ -317,7 +327,8 @@ def _filter_status(line: str, forbidden, n_max: int | None
     if status is not None:
         return status, None
     try:
-        if not planar.is_planar_masks(masks):
+        # filter_graph6 has established connectivity
+        if not planar._is_planar_connected(masks):
             return "filtered:nonplanar", None
     except planar.NonPlanarOrTooLarge:
         return "skipped:embed-bound", None
@@ -331,16 +342,17 @@ def cmd_verify(args) -> int:
     The filters run cheapest first on the neighbor bitmasks that
     graphs.filter_graph6 decodes from the line: the vertex bound,
     connectivity and the cycle filter there, then planarity
-    (planar.is_planar_masks, on the graph reduced by degree).  --n-max is
+    (planar.is_planar_masks without its second connectivity test, on the
+    graph reduced by degree).  --n-max is
     the only vertex bound: skipped:embed-bound means the reduced graph has
     too many rotation systems to search.  A candidate whose 3-core
     (solver.k_core) is empty passes without a search.  A Graph is built
     only for a candidate that goes to solver.is_dp_k_colorable, which
     splits each large search across --jobs processes.  Rows are
     settled one at a time in input order, and the refutation certificates
-    are printed before them.  A line that is not graph6 raises ValueError
-    with the input's path and the line number in front of the decoder's
-    message."""
+    are printed before them, all in one write.  A line that is not graph6
+    raises ValueError with the input's path and the line number in front
+    of the decoder's message."""
     budget = _budget(args)
     forbidden = discharging.VARIANTS[args.variant].forbidden
     rows: list[dict] = []
@@ -370,13 +382,12 @@ def cmd_verify(args) -> int:
     checked = sum("settled_by" in row for row in rows)
     failures = len(refutations)
     budget_hits = sum(row["status"] == "budget" for row in rows)
-    for line, certificate in refutations:
-        print(f"refutation candidate {line}:")
-        print(certificate, end="")
-    for row in rows:
-        print(f"{row['graph6']}\t{row['status']}")
-    print(f"# checked={checked} pass={checked - failures - budget_hits} "
-          f"fail={failures} budget={budget_hits}")
+    out = [f"refutation candidate {line}:\n{certificate}"
+           for line, certificate in refutations]
+    out += [f"{row['graph6']}\t{row['status']}\n" for row in rows]
+    out.append(f"# checked={checked} pass={checked - failures - budget_hits} "
+               f"fail={failures} budget={budget_hits}\n")
+    sys.stdout.write("".join(out))
     _write_json(args.json, {
         "variant": args.variant,
         "rows": rows,

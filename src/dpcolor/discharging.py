@@ -4,9 +4,12 @@ Every vertex and face of a connected plane graph starts with charge
 d(x) - 4, which sums to -8 by Euler's formula.  The engine then runs one of
 two deterministic phase schedules of local transfer rules (variant "a" for
 graphs meant to avoid {4,7,8,9}-cycles, variants "b67"/"b68" for
-{4,6,7,9}/{4,6,8,9}) and records every transfer.  Total charge is asserted
-after each phase; all arithmetic is fractions.Fraction, no tolerances (the
-conservation sums add integer numerators over a common denominator).
+{4,6,7,9}/{4,6,8,9}) and records every transfer.  Phases are synchronous:
+every rule of a phase reads the charges as they stood when the phase began,
+and the phase's transfers are settled together at its end.  Total charge is
+asserted after each phase; all arithmetic is fractions.Fraction, no
+tolerances (settlement and the conservation sums add integer numerators
+over a common denominator).
 
 Face lengths and incidence statistics count boundary repetitions, so a face
 adjacent to another across two shared edges pays or receives twice, and a
@@ -99,7 +102,10 @@ def _exact_sum(values) -> Fraction:
 
 
 class ChargeState:
-    """Charges per vertex and face plus the full transfer log."""
+    """Charges per vertex and face plus the full transfer log.
+
+    The charges change only at end_phase, which settles the transfers that
+    move queued during the phase."""
 
     def __init__(self, vertex_charge, face_charge):
         self.vertex_charge: list[Fraction] = list(vertex_charge)
@@ -107,22 +113,48 @@ class ChargeState:
         self.log: list[Transfer] = []
         self.phase_totals: list[tuple[str, Fraction]] = []
         self.notes: list[str] = []
+        # (source, sink, numerator, denominator) of each unsettled transfer
+        self._queue: list[tuple[tuple[str, int], tuple[str, int], int, int]] = []
 
     def total(self) -> Fraction:
         return _exact_sum(self.vertex_charge + self.face_charge)
 
     def move(self, phase: str, rule: str, src: tuple[str, int],
              snk: tuple[str, int], amount: Fraction) -> None:
-        assert amount.numerator > 0, "rules move only positive charge"
+        """Log a transfer of a positive amount from src to snk and queue it.
+
+        The charges do not change until end_phase, so every rule of a phase
+        reads them as they stood when the phase began."""
+        num, den = amount.as_integer_ratio()
+        assert num > 0, "rules move only positive charge"
         (kind, i), (sink_kind, j) = src, snk
-        charges = self.vertex_charge if kind == "v" else self.face_charge
-        charges[i] -= amount
-        charges = self.vertex_charge if sink_kind == "v" else self.face_charge
-        charges[j] += amount
         self.log.append(Transfer(phase, rule, f"{kind}{i}", f"{sink_kind}{j}",
                                  amount))
+        self._queue.append((src, snk, num, den))
 
     def end_phase(self, phase: str) -> None:
+        """Settle the phase's queued transfers, then assert the -8 total
+        over every slot.
+
+        The amounts are added as integer numerators over their least common
+        denominator, so each charged slot gets one new Fraction however
+        many transfers reach it."""
+        queue = self._queue
+        if queue:
+            lcd = math.lcm(*{den for _, _, _, den in queue})
+            net: dict[tuple[str, int], int] = defaultdict(int)
+            for src, snk, num, den in queue:
+                num *= lcd // den
+                net[src] -= num
+                net[snk] += num
+            queue.clear()
+            for (kind, i), num in net.items():
+                if num:
+                    charges = (self.vertex_charge if kind == "v"
+                               else self.face_charge)
+                    old, old_den = charges[i].as_integer_ratio()
+                    charges[i] = Fraction(old * lcd + num * old_den,
+                                          old_den * lcd)
         t = self.total()
         self.phase_totals.append((phase, t))
         if t != TOTAL:
@@ -542,10 +574,9 @@ def _variant_b_phases(emb: PlaneEmbedding, state: ChargeState,
                 move("P5", "R4b", ("f", other), ("f", f), TWELFTH)
     state.end_phase("P5")
 
-    # P6: one synchronous surplus pass among 5-faces, no cascading
-    snapshot = {f: state.face_charge[f] for f in fives}
+    # P6: one surplus pass among 5-faces, no cascading
     for f in fives:
-        c = snapshot[f]
+        c = state.face_charge[f]
         if c <= 0:
             continue
         targets = [other for other in across[f] if length[other] == 5]
@@ -681,10 +712,10 @@ def audit(emb: PlaneEmbedding, variant, patterns=(),
     roles = classify_face_roles(emb)
     state = apply_rules(emb, var, strict=strict, roles=roles,
                         present=present)
-    neg_v = tuple((v, state.vertex_charge[v]) for v in range(g.n)
-                  if state.vertex_charge[v] < 0)
-    neg_f = tuple((f, state.face_charge[f]) for f in range(len(emb.faces))
-                  if state.face_charge[f] < 0)
+    neg_v = tuple((v, c) for v, c in enumerate(state.vertex_charge)
+                  if c.numerator < 0)
+    neg_f = tuple((f, c) for f, c in enumerate(state.face_charge)
+                  if c.numerator < 0)
     return AuditReport(
         variant=var.name,
         hypothesis_ok=not present,
@@ -694,7 +725,7 @@ def audit(emb: PlaneEmbedding, variant, patterns=(),
         pattern_hits=hits,
         negative_vertices=neg_v,
         negative_faces=neg_f,
-        total=state.total(),
+        total=state.phase_totals[-1][1],
         notes=tuple(state.notes),
         reviews=roles.reviews,
         state=state,

@@ -307,6 +307,11 @@ def is_planar_masks(masks) -> bool:
     """
     if not _connected(masks):
         raise Disconnected("planarity is decided on connected graphs")
+    return _is_planar_connected(masks)
+
+
+def _is_planar_connected(masks) -> bool:
+    """is_planar_masks on masks known to be connected, without the test."""
     # on connected input _smooth never raises m - n unless it deletes every
     # vertex, and what it leaves has minimum degree 3, so 2m >= 3n: with
     # m - n <= 2 it leaves at most 4 vertices, and the graph is planar

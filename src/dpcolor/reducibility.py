@@ -386,12 +386,13 @@ def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
     return out
 
 
-def _has_extension_order(g: Graph, subset, k: int) -> bool:
-    """Whether some order of subset passes check_extension_order: for each
-    v1, vl that pass the guaranteed condition 1 and condition 2, peel the
-    interior from the back, dropping each vertex with at most k - 1
+def _extension_order(g: Graph, subset, k: int) -> list[int] | None:
+    """An order of subset that passes check_extension_order, or None: for
+    each v1, vl that pass the guaranteed condition 1 and condition 2, peel
+    the interior from the back, dropping each vertex with at most k - 1
     neighbors among the rest, v1 and the outside.  Dropping only lowers
-    these counts, so an order exists exactly when the peel empties it."""
+    these counts, so an order exists exactly when the peel empties it, and
+    the interior is then the peeled vertices, last peeled first."""
     subset = set(subset)
     out = {v: len(g.adj[v] - subset) for v in subset}
     for v1 in [v for v in subset if not out[v]]:
@@ -399,13 +400,15 @@ def _has_extension_order(g: Graph, subset, k: int) -> bool:
             if not 1 <= out[vl] <= k - 1 or g.degree(vl) > k:
                 continue
             rest = subset - {v1, vl}
+            peeled: list[int] = []
             while rest and (low := {
                     v for v in rest
                     if len(g.adj[v] & rest) + (v1 in g.adj[v]) + out[v] < k}):
                 rest -= low
+                peeled[:0] = sorted(low)
             if not rest:
-                return True
-    return False
+                return [v1, *peeled, vl]
+    return None
 
 
 def certify_reducible(g: Graph, pat: ConfigPattern, k: int,
@@ -416,11 +419,11 @@ def certify_reducible(g: Graph, pat: ConfigPattern, k: int,
 
     A single-vertex pattern certifies by the low-degree rule alone.  With
     search_orders, each occurrence may use any ordering of the pattern
-    vertices instead of the designated one (_has_extension_order).
+    vertices instead of the designated one (_extension_order).
     """
     if pat.size == 1:
         return pat.host_degree[0] < k
     return all(
-        _has_extension_order(g, image, k) if search_orders
+        _extension_order(g, image, k) is not None if search_orders
         else check_extension_order(g, [image[i] for i in pat.order], k).ok
         for image in find_pattern(g, pat))

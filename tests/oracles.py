@@ -10,15 +10,20 @@ prunes by.  decode_graph6_pairs and reference_core_components are the
 pair-list graph6 decoder and the adjacency-set k-core peel that the
 bitmask versions in dpcolor.graphs and dpcolor.solver replaced, and
 any_extension_order the loop over every vertex order that the exact order
-search in dpcolor.reducibility replaced."""
+search in dpcolor.reducibility replaced.  replay_charges redoes a
+discharging run's transfer log one Fraction at a time, the arithmetic that
+the per-phase settlement in dpcolor.discharging replaced."""
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from dpcolor import (BudgetExceeded, DEFAULT_BUDGET, Graph, InvalidMatching,
-                     MatchingAssignment, check_extension_order, find_coloring,
-                     from_list_assignment, is_valid_coloring, uniform_lists)
+from dpcolor import (BudgetExceeded, ChargeState, DEFAULT_BUDGET, Graph,
+                     InvalidMatching, MatchingAssignment, PlaneEmbedding,
+                     check_extension_order, find_coloring,
+                     from_list_assignment, initial_charges, is_valid_coloring,
+                     uniform_lists)
 
 
 def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
@@ -382,3 +387,20 @@ def reference_core_components(g: Graph, k: int) -> list[list[int]]:
                     comp.append(u)
         components.append(sorted(comp))
     return components
+
+
+def replay_charges(emb: PlaneEmbedding, state: ChargeState):
+    """The final vertex and face charges and the (phase, total) after each
+    phase of state.phase_totals, from initial_charges(emb) and state.log:
+    each transfer subtracts one Fraction at its source and adds one at its
+    sink, in log order, and each total adds the charges one at a time."""
+    start = initial_charges(emb)
+    charges = {"v": list(start.vertex_charge), "f": list(start.face_charge)}
+    totals = []
+    for phase, _ in state.phase_totals:
+        for t in state.log:
+            if t.phase == phase:
+                charges[t.source[0]][int(t.source[1:])] -= t.amount
+                charges[t.sink[0]][int(t.sink[1:])] += t.amount
+        totals.append((phase, sum(charges["v"] + charges["f"], Fraction(0))))
+    return charges["v"], charges["f"], totals

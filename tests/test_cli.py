@@ -221,6 +221,26 @@ def test_find_config_searches_orders_of_nine_vertices(tmp_path, capsys):
     assert code == 0 and "reducible for k=3: yes" in out
 
 
+def test_find_config_validates_along_the_searched_order(tmp_path, capsys):
+    # the designated order [1, 2, 0] fails; the randomized check must extend
+    # along the order the search certified, so every trial extends
+    graph = write(tmp_path, "g.edges", "0 1\n1 2\n0 2\n1 3\n2 3\n")
+    pattern = write(tmp_path, "pat.json", json.dumps({
+        "name": "reversed",
+        "vertices": [{"hostDegree": 2, "outsideNeighbors": 0},
+                     {"hostDegree": 3, "outsideNeighbors": 1},
+                     {"hostDegree": 3, "outsideNeighbors": 1}],
+        "edges": [[0, 1], [1, 2], [0, 2]],
+        "order": [1, 2, 0],
+    }))
+    code, out, _ = run(capsys, "find-config", graph, "--pattern", pattern,
+                       "--k", "3", "--search-order", "--validate", "5",
+                       "--seed", "1")
+    assert "reducible for k=3: yes" in out
+    assert "5/5 trials extended" in out
+    assert code == 0
+
+
 def test_find_config_rejects_numbers_out_of_range(tmp_path, capsys):
     graph = write(tmp_path, "g.edges", "0 1\n1 2\n0 2\n")
     pattern = write(tmp_path, "pat.json", json.dumps({

@@ -1,7 +1,9 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from dpcolor import (
     format_transfer_log,
     from_edge_list,
     initial_charges,
+    load_embedding,
     path_stats,
     rotation_from_faces,
     trace_faces,
@@ -42,6 +45,7 @@ from fixtures import (
     two_squares_sharing_a_vertex,
     random_plane_embedding,
 )
+from oracles import replay_charges
 
 
 def three_pentagons_in_a_row():
@@ -127,6 +131,32 @@ def test_conservation_catches_charge_from_thin_air(monkeypatch):
     monkeypatch.setattr(discharging, "_phase_r2", leaky_r2)
     with pytest.raises(ConservationViolated, match=r"after P2: total -63351/7919"):
         apply_rules(truncated_tetrahedron(), "a")
+
+
+def test_move_refuses_amounts_that_are_not_positive():
+    state = initial_charges(tetrahedron())
+    for amount in (Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(AssertionError, match="only positive charge"):
+            state.move("P1", "R1", ("f", 0), ("f", 1), amount)
+    assert state.log == []
+
+
+def test_moves_settle_at_the_end_of_their_phase():
+    state = initial_charges(tetrahedron())
+    state.move("P1", "R1", ("f", 0), ("f", 1), Fraction(1, 3))
+    state.move("P1", "R1", ("f", 0), ("v", 2), Fraction(1, 5))
+    state.move("P1", "R1", ("v", 3), ("f", 0), Fraction(1, 5))
+    # a rule later in the phase still reads the charges the phase began with
+    assert state.vertex_charge == [-1] * 4 and state.face_charge == [-1] * 4
+    state.end_phase("P1")
+    assert state.face_charge == [Fraction(-4, 3), Fraction(-2, 3), -1, -1]
+    assert state.vertex_charge == [-1, -1, Fraction(-4, 5), Fraction(-6, 5)]
+    assert all(type(c) is Fraction
+               for c in state.vertex_charge + state.face_charge)
+    assert state.phase_totals == [("P1", Fraction(-8))]
+    state.end_phase("P2")  # an empty phase changes nothing
+    assert state.face_charge[0] == Fraction(-4, 3)
+    assert state.phase_totals[-1] == ("P2", Fraction(-8))
 
 
 def test_no_three_faces_means_no_triangular_and_all_rich():
@@ -432,3 +462,33 @@ def test_audit_output_is_pinned():
 
 GOLDEN_AUDIT_SHA256 = (
     "879d074586f9873e818f3c0d8b43279e13bddf06478e0c9c2ff322a860c5e4df")
+
+
+PLANE_DATA = Path(__file__).resolve().parents[1] / "bench" / "data" / "plane"
+
+
+def frozen_plane_embeddings():
+    """The embeddings the discharge benchmark runs on: the four polyhedra
+    and the 200 frozen random plane embeddings."""
+    for path in sorted(PLANE_DATA.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for one in doc if isinstance(doc, list) else [doc]:
+            yield load_embedding(one)
+
+
+def test_settlement_matches_transfer_by_transfer_replay():
+    rng = random.Random(1907)
+    embeddings = [*golden_embeddings(), *frozen_plane_embeddings()]
+    embeddings += [random_plane_embedding(rng, rng.randint(3, 40),
+                                          chord_tries=rng.choice((0, 8, 30)))
+                   for _ in range(30)]
+    assert len(embeddings) > 204 + 30
+    for emb in embeddings:
+        for variant in ("a", "b67", "b68"):
+            state = apply_rules(emb, variant)
+            vertex, face, totals = replay_charges(emb, state)
+            assert state.vertex_charge == vertex
+            assert state.face_charge == face
+            assert state.phase_totals == totals
+            assert all(type(c) is Fraction for c in vertex + face)
+            assert all(type(t) is Fraction for _, t in state.phase_totals)

@@ -24,7 +24,7 @@ from dpcolor import (
 )
 from instances import (random_extension_instance, random_full_matching,
                        random_low_degree_instance)
-from dpcolor.reducibility import _has_extension_order
+from dpcolor.reducibility import _extension_order
 from oracles import all_injections_matching, any_extension_order
 
 
@@ -298,7 +298,11 @@ def test_order_search_matches_every_permutation():
         subset = rng.sample(range(n), rng.randint(2, min(n, 6)))
         k = rng.randint(2, 4)
         want = any_extension_order(g, subset, k)
-        assert _has_extension_order(g, subset, k) == want, (g.edges, subset, k)
+        order = _extension_order(g, subset, k)
+        assert (order is not None) == want, (g.edges, subset, k)
+        if order is not None:  # the order found is one that passes
+            assert sorted(order) == sorted(subset)
+            assert check_extension_order(g, order, k).ok, (g.edges, order, k)
         positive += want
     assert positive > 50
     # through certify_reducible, on every pattern occurrence
