@@ -66,13 +66,14 @@ def _budget(args) -> int:
 def _read_graph(path: str, fmt: str) -> Graph:
     text = _read_text(path)
     # the format is detected on, and graph6 read from, the first line left
-    # once '#' comments are stripped: two tokens there mean an edge list
+    # once '#' comments are stripped: graph6 has no whitespace, so two or
+    # more tokens there mean an edge list
     first = next(filter(None, (ln.split("#", 1)[0].strip()
                                for ln in text.splitlines())), "")
     if not first:
         raise ValueError(f"{path}: empty input, expected a graph")
     if fmt == "auto":
-        fmt = "edges" if len(first.split()) == 2 else "graph6"
+        fmt = "edges" if len(first.split()) >= 2 else "graph6"
     if fmt == "graph6":
         return parse_graph6(first)
     g, _ = parse_edge_list(text)

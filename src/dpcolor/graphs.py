@@ -14,17 +14,20 @@ search starts.
 The search and the connectivity test work on neighbor bitmasks, one per
 vertex, which a Graph builds on first use and keeps (Graph.masks), as it
 keeps its degree tuple (Graph.degrees).  The graph6 decoder yields those
-bitmasks directly.  filter_graph6 runs the census filters of dpcolor
-verify-theorem2 (vertex bound, connectivity, cycle filter) on them and
-returns them, not a Graph, for a line that passes; planar.is_planar_masks
-and solver.k_core take them from there.
+bitmasks directly.  Each graph6 byte holds six vertex pairs, so for up to
+16 vertices the decoder ORs one entry per byte of a lookup table built for
+that vertex count on first use; tables grow as n**4 (74 KB at n = 16), so
+larger graphs are decoded one edge at a time.  filter_graph6 runs the
+census filters of dpcolor verify-theorem2 (vertex bound, connectivity,
+cycle filter) on them and returns them, not a Graph, for a line that
+passes; planar.is_planar_masks and solver.k_core take them from there.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 __all__ = [
     "Graph",
@@ -189,11 +192,47 @@ _G6_BYTES = re.compile("[?-~]*")  # the bytes 63..126
 _MINUS_63 = bytes((b - 63) % 256 for b in range(256))
 # each 6-bit value with its bits in reverse order
 _REVERSED_6 = tuple(int(f"{x:06b}"[::-1], 2) for x in range(64))
+# the largest n decoded through _graph6_table: a table has 64 entries of
+# n*n bits for each of about n*n/12 bytes, so it grows as n**4, to 74 KB
+# at n = 16 but 7.5 MB at n = 62
+_TABLE_MAX_N = 16
+
+
+@cache
+def _graph6_table(n: int
+                  ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """(rows, shifts, full) for decoding the adjacency bytes of an n-vertex
+    graph6 line: rows[b][x] has bits i*n + j and j*n + i for each pair
+    (i, j) that byte b sets when its value is x, or is -1 if x sets a
+    padding bit; the OR of one entry per byte holds the neighbor set of
+    vertex v at bits v*n .. v*n + n - 1, so it is `packed >> shifts[v] &
+    full`, and it is negative exactly when some padding bit is set."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    rows = []
+    for b in range((len(pairs) + 5) // 6):
+        row = [0] * 64
+        for t in range(6):  # bit 5 - t of byte b is pair k
+            k = 6 * b + t
+            if k < len(pairs):
+                i, j = pairs[k]
+                row[32 >> t] = 1 << (i * n + j) | 1 << (j * n + i)
+            else:
+                row[32 >> t] = -1
+        for x in range(1, 64):
+            row[x] = row[x & x - 1] | row[x & -x]
+        rows.append(tuple(row))
+    return tuple(rows), tuple(v * n for v in range(n)), (1 << n) - 1
 
 
 def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
     """Decode one graph6 line, without surrounding whitespace, into
-    (n, masks): masks[v] is the neighbor set of vertex v as a bitmask."""
+    (n, masks): masks[v] is the neighbor set of vertex v as a bitmask.
+
+    Each adjacency byte sets up to six vertex pairs.  For n <= _TABLE_MAX_N
+    the masks come from one OR per byte of a _graph6_table entry, the table
+    built on the first line with that n; a larger n would need a table
+    growing as n**4, so its bytes are read into one integer and scattered
+    into the masks one edge at a time."""
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
@@ -223,6 +262,14 @@ def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
         raise MalformedGraph6(
             f"expected {need} adjacency bytes for n={n}, got {len(vals) - idx}"
         )
+    if n <= _TABLE_MAX_N:
+        rows, shifts, full = _graph6_table(n)
+        packed = 0
+        for row, x in zip(rows, vals[idx:]):
+            packed |= row[x]
+        if packed < 0:
+            raise MalformedGraph6("nonzero padding bits")
+        return n, tuple([packed >> shift & full for shift in shifts])
     # the adjacency bits as one integer, read from the last byte back: bit k
     # of the upper triangle in column order (0,1), (0,2), (1,2), (0,3), ...
     # is bit k of word, and the padding lies above bit nbits - 1

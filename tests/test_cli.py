@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -463,9 +464,12 @@ def test_verify_names_the_malformed_line(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child finds dpcolor through PYTHONPATH, however pytest found it
+    src = os.path.dirname(os.path.dirname(dpcolor.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "dpcolor", "cycles", "-"],
-        input="D~{\n", capture_output=True, text=True)
+        input="D~{\n", capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "[3, 4, 5]" in proc.stdout
 
@@ -674,6 +678,18 @@ def test_format_is_detected_on_the_line_that_is_read(tmp_path, capsys):
     for fmt in ("auto", "graph6", "edges"):
         code, out, err = run(capsys, "chi", only_comments, "--format", fmt)
         assert code == 3 and not out and "empty input" in err, fmt
+
+
+def test_format_auto_reads_any_line_with_whitespace_as_an_edge_list(
+        tmp_path, capsys):
+    # graph6 has no whitespace, so three tokens are a malformed edge list
+    path = write(tmp_path, "three.txt", "# header\n0 1 2\n1 2\n")
+    assert run(capsys, "chi", path) == (
+        3, "", "error: line 2: expected 'u v', got '0 1 2'\n")
+    # one token is still read as graph6
+    path = write(tmp_path, "one.txt", "012\n")
+    assert run(capsys, "chi", path) == (
+        3, "", "error: byte '0' out of graph6 range\n")
 
 
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):

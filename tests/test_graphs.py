@@ -103,6 +103,12 @@ def test_parse_graph6_header_and_errors():
     ("~?@?", "expected 336 adjacency bytes for n=64, got 0"),
     ("A`", "nonzero padding bits"),
     ("Bx", "nonzero padding bits"),
+    # on each side of graphs._TABLE_MAX_N: n = 14 pads its 16 bytes with 5
+    # bits, n = 17 its 23 bytes with 2
+    ("M" + "?" * 15 + "@", "nonzero padding bits"),
+    ("M" + "~" * 16, "nonzero padding bits"),
+    ("P" + "?" * 22 + "@", "nonzero padding bits"),
+    ("P" + "~" * 23, "nonzero padding bits"),
 ])
 def test_parse_graph6_error_messages(text, message):
     with pytest.raises(MalformedGraph6) as info:
@@ -150,13 +156,38 @@ def test_parse_graph6_matches_from_edge_list_on_census():
 def test_parse_graph6_matches_from_edge_list_on_random_graphs():
     # n > 62 takes the four-byte vertex count
     rng = random.Random(6)
-    for n in [*range(12), 30, 62, 63, 64, 70, 130]:
+    for n in [*range(12), 16, 17, 30, 62, 63, 64, 70, 130]:
         for p in (0.05, 0.3, 0.7):
             pairs = [(i, j) for j in range(n) for i in range(j)
                      if rng.random() < p]
             text = encode_graph6(from_edge_list(pairs, n=n))
             assert decode_graph6_pairs(text) == (n, pairs)
             _assert_decodes_like_the_pair_list_reference(text)
+
+
+def test_both_decoder_paths_agree_on_the_census_streams(monkeypatch):
+    # lines with at most graphs._TABLE_MAX_N vertices are decoded through a
+    # lookup table, the others one edge at a time; with the cap at 0 every
+    # line takes the second path
+    lines = [line.split("\t")[0]
+             for name in ("census_filter_a.tsv", "census_search_a.tsv",
+                          "census_search_b68.tsv")
+             for line in (CENSUS_STREAMS / name).read_text().splitlines()]
+    by_table = [graphs._decode_graph6(line) for line in lines]
+    monkeypatch.setattr(graphs, "_TABLE_MAX_N", 0)
+    assert [graphs._decode_graph6(line) for line in lines] == by_table
+
+
+def test_decoder_matches_the_bit_reference_on_every_small_labelled_graph(
+        monkeypatch):
+    small = labelled_graphs(6)
+    lines = [encode_graph6(g) for g in small]
+    for g, line in zip(small, lines):
+        assert decode_graph6_pairs(line) == (g.n, _column_pairs(g))
+    want = [(g.n, g.masks) for g in small]
+    assert [graphs._decode_graph6(line) for line in lines] == want
+    monkeypatch.setattr(graphs, "_TABLE_MAX_N", 0)
+    assert [graphs._decode_graph6(line) for line in lines] == want
 
 
 def test_connectivity_core_matches_bfs_on_all_small_graphs():
