@@ -6,10 +6,9 @@ two deterministic phase schedules of local transfer rules (variant "a" for
 graphs meant to avoid {4,7,8,9}-cycles, variants "b67"/"b68" for
 {4,6,7,9}/{4,6,8,9}) and records every transfer.  Phases are synchronous:
 every rule of a phase reads the charges as they stood when the phase began,
-and the phase's transfers are settled together at its end.  Total charge is
-asserted after each phase; all arithmetic is fractions.Fraction, no
-tolerances (settlement and the conservation sums add integer numerators
-over a common denominator).
+and the phase's transfers are settled together at its end.  Charges are
+exact, with no tolerances: integer numerators over one common denominator,
+read out as fractions.Fraction.  Total charge is asserted after each phase.
 
 Face lengths and incidence statistics count boundary repetitions, so a face
 adjacent to another across two shared edges pays or receives twice, and a
@@ -57,6 +56,7 @@ SIXTH = Fraction(1, 6)
 TWELFTH = Fraction(1, 12)
 ONE = Fraction(1)
 TOTAL = Fraction(-8)
+_LENGTH_CLASS = {10: 2, 11: 1}
 
 
 class ChargeSumMismatch(ValueError):
@@ -102,22 +102,41 @@ def _exact_sum(values) -> Fraction:
 
 
 class ChargeState:
-    """Charges per vertex and face plus the full transfer log.
-
+    """Charges per vertex and face, an integer ledger over one common
+    denominator (vertex v holds vertex_num[v] / den, face f face_num[f] /
+    den), plus the transfer log.  Every value read out of it is a Fraction.
     The charges change only at end_phase, which settles the transfers that
     move queued during the phase."""
 
-    def __init__(self, vertex_charge, face_charge):
-        self.vertex_charge: list[Fraction] = list(vertex_charge)
-        self.face_charge: list[Fraction] = list(face_charge)
-        self.log: list[Transfer] = []
+    def __init__(self, vertex_num, face_num):
+        self.vertex_num: list[int] = list(vertex_num)
+        self.face_num: list[int] = list(face_num)
+        self.den = 1
         self.phase_totals: list[tuple[str, Fraction]] = []
         self.notes: list[str] = []
-        # (source, sink, numerator, denominator) of each unsettled transfer
-        self._queue: list[tuple[tuple[str, int], tuple[str, int], int, int]] = []
+        # one flat (phase, rule, kind, i, sink kind, j, amount) per move;
+        # those from _settled on belong to the open phase
+        self._rows: list[tuple] = []
+        self._settled = 0
+
+    @property
+    def vertex_charge(self) -> list[Fraction]:
+        """The vertex charges, as a new list."""
+        return [Fraction(x, self.den) for x in self.vertex_num]
+
+    @property
+    def face_charge(self) -> list[Fraction]:
+        """The face charges, as a new list."""
+        return [Fraction(x, self.den) for x in self.face_num]
+
+    @property
+    def log(self) -> list[Transfer]:
+        """Every transfer in move order, built anew on each read."""
+        return [Transfer(phase, rule, f"{kind}{i}", f"{sink_kind}{j}", amount)
+                for phase, rule, kind, i, sink_kind, j, amount in self._rows]
 
     def total(self) -> Fraction:
-        return _exact_sum(self.vertex_charge + self.face_charge)
+        return Fraction(sum(self.vertex_num) + sum(self.face_num), self.den)
 
     def move(self, phase: str, rule: str, src: tuple[str, int],
              snk: tuple[str, int], amount: Fraction) -> None:
@@ -125,55 +144,53 @@ class ChargeState:
 
         The charges do not change until end_phase, so every rule of a phase
         reads them as they stood when the phase began."""
-        num, den = amount.as_integer_ratio()
-        assert num > 0, "rules move only positive charge"
+        assert amount.numerator > 0, "rules move only positive charge"
         (kind, i), (sink_kind, j) = src, snk
-        self.log.append(Transfer(phase, rule, f"{kind}{i}", f"{sink_kind}{j}",
-                                 amount))
-        self._queue.append((src, snk, num, den))
+        self._rows.append((phase, rule, kind, i, sink_kind, j, amount))
+
+    def _rescale(self, den: int) -> None:
+        """Put every slot over den, a multiple of the current den."""
+        if den != self.den:
+            factor = den // self.den
+            self.vertex_num = [x * factor for x in self.vertex_num]
+            self.face_num = [x * factor for x in self.face_num]
+            self.den = den
 
     def end_phase(self, phase: str) -> None:
-        """Settle the phase's queued transfers, then assert the -8 total
-        over every slot.
-
-        The amounts are added as integer numerators over their least common
-        denominator, so each charged slot gets one new Fraction however
-        many transfers reach it."""
-        queue = self._queue
-        if queue:
-            lcd = math.lcm(*{den for _, _, _, den in queue})
-            net: dict[tuple[str, int], int] = defaultdict(int)
-            for src, snk, num, den in queue:
-                num *= lcd // den
-                net[src] -= num
-                net[snk] += num
-            queue.clear()
-            for (kind, i), num in net.items():
-                if num:
-                    charges = (self.vertex_charge if kind == "v"
-                               else self.face_charge)
-                    old, old_den = charges[i].as_integer_ratio()
-                    charges[i] = Fraction(old * lcd + num * old_den,
-                                          old_den * lcd)
-        t = self.total()
+        """Settle the phase's queued transfers over the lcm of den and their
+        denominators, then assert the -8 total over every slot."""
+        rows = self._rows[self._settled:]
+        self._settled = len(self._rows)
+        if rows:
+            # amounts are mostly a few shared constants: key them by object
+            amounts = {id(a): a for _, _, _, _, _, _, a in rows}
+            ratios = [(key, *a.as_integer_ratio()) for key, a in amounts.items()]
+            self._rescale(math.lcm(self.den, *(d for _, _, d in ratios)))
+            step = {key: n * (self.den // d) for key, n, d in ratios}
+            slots = {"v": self.vertex_num, "f": self.face_num}
+            for _, _, kind, i, sink_kind, j, amount in rows:
+                num = step[id(amount)]
+                slots[kind][i] -= num
+                slots[sink_kind][j] += num
+        total, den = sum(self.vertex_num) + sum(self.face_num), self.den
+        ok = total == -8 * den
+        t = TOTAL if ok else Fraction(total, den)
         self.phase_totals.append((phase, t))
-        if t != TOTAL:
+        if not ok:
             raise ConservationViolated(f"after {phase}: total {t} != -8")
 
     def sent(self, kind: str, idx: int) -> Fraction:
-        name = f"{kind}{idx}"
-        return _exact_sum(t.amount for t in self.log if t.source == name)
+        return _exact_sum(amount for _, _, k, i, _, _, amount in self._rows
+                          if k == kind and i == idx)
 
 
 def initial_charges(emb: PlaneEmbedding) -> ChargeState:
     """Charge d(x) - 4 on every vertex and face; asserts the -8 total."""
-    degrees, lengths = emb.graph.degrees(), emb.face_lengths
-    # one Fraction per distinct value: they are immutable, so slots share them
-    charge = {x: Fraction(x - 4) for x in {*degrees, *lengths}}
-    state = ChargeState([charge[d] for d in degrees],
-                        [charge[x] for x in lengths])
-    if state.total() != TOTAL:
-        raise ChargeSumMismatch(f"initial total {state.total()} != -8")
+    state = ChargeState([d - 4 for d in emb.graph.degrees()],
+                        [x - 4 for x in emb.face_lengths])
+    total = sum(state.vertex_num) + sum(state.face_num)
+    if total != -8:
+        raise ChargeSumMismatch(f"initial total {total} != -8")
     return state
 
 
@@ -315,8 +332,7 @@ def path_stats(emb: PlaneEmbedding, f: int) -> dict[int, int]:
     covered = [length[other] <= 5 for other in emb.across[f]]
     t: dict[int, int] = defaultdict(int)
     if all(covered):
-        t[d] = 1
-        return dict(t)
+        return {d: 1}
     start = covered.index(False)
     seq = covered[start:] + covered[:start]
     run = 0
@@ -362,14 +378,7 @@ def face_stats(emb: PlaneEmbedding, roles: FaceRoles, f: int) -> FaceStats:
         if deg[u] >= 5
         or (deg[u] == 4 and roles.labels.get((u, f)) == "semi-rich")
     )
-    if d >= 12:
-        x = 0
-    elif d == 11:
-        x = 1
-    elif d == 10:
-        x = 2
-    else:
-        x = 0
+    x = _LENGTH_CLASS.get(d, 0)
     t = path_stats(emb, f) if d >= 10 else {}
     return FaceStats(s3=s3, r5=r5, b5=b5, s=s, t=t, x=x)
 
@@ -385,7 +394,7 @@ def face_charge_capacity(t: dict[int, int], d_f: int) -> Fraction:
         raise ValueError("capacity is defined for 10+-faces")
     if sum(i * cnt for i, cnt in t.items()) != d_f:
         raise ValueError("path counts do not tile the boundary")
-    x = 0 if d_f >= 12 else (1 if d_f == 11 else 2)
+    x = _LENGTH_CLASS.get(d_f, 0)
     value = (
         THIRD * _tsum(t, 1, lambda i: i)
         + Fraction(2, 3) * _tsum(t, 2, lambda i: 1)
@@ -457,13 +466,29 @@ def _third_face_at(emb: PlaneEmbedding, v: int, skip1: int, skip2: int) -> int |
     each of two known faces; None in degenerate walks."""
     corners = list(emb.corner_faces[v])
     for skip in (skip1, skip2):
-        if skip in corners:
-            corners.remove(skip)
-        else:
+        if skip not in corners:
             return None
-    if len(corners) != 1:
-        return None
-    return corners[0]
+        corners.remove(skip)
+    return corners[0] if len(corners) == 1 else None
+
+
+def _spread_surplus(emb: PlaneEmbedding, state: ChargeState, phase: str,
+                    rule: str, fives: list[int], target: int) -> None:
+    """Each 5-face with positive charge splits it evenly over its adjacent
+    faces of length target, then the phase ends."""
+    face, den, length = state.face_num, state.den, emb.face_lengths
+    for f in fives:
+        if face[f] <= 0:
+            continue
+        targets = [other for other in emb.across[f] if length[other] == target]
+        if not targets:
+            state.notes.append(f"{rule}: f{f} has surplus {Fraction(face[f], den)} "
+                               f"but no adjacent {target}-face")
+            continue
+        share = Fraction(face[f], den * len(targets))
+        for tgt in targets:
+            state.move(phase, rule, ("f", f), ("f", tgt), share)
+    state.end_phase(phase)
 
 
 def _variant_a_phases(emb: PlaneEmbedding, state: ChargeState,
@@ -511,31 +536,19 @@ def _variant_a_phases(emb: PlaneEmbedding, state: ChargeState,
     state.end_phase("P4")
 
     # P5: each 5-face spreads its remaining positive charge over adjacent 10-faces
-    for f in fives:
-        c = state.face_charge[f]
-        if c <= 0:
-            continue
-        targets = [other for other in across[f] if length[other] == 10]
-        if not targets:
-            state.notes.append(f"R4a: f{f} has surplus {c} but no adjacent 10-face")
-            continue
-        share = c / len(targets)
-        for tgt in targets:
-            move("P5", "R4a", ("f", f), ("f", tgt), share)
-    state.end_phase("P5")
+    _spread_surplus(emb, state, "P5", "R4a", fives, 10)
 
     # P6: each 3-vertex pulls what it still needs from incident 6+-faces
+    vertex, den = state.vertex_num, state.den
     for v in range(g.n):
-        if deg[v] != 3:
-            continue
-        needed = -state.vertex_charge[v]
-        if needed <= 0:
+        if deg[v] != 3 or vertex[v] >= 0:
             continue
         donors = [f for f in emb.corner_faces[v] if length[f] >= 6]
         if not donors:
-            state.notes.append(f"R4a: 3-vertex {v} needs {needed} but has no 6+-face")
+            state.notes.append(f"R4a: 3-vertex {v} needs {Fraction(-vertex[v], den)} "
+                               "but has no 6+-face")
             continue
-        share = needed / len(donors)
+        share = Fraction(-vertex[v], den * len(donors))
         for f in donors:
             move("P6", "R4a", ("f", f), ("v", v), share)
     state.end_phase("P6")
@@ -575,18 +588,7 @@ def _variant_b_phases(emb: PlaneEmbedding, state: ChargeState,
     state.end_phase("P5")
 
     # P6: one surplus pass among 5-faces, no cascading
-    for f in fives:
-        c = state.face_charge[f]
-        if c <= 0:
-            continue
-        targets = [other for other in across[f] if length[other] == 5]
-        if not targets:
-            state.notes.append(f"R4b: f{f} has surplus {c} but no adjacent 5-face")
-            continue
-        share = c / len(targets)
-        for tgt in targets:
-            move("P6", "R4b", ("f", f), ("f", tgt), share)
-    state.end_phase("P6")
+    _spread_surplus(emb, state, "P6", "R4b", fives, 5)
 
 
 def _phase_r3(state: ChargeState, roles: FaceRoles) -> None:
@@ -609,10 +611,9 @@ def apply_rules(emb: PlaneEmbedding, variant, strict: bool = False,
     var = _resolve_variant(variant)
     if present is None:
         present = forbidden_cycles(emb.graph, var.forbidden)
-    if present:
-        if strict:
-            raise ForbiddenCyclePresent(
-                f"variant {var.name} forbids cycle lengths {sorted(present)}")
+    if present and strict:
+        raise ForbiddenCyclePresent(
+            f"variant {var.name} forbids cycle lengths {sorted(present)}")
     if roles is None:
         roles = classify_face_roles(emb)
     state = initial_charges(emb)
@@ -632,10 +633,8 @@ def apply_rules(emb: PlaneEmbedding, variant, strict: bool = False,
 
 def format_transfer_log(state: ChargeState) -> str:
     """Tab-separated log: phase, rule, source, sink, amount as p/q."""
-    lines = ["phase\trule\tsource\tsink\tamount"]
-    for t in state.log:
-        lines.append(f"{t.phase}\t{t.rule}\t{t.source}\t{t.sink}\t{t.amount}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{t.phase}\t{t.rule}\t{t.source}\t{t.sink}\t{t.amount}" for t in state.log)
+    return "\n".join(["phase\trule\tsource\tsink\tamount", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +711,11 @@ def audit(emb: PlaneEmbedding, variant, patterns=(),
     roles = classify_face_roles(emb)
     state = apply_rules(emb, var, strict=strict, roles=roles,
                         present=present)
-    neg_v = tuple((v, c) for v, c in enumerate(state.vertex_charge)
-                  if c.numerator < 0)
-    neg_f = tuple((f, c) for f, c in enumerate(state.face_charge)
-                  if c.numerator < 0)
+    den = state.den
+    neg_v = tuple((v, Fraction(x, den)) for v, x in enumerate(state.vertex_num)
+                  if x < 0)
+    neg_f = tuple((f, Fraction(x, den)) for f, x in enumerate(state.face_num)
+                  if x < 0)
     return AuditReport(
         variant=var.name,
         hypothesis_ok=not present,

@@ -373,10 +373,10 @@ def load_embedding(source) -> PlaneEmbedding:
     if not isinstance(doc, dict) or "n" not in doc or "rotation" not in doc:
         raise ValueError("embedding document needs 'n' and 'rotation'")
     n, rotation = doc["n"], doc["rotation"]
-    if not (isinstance(n, int) and isinstance(rotation, list)
+    # exact types: a JSON true or false is a bool, which isinstance takes as int
+    if not (type(n) is int and isinstance(rotation, list)
             and all(map(isinstance, rotation, itertools.repeat(list)))
-            and all(map(isinstance, itertools.chain.from_iterable(rotation),
-                        itertools.repeat(int)))):
+            and {*map(type, itertools.chain.from_iterable(rotation))} <= {int}):
         raise ValueError("embedding 'n' must be an integer and 'rotation' a "
                          "list of integer lists")
     rot = [tuple(order) for order in rotation]

@@ -291,7 +291,8 @@ class ConfigPattern:
 
 
 def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(i, int) for i in x)
+    # exact types: a JSON true or false is a bool, which isinstance takes as int
+    return isinstance(x, list) and all(type(i) is int for i in x)
 
 
 def pattern_from_json(source) -> ConfigPattern:
@@ -303,8 +304,8 @@ def pattern_from_json(source) -> ConfigPattern:
         raise ValueError("pattern document must be a JSON object")
     vertices = doc.get("vertices")
     if not (isinstance(vertices, list) and all(
-            isinstance(v, dict) and isinstance(v.get("hostDegree"), int)
-            and isinstance(v.get("outsideNeighbors"), int)
+            isinstance(v, dict) and type(v.get("hostDegree")) is int
+            and type(v.get("outsideNeighbors")) is int
             for v in vertices)):
         raise ValueError("pattern 'vertices' must be a list of objects with "
                          "integer 'hostDegree' and 'outsideNeighbors'")

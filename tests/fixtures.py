@@ -291,6 +291,14 @@ EMBEDDING_REJECTIONS = {
         '{"n": 2, "rotation": [[1.0], [0]]}', ValueError,
         "embedding 'n' must be an integer and 'rotation' a list of integer "
         "lists"),
+    "boolean entries": (
+        '{"n": 2, "rotation": [[true], [false]]}', ValueError,
+        "embedding 'n' must be an integer and 'rotation' a list of integer "
+        "lists"),
+    "boolean n": (
+        '{"n": true, "rotation": [[]]}', ValueError,
+        "embedding 'n' must be an integer and 'rotation' a list of integer "
+        "lists"),
     "neighbor out of range": (
         '{"n": 2, "rotation": [[2], [0]]}', ValueError,
         "neighbor 2 out of range at vertex 0"),

@@ -11,8 +11,9 @@ pair-list graph6 decoder and the adjacency-set k-core peel that the
 bitmask versions in dpcolor.graphs and dpcolor.solver replaced, and
 any_extension_order the loop over every vertex order that the exact order
 search in dpcolor.reducibility replaced.  replay_charges redoes a
-discharging run's transfer log one Fraction at a time, the arithmetic that
-the per-phase settlement in dpcolor.discharging replaced."""
+discharging run's transfer log one Fraction at a time from the start
+charges, the arithmetic that the integer charge ledger in
+dpcolor.discharging replaced."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from dpcolor import (BudgetExceeded, ChargeState, DEFAULT_BUDGET, Graph,
                      InvalidMatching, MatchingAssignment, PlaneEmbedding,
                      check_extension_order, find_coloring,
-                     from_list_assignment, initial_charges, is_valid_coloring,
+                     from_list_assignment, is_valid_coloring,
                      uniform_lists)
 
 
@@ -391,11 +392,12 @@ def reference_core_components(g: Graph, k: int) -> list[list[int]]:
 
 def replay_charges(emb: PlaneEmbedding, state: ChargeState):
     """The final vertex and face charges and the (phase, total) after each
-    phase of state.phase_totals, from initial_charges(emb) and state.log:
-    each transfer subtracts one Fraction at its source and adds one at its
-    sink, in log order, and each total adds the charges one at a time."""
-    start = initial_charges(emb)
-    charges = {"v": list(start.vertex_charge), "f": list(start.face_charge)}
+    phase of state.phase_totals, from the start charges d(x) - 4 and
+    state.log: each transfer subtracts one Fraction at its source and adds
+    one at its sink, in log order, and each total adds the charges one at a
+    time."""
+    charges = {"v": [Fraction(d - 4) for d in emb.graph.degrees()],
+               "f": [Fraction(x - 4) for x in emb.face_lengths]}
     totals = []
     for phase, _ in state.phase_totals:
         for t in state.log:

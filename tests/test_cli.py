@@ -270,6 +270,17 @@ def test_discharge_command(tmp_path, capsys):
     assert (tmp_path / "log.tsv").read_text().startswith("phase\trule")
 
 
+def test_discharge_rejects_boolean_pattern_entries(tmp_path, capsys):
+    emb = write(tmp_path, "tetra.json", dump_embedding(tetrahedron()))
+    pattern = write(tmp_path, "pat.json", json.dumps({
+        "vertices": [{"hostDegree": 3, "outsideNeighbors": 2}] * 2,
+        "edges": [[False, True]], "order": [0, 1]}))
+    code, out, err = run(capsys, "discharge", emb, "--variant", "a",
+                         "--pattern", pattern)
+    assert code == 3 and not out
+    assert err.startswith("error: pattern 'edges' must be")
+
+
 def test_discharge_strict_exit(tmp_path, capsys):
     emb = write(tmp_path, "dodeca.json", dump_embedding(dodecahedron()))
     code, _, err = run(capsys, "discharge", emb, "--variant", "b67", "--strict")

@@ -125,7 +125,10 @@ def test_conservation_catches_charge_from_thin_air(monkeypatch):
     real_r2 = discharging._phase_r2
 
     def leaky_r2(emb, state, roles):
-        state.face_charge[0] += leak
+        # face_charge is a read-only view: leak into the ledger itself
+        num, den = leak.as_integer_ratio()
+        state._rescale(math.lcm(state.den, den))
+        state.face_num[0] += num * (state.den // den)
         real_r2(emb, state, roles)
 
     monkeypatch.setattr(discharging, "_phase_r2", leaky_r2)
@@ -157,6 +160,39 @@ def test_moves_settle_at_the_end_of_their_phase():
     state.end_phase("P2")  # an empty phase changes nothing
     assert state.face_charge[0] == Fraction(-4, 3)
     assert state.phase_totals[-1] == ("P2", Fraction(-8))
+
+
+CUBE_SLOTS = [("v", v) for v in range(8)] + [("f", f) for f in range(6)]
+
+
+@st.composite
+def ledger_phases(draw):
+    """Phases of moves between the cube's slots.  The amounts come from one
+    pool, so a phase can carry the same Fraction object many times."""
+    pool = draw(st.lists(st.builds(
+        Fraction, st.integers(1, 10**6),
+        st.sampled_from([1, 2, 3, 7, 11, 12, 7919, 2**61 - 1])),
+        min_size=1, max_size=4))
+    move = st.tuples(st.sampled_from(CUBE_SLOTS), st.sampled_from(CUBE_SLOTS),
+                     st.sampled_from(pool))
+    return draw(st.lists(st.lists(move, max_size=8), min_size=1, max_size=5))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(ledger_phases())
+def test_ledger_rescaling_matches_a_fraction_replay(phases):
+    emb = cube()
+    state = initial_charges(emb)
+    for p, moves in enumerate(phases):
+        for src, snk, amount in moves:
+            state.move(f"P{p}", "R", src, snk, amount)
+        state.end_phase(f"P{p}")
+    vertex, face, totals = replay_charges(emb, state)
+    assert state.vertex_charge == vertex and state.face_charge == face
+    assert state.phase_totals == totals
+    # den grows only to the lcm of the denominators moved so far
+    assert state.den == math.lcm(*(a.denominator for moves in phases
+                                   for _, _, a in moves))
 
 
 def test_no_three_faces_means_no_triangular_and_all_rich():

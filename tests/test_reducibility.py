@@ -341,6 +341,22 @@ def test_pattern_json_validates_outside_counts():
         pattern_from_json(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hostDegree", True), ("outsideNeighbors", False),
+    ("edges", [[False, True]]), ("order", [False, True])])
+def test_pattern_json_rejects_booleans_as_integers(field, value):
+    doc = {"vertices": [{"hostDegree": 1, "outsideNeighbors": 0},
+                        {"hostDegree": 1, "outsideNeighbors": 0}],
+           "edges": [[0, 1]], "order": [0, 1]}
+    assert pattern_from_json(doc).edges
+    if field in ("edges", "order"):
+        doc[field] = value
+    else:
+        doc["vertices"][0][field] = value
+    with pytest.raises(ValueError, match="must be"):
+        pattern_from_json(doc)
+
+
 def test_pattern_json_is_never_a_file_name():
     with pytest.raises(ValueError):
         pattern_from_json('[1]')
