@@ -197,7 +197,7 @@ def cmd_extend(args) -> int:
     matching, k = _read_matching(args.matching, g, args.k)
     partial = json.loads(_read_text(args.partial))
     if not (isinstance(partial, dict)
-            and all(isinstance(c, int) for c in partial.values())):
+            and all(type(c) is int for c in partial.values())):
         raise ValueError(f"{args.partial}: expected a JSON object mapping "
                          f"each vertex to an integer color")
     partial = {int(v): c for v, c in partial.items()}
@@ -220,68 +220,13 @@ def cmd_find_config(args) -> int:
     print(f"pattern '{pat.name}': {len(hits)} occurrences")
     for image in hits[:args.show]:
         print(f"  {image}")
-    certified = reducibility.certify_reducible(
-        g, pat, args.k, search_orders=args.search_order)
+    certified = reducibility.certify_reducible(g, pat, args.k)
     print(f"reducible for k={args.k}: {'yes' if certified else 'no'}")
-    if args.validate and certified and hits:
-        failures = _monte_carlo_validate(g, pat, hits, args.k,
-                                         args.validate, args.seed,
-                                         args.search_order)
-        print(f"randomized extension check: {args.validate - failures}/"
-              f"{args.validate} trials extended")
-        if failures:
-            return EXIT_CERTIFICATE
     _write_json(args.json, {
         "pattern": pat.name, "occurrences": len(hits),
         "reducible": certified, "k": args.k,
     })
     return EXIT_OK if certified or not hits else EXIT_CERTIFICATE
-
-
-def _monte_carlo_validate(g, pat, hits, k, trials, seed,
-                          search_orders) -> int:
-    """Random full matchings and colorings of the rest; count failed
-    extensions.  Each occurrence is extended along the order that
-    certified it: the designated one, or with search_orders the one the
-    order search found."""
-    import random
-
-    from .dp import is_valid_coloring
-    from .graphs import delete_vertices
-
-    failures = 0
-    lists = uniform_lists(g.n, k)
-    for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-        image = hits[rng.randrange(len(hits))]
-        if search_orders:
-            order = reducibility._extension_order(g, image, k)
-        else:
-            order = [image[i] for i in pat.order]
-        perms = {}
-        for e in g.edges:
-            p = list(range(k))
-            rng.shuffle(p)
-            perms[e] = tuple(p)
-        matching = MatchingAssignment.from_permutations(g, k, perms)
-        rest, remap = delete_vertices(g, set(order))
-        rest_matching = MatchingAssignment({
-            (remap[u], remap[v]): matching.pairs(u, v)
-            for u, v in g.edges if u in remap and v in remap
-        })
-        sub = find_coloring(rest, uniform_lists(rest.n, k), rest_matching)
-        if sub is None:
-            continue
-        partial = {old: sub[new] for old, new in remap.items()}
-        try:
-            full = reducibility.extend_coloring(g, order, lists, matching, partial)
-        except reducibility.ConditionsViolated:
-            failures += 1
-            continue
-        if not is_valid_coloring(g, lists, matching,
-                                 tuple(full[v] for v in range(g.n))):
-            failures += 1
-    return failures
 
 
 def cmd_discharge(args) -> int:
@@ -450,11 +395,6 @@ def build_parser() -> _Parser:
                 graph)
     p.add_argument("--pattern", required=True, help="pattern JSON file")
     p.add_argument("--k", type=_at_least(1), default=3)
-    p.add_argument("--search-order", action="store_true",
-                   help="try every ordering of the pattern vertices")
-    p.add_argument("--validate", type=_at_least(0), default=0,
-                   help="randomized extension trials")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--show", type=_at_least(0), default=5)
 
     p = command("discharge", cmd_discharge,

@@ -251,8 +251,8 @@ def min_degree_extend(g: Graph, v: int, lists: Lists,
 
 @dataclass(frozen=True)
 class ConfigPattern:
-    """A configuration: pattern graph, exact host degrees, and the coloring
-    order used for certification.
+    """A configuration: pattern graph, exact host degrees, and a designated
+    coloring order (certify_reducible searches orders instead).
 
     outside[i] counts the pattern vertex's neighbors outside the
     configuration, so pattern degree + outside = host degree.
@@ -296,9 +296,9 @@ def _is_int_list(x) -> bool:
 
 
 def pattern_from_json(source) -> ConfigPattern:
-    """Load a pattern document, parsed or as JSON text: {"vertices":
-    [{"hostDegree": d, "outsideNeighbors": o}, ...], "edges": [[i, j], ...],
-    "order": [...]}."""
+    """Load a pattern document, parsed or as JSON text: {"name": "...",
+    "vertices": [{"hostDegree": d, "outsideNeighbors": o}, ...],
+    "edges": [[i, j], ...], "order": [...]}."""
     doc = json.loads(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise ValueError("pattern document must be a JSON object")
@@ -311,6 +311,9 @@ def pattern_from_json(source) -> ConfigPattern:
                          "integer 'hostDegree' and 'outsideNeighbors'")
     edges = doc.get("edges")
     order = doc.get("order", list(range(len(vertices))))
+    name = doc.get("name", "pattern")
+    if not isinstance(name, str):
+        raise ValueError("pattern 'name' must be a string")
     if not (isinstance(edges, list) and all(map(_is_int_list, edges))
             and _is_int_list(order)):
         raise ValueError("pattern 'edges' must be a list of integer lists "
@@ -319,7 +322,7 @@ def pattern_from_json(source) -> ConfigPattern:
         edges=[tuple(e) for e in edges],
         host_degree=[v["hostDegree"] for v in vertices],
         order=order,
-        name=doc.get("name", "pattern"),
+        name=name,
     )
     declared = [v["outsideNeighbors"] for v in vertices]
     if list(pat.outside) != declared:
@@ -412,19 +415,16 @@ def _extension_order(g: Graph, subset, k: int) -> list[int] | None:
     return None
 
 
-def certify_reducible(g: Graph, pat: ConfigPattern, k: int,
-                      search_orders: bool = False) -> bool:
-    """True when every occurrence of the pattern in g passes the extension
-    check (guaranteed mode), so the pattern cannot occur in a minimal
-    non-DP-k-colorable graph shaped like g.
+def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:
+    """True when every occurrence of the pattern in g has an order of its
+    vertices that passes the extension check in guaranteed mode
+    (_extension_order), so the pattern cannot occur in a minimal
+    non-DP-k-colorable graph shaped like g.  The pattern's own order is
+    not consulted: the search finds an order whenever any order passes.
 
-    A single-vertex pattern certifies by the low-degree rule alone.  With
-    search_orders, each occurrence may use any ordering of the pattern
-    vertices instead of the designated one (_extension_order).
+    A single-vertex pattern certifies by the low-degree rule alone.
     """
     if pat.size == 1:
         return pat.host_degree[0] < k
-    return all(
-        _extension_order(g, image, k) is not None if search_orders
-        else check_extension_order(g, [image[i] for i in pat.order], k).ok
-        for image in find_pattern(g, pat))
+    return all(_extension_order(g, image, k) is not None
+               for image in find_pattern(g, pat))

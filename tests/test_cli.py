@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -194,17 +195,34 @@ def test_find_config_command(tmp_path, capsys):
         "order": [0, 1, 2],
     }))
     code, out, _ = run(capsys, "find-config", graph, "--pattern", pattern,
-                       "--k", "3", "--validate", "25", "--seed", "7")
+                       "--k", "3")
     assert code == 0
     # both triangles of the host match, two labelings each
-    assert "4 occurrences" in out
-    assert "reducible for k=3: yes" in out
-    assert "25/25 trials extended" in out
+    assert out == ("pattern 'hanging triangle': 4 occurrences\n"
+                   "  (0, 1, 2)\n  (0, 2, 1)\n  (3, 1, 2)\n  (3, 2, 1)\n"
+                   "reducible for k=3: yes\n")
+
+
+def test_find_config_has_one_path_and_no_switches(tmp_path, capsys):
+    # a pendant vertex of a triangle: the low-degree rule certifies it, and
+    # the removed switches are usage errors
+    graph = write(tmp_path, "g.edges", "0 1\n1 2\n0 2\n2 3\n")
+    pattern = write(tmp_path, "pat.json", json.dumps({
+        "vertices": [{"hostDegree": 1, "outsideNeighbors": 1}],
+        "edges": [],
+    }))
+    argv = ["find-config", graph, "--pattern", pattern]
+    assert run(capsys, *argv) == (
+        0, "pattern 'pattern': 1 occurrences\n  (3,)\n"
+           "reducible for k=3: yes\n", "")
+    for flags in (["--search-order"], ["--validate", "3"], ["--seed", "1"]):
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 3 and not out and err.startswith("usage:"), flags
 
 
 def test_find_config_searches_orders_of_nine_vertices(tmp_path, capsys):
     # a 9-cycle whose vertex 8 has one neighbor outside; the designated
-    # order starts at vertex 8, so only a searched order certifies it
+    # order starts at vertex 8 and fails, but a searched order certifies it
     graph = write(tmp_path, "g.edges", "".join(
         f"{v} {(v + 1) % 9}\n" for v in range(9)) + "8 9\n")
     pattern = write(tmp_path, "pat.json", json.dumps({
@@ -214,17 +232,15 @@ def test_find_config_searches_orders_of_nine_vertices(tmp_path, capsys):
         "edges": [[v, (v + 1) % 9] for v in range(9)],
         "order": [8, *range(8)],
     }))
-    argv = ["find-config", graph, "--pattern", pattern, "--k", "3"]
-    code, out, _ = run(capsys, *argv)
-    assert code == 1 and "2 occurrences" in out
-    assert "reducible for k=3: no" in out
-    code, out, _ = run(capsys, *argv, "--search-order")
-    assert code == 0 and "reducible for k=3: yes" in out
+    code, out, _ = run(capsys, "find-config", graph, "--pattern", pattern,
+                       "--k", "3")
+    assert code == 0 and "2 occurrences" in out
+    assert "reducible for k=3: yes" in out
 
 
-def test_find_config_validates_along_the_searched_order(tmp_path, capsys):
-    # the designated order [1, 2, 0] fails; the randomized check must extend
-    # along the order the search certified, so every trial extends
+def test_find_config_certifies_along_a_searched_order(tmp_path, capsys):
+    # the designated order [1, 2, 0] fails the extension check, and the
+    # order search certifies the pattern all the same
     graph = write(tmp_path, "g.edges", "0 1\n1 2\n0 2\n1 3\n2 3\n")
     pattern = write(tmp_path, "pat.json", json.dumps({
         "name": "reversed",
@@ -235,10 +251,8 @@ def test_find_config_validates_along_the_searched_order(tmp_path, capsys):
         "order": [1, 2, 0],
     }))
     code, out, _ = run(capsys, "find-config", graph, "--pattern", pattern,
-                       "--k", "3", "--search-order", "--validate", "5",
-                       "--seed", "1")
+                       "--k", "3")
     assert "reducible for k=3: yes" in out
-    assert "5/5 trials extended" in out
     assert code == 0
 
 
@@ -250,13 +264,12 @@ def test_find_config_rejects_numbers_out_of_range(tmp_path, capsys):
         "edges": [[0, 1], [1, 2], [0, 2]],
         "order": [0, 1, 2],
     }))
-    for flag, value in (("--show", "-2"), ("--validate", "-5"),
-                        ("--k", "0")):
+    for flag, value in (("--show", "-2"), ("--k", "0")):
         code, out, err = run(capsys, "find-config", graph, "--pattern",
                              pattern, flag, value)
         assert code == 3 and not out and err.startswith("usage:"), flag
     code, out, _ = run(capsys, "find-config", graph, "--pattern", pattern,
-                       "--show", "0", "--validate", "0", "--k", "1")
+                       "--show", "0", "--k", "1")
     assert code == 1 and "6 occurrences" in out and "(0," not in out
 
 
@@ -362,11 +375,10 @@ def test_reports_are_reproducible(tmp_path, capsys):
         "edges": [[0, 1], [1, 2], [0, 2]],
         "order": [0, 1, 2],
     }))
-    first = run(capsys, "find-config", graph, "--pattern", pattern,
-                "--validate", "40", "--seed", "11")
-    second = run(capsys, "find-config", graph, "--pattern", pattern,
-                 "--validate", "40", "--seed", "11")
+    first = run(capsys, "find-config", graph, "--pattern", pattern)
+    second = run(capsys, "find-config", graph, "--pattern", pattern)
     assert first == second
+    assert first[0] == 0 and "reducible for k=3: yes" in first[1]
 
 
 def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
@@ -736,6 +748,9 @@ def test_malformed_files_are_one_error_line(tmp_path, capsys):
     identity = write(tmp_path, "id.txt", "default identity k=3\n")
     partial = write(tmp_path, "p.json", json.dumps({"2": 0}))
     cases = [
+        ["extend", p3, "--matching", identity, "--partial",
+         write(tmp_path, "bool.json", json.dumps({"2": True})),
+         "--order", "0,1"],
         ["discharge", write(tmp_path, "five.json", "5\n"), "--variant", "a"],
         ["discharge", write(tmp_path, "str.json", '{"n": "3", "rotation": []}'),
          "--variant", "a"],
@@ -760,3 +775,38 @@ def test_malformed_files_are_one_error_line(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out, argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# Every value a user can set, per subcommand: positionals by name, options
+# by their long spelling.  A knob added or removed shows up here.
+SETTABLE = {
+    "cycles": {"input", "--format", "--max-len", "--json"},
+    "chi": {"input", "--format", "--json"},
+    "chi-list": {"input", "--format", "--budget", "--jobs", "--k",
+                 "--certificate", "--json"},
+    "chi-dp": {"input", "--format", "--budget", "--jobs", "--k",
+               "--certificate", "--json"},
+    "color": {"input", "--format", "--matching", "--k", "--json"},
+    "extend": {"input", "--format", "--matching", "--partial", "--order",
+               "--k", "--json"},
+    "find-config": {"input", "--format", "--pattern", "--k", "--show",
+                    "--json"},
+    "discharge": {"input", "--variant", "--strict", "--log", "--pattern",
+                  "--json"},
+    "verify-theorem2": {"input", "--variant", "--n-max", "--budget", "--jobs",
+                        "--json"},
+}
+
+
+def test_settable_options_are_pinned():
+    top = build_parser()
+    (sub,) = [a for a in top._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert [a.option_strings for a in top._actions
+            if a is not sub] == [["-h", "--help"]]
+    settable = {
+        name: {a.option_strings[-1] if a.option_strings else a.dest
+               for a in p._actions
+               if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()}
+    assert settable == SETTABLE

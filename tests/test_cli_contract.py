@@ -236,16 +236,28 @@ def test_extend_contract(tmp_path, inputs, matching, k):
 
 @CONTRACT
 @given(graph=mix(connected_graphs().map(encode_graph6), graph_files),
-       pattern=patterns, validate=st.integers(0, 3))
-def test_find_config_contract(tmp_path, graph, pattern, validate):
-    run("find-config", write(tmp_path / "g", graph),
-        "--pattern", write(tmp_path / "pat.json", pattern),
-        "--validate", validate)
+       pattern=patterns, k=st.integers(1, 4))
+def test_find_config_contract(tmp_path, graph, pattern, k):
+    # a run that reads its input ends on the verdict, and exits 1 only
+    # when an occurrence goes uncertified
+    code, out, _ = run("find-config", write(tmp_path / "g", graph),
+                       "--pattern", write(tmp_path / "pat.json", pattern),
+                       "--k", k)
+    if code != 3:
+        verdict = out.splitlines()[-1]
+        assert verdict in (f"reducible for k={k}: yes",
+                           f"reducible for k={k}: no"), out
+        assert (code == 1) == (verdict.endswith("no")
+                               and " 0 occurrences" not in out), out
 
 
 @CONTRACT
 @given(embedding=embeddings, pattern=st.none() | patterns,
        variant=st.sampled_from(["a", "b67", "b68"]), strict=st.booleans())
+@example(embedding=dump_embedding(tetrahedron()),
+         pattern=json.dumps({"name": ["x"], "edges": [], "vertices": [
+             {"hostDegree": 3, "outsideNeighbors": 3}]}),
+         variant="a", strict=False)
 def test_discharge_contract(tmp_path, embedding, pattern, variant, strict):
     argv = ["discharge", write(tmp_path / "emb.json", embedding),
             "--variant", variant]

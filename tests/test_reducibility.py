@@ -12,7 +12,9 @@ from dpcolor import (
     certify_reducible,
     complete_graph,
     cycle_graph,
+    delete_vertices,
     extend_coloring,
+    find_coloring,
     find_pattern,
     from_edge_list,
     is_valid_coloring,
@@ -257,7 +259,6 @@ def test_certify_monte_carlo_extension():
                              n=len(outside))
         sub_m = MatchingAssignment({
             (remap[a], remap[b]): matching.pairs(a, b) for a, b in sub_edges})
-        from dpcolor import find_coloring
         sub_col = find_coloring(sub, uniform_lists(sub.n, 3), sub_m)
         assert sub_col is not None
         partial = {v: sub_col[remap[v]] for v in outside}
@@ -283,8 +284,11 @@ def test_search_orders_can_rescue_a_bad_designated_order():
                               host_degree=(2, 3, 3), order=[1, 2, 0],
                               name="reversed")
     host = from_edge_list([(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)])
-    assert not certify_reducible(host, pat, 3)
-    assert certify_reducible(host, pat, 3, search_orders=True)
+    hits = find_pattern(host, pat)
+    assert hits and not any(
+        check_extension_order(host, [image[i] for i in pat.order], 3).ok
+        for image in hits)
+    assert certify_reducible(host, pat, 3)
 
 
 def test_order_search_matches_every_permutation():
@@ -318,8 +322,56 @@ def test_order_search_matches_every_permutation():
         for k in (2, 3, 4):
             hits = find_pattern(host, pat)
             assert hits, pat
-            assert certify_reducible(host, pat, k, search_orders=True) == all(
+            certified = certify_reducible(host, pat, k)
+            assert certified == all(
                 any_extension_order(host, image, k) for image in hits)
+            # the designated order is one of the orders searched
+            assert certified or not all(
+                check_extension_order(host, [image[i] for i in pat.order],
+                                      k).ok for image in hits)
+
+
+def test_certified_occurrences_extend_under_random_matchings():
+    # the guarantee certify_reducible gives, replayed: on random hosts and
+    # patterns cut from them, every coloring of the rest under a random
+    # full matching extends across every occurrence, along the searched
+    # order or, for one vertex, by the low-degree rule
+    rng = random.Random(23)
+    extended = {1: 0, 2: 0}
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        p = rng.uniform(0.2, 0.6)
+        g = from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p], n=n)
+        cut = rng.sample(range(n), rng.randint(1, min(n, 5)))
+        local = {v: i for i, v in enumerate(cut)}
+        pat = ConfigPattern.build(
+            edges=[(local[u], local[v]) for u, v in g.edges
+                   if u in local and v in local],
+            host_degree=[g.degree(v) for v in cut], order=range(len(cut)))
+        k = rng.randint(2, 4)
+        if not certify_reducible(g, pat, k):
+            continue
+        lists = uniform_lists(g.n, k)
+        for image in find_pattern(g, pat):
+            matching = random_full_matching(rng, g, k)
+            rest, remap = delete_vertices(g, image)
+            rest_matching = MatchingAssignment({
+                (remap[u], remap[v]): matching.pairs(u, v)
+                for u, v in g.edges if u in remap and v in remap})
+            sub = find_coloring(rest, uniform_lists(rest.n, k), rest_matching)
+            if sub is None:
+                continue
+            partial = {old: sub[new] for old, new in remap.items()}
+            if pat.size == 1:
+                full = min_degree_extend(g, image[0], lists, matching, partial)
+            else:
+                order = _extension_order(g, image, k)
+                full = extend_coloring(g, order, lists, matching, partial)
+            assert is_valid_coloring(g, lists, matching,
+                                     tuple(full[v] for v in range(g.n)))
+            extended[min(pat.size, 2)] += 1
+    assert extended[1] > 20 and extended[2] > 20, extended
 
 
 def test_pattern_json_roundtrip():
@@ -355,6 +407,17 @@ def test_pattern_json_rejects_booleans_as_integers(field, value):
         doc["vertices"][0][field] = value
     with pytest.raises(ValueError, match="must be"):
         pattern_from_json(doc)
+
+
+@pytest.mark.parametrize("name", [["x"], 3, None, True])
+def test_pattern_json_requires_a_string_name(name):
+    doc = {"name": name, "vertices": [{"hostDegree": 1, "outsideNeighbors": 0},
+                                      {"hostDegree": 1, "outsideNeighbors": 0}],
+           "edges": [[0, 1]]}
+    with pytest.raises(ValueError, match="'name' must be a string"):
+        pattern_from_json(doc)
+    doc["name"] = "x"
+    assert pattern_from_json(doc).name == "x"
 
 
 def test_pattern_json_is_never_a_file_name():
