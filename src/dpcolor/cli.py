@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 means success (or colorable), 1 means a
 certificate or refutation was found, 2 means the search budget ran out, and
-3 means bad input or another runtime error.  DPCOLOR_BUDGET sets the
-default case budget.
+3 means bad input or another runtime error.  A graph file is graph6 or an
+edge list, told apart by its first line (_read_graph), and the case budget
+is set by --budget alone.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import discharging, planar, reducibility, solver
@@ -48,22 +48,7 @@ def _at_least(low: int):
     return parse
 
 
-def _budget(args) -> int:
-    """The case budget: --budget if given, else DPCOLOR_BUDGET if set, else
-    solver.DEFAULT_BUDGET.  Zero is a budget like any other."""
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("DPCOLOR_BUDGET")
-    if not raw:
-        return solver.DEFAULT_BUDGET
-    try:
-        return _at_least(0)(raw)
-    except ValueError:
-        raise ValueError(f"DPCOLOR_BUDGET must be a non-negative integer, "
-                         f"got {raw!r}") from None
-
-
-def _read_graph(path: str, fmt: str) -> Graph:
+def _read_graph(path: str) -> Graph:
     text = _read_text(path)
     # the format is detected on, and graph6 read from, the first line left
     # once '#' comments are stripped: graph6 has no whitespace, so two or
@@ -72,9 +57,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
                                for ln in text.splitlines())), "")
     if not first:
         raise ValueError(f"{path}: empty input, expected a graph")
-    if fmt == "auto":
-        fmt = "edges" if len(first.split()) >= 2 else "graph6"
-    if fmt == "graph6":
+    if len(first.split()) < 2:
         return parse_graph6(first)
     g, _ = parse_edge_list(text)
     return g
@@ -102,7 +85,7 @@ def _read_matching(path: str, g: Graph, k: int | None
 
 
 def cmd_cycles(args) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     spec = cycle_spectrum(g, max_len=args.max_len)
     variants = sorted(satisfied_variants(g))
     print(f"n={g.n} m={g.m}")
@@ -118,7 +101,7 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     value = solver.chi(g)
     print(f"chi = {value}")
     _write_json(args.json, {"chi": value})
@@ -126,10 +109,9 @@ def cmd_chi(args) -> int:
 
 
 def cmd_chi_list(args) -> int:
-    g = _read_graph(args.input, args.format)
-    budget = _budget(args)
+    g = _read_graph(args.input)
     if args.k is not None:
-        result = solver.is_k_choosable(g, args.k, budget=budget)
+        result = solver.is_k_choosable(g, args.k, budget=args.budget)
         if result is True:
             print(f"{args.k}-choosable: yes")
             _write_json(args.json, {"k": args.k, "choosable": True})
@@ -142,17 +124,16 @@ def cmd_chi_list(args) -> int:
                 json.dump(lists, fh, indent=2)
         _write_json(args.json, {"k": args.k, "choosable": False, "lists": lists})
         return EXIT_CERTIFICATE
-    value = solver.chi_list(g, budget=budget)
+    value = solver.chi_list(g, budget=args.budget)
     print(f"chi_list = {value}")
     _write_json(args.json, {"chi_list": value})
     return EXIT_OK
 
 
 def cmd_chi_dp(args) -> int:
-    g = _read_graph(args.input, args.format)
-    budget = _budget(args)
+    g = _read_graph(args.input)
     if args.k is not None:
-        result = solver.is_dp_k_colorable(g, args.k, budget=budget,
+        result = solver.is_dp_k_colorable(g, args.k, budget=args.budget,
                                           jobs=args.jobs)
         if result is True:
             print(f"DP-{args.k}-colorable: yes")
@@ -167,14 +148,14 @@ def cmd_chi_dp(args) -> int:
                 fh.write(text)
         _write_json(args.json, {"k": args.k, "dp_colorable": False})
         return EXIT_CERTIFICATE
-    value = solver.chi_dp(g, budget=budget, jobs=args.jobs)
+    value = solver.chi_dp(g, budget=args.budget, jobs=args.jobs)
     print(f"chi_DP = {value}")
     _write_json(args.json, {"chi_dp": value})
     return EXIT_OK
 
 
 def cmd_color(args) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     if args.matching:
         matching, k = _read_matching(args.matching, g, args.k)
     elif args.k is None:
@@ -193,7 +174,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     matching, k = _read_matching(args.matching, g, args.k)
     partial = json.loads(_read_text(args.partial))
     if not (isinstance(partial, dict)
@@ -214,7 +195,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_find_config(args) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     pat = reducibility.pattern_from_json(json.loads(_read_text(args.pattern)))
     hits = reducibility.find_pattern(g, pat)
     print(f"pattern '{pat.name}': {len(hits)} occurrences")
@@ -299,7 +280,6 @@ def cmd_verify(args) -> int:
     are printed before them, all in one write.  A line that is not graph6
     raises ValueError with the input's path and the line number in front
     of the decoder's message."""
-    budget = _budget(args)
     forbidden = discharging.VARIANTS[args.variant].forbidden
     rows: list[dict] = []
     refutations: list[tuple[str, str]] = []
@@ -320,7 +300,7 @@ def cmd_verify(args) -> int:
                 row["status"], row["settled_by"] = "pass", "core-empty"
             else:
                 row["status"], certificate = _verify_search(
-                    parse_graph6(line), budget, args.jobs)
+                    parse_graph6(line), args.budget, args.jobs)
                 row["settled_by"] = "search"
                 if certificate is not None:
                     refutations.append((line, certificate))
@@ -353,11 +333,9 @@ def build_parser() -> _Parser:
     # option groups shared by several subcommands, declared once here
     graph = _Parser(add_help=False)
     graph.add_argument("input", help="graph file, or - for standard input")
-    graph.add_argument("--format", choices=["auto", "graph6", "edges"],
-                       default="auto")
     search = _Parser(add_help=False)
-    search.add_argument("--budget", type=_at_least(0), default=None,
-                        help="case budget (default from DPCOLOR_BUDGET)")
+    search.add_argument("--budget", type=_at_least(0),
+                        default=solver.DEFAULT_BUDGET, help="case budget")
     search.add_argument("--jobs", type=_at_least(1), default=1)
 
     def command(name, func, help, *groups):

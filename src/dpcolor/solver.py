@@ -86,12 +86,12 @@ DEFAULT_BUDGET = 100_000_000
 #: is_dp_k_colorable scans a space in this process whatever jobs is when it
 #: has fewer than this many normalized cases per k!.  The gauge pruning
 #: visits one case per orbit, about one in k!, so this bounds the work
-#: scanned at every k, where a bound on raw cases would not.  Medians of 4
-#: runs on a 2-vCPU host, serial vs. jobs 2, at k = 3 for CnxK2, n = 7, 8, 9
-#: (279,936, 1,679,616 and 10,077,696 cases per k!): 0.12 vs 0.16 s, 0.72
-#: vs 0.50 s (10 runs), 3.6 vs 2.6 s; at k = 4 for the cube and C5xK2
-#: (331,776 and 7,962,624): 0.050 vs 0.065 s, 1.46 vs 1.35 s.  Unmeasured
-#: at other k.
+#: scanned at every k, where a bound on raw cases would not.  Medians of 5
+#: runs on a 2-vCPU host, serial vs. jobs 2 with one block per kept first
+#: choice (3 at k = 3, 5 at k = 4), at k = 3 for CnxK2, n = 7, 8, 9
+#: (279,936, 1,679,616 and 10,077,696 cases per k!): 0.069 vs 0.137 s,
+#: 0.64 vs 0.36 s, 2.6 vs 1.5 s; at k = 4 for the cube and C5xK2 (331,776
+#: and 7,962,624): 0.034 vs 0.086 s, 1.22 vs 0.54 s.  Unmeasured at other k.
 _POOL_MIN_WORK = 1_000_000
 
 
@@ -368,8 +368,9 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
 
     Raises BudgetExceeded with the attempted case count if the normalized
     space cannot be settled within budget.  None of that depends on jobs.
-    A space of at least _POOL_MIN_WORK times k! cases is split across jobs
-    processes, at most one per first choice the gauge pruning keeps.
+    A space of at least _POOL_MIN_WORK times k! cases is split into one
+    block per first choice the gauge pruning keeps, run on up to jobs
+    processes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -379,11 +380,15 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
             _POOL_MIN_WORK * nperm, 2):
         results = [_scan_block(g, k, range(nperm), budget)]
     else:
-        # each block gets the full budget: none knows how far those before
-        # it get
+        # one block from each first choice the start orbit row keeps to the
+        # next; each gets the full budget, as none knows how far those
+        # before it get
+        orbits = _GaugeOrbits(k)
+        kept = [i for i in range(nperm) if orbits[orbits.start][i] >= 0]
+        blocks = [range(a, z) for a, z in zip(kept, kept[1:] + [nperm])]
         scan = functools.partial(_scan_block, g, k, budget=budget)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan, _first_edge_blocks(k, jobs)))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+            results = list(pool.map(scan, blocks))
     # merge in block order with cumulative counts: a block's result stands
     # only where the serial scan would have reached it within budget
     offset = 0
@@ -395,23 +400,6 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
         if status == "cert":
             return AdversaryCertificate(kind="dp", k=k, matching=matching)
     return True
-
-
-def _first_edge_blocks(k: int, jobs: int) -> list[range]:
-    """Contiguous blocks of the first edge's permutation indices covering
-    range(k!), at most jobs of them, holding equal shares, to one, of the
-    first choices the gauge pruning keeps (the start row's), so each block
-    has work to do."""
-    orbits, nperm = _GaugeOrbits(k), math.factorial(k)
-    kept = [i for i in range(nperm) if orbits[orbits.start][i] >= 0]
-    parts = min(jobs, len(kept))
-    size, extra = divmod(len(kept), parts)
-    cuts, at = [0], 0
-    for b in range(parts - 1):
-        at += size + (b < extra)
-        cuts.append(kept[at])
-    cuts.append(nperm)
-    return [range(a, z) for a, z in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -359,11 +359,27 @@ def test_verify_jobs_preserve_order(tmp_path, capsys):
     assert base == parallel and base[0] == 0
 
 
-def test_env_var_sets_default_budget(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DPCOLOR_BUDGET", "2")
-    path = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
-    code, _, err = run(capsys, "chi-dp", path, "--k", "3")
-    assert code == 2 and "budget exceeded" in err
+def test_budget_environment_variable_is_ignored(tmp_path, capsys,
+                                                monkeypatch):
+    # the budget is set by --budget alone: DPCOLOR_BUDGET, valid or not,
+    # changes no output and no exit code.  Without its cycle filter,
+    # verify-theorem2 takes K4 to the search, where a budget would show
+    screen = dpcolor.cli.filter_graph6
+    monkeypatch.setattr(dpcolor.cli, "filter_graph6",
+                        lambda line, forbidden, n_max: screen(line, (), n_max))
+    c6 = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
+    c3 = write(tmp_path, "c3.g6", encode_graph6(cycle_graph(3)))
+    stream = write(tmp_path, "stream.g6", "\n".join(
+        encode_graph6(g) for g in (cycle_graph(6), complete_graph(4))) + "\n")
+    commands = (["chi-dp", c6, "--k", "3"], ["chi-list", c3],
+                ["verify-theorem2", stream, "--variant", "a"])
+    monkeypatch.delenv("DPCOLOR_BUDGET", raising=False)
+    unset = [run(capsys, *argv)[:2] for argv in commands]
+    assert [code for code, _ in unset] == [0, 0, 1]
+    assert "\tFAIL\n" in unset[2][1]
+    for raw in ("0", "-1", "many"):
+        monkeypatch.setenv("DPCOLOR_BUDGET", raw)
+        assert [run(capsys, *argv)[:2] for argv in commands] == unset, raw
 
 
 def test_reports_are_reproducible(tmp_path, capsys):
@@ -382,8 +398,8 @@ def test_reports_are_reproducible(tmp_path, capsys):
 
 
 def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
-    # main builds one parser per process; a call must not see the arguments,
-    # the usage error or the environment of an earlier call
+    # main builds one parser per process; a call must not see the arguments
+    # or the usage error of an earlier call
     patterns = []
     read_pattern = dpcolor.reducibility.pattern_from_json
 
@@ -410,9 +426,7 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     c6 = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
     assert run(capsys, "chi-dp", c6, "--k")[0] == 3
     assert run(capsys, "chi-dp", c6, "--k", "3")[0] == 0
-    monkeypatch.setenv("DPCOLOR_BUDGET", "2")
-    assert run(capsys, "chi-dp", c6, "--k", "3")[0] == 2
-    monkeypatch.delenv("DPCOLOR_BUDGET")
+    assert run(capsys, "chi-dp", c6, "--k", "3", "--budget", "2")[0] == 2
     assert run(capsys, "chi-dp", c6, "--k", "3")[0] == 0
     assert dpcolor.cli._shared_parser() is parser
     # build_parser still makes a fresh parser each time
@@ -427,7 +441,7 @@ def test_empty_graph_file_exit_code(tmp_path, capsys):
     for name, text in (("empty.g6", ""), ("blank.g6", "  \n\n")):
         path = write(tmp_path, name, text)
         for argv in (["chi-dp", path, "--k", "3"], ["chi", path],
-                     ["cycles", path, "--format", "edges"]):
+                     ["cycles", path]):
             code, _, err = run(capsys, *argv)
             assert code == 3 and "empty input" in err, (name, argv)
 
@@ -497,19 +511,14 @@ def test_module_entry_point(tmp_path):
     assert "[3, 4, 5]" in proc.stdout
 
 
-def test_budget_zero_is_a_budget(tmp_path, capsys, monkeypatch):
-    # --budget 0 and DPCOLOR_BUDGET=0 stop the search before the first case
+def test_budget_zero_is_a_budget(tmp_path, capsys):
+    # --budget 0 stops the search before the first case
     c6 = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
     c3 = write(tmp_path, "c3.g6", encode_graph6(cycle_graph(3)))
     for argv in (["chi-dp", c6, "--k", "3"], ["chi-list", c3, "--k", "2"]):
         code, out, err = run(capsys, *argv, "--budget", "0")
         assert (code, out, err) == (2, "", "budget exceeded after 0 cases\n")
-    monkeypatch.setenv("DPCOLOR_BUDGET", "0")
-    assert run(capsys, "chi-dp", c6, "--k", "3")[0] == 2
-    # a given --budget overrides the environment, zero or not
     assert run(capsys, "chi-dp", c6, "--k", "3", "--budget", "100000")[0] == 0
-    monkeypatch.setenv("DPCOLOR_BUDGET", "100000")
-    assert run(capsys, "chi-dp", c6, "--k", "3", "--budget", "0")[0] == 2
 
 
 def test_verify_budget_zero_marks_every_candidate(tmp_path, capsys):
@@ -693,14 +702,11 @@ def test_format_is_detected_on_the_line_that_is_read(tmp_path, capsys):
     # neither detected nor parsed as graph6
     edges = write(tmp_path, "c3.txt", "0 1  # first edge\n1 2\n2 0\n")
     graph6 = write(tmp_path, "c3.g6", "# triangle\nBw\n")
-    for argv in (["chi", edges], ["chi", graph6],
-                 ["chi", graph6, "--format", "graph6"],
-                 ["chi", edges, "--format", "edges"]):
-        assert run(capsys, *argv) == (0, "chi = 3\n", ""), argv
+    for path in (edges, graph6):
+        assert run(capsys, "chi", path) == (0, "chi = 3\n", ""), path
     only_comments = write(tmp_path, "none.g6", "# nothing here\n\n")
-    for fmt in ("auto", "graph6", "edges"):
-        code, out, err = run(capsys, "chi", only_comments, "--format", fmt)
-        assert code == 3 and not out and "empty input" in err, fmt
+    code, out, err = run(capsys, "chi", only_comments)
+    assert code == 3 and not out and "empty input" in err
 
 
 def test_format_auto_reads_any_line_with_whitespace_as_an_edge_list(
@@ -715,18 +721,33 @@ def test_format_auto_reads_any_line_with_whitespace_as_an_edge_list(
         3, "", "error: byte '0' out of graph6 range\n")
 
 
-def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_format_option_is_a_usage_error(tmp_path, capsys):
+    # the format is read from the input, so no subcommand takes --format
+    path = write(tmp_path, "c3.g6", "Bw\n")
+    matching = write(tmp_path, "m.txt", "default identity k=3\n")
+    partial = write(tmp_path, "p.json", json.dumps({"2": 0}))
+    pattern = write(tmp_path, "pat.json", json.dumps({
+        "vertices": [{"hostDegree": 2, "outsideNeighbors": 0}] * 3,
+        "edges": [[0, 1], [1, 2], [0, 2]]}))
+    commands = (["cycles", path], ["chi", path], ["chi-list", path],
+                ["chi-dp", path], ["color", path, "--k", "3"],
+                ["extend", path, "--matching", matching, "--partial",
+                 partial, "--order", "0,1"],
+                ["find-config", path, "--pattern", pattern])
+    for argv in commands:
+        # each runs to a verdict without the option
+        assert run(capsys, *argv)[0] in (0, 1), argv
+        code, out, err = run(capsys, *argv, "--format", "graph6")
+        assert code == 3 and not out and err.startswith("usage:"), argv
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     c6 = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
     for argv in (["chi-dp", c6, "--k", "3"], ["chi-list", c6, "--k", "2"],
                  ["verify-theorem2", c6, "--variant", "a"]):
         code, out, err = run(capsys, *argv, "--budget", "-1")
         assert code == 3 and not out and err.startswith("usage:"), argv
         assert "error" not in err
-    for raw in ("-1", "many", "2.5"):
-        monkeypatch.setenv("DPCOLOR_BUDGET", raw)
-        code, out, err = run(capsys, "chi-dp", c6, "--k", "3")
-        assert code == 3 and not out
-        assert err.startswith("error: DPCOLOR_BUDGET") and err.count("\n") == 1
 
 
 def test_missing_k_is_one_error_line(tmp_path, capsys):
@@ -780,17 +801,16 @@ def test_malformed_files_are_one_error_line(tmp_path, capsys):
 # Every value a user can set, per subcommand: positionals by name, options
 # by their long spelling.  A knob added or removed shows up here.
 SETTABLE = {
-    "cycles": {"input", "--format", "--max-len", "--json"},
-    "chi": {"input", "--format", "--json"},
-    "chi-list": {"input", "--format", "--budget", "--jobs", "--k",
-                 "--certificate", "--json"},
-    "chi-dp": {"input", "--format", "--budget", "--jobs", "--k",
-               "--certificate", "--json"},
-    "color": {"input", "--format", "--matching", "--k", "--json"},
-    "extend": {"input", "--format", "--matching", "--partial", "--order",
-               "--k", "--json"},
-    "find-config": {"input", "--format", "--pattern", "--k", "--show",
-                    "--json"},
+    "cycles": {"input", "--max-len", "--json"},
+    "chi": {"input", "--json"},
+    "chi-list": {"input", "--budget", "--jobs", "--k", "--certificate",
+                 "--json"},
+    "chi-dp": {"input", "--budget", "--jobs", "--k", "--certificate",
+               "--json"},
+    "color": {"input", "--matching", "--k", "--json"},
+    "extend": {"input", "--matching", "--partial", "--order", "--k",
+               "--json"},
+    "find-config": {"input", "--pattern", "--k", "--show", "--json"},
     "discharge": {"input", "--variant", "--strict", "--log", "--pattern",
                   "--json"},
     "verify-theorem2": {"input", "--variant", "--n-max", "--budget", "--jobs",

@@ -175,7 +175,7 @@ def run(*argv):
 
 def check_coloring(graph_path, matching_path, k, out):
     """An exit-0 color run printed a valid coloring of its own input."""
-    g = _read_graph(graph_path, "auto")
+    g = _read_graph(graph_path)
     if matching_path is None:
         matching = parse_matching_file(f"default identity k={k}\n", g)[0]
     else:

@@ -34,8 +34,7 @@ from dpcolor import (
     uniform_lists,
 )
 from dpcolor.solver import (_AUT_LIMIT, _ClassGroups, _GaugeOrbits,
-                            _automorphisms, _count_list_systems,
-                            _first_edge_blocks)
+                            _automorphisms, _count_list_systems)
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
                      brute_k_colorable, reference_choosable_scan,
@@ -935,17 +934,28 @@ def test_k4_matches_reference_scan(monkeypatch):
 
 
 @pytest.mark.parametrize("k, kept", [(3, [0, 1, 3]), (4, [0, 1, 3, 7, 9])])
-def test_first_edge_blocks_hold_kept_choices(k, kept):
-    # the gauge pruning keeps one first choice per conjugacy class; the
-    # blocks cover every index in order, and each holds as many kept
-    # choices as the others, to one, so none is left without work
+def test_pool_blocks_start_at_kept_choices(k, kept, monkeypatch):
+    # the gauge pruning keeps one first choice per conjugacy class; each
+    # kept choice starts a block that runs to the next, the blocks cover
+    # every index in order, and no worker is opened beyond one per block
     orbits = _GaugeOrbits(k)
     row = orbits[orbits.start]
     nperm = math.factorial(k)
     assert [i for i in range(nperm) if row[i] >= 0] == kept
-    for jobs in (2, 3, 4, 5):
-        blocks = _first_edge_blocks(k, jobs)
-        assert len(blocks) == min(jobs, len(kept)), (k, jobs)
+    seen = []
+
+    class RecordingPool(SerialPool):
+        def map(self, fn, items):
+            items = list(items)
+            seen.append((self.max_workers, items))
+            return map(fn, items)
+
+    monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
+    for jobs in (2, 3, 4, 5, 6):
+        seen.clear()
+        assert is_dp_k_colorable(cycle_graph(4), k, jobs=jobs) is True
+        ((workers, blocks),) = seen
+        assert workers == min(jobs, len(kept)), (k, jobs)
+        assert [block.start for block in blocks] == kept
         assert [i for block in blocks for i in block] == list(range(nperm))
-        held = [sum(i in block for i in kept) for block in blocks]
-        assert min(held) >= 1 and max(held) - min(held) <= 1, (k, jobs, held)
