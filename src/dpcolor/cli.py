@@ -17,8 +17,8 @@ import sys
 from . import discharging, planar, reducibility, solver
 from .dp import (MatchingAssignment, find_coloring, format_matching_file,
                  parse_matching_file, uniform_lists)
-from .graphs import (Graph, cycle_spectrum, filter_graph6, parse_edge_list,
-                     parse_graph6, satisfied_variants)
+from .graphs import (FORBIDDEN_VARIANTS, Graph, cycle_spectrum, filter_graph6,
+                     parse_edge_list, parse_graph6)
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -86,15 +86,21 @@ def _read_matching(path: str, g: Graph, k: int | None
 
 def cmd_cycles(args) -> int:
     g = _read_graph(args.input)
-    spec = cycle_spectrum(g, max_len=args.max_len)
-    variants = sorted(satisfied_variants(g))
+    if args.max_len < 3:
+        raise ValueError("max_len must be at least 3")
+    # one search answers both the lengths up to --max-len and, through
+    # lengths up to 9, which variants g satisfies
+    present = cycle_spectrum(g, max_len=max(args.max_len, 9))
+    spectrum = sorted(x for x in present if x <= args.max_len)
+    variants = sorted(name for name, lengths in FORBIDDEN_VARIANTS.items()
+                      if not lengths & present)
     print(f"n={g.n} m={g.m}")
-    print(f"cycle spectrum (<= {spec.search_bound}): {sorted(spec.present)}")
+    print(f"cycle spectrum (<= {args.max_len}): {spectrum}")
     label = "all" if len(variants) == 3 else (", ".join(variants) or "none")
     print(f"forbidden-cycle variants satisfied: {label}")
     _write_json(args.json, {
         "n": g.n, "m": g.m,
-        "spectrum": sorted(spec.present),
+        "spectrum": spectrum,
         "variants": variants,
     })
     return EXIT_OK
@@ -246,11 +252,11 @@ def _verify_search(g: Graph, budget: int, jobs: int
     return "FAIL", format_matching_file(result.matching, g)
 
 
-def _filter_status(line: str, forbidden, n_max: int | None
+def _filter_status(line: str, forbidden
                    ) -> tuple[str | None, tuple[int, ...] | None]:
     """The row status of a graph6 line that the filters drop, with None; or
     None with the neighbor bitmasks of a candidate."""
-    status, masks = filter_graph6(line, forbidden, n_max)
+    status, masks = filter_graph6(line, forbidden)
     if status is not None:
         return status, None
     try:
@@ -267,12 +273,11 @@ def cmd_verify(args) -> int:
     cycle condition and are planar, and check each is DP-3-colorable.
 
     The filters run cheapest first on the neighbor bitmasks that
-    graphs.filter_graph6 decodes from the line: the vertex bound,
-    connectivity and the cycle filter there, then planarity
-    (planar.is_planar_masks without its second connectivity test, on the
-    graph reduced by degree).  --n-max is
-    the only vertex bound: skipped:embed-bound means the reduced graph has
-    too many rotation systems to search.  A candidate whose 3-core
+    graphs.filter_graph6 decodes from the line: connectivity and the cycle
+    filter there, then planarity (planar.is_planar without its second
+    connectivity test, on the graph reduced by degree).  No vertex count
+    is bounded: skipped:embed-bound means the reduced graph has too many
+    rotation systems to search.  A candidate whose 3-core
     (solver.k_core) is empty passes without a search.  A Graph is built
     only for a candidate that goes to solver.is_dp_k_colorable, which
     splits each large search across --jobs processes.  Rows are
@@ -280,7 +285,7 @@ def cmd_verify(args) -> int:
     are printed before them, all in one write.  A line that is not graph6
     raises ValueError with the input's path and the line number in front
     of the decoder's message."""
-    forbidden = discharging.VARIANTS[args.variant].forbidden
+    forbidden = FORBIDDEN_VARIANTS[args.variant]
     rows: list[dict] = []
     refutations: list[tuple[str, str]] = []
     for lineno, line in enumerate(_read_text(args.input).splitlines(), 1):
@@ -288,7 +293,7 @@ def cmd_verify(args) -> int:
         if not line:
             continue
         try:
-            status, masks = _filter_status(line, forbidden, args.n_max)
+            status, masks = _filter_status(line, forbidden)
         except ValueError as exc:
             raise ValueError(f"{args.input}:{lineno}: {exc}") from None
         row = {"graph6": line, "status": status}
@@ -378,7 +383,7 @@ def build_parser() -> _Parser:
     p = command("discharge", cmd_discharge,
                 "run the charge rules on an embedding")
     p.add_argument("input", help="embedding JSON file, or - for stdin")
-    p.add_argument("--variant", choices=sorted(discharging.VARIANTS),
+    p.add_argument("--variant", choices=sorted(FORBIDDEN_VARIANTS),
                    required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--log", default=None, help="write the transfer log (TSV)")
@@ -387,9 +392,8 @@ def build_parser() -> _Parser:
     p = command("verify-theorem2", cmd_verify, "DP-3 check over a graph6 stream",
                 search)
     p.add_argument("input", help="graph6 lines, or - for stdin")
-    p.add_argument("--variant", choices=sorted(discharging.VARIANTS),
+    p.add_argument("--variant", choices=sorted(FORBIDDEN_VARIANTS),
                    required=True)
-    p.add_argument("--n-max", type=_at_least(0), default=None)
 
     for p in sub.choices.values():  # every command can write a JSON report
         p.add_argument("--json", default=None)

@@ -32,8 +32,6 @@ __all__ = [
     "ChargeSumMismatch",
     "ConservationViolated",
     "ForbiddenCyclePresent",
-    "RuleVariant",
-    "VARIANTS",
     "Transfer",
     "ChargeState",
     "FaceRoles",
@@ -69,20 +67,6 @@ class ConservationViolated(RuntimeError):
 
 class ForbiddenCyclePresent(ValueError):
     """Strict mode: the graph has a cycle the variant forbids."""
-
-
-@dataclass(frozen=True)
-class RuleVariant:
-    name: str
-    forbidden: frozenset[int]
-    style: str  # "a" or "b"
-
-
-VARIANTS: dict[str, RuleVariant] = {
-    "a": RuleVariant("a", FORBIDDEN_VARIANTS["a"], "a"),
-    "b67": RuleVariant("b67", FORBIDDEN_VARIANTS["b67"], "b"),
-    "b68": RuleVariant("b68", FORBIDDEN_VARIANTS["b68"], "b"),
-}
 
 
 class Transfer(NamedTuple):
@@ -419,13 +403,13 @@ def face_charge_demand(t: dict[int, int]) -> Fraction:
 # ---------------------------------------------------------------------------
 # The rule engine.
 
-def _resolve_variant(variant) -> RuleVariant:
-    if isinstance(variant, RuleVariant):
-        return variant
+def _forbidden(variant: str) -> frozenset[int]:
+    """The cycle lengths the named variant forbids."""
     try:
-        return VARIANTS[variant]
+        return FORBIDDEN_VARIANTS[variant]
     except KeyError:
-        raise ValueError(f"unknown variant {variant!r}; pick from {sorted(VARIANTS)}")
+        raise ValueError(f"unknown variant {variant!r}; pick from "
+                         f"{sorted(FORBIDDEN_VARIANTS)}") from None
 
 
 def _phase_r1(emb: PlaneEmbedding, state: ChargeState) -> None:
@@ -597,33 +581,33 @@ def _phase_r3(state: ChargeState, roles: FaceRoles) -> None:
     state.end_phase("P7")
 
 
-def apply_rules(emb: PlaneEmbedding, variant, strict: bool = False,
+def apply_rules(emb: PlaneEmbedding, variant: str, strict: bool = False,
                 roles: FaceRoles | None = None,
                 present: frozenset[int] | None = None) -> ChargeState:
-    """Run the full phase schedule for the variant and return the final
-    charge state with its transfer log.
+    """Run the full phase schedule for the named variant ("a", "b67" or
+    "b68") and return the final charge state with its transfer log.
 
     Strict mode refuses to run when the graph contains a forbidden cycle;
     otherwise the run proceeds and the violation is noted in the state.
     `present` is the set of the variant's forbidden lengths that occur in
     the graph, searched for here when not given.
     """
-    var = _resolve_variant(variant)
+    forbidden = _forbidden(variant)
     if present is None:
-        present = forbidden_cycles(emb.graph, var.forbidden)
+        present = forbidden_cycles(emb.graph, forbidden)
     if present and strict:
         raise ForbiddenCyclePresent(
-            f"variant {var.name} forbids cycle lengths {sorted(present)}")
+            f"variant {variant} forbids cycle lengths {sorted(present)}")
     if roles is None:
         roles = classify_face_roles(emb)
     state = initial_charges(emb)
     if present:
         state.notes.append(
             f"hypothesis violated: {sorted(present)}-cycles present under "
-            f"variant {var.name}")
+            f"variant {variant}")
     _phase_r1(emb, state)
     _phase_r2(emb, state, roles)
-    if var.style == "a":
+    if variant == "a":
         _variant_a_phases(emb, state, roles)
     else:
         _variant_b_phases(emb, state, roles)
@@ -692,7 +676,7 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit(emb: PlaneEmbedding, variant, patterns=(),
+def audit(emb: PlaneEmbedding, variant: str, patterns=(),
           strict: bool = False) -> AuditReport:
     """Run every check and the rule engine; list all escape hatches.
 
@@ -702,14 +686,13 @@ def audit(emb: PlaneEmbedding, variant, patterns=(),
     negative, so an empty findings list on such input would certify a
     counterexample candidate.
     """
-    var = _resolve_variant(variant)
     g = emb.graph
-    present = forbidden_cycles(g, var.forbidden)
+    present = forbidden_cycles(g, _forbidden(variant))
     degrees = g.degrees() if g.n else (0,)
     low = tuple(v for v, d in enumerate(g.degrees()) if d < 3)
     hits = {pat.name: len(find_pattern(g, pat)) for pat in patterns}
     roles = classify_face_roles(emb)
-    state = apply_rules(emb, var, strict=strict, roles=roles,
+    state = apply_rules(emb, variant, strict=strict, roles=roles,
                         present=present)
     den = state.den
     neg_v = tuple((v, Fraction(x, den)) for v, x in enumerate(state.vertex_num)
@@ -717,7 +700,7 @@ def audit(emb: PlaneEmbedding, variant, patterns=(),
     neg_f = tuple((f, Fraction(x, den)) for f, x in enumerate(state.face_num)
                   if x < 0)
     return AuditReport(
-        variant=var.name,
+        variant=variant,
         hypothesis_ok=not present,
         forbidden_cycles_found=tuple(sorted(present)),
         min_degree=min(degrees),

@@ -75,10 +75,6 @@ class MatchingAssignment:
             self._bwd[(u, v)] = bwd
 
     @classmethod
-    def empty(cls) -> "MatchingAssignment":
-        return cls({})
-
-    @classmethod
     def identity(cls, g: Graph, k: int) -> "MatchingAssignment":
         pairs = tuple((i, i) for i in range(k))
         return cls({e: pairs for e in g.edges})
@@ -111,9 +107,6 @@ class MatchingAssignment:
         if u < v:
             return self._fwd.get((u, v), {}).get(color)
         return self._bwd.get((v, u), {}).get(color)
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(e for e, fwd in self._fwd.items() if fwd))
 
     def validate(self, g: Graph, lists: Lists) -> None:
         """Raise InvalidMatching unless every pair references listed colors

@@ -18,9 +18,9 @@ bitmasks directly.  Each graph6 byte holds six vertex pairs, so for up to
 16 vertices the decoder ORs one entry per byte of a lookup table built for
 that vertex count on first use; tables grow as n**4 (74 KB at n = 16), so
 larger graphs are decoded one edge at a time.  filter_graph6 runs the
-census filters of dpcolor verify-theorem2 (vertex bound, connectivity,
-cycle filter) on them and returns them, not a Graph, for a line that
-passes; planar.is_planar_masks and solver.k_core take them from there.
+census filters of dpcolor verify-theorem2 (connectivity, cycle filter) on
+them and returns them, not a Graph, for a line that passes; the planarity
+test and solver.k_core take them from there.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import cache, cached_property
 
 __all__ = [
     "Graph",
-    "CycleSpectrum",
     "SelfLoop",
     "MalformedGraph6",
     "from_edge_list",
@@ -42,7 +41,6 @@ __all__ = [
     "cycle_spectrum",
     "forbidden_cycles",
     "has_cycle_length",
-    "satisfied_variants",
     "FORBIDDEN_VARIANTS",
     "delete_vertices",
     "is_connected",
@@ -308,20 +306,18 @@ def parse_graph6(text: str) -> Graph:
     return g
 
 
-def filter_graph6(line: str, forbidden, n_max: int | None = None
+def filter_graph6(line: str, forbidden
                   ) -> tuple[str | None, tuple[int, ...] | None]:
     """The census filters that need no Graph, on one graph6 line without
-    surrounding whitespace: at most n_max vertices (if n_max is set),
-    connected, and no cycle of a length in `forbidden`.
+    surrounding whitespace: connected, and no cycle of a length in
+    `forbidden`.
 
     They run on the decoded neighbor bitmasks.  Returns the status of a
-    line they drop, "skipped:n", "filtered:disconnected" or
-    "filtered:cycles", with None; or None with the line's bitmasks, equal
-    to parse_graph6(line).masks.
+    line they drop, "filtered:disconnected" or "filtered:cycles", with
+    None; or None with the line's bitmasks, equal to
+    parse_graph6(line).masks.
     """
-    n, masks = _decode_graph6(line)
-    if n_max is not None and n > n_max:
-        return "skipped:n", None
+    masks = _decode_graph6(line)[1]
     if not _connected(masks):
         return "filtered:disconnected", None
     if _cycle_lengths(masks, forbidden, 1):
@@ -380,14 +376,6 @@ def parse_edge_list(text: str) -> tuple[Graph, tuple[str, ...]]:
 
 # ---------------------------------------------------------------------------
 # Cycle queries.
-
-@dataclass(frozen=True)
-class CycleSpectrum:
-    """Exact set of cycle lengths present up to a search bound."""
-
-    present: frozenset[int]
-    search_bound: int
-
 
 def _has_four_cycle(adj) -> bool:
     """Whether the graph with neighbor bitmasks adj has a 4-cycle: some
@@ -472,7 +460,7 @@ def _cycle_lengths(adj, lengths, enough: int) -> set[int]:
     return found
 
 
-def cycle_spectrum(g: Graph, max_len: int = 9) -> CycleSpectrum:
+def cycle_spectrum(g: Graph, max_len: int = 9) -> frozenset[int]:
     """Exact set of lengths l <= max_len for which g contains a cycle.
 
     The search stops once every possible length in 3..min(max_len, n) is
@@ -481,8 +469,7 @@ def cycle_spectrum(g: Graph, max_len: int = 9) -> CycleSpectrum:
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     lengths = range(3, min(max_len, g.n) + 1)
-    present = _cycle_lengths(g.masks, lengths, len(lengths))
-    return CycleSpectrum(present=frozenset(present), search_bound=max_len)
+    return frozenset(_cycle_lengths(g.masks, lengths, len(lengths)))
 
 
 def forbidden_cycles(g: Graph, lengths) -> frozenset[int]:
@@ -503,18 +490,6 @@ FORBIDDEN_VARIANTS: dict[str, frozenset[int]] = {
     "b67": frozenset({4, 6, 7, 9}),
     "b68": frozenset({4, 6, 8, 9}),
 }
-
-
-def satisfied_variants(g: Graph) -> set[str]:
-    """Which of the three forbidden-cycle hypothesis sets g satisfies.
-
-    A variant is satisfied when g has no cycle of any listed length.
-    """
-    spectrum = cycle_spectrum(g, max_len=9).present
-    return {
-        name for name, lengths in FORBIDDEN_VARIANTS.items()
-        if not (lengths & spectrum)
-    }
 
 
 def delete_vertices(g: Graph, drop) -> tuple[Graph, dict[int, int]]:

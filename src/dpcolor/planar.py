@@ -44,8 +44,6 @@ __all__ = [
     "classify_vertex",
     "brute_force_embed",
     "is_planar",
-    "is_planar_masks",
-    "rotation_from_faces",
     "load_embedding",
     "dump_embedding",
 ]
@@ -297,21 +295,10 @@ def _smooth(masks) -> list[int]:
             for v in keep]
 
 
-def is_planar_masks(masks) -> bool:
-    """Whether the connected graph with these neighbor bitmasks (as
-    Graph.masks) is planar, decided on the graph reduced by _smooth.
-
-    Raises Disconnected on disconnected input, and NonPlanarOrTooLarge
-    (reason "too-large") when the reduced graph has more than 4 vertices
-    and more than _ROTATION_LIMIT rotation systems.
-    """
-    if not _connected(masks):
-        raise Disconnected("planarity is decided on connected graphs")
-    return _is_planar_connected(masks)
-
-
 def _is_planar_connected(masks) -> bool:
-    """is_planar_masks on masks known to be connected, without the test."""
+    """Whether the connected graph with these neighbor bitmasks (as
+    Graph.masks) is planar, decided on the graph reduced by _smooth; the
+    caller has established connectivity."""
     # on connected input _smooth never raises m - n unless it deletes every
     # vertex, and what it leaves has minimum degree 3, so 2m >= 3n: with
     # m - n <= 2 it leaves at most 4 vertices, and the graph is planar
@@ -322,46 +309,15 @@ def _is_planar_connected(masks) -> bool:
 
 
 def is_planar(g: Graph) -> bool:
-    """Whether connected g is planar: is_planar_masks on g.masks, with its
-    exceptions."""
-    return is_planar_masks(g.masks)
+    """Whether connected g is planar, decided on g reduced by degree.
 
-
-def rotation_from_faces(n: int, walks) -> tuple[tuple[int, ...], ...]:
-    """Reconstruct a rotation system from oriented facial walks.
-
-    Each walk is a vertex sequence; every dart must appear in exactly one
-    walk.  The corner x -> v -> y fixes y as the rotation successor of x
-    at v.  Raises ValueError if the corners do not close into one cycle
-    per vertex.
+    Raises Disconnected on disconnected input, and NonPlanarOrTooLarge
+    (reason "too-large") when the reduced graph has more than 4 vertices
+    and more than _ROTATION_LIMIT rotation systems.
     """
-    succ: list[dict[int, int]] = [{} for _ in range(n)]
-    for walk in walks:
-        L = len(walk)
-        for i, v in enumerate(walk):
-            x = walk[i - 1]
-            y = walk[(i + 1) % L]
-            if x in succ[v]:
-                raise ValueError(f"dart ({x}, {v}) appears in two walks")
-            succ[v][x] = y
-    rotation = []
-    for v in range(n):
-        if not succ[v]:
-            rotation.append(())
-            continue
-        start = min(succ[v])
-        order = [start]
-        while True:
-            nxt = succ[v][order[-1]]
-            if nxt == start:
-                break
-            if nxt in order or len(order) > len(succ[v]):
-                raise ValueError(f"corners at {v} do not close into one cycle")
-            order.append(nxt)
-        if len(order) != len(succ[v]):
-            raise ValueError(f"corners at {v} split into several cycles")
-        rotation.append(tuple(order))
-    return tuple(rotation)
+    if not _connected(g.masks):
+        raise Disconnected("planarity is decided on connected graphs")
+    return _is_planar_connected(g.masks)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,12 @@ def residual_lists(g: Graph, subset, lists: Lists,
 
 @dataclass(frozen=True)
 class ExtensionCheck:
-    """Outcome of the structural extension-order check."""
+    """Outcome of the structural extension-order check: first_bad_interior
+    is the position in the order of the first interior vertex that fails
+    condition 3, or None when every one passes."""
 
     ok: bool
     condition1_guaranteed: bool
-    condition2_ok: bool
-    condition3_ok: bool
-    reasons: tuple[str, ...] = ()
     first_bad_interior: int | None = None
 
 
@@ -116,43 +115,19 @@ def check_extension_order(g: Graph, order, k: int) -> ExtensionCheck:
         raise ValueError("order must list at least two distinct vertices")
     v1, vl = order[0], order[-1]
     out = {v: len(g.adj[v] - subset) for v in order}
-    reasons = []
-
-    adjacent = g.has_edge(v1, vl)
-    if not adjacent:
-        reasons.append("endpoints are not adjacent")
-    guaranteed1 = adjacent and out[v1] == 0 and 1 <= out[vl] <= k - 1
-    if adjacent and not guaranteed1:
-        reasons.append(
-            f"residual gap not guaranteed (v1 has {out[v1]} outside "
-            f"neighbors, vl has {out[vl]})")
-
+    guaranteed1 = (g.has_edge(v1, vl) and out[v1] == 0
+                   and 1 <= out[vl] <= k - 1)
     cond2 = g.degree(vl) <= k and out[vl] >= 1
-    if not cond2:
-        reasons.append(
-            f"last vertex has degree {g.degree(vl)} and {out[vl]} outside "
-            f"neighbors")
-
-    cond3 = True
     first_bad = None
     earlier: set[int] = {v1}
     for i, v in enumerate(order[1:-1], start=1):
-        back = len(g.adj[v] & earlier)
-        if back + out[v] > k - 1:
-            cond3 = False
+        if len(g.adj[v] & earlier) + out[v] > k - 1:
             first_bad = i
-            reasons.append(
-                f"interior vertex {v} (position {i}) has {back}+{out[v]} "
-                f"constraining neighbors")
             break
         earlier.add(v)
-
     return ExtensionCheck(
-        ok=guaranteed1 and cond2 and cond3,
+        ok=guaranteed1 and cond2 and first_bad is None,
         condition1_guaranteed=guaranteed1,
-        condition2_ok=cond2,
-        condition3_ok=cond3,
-        reasons=tuple(reasons),
         first_bad_interior=first_bad,
     )
 

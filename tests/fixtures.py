@@ -7,7 +7,44 @@ import math
 import random
 
 from dpcolor import (Disconnected, Graph, NotGenusZero, PlaneEmbedding,
-                     from_edge_list, trace_faces, rotation_from_faces)
+                     from_edge_list, trace_faces)
+
+
+def rotation_from_faces(n: int, walks) -> tuple[tuple[int, ...], ...]:
+    """Reconstruct a rotation system from oriented facial walks.
+
+    Each walk is a vertex sequence; every dart must appear in exactly one
+    walk.  The corner x -> v -> y fixes y as the rotation successor of x
+    at v.  Raises ValueError if the corners do not close into one cycle
+    per vertex.
+    """
+    succ: list[dict[int, int]] = [{} for _ in range(n)]
+    for walk in walks:
+        L = len(walk)
+        for i, v in enumerate(walk):
+            x = walk[i - 1]
+            y = walk[(i + 1) % L]
+            if x in succ[v]:
+                raise ValueError(f"dart ({x}, {v}) appears in two walks")
+            succ[v][x] = y
+    rotation = []
+    for v in range(n):
+        if not succ[v]:
+            rotation.append(())
+            continue
+        start = min(succ[v])
+        order = [start]
+        while True:
+            nxt = succ[v][order[-1]]
+            if nxt == start:
+                break
+            if nxt in order or len(order) > len(succ[v]):
+                raise ValueError(f"corners at {v} do not close into one cycle")
+            order.append(nxt)
+        if len(order) != len(succ[v]):
+            raise ValueError(f"corners at {v} split into several cycles")
+        rotation.append(tuple(order))
+    return tuple(rotation)
 
 
 def embed_from_coordinates(g: Graph, coords) -> PlaneEmbedding:

@@ -64,7 +64,7 @@ def connected_graphs(max_n: int, forbid_cycles=frozenset()) -> list[Graph]:
     def allowed(g: Graph) -> bool:
         if not forbid or g.m < 3:
             return True
-        return not (cycle_spectrum(g, max_len=max(3, bound)).present & forbid)
+        return not (cycle_spectrum(g, max_len=max(3, bound)) & forbid)
 
     reps: list[Graph] = [from_edge_list([], n=1)]
     level = [from_edge_list([], n=1)]

@@ -56,6 +56,21 @@ def test_cycles_dodecahedron(tmp_path, capsys):
     assert "9" in out and "variants satisfied: none" in out
 
 
+def test_cycles_max_len(tmp_path, capsys):
+    # lengths are printed up to --max-len, and the variants always come
+    # from lengths up to 9; below 3 is an input error
+    g = from_edge_list([(i, (i + 1) % 6) for i in range(6)] + [(0, 2)])
+    path = write(tmp_path, "g.g6", encode_graph6(g) + "\n")
+    for max_len, shown in (("3", [3]), ("5", [3, 5]), ("12", [3, 5, 6])):
+        code, out, _ = run(capsys, "cycles", path, "--max-len", max_len)
+        assert code == 0
+        assert out == (f"n=6 m=7\ncycle spectrum (<= {max_len}): {shown}\n"
+                       f"forbidden-cycle variants satisfied: a\n")
+    for max_len in ("2", "-1"):
+        assert run(capsys, "cycles", path, "--max-len", max_len) == (
+            3, "", "error: max_len must be at least 3\n")
+
+
 def test_chi_edge_list_input(tmp_path, capsys):
     path = write(tmp_path, "g.edges", "0 1\n1 2\n2 0\n")
     code, out, _ = run(capsys, "chi", path)
@@ -332,8 +347,7 @@ def test_verify_stream(tmp_path, capsys):
         encode_graph6(two_parts),
     ]
     stream = write(tmp_path, "stream.g6", "\n".join(lines) + "\n")
-    code, out, _ = run(capsys, "verify-theorem2", stream,
-                       "--variant", "a", "--n-max", "24")
+    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a")
     assert code == 0
     rows = dict(ln.split("\t") for ln in out.splitlines() if "\t" in ln)
     assert rows[lines[0]] == "pass"
@@ -352,10 +366,9 @@ def test_verify_empty_stream(tmp_path, capsys):
 def test_verify_jobs_preserve_order(tmp_path, capsys):
     lines = [encode_graph6(cycle_graph(m)) for m in (5, 10, 11)]
     stream = write(tmp_path, "stream.g6", "\n".join(lines) + "\n")
-    base = run(capsys, "verify-theorem2", stream, "--variant", "b68",
-               "--n-max", "11")
+    base = run(capsys, "verify-theorem2", stream, "--variant", "b68")
     parallel = run(capsys, "verify-theorem2", stream, "--variant", "b68",
-                   "--n-max", "11", "--jobs", "2")
+                   "--jobs", "2")
     assert base == parallel and base[0] == 0
 
 
@@ -366,7 +379,7 @@ def test_budget_environment_variable_is_ignored(tmp_path, capsys,
     # verify-theorem2 takes K4 to the search, where a budget would show
     screen = dpcolor.cli.filter_graph6
     monkeypatch.setattr(dpcolor.cli, "filter_graph6",
-                        lambda line, forbidden, n_max: screen(line, (), n_max))
+                        lambda line, forbidden: screen(line, ()))
     c6 = write(tmp_path, "c6.g6", encode_graph6(cycle_graph(6)))
     c3 = write(tmp_path, "c3.g6", encode_graph6(cycle_graph(3)))
     stream = write(tmp_path, "stream.g6", "\n".join(
@@ -528,7 +541,7 @@ def test_verify_budget_zero_marks_every_candidate(tmp_path, capsys):
     lines.append(encode_graph6(complete_graph(4)))
     stream = write(tmp_path, "stream.g6", "\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "b68",
-                       "--n-max", "11", "--budget", "0")
+                       "--budget", "0")
     assert code == 0
     rows = dict(ln.split("\t") for ln in out.splitlines() if "\t" in ln)
     assert [rows[ln] for ln in lines] == ["pass"] * 3 + ["filtered:cycles"]
@@ -579,7 +592,7 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
     # is lowered so that --jobs 2 splits that search
     screen = dpcolor.cli.filter_graph6
     monkeypatch.setattr(dpcolor.cli, "filter_graph6",
-                        lambda line, forbidden, n_max: screen(line, (), n_max))
+                        lambda line, forbidden: screen(line, ()))
     monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     lines = [encode_graph6(cycle_graph(5)), encode_graph6(pentagonal_prism()),
              encode_graph6(complete_graph(5))]
@@ -592,8 +605,8 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
         runs = []
         for jobs in ("1", "2"):
             result = run(capsys, "verify-theorem2", stream, "--variant", "a",
-                         "--n-max", "10", "--budget", budget,
-                         "--jobs", jobs, "--json", str(sidecar))
+                         "--budget", budget, "--jobs", jobs,
+                         "--json", str(sidecar))
             runs.append((result, sidecar.read_text()))
         assert runs[0] == runs[1]
         assert runs[0][0][0] == code
@@ -625,9 +638,9 @@ def test_verify_builds_a_graph_only_past_the_cycle_filter(
     built = []
     screen, build = dpcolor.cli.filter_graph6, dpcolor.graphs._build_graph
 
-    def screened(line, forbidden, n_max):
+    def screened(line, forbidden):
         built.append([line, 0])
-        return screen(line, forbidden, n_max)
+        return screen(line, forbidden)
 
     def counted(n, edges):
         built[-1][1] += 1
@@ -635,8 +648,7 @@ def test_verify_builds_a_graph_only_past_the_cycle_filter(
 
     monkeypatch.setattr(dpcolor.cli, "filter_graph6", screened)
     monkeypatch.setattr(dpcolor.graphs, "_build_graph", counted)
-    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a",
-                       "--n-max", "40")
+    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a")
     assert code == 0
     rows = [ln.split("\t")[1] for ln in out.splitlines() if "\t" in ln]
     assert rows == ["filtered:disconnected", "filtered:cycles", "pass",
@@ -673,25 +685,24 @@ def test_verify_planarity_rows_match_brute_force_embed(tmp_path, capsys):
     assert embedded == [False, False, True, None, True, True]
     stream = write(tmp_path, "stream.g6",
                    "".join(encode_graph6(g) + "\n" for g in graphs))
-    for n_max in (None, 40):
-        want = ["skipped:n" if n_max and g.n > n_max
-                else "pass" if p else "filtered:nonplanar"
-                for g, p in zip(graphs, planar)]
-        argv = ["verify-theorem2", stream, "--variant", "a"]
-        if n_max:
-            argv += ["--n-max", str(n_max)]
-        code, out, _ = run(capsys, *argv)
-        rows = [ln.split("\t")[1] for ln in out.splitlines() if "\t" in ln]
-        assert code == 0 and rows == want, n_max
-    assert want == ["filtered:nonplanar", "filtered:nonplanar", "pass",
-                    "pass", "pass", "skipped:n"]
+    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a")
+    rows = [ln.split("\t")[1] for ln in out.splitlines() if "\t" in ln]
+    assert code == 0
+    assert rows == ["pass" if p else "filtered:nonplanar" for p in planar]
+
+
+def test_verify_has_no_vertex_bound_option(tmp_path, capsys):
+    # --n-max is gone: the option is a usage error like any unknown one
+    stream = write(tmp_path, "c5.g6", encode_graph6(cycle_graph(5)) + "\n")
+    code, out, err = run(capsys, "verify-theorem2", stream, "--variant", "a",
+                         "--n-max", "5")
+    assert code == 3 and not out and err.startswith("usage:")
 
 
 def test_verify_decides_a_star_past_nine_vertices(tmp_path, capsys):
-    # K1,11: --n-max is the only vertex bound, and a tree needs no search
+    # K1,11: no vertex count is bounded, and a tree needs no search
     stream = write(tmp_path, "star.g6", "KsaCCA?_C?O?\n")
-    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a",
-                       "--n-max", "12")
+    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a")
     assert code == 0
     assert out.splitlines() == ["KsaCCA?_C?O?\tpass",
                                 "# checked=1 pass=1 fail=0 budget=0"]
@@ -813,8 +824,7 @@ SETTABLE = {
     "find-config": {"input", "--pattern", "--k", "--show", "--json"},
     "discharge": {"input", "--variant", "--strict", "--log", "--pattern",
                   "--json"},
-    "verify-theorem2": {"input", "--variant", "--n-max", "--budget", "--jobs",
-                        "--json"},
+    "verify-theorem2": {"input", "--variant", "--budget", "--jobs", "--json"},
 }
 
 

@@ -264,21 +264,3 @@ def test_discharge_contract(tmp_path, embedding, pattern, variant, strict):
     if pattern is not None:
         argv += ["--pattern", write(tmp_path / "pat.json", pattern)]
     run(*argv, *(["--strict"] if strict else []))
-
-
-@CONTRACT
-@given(stream=st.lists(graphs, min_size=1, max_size=4), n_max=small)
-@example(stream=[from_edge_list([], n=1), from_edge_list([(0, 1)])], n_max=0)
-@example(stream=[from_edge_list([(0, 1)])], n_max=-1)
-def test_verify_n_max_contract(tmp_path, stream, n_max):
-    # --n-max is a bound like any other, 0 included: every line with more
-    # vertices is skipped:n, and a negative bound is a usage error
-    text = "".join(encode_graph6(g) + "\n" for g in stream)
-    code, out, err = run("verify-theorem2", write(tmp_path / "s.g6", text),
-                         "--variant", "a", "--n-max", n_max)
-    if n_max < 0:
-        assert code == 3 and not out and err.startswith("usage:")
-        return
-    rows = [line.split("\t")[1] for line in out.splitlines() if "\t" in line]
-    assert [status == "skipped:n" for status in rows] == [
-        g.n > n_max for g in stream]

@@ -28,7 +28,6 @@ from dpcolor import (
     initial_charges,
     load_embedding,
     path_stats,
-    rotation_from_faces,
     trace_faces,
 )
 from fixtures import (
@@ -39,6 +38,7 @@ from fixtures import (
     good_pair_fixture,
     polygon_with_triangles,
     prism,
+    rotation_from_faces,
     special_vertex_fixture,
     tetrahedron,
     truncated_tetrahedron,
@@ -305,6 +305,16 @@ def test_dodecahedron_variant_b_charges():
     assert all(c == 0 for c in st.vertex_charge)
     assert all(c == Fraction(-2, 3) for c in st.face_charge)
     assert any("hypothesis violated" in note for note in st.notes)
+
+
+def test_unknown_variant_names_the_three():
+    # the variants are graphs.FORBIDDEN_VARIANTS, read by name
+    for run in (apply_rules, audit):
+        for name in ("c", "A", ""):
+            with pytest.raises(ValueError) as exc:
+                run(tetrahedron(), name)
+            assert str(exc.value) == (
+                f"unknown variant {name!r}; pick from ['a', 'b67', 'b68']")
 
 
 def test_strict_mode_refuses():

@@ -47,7 +47,7 @@ def test_build_cover_k2_identity():
 
 def test_build_cover_k2_empty():
     g = path_graph(2)
-    cover = build_cover(g, uniform_lists(2, 2), MatchingAssignment.empty())
+    cover = build_cover(g, uniform_lists(2, 2), MatchingAssignment())
     assert cover.node_count == 4 and cover.edge_count == 2
 
 
@@ -95,7 +95,7 @@ def test_find_coloring_c4_one_twist_unsat():
 
 def test_find_coloring_single_vertex():
     g = from_edge_list([], n=1)
-    assert find_coloring(g, uniform_lists(1, 1), MatchingAssignment.empty()) == (0,)
+    assert find_coloring(g, uniform_lists(1, 1), MatchingAssignment()) == (0,)
 
 
 def test_identity_matching_is_proper_coloring():

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from pathlib import Path
@@ -23,9 +24,9 @@ from dpcolor import (
     is_connected,
     parse_edge_list,
     parse_graph6,
-    satisfied_variants,
 )
 from dpcolor import graphs
+from dpcolor.cli import main
 from fixtures import dodecahedron
 from oracles import all_cycle_lengths, bfs_connected, decode_graph6_pairs
 from smallgraphs import connected_graphs, labelled_graphs
@@ -205,7 +206,7 @@ def test_connectivity_core_matches_bfs_on_all_small_graphs():
 
 def test_filter_graph6_matches_the_graph_queries():
     # every labelled graph on at most 5 vertices against each variant's
-    # forbidden lengths and a vertex bound of 4
+    # forbidden lengths
     variants = [frozenset(f) for f in FORBIDDEN_VARIANTS.values()]
     for n in range(6):
         pairs = [(i, j) for j in range(n) for i in range(j)]
@@ -214,18 +215,15 @@ def test_filter_graph6_matches_the_graph_queries():
                                 if bits >> k & 1], n=n)
             text = encode_graph6(g)
             for forbidden in [frozenset({3}), *variants]:
-                for n_max in (None, 4):
-                    if n_max and n > n_max:
-                        want = "skipped:n"
-                    elif not is_connected(g):
-                        want = "filtered:disconnected"
-                    elif has_cycle_length(g, forbidden):
-                        want = "filtered:cycles"
-                    else:
-                        want = None
-                    status, got = filter_graph6(text, forbidden, n_max)
-                    assert status == want, (g.edges, forbidden, n_max)
-                    assert got == (g.masks if want is None else None)
+                if not is_connected(g):
+                    want = "filtered:disconnected"
+                elif has_cycle_length(g, forbidden):
+                    want = "filtered:cycles"
+                else:
+                    want = None
+                status, got = filter_graph6(text, forbidden)
+                assert status == want, (g.edges, forbidden)
+                assert got == (g.masks if want is None else None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,14 +249,14 @@ def test_parse_edge_list_text():
 
 
 def test_cycle_spectrum_c9():
-    assert cycle_spectrum(cycle_graph(9), 9).present == {9}
+    assert cycle_spectrum(cycle_graph(9), 9) == {9}
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_long_cycles(n):
     g = cycle_graph(n)
-    assert cycle_spectrum(g, 9).present == ({9} if n == 9 else set())
-    assert cycle_spectrum(g, 12).present == {n}
+    assert cycle_spectrum(g, 9) == ({9} if n == 9 else set())
+    assert cycle_spectrum(g, 12) == {n}
     assert forbidden_cycles(g, {4, n, 13}) == {n}
     for lengths in FORBIDDEN_VARIANTS.values():
         assert has_cycle_length(g, lengths) == (n == 9)
@@ -267,11 +265,11 @@ def test_long_cycles(n):
 
 @pytest.mark.parametrize("n", [5, 8])
 def test_cycle_spectrum_complete(n):
-    assert cycle_spectrum(complete_graph(n), 9).present == set(range(3, n + 1))
+    assert cycle_spectrum(complete_graph(n), 9) == set(range(3, n + 1))
 
 
 def test_cycle_spectrum_k4():
-    assert cycle_spectrum(complete_graph(4), 9).present == {3, 4}
+    assert cycle_spectrum(complete_graph(4), 9) == {3, 4}
 
 
 def test_cycle_spectrum_dodecahedron():
@@ -282,7 +280,7 @@ def test_cycle_spectrum_dodecahedron():
         + [(i, 5 + 2 * i) for i in range(5)]
         + [(6 + 2 * i, 15 + i) for i in range(5)]
     )
-    present = cycle_spectrum(g, 9).present
+    present = cycle_spectrum(g, 9)
     assert {5, 8, 9} <= present
     assert not present & {3, 4, 6, 7}
     for lengths in FORBIDDEN_VARIANTS.values():
@@ -294,7 +292,7 @@ def test_cycle_spectrum_dodecahedron():
     g = dodecahedron().graph
     want = {len(c) for c in nx.simple_cycles(nx.Graph(sorted(g.edges)))}
     assert want == set(range(5, 21)) - {6, 7, 19}
-    assert cycle_spectrum(g, 20).present == want
+    assert cycle_spectrum(g, 20) == want
     assert forbidden_cycles(g, range(3, 22)) == want
     assert not has_cycle_length(g, {19, 21})
 
@@ -302,7 +300,8 @@ def test_cycle_spectrum_dodecahedron():
 def test_cycle_spectrum_against_subset_oracle():
     for g in connected_graphs(6):
         want = all_cycle_lengths(g, 8)
-        assert cycle_spectrum(g, 8).present == want, g.edges
+        got = cycle_spectrum(g, 8)
+        assert type(got) is frozenset and got == want, g.edges
         for lengths in FORBIDDEN_VARIANTS.values():
             assert forbidden_cycles(g, lengths) == want & lengths, g.edges
     # the 4-cycle sweep, on every labelled graph with at most 6 vertices
@@ -310,12 +309,12 @@ def test_cycle_spectrum_against_subset_oracle():
         want = all_cycle_lengths(g, 4)
         assert graphs._has_four_cycle(g.masks) == (4 in want), g.edges
         assert has_cycle_length(g, {4}) == (4 in want), g.edges
-        assert cycle_spectrum(g, 4).present == want, g.edges
+        assert cycle_spectrum(g, 4) == want, g.edges
 
 
 def test_cycle_filters_agree_with_spectrum_up_to_7():
     for g in connected_graphs(7):
-        spectrum = cycle_spectrum(g, 9).present
+        spectrum = cycle_spectrum(g, 9)
         for lengths in FORBIDDEN_VARIANTS.values():
             assert forbidden_cycles(g, lengths) == spectrum & lengths, g.edges
             assert has_cycle_length(g, lengths) == bool(spectrum & lengths), g.edges
@@ -380,13 +379,26 @@ def test_cycle_search_skips_lengths_that_cannot_occur(call, bound):
     assert steps <= bound
 
 
-def test_satisfied_variants():
+def test_satisfied_variants(tmp_path, capsys):
+    # the variants `dpcolor cycles` reports, from the one cycle search it
+    # runs whatever --max-len is
+    def satisfied_variants(g, max_len="9"):
+        path = tmp_path / "g.g6"
+        path.write_text(encode_graph6(g) + "\n")
+        sidecar = tmp_path / "cycles.json"
+        assert main(["cycles", str(path), "--max-len", max_len,
+                     "--json", str(sidecar)]) == 0
+        capsys.readouterr()
+        return set(json.loads(sidecar.read_text())["variants"])
+
     assert satisfied_variants(cycle_graph(5)) == {"a", "b67", "b68"}
     assert satisfied_variants(complete_graph(4)) == set()
     # a triangle and a pentagon sharing one edge: cycle lengths {3, 5, 6} only
     g = from_edge_list([(i, (i + 1) % 6) for i in range(6)] + [(0, 2)])
-    assert cycle_spectrum(g, 9).present == {3, 5, 6}
-    assert satisfied_variants(g) == {"a"}
+    assert cycle_spectrum(g, 9) == {3, 5, 6}
+    for max_len in ("3", "5", "9", "12"):
+        assert satisfied_variants(g, max_len) == {"a"}
+    assert satisfied_variants(cycle_graph(9), "3") == set()
 
 
 def test_delete_vertices():

@@ -17,7 +17,6 @@ from dpcolor import (
     dump_embedding,
     from_edge_list,
     is_planar,
-    is_planar_masks,
     load_embedding,
     trace_faces,
 )
@@ -113,7 +112,7 @@ def test_is_planar_matches_networkx_up_to_6_vertices(monkeypatch):
     for g in connected_graphs(6):
         assert is_planar(g) == networkx_planar(g), g.edges
     # every labelled connected graph with at most 6 vertices, as the
-    # relabellings of the classes above, through is_planar_masks.  An
+    # relabellings of the classes above.  An
     # exhaustive search of the larger nonplanar reductions tries up to
     # 110,592 rotation systems each, so here networkx decides the reduced
     # graph that would go to the search; the search itself is checked on
@@ -134,15 +133,12 @@ def test_is_planar_matches_networkx_up_to_6_vertices(monkeypatch):
         want = networkx_planar(g)
         seen = set()
         for perm in itertools.permutations(range(g.n)):
-            masks = [0] * g.n
-            for u, v in g.edges:
-                masks[perm[u]] |= 1 << perm[v]
-                masks[perm[v]] |= 1 << perm[u]
-            masks = tuple(masks)
-            if masks in seen:
+            relabelled = from_edge_list(
+                [(perm[u], perm[v]) for u, v in g.edges], n=g.n)
+            if relabelled.edges in seen:
                 continue
-            seen.add(masks)
-            assert is_planar_masks(masks) == want, masks
+            seen.add(relabelled.edges)
+            assert is_planar(relabelled) == want, relabelled.edges
         labelled[g.n] += len(seen)
     assert labelled == [0, 1, 1, 4, 38, 728, 26_704]  # OEIS A001187
     assert len(searched) > 5_000

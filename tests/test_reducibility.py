@@ -44,7 +44,7 @@ def test_residual_lists_full_vs_empty_matching():
     lists = uniform_lists(2, 3)
     full = MatchingAssignment.identity(g, 3)
     assert len(residual_lists(g, {1}, lists, full, {0: 2})[1]) == 2
-    empty = MatchingAssignment.empty()
+    empty = MatchingAssignment()
     assert len(residual_lists(g, {1}, lists, empty, {0: 2})[1]) == 3
 
 
@@ -71,7 +71,7 @@ def test_check_extension_order_interior_violation():
     g = from_edge_list([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4),
                         (1, 4), (1, 5), (4, 5)])
     report = check_extension_order(g, [0, 1, 2, 3], 3)
-    assert not report.condition3_ok
+    assert not report.ok and report.condition1_guaranteed
     assert report.first_bad_interior == 1
 
 

@@ -240,11 +240,11 @@ def test_core_is_empty_exactly_past_the_subset_degeneracy():
 def test_dp_c4_k2_certificate_has_one_twisted_edge():
     cert = is_dp_k_colorable(cycle_graph(4), 2)
     assert cert is not True and cert.kind == "dp"
-    twisted = [e for e in cert.matching.edges()
+    g = cycle_graph(4)
+    twisted = [e for e in g.edges
                if cert.matching.pairs(*e) != ((0, 0), (1, 1))]
     assert len(twisted) == 1
     # replay: the certificate really admits no coloring
-    g = cycle_graph(4)
     assert find_coloring(g, uniform_lists(4, 2), cert.matching) is None
 
 
