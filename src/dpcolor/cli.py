@@ -114,7 +114,14 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
+def _certificate_needs_k(args) -> None:
+    # only a search at one k has a failing assignment to write
+    if args.certificate and args.k is None:
+        raise ValueError("--certificate needs --k")
+
+
 def cmd_chi_list(args) -> int:
+    _certificate_needs_k(args)
     g = _read_graph(args.input)
     if args.k is not None:
         result = solver.is_k_choosable(g, args.k, budget=args.budget)
@@ -137,6 +144,7 @@ def cmd_chi_list(args) -> int:
 
 
 def cmd_chi_dp(args) -> int:
+    _certificate_needs_k(args)
     g = _read_graph(args.input)
     if args.k is not None:
         result = solver.is_dp_k_colorable(g, args.k, budget=args.budget,
@@ -356,15 +364,15 @@ def build_parser() -> _Parser:
     for name, func, help in (("chi-list", cmd_chi_list, "choosability"),
                              ("chi-dp", cmd_chi_dp, "DP-chromatic number")):
         p = command(name, func, help, graph, search)
-        p.add_argument("--k", type=int, default=None,
+        p.add_argument("--k", type=_at_least(1), default=None,
                        help="test one k instead of computing the minimum")
         p.add_argument("--certificate", default=None,
-                       help="write the failing assignment here")
+                       help="write the failing assignment here (needs --k)")
 
     p = command("color", cmd_color, "find one coloring for a matching file",
                 graph)
     p.add_argument("--matching", default=None, help="matching-assignment file")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_at_least(1), default=None)
 
     p = command("extend", cmd_extend,
                 "extend a coloring across an ordered subgraph", graph)
@@ -372,7 +380,7 @@ def build_parser() -> _Parser:
     p.add_argument("--partial", required=True,
                    help="JSON file {vertex: color} covering the rest")
     p.add_argument("--order", required=True, help="comma-separated vertices")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_at_least(1), default=None)
 
     p = command("find-config", cmd_find_config, "locate and certify a pattern",
                 graph)

@@ -53,6 +53,9 @@ adding elements to a multiset never raises its i-th smallest, so every
 leaf L below P has sorted(sigma(L)) < L.
 
 chi_list and chi_dp search only the k-core, in one loop over k (_least_k).
+chi_list settles k = 2 without a search, by the Erdos-Rubin-Taylor
+characterization of 2-choosable graphs (_two_choosable); is_k_choosable,
+and so chi-list --k 2, still walk the list systems at k = 2.
 """
 
 from __future__ import annotations
@@ -697,13 +700,31 @@ def core_components(g: Graph, k: int) -> list[Graph]:
     return components
 
 
+def _two_choosable(core: Graph) -> bool:
+    """Whether a connected graph of minimum degree at least 2 is
+    2-choosable.  By Erdos, Rubin and Taylor (1979) it is exactly when it
+    is an even cycle or theta_{2,2,2m}: two vertices of degree 3 joined by
+    paths of lengths 2, 2 and 2m, so not adjacent, sharing at least two
+    neighbours, on 2m + 3 vertices."""
+    ends = [v for v in range(core.n) if len(core.adj[v]) != 2]
+    if not ends:
+        return core.n % 2 == 0
+    if len(ends) != 2 or any(len(core.adj[v]) != 3 for v in ends):
+        return False
+    u, v = ends
+    return (core.n % 2 == 1 and not core.has_edge(u, v)
+            and (core.masks[u] & core.masks[v]).bit_count() >= 2)
+
+
 def _least_k(g: Graph, k: int, search, count, budget: int, **options) -> int:
     """The least k from the given one up at which search(core, k) is True
     on every component of g's k-core.  A vertex of degree < k can be
     colored last from any k-list and in any k-fold cover, so g is
     k-choosable, or DP-k-colorable, exactly when every such component is
     (Erdos, Rubin and Taylor, 1979, for lists); an empty k-core, as at
-    every k past the degeneracy, settles k without a search.
+    every k past the degeneracy, settles k without a search.  chi_list
+    settles k = 2 itself (_two_choosable), so it asks this for no list
+    search at k = 2.
 
     The components are searched in turn, each with the budget the earlier
     ones left, so the budget counts their cases.  A component found True
@@ -739,13 +760,20 @@ def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
 
 
 def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Choosability (exact): the least k from chi up at which the
-    choosability search returns True on every component of the k-core,
-    each searched with the budget the earlier ones left."""
+    """Choosability (exact): the least k from chi up at which every
+    component of the k-core is k-choosable.  k = 2 is settled by
+    _two_choosable on each component of the 2-core, with no search, so
+    it takes none of the budget; from k = 3 the choosability search runs
+    on each component with the budget the earlier ones left."""
     if g.n == 0:
         raise ValueError("choosability of the empty graph is undefined")
+    k = chi(g)
+    if k == 2:
+        if all(map(_two_choosable, core_components(g, 2))):
+            return 2
+        k = 3
     return _least_k(
-        g, chi(g), is_k_choosable,
+        g, k, is_k_choosable,
         lambda core, k: _count_list_systems(
             _ClassGroups(core, k), (1 << core.n * k) - 1, 0, {}),
         budget)

@@ -10,7 +10,7 @@ import pytest
 import dpcolor.cli
 import dpcolor.reducibility
 from dpcolor import (NonPlanarOrTooLarge, brute_force_embed, encode_graph6,
-                     from_edge_list, parse_matching_file)
+                     from_edge_list, parse_graph6, parse_matching_file)
 from dpcolor.cli import build_parser, main
 from fixtures import (EMBEDDING_REJECTIONS, dodecahedron, subdivided,
                       tetrahedron, with_pendant_paths)
@@ -132,16 +132,27 @@ def test_chi_list_command(tmp_path, capsys):
 
 
 def test_chi_list_budget_counts_the_core(tmp_path, capsys):
-    # K2,4 with a pendant path of two vertices: its 2-core, the K2,4, fails
-    # after 1,568 list systems, and the whole graph after 6,485.  chi-list
-    # searches the core, so it settles within a budget that chi-list --k 2,
-    # which searches the whole graph, runs out of.
+    # the wheel W4 (Dr{) with a pendant path of two vertices: its 3-core,
+    # the W4, is settled after 20,852 list systems, and the whole graph
+    # has 984,450.  chi-list searches the core, so it settles within a
+    # budget that chi-list --k 3, which searches the whole graph, runs out of.
+    g = with_pendant_paths(parse_graph6("Dr{"), [0], 2)
+    path = write(tmp_path, "w4path.g6", encode_graph6(g))
+    code, out, _ = run(capsys, "chi-list", path, "--budget", "20852")
+    assert (code, out) == (0, "chi_list = 3\n")
+    code, out, err = run(capsys, "chi-list", path, "--budget", "20851")
+    assert (code, out, err) == (2, "", "budget exceeded after 20851 cases\n")
+    code, out, err = run(capsys, "chi-list", path, "--k", "3",
+                         "--budget", "20852")
+    assert (code, out, err) == (2, "", "budget exceeded after 20852 cases\n")
+    # K2,4 with a pendant path of two vertices: chi-list settles k = 2 on
+    # the 2-core by the Erdos-Rubin-Taylor theorem, with no search and no
+    # budget, and the 3-core is empty.  chi-list --k 2 still walks: the
+    # whole graph fails after 6,485 list systems.
     g = with_pendant_paths(complete_bipartite(2, 4), [0], 2)
     path = write(tmp_path, "k24path.g6", encode_graph6(g))
-    code, out, _ = run(capsys, "chi-list", path, "--budget", "1568")
+    code, out, _ = run(capsys, "chi-list", path, "--budget", "0")
     assert (code, out) == (0, "chi_list = 3\n")
-    code, out, err = run(capsys, "chi-list", path, "--budget", "1567")
-    assert (code, out, err) == (2, "", "budget exceeded after 1567 cases\n")
     code, out, err = run(capsys, "chi-list", path, "--k", "2",
                          "--budget", "1568")
     assert (code, out, err) == (2, "", "budget exceeded after 1568 cases\n")
@@ -286,6 +297,27 @@ def test_find_config_rejects_numbers_out_of_range(tmp_path, capsys):
     code, out, _ = run(capsys, "find-config", graph, "--pattern", pattern,
                        "--show", "0", "--k", "1")
     assert code == 1 and "6 occurrences" in out and "(0," not in out
+    # --k is at least 1 on every command that takes it, checked as it is
+    # parsed; at --k 3 each of these runs to a verdict
+    matching = write(tmp_path, "m.txt", "default identity k=3\n")
+    partial = write(tmp_path, "p.json", json.dumps({"2": 0}))
+    for argv in (["chi-list", graph], ["chi-dp", graph], ["color", graph],
+                 ["extend", graph, "--matching", matching, "--partial",
+                  partial, "--order", "0,1"]):
+        for value in ("0", "-2"):
+            code, out, err = run(capsys, *argv, "--k", value)
+            assert code == 3 and not out and err.startswith("usage:"), argv
+        assert run(capsys, *argv, "--k", "3")[0] in (0, 1), argv
+
+
+def test_certificate_needs_k(tmp_path, capsys):
+    # without --k there is no failing assignment to write: one error line
+    path = write(tmp_path, "k24.g6", encode_graph6(complete_bipartite(2, 4)))
+    cert = tmp_path / "cert.txt"
+    for command in ("chi-list", "chi-dp"):
+        code, out, err = run(capsys, command, path, "--certificate", str(cert))
+        assert (code, out, err) == (3, "", "error: --certificate needs --k\n")
+        assert not cert.exists(), command
 
 
 def test_discharge_command(tmp_path, capsys):
@@ -491,12 +523,15 @@ def test_recursion_limit_exit_code(tmp_path, capsys):
 
 
 def test_chi_list_on_long_cycles(tmp_path, capsys):
-    # C300 has 89,701 connected classes and 600 automorphisms; the walk
-    # stops at its budget.  C1200 passes the recursion limit and is one
-    # error line, with no traceback
+    # C300 has 89,701 connected classes and 600 automorphisms; the walk of
+    # chi-list --k 2 stops at its budget, while chi-list settles k = 2 by
+    # the Erdos-Rubin-Taylor theorem with no search.  C1200 passes the
+    # recursion limit and is one error line, with no traceback
     c300 = write(tmp_path, "c300.g6", encode_graph6(cycle_graph(300)))
-    code, _, err = run(capsys, "chi-list", c300, "--budget", "10")
+    code, _, err = run(capsys, "chi-list", c300, "--k", "2", "--budget", "10")
     assert code == 2 and err == "budget exceeded after 10 cases\n", err
+    code, out, _ = run(capsys, "chi-list", c300, "--budget", "0")
+    assert (code, out) == (0, "chi_list = 2\n")
     c1200 = write(tmp_path, "c1200.g6", encode_graph6(cycle_graph(1200)))
     code, _, err = run(capsys, "chi-list", c1200)
     assert code == 3

@@ -34,7 +34,8 @@ from dpcolor import (
     uniform_lists,
 )
 from dpcolor.solver import (_AUT_LIMIT, _ClassGroups, _GaugeOrbits,
-                            _automorphisms, _count_list_systems)
+                            _automorphisms, _count_list_systems,
+                            _two_choosable)
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
                      brute_k_colorable, reference_choosable_scan,
@@ -678,18 +679,24 @@ def test_chi_list_matches_plain_loop():
 
 def test_chi_list_searches_only_the_core(monkeypatch):
     searched = searched_cores(monkeypatch)
-    # K2,3 with pendant trees: a path and a star hang from its vertices
+    # the wheel W4 (Dr{) with pendant trees: a path and a star hang from
+    # its vertices, and the 3-core is the W4
+    g = with_pendant_paths(parse_graph6("Dr{"), [4], 3)
+    g = from_edge_list(list(g.edges) + [(0, 8), (8, 9), (8, 10), (8, 11)])
+    assert (g.n, subset_degeneracy(g)) == (12, 3)
+    assert chi_list(g) == 3
+    assert searched == [(5, 8, 3)]
+    searched.clear()
+    # k = 2 is settled without a search: K2,3 with the same pendant trees
+    # is 2-choosable, and K2,4 is not, and a pendant path keeps it that
+    # way; the 3-core of each is empty
     g = with_pendant_paths(complete_bipartite(2, 3), [4], 3)
     g = from_edge_list(list(g.edges) + [(0, 8), (8, 9), (8, 10), (8, 11)])
     assert (g.n, subset_degeneracy(g)) == (12, 2)
     assert chi_list(g) == 2
-    assert searched == [(5, 6, 2)]
-    searched.clear()
-    # K2,4 is not 2-choosable, and a pendant path keeps it that way
     g = with_pendant_paths(complete_bipartite(2, 4), [0], 2)
     assert chi_list(g) == 3
-    assert searched == [(6, 8, 2)]
-    searched.clear()
+    assert searched == []
     # two K4s joined by a path: chi = 4 = degeneracy + 1 needs no search,
     # and the 3-core is the two K4s, each relabelled to 0..3
     g = from_edge_list(list(complete_graph(4).edges)
@@ -703,18 +710,77 @@ def test_chi_list_searches_only_the_core(monkeypatch):
 
 
 def test_chi_list_passes_the_budget_left_to_each_component(monkeypatch):
-    # K2,3 and K2,4 side by side: at k = 2 the K2,3 component is settled
-    # after its 709 list systems, and the K2,4 one fails after 1,568
-    g = from_edge_list(list(complete_bipartite(2, 3).edges)
-                       + [(5 + u, 5 + v)
-                          for u, v in complete_bipartite(2, 4).edges])
+    # two wheels W4 (Dr{) side by side: at k = 3 the first is settled
+    # after its 20,852 list systems, and the second needs as many
+    w4 = parse_graph6("Dr{")
+    g = from_edge_list(list(w4.edges) + [(5 + u, 5 + v) for u, v in w4.edges])
     searched = searched_cores(monkeypatch)
-    assert chi_list(g, budget=709 + 1568) == 3
-    assert searched == [(5, 6, 2), (6, 8, 2)]
-    for budget in (0, 708, 709, 709 + 1567):
+    assert chi_list(g, budget=2 * 20852) == 3
+    assert searched == [(5, 8, 3), (5, 8, 3)]
+    for budget in (0, 20851, 20852, 20852 + 20851):
         with pytest.raises(BudgetExceeded) as info:
             chi_list(g, budget=budget)
         assert info.value.attempted == budget
+    # K2,3 and K2,4 side by side: k = 2 is settled on each component with
+    # no search, so it takes none of the budget
+    g = from_edge_list(list(complete_bipartite(2, 3).edges)
+                       + [(5 + u, 5 + v)
+                          for u, v in complete_bipartite(2, 4).edges])
+    searched.clear()
+    assert chi_list(g, budget=0) == 3
+    assert searched == []
+
+
+def theta(*lengths):
+    """Two vertices, 0 and 1, joined by internally disjoint paths of the
+    given lengths."""
+    edges, n = [], 2
+    for length in lengths:
+        path = [0] + list(range(n, n + length - 1)) + [1]
+        n += length - 1
+        edges += zip(path, path[1:])
+    return from_edge_list(edges, n=n)
+
+
+def two_cores(max_n):
+    return [core for g in connected_graphs(max_n)
+            for core in core_components(g, 2)]
+
+
+def test_two_choosable_matches_the_slow_oracle():
+    for core in two_cores(5):
+        assert _two_choosable(core) == slow_choosable(core, 2), core.edges
+
+
+def test_two_choosable_matches_the_walk():
+    for core in two_cores(7):
+        assert _two_choosable(core) == (is_k_choosable(core, 2) is True), \
+            core.edges
+
+
+def test_two_choosable_families():
+    # Erdos, Rubin and Taylor: even cycles and theta_{2,2,2m} are the
+    # 2-choosable graphs of minimum degree 2
+    for m in range(2, 9):
+        assert _two_choosable(cycle_graph(2 * m))
+        assert _two_choosable(theta(2, 2, 2 * m - 2))
+    assert is_k_choosable(theta(2, 2, 4), 2) is True
+    c4 = list(cycle_graph(4).edges)
+    dumbbell = from_edge_list(c4 + [(4 + u, 4 + v) for u, v in c4] + [(0, 4)])
+    negatives = [complete_bipartite(2, 4), theta(1, 3, 3), theta(2, 4, 4),
+                 theta(2, 2, 3), dumbbell]
+    negatives += [cycle_graph(2 * m + 1) for m in range(1, 8)]
+    for g in negatives:
+        assert not _two_choosable(g), g.edges
+    assert is_k_choosable(theta(1, 3, 3), 2) is not True
+    assert is_k_choosable(dumbbell, 2) is not True
+
+
+def test_chi_list_settles_two_without_a_search(monkeypatch):
+    searched = searched_cores(monkeypatch)
+    assert chi_list(theta(2, 2, 40), budget=0) == 2
+    assert chi_list(cycle_graph(300), budget=0) == 2
+    assert searched == []
 
 
 def test_chi_dp_searches_only_the_core(monkeypatch):
