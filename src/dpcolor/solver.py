@@ -55,7 +55,14 @@ leaf L below P has sorted(sigma(L)) < L.
 chi_list and chi_dp search only the k-core, in one loop over k (_least_k).
 chi_list settles k = 2 without a search, by the Erdos-Rubin-Taylor
 characterization of 2-choosable graphs (_two_choosable); is_k_choosable,
-and so chi-list --k 2, still walk the list systems at k = 2.
+and so chi-list --k 2, still walk the list systems at k = 2.  From k = 3
+chi_list settles each component by the smaller exact scan
+(_settle_choosable): a DP-k-colorable graph is k-choosable, since a list
+assignment is a cover whose matchings pair equal colors, so when the
+normalized DP space is no larger than the list systems the DP adversary
+runs first, and only a DP certificate, which proves nothing of lists,
+leaves the component to the list walk.  The budget counts the cases of
+both scans.
 """
 
 from __future__ import annotations
@@ -64,7 +71,6 @@ import functools
 import itertools
 import math
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import Graph, delete_vertices
@@ -96,6 +102,13 @@ DEFAULT_BUDGET = 100_000_000
 #: 0.64 vs 0.36 s, 2.6 vs 1.5 s; at k = 4 for the cube and C5xK2 (331,776
 #: and 7,962,624): 0.034 vs 0.086 s, 1.22 vs 0.54 s.  Unmeasured at other k.
 _POOL_MIN_WORK = 1_000_000
+
+
+def _pool(max_workers: int):
+    """A process pool for a split search, imported only here: a run that
+    never splits one does not load multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 class BudgetExceeded(RuntimeError):
@@ -390,7 +403,7 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
         kept = [i for i in range(nperm) if orbits[orbits.start][i] >= 0]
         blocks = [range(a, z) for a, z in zip(kept, kept[1:] + [nperm])]
         scan = functools.partial(_scan_block, g, k, budget=budget)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+        with _pool(min(jobs, len(blocks))) as pool:
             results = list(pool.map(scan, blocks))
     # merge in block order with cumulative counts: a block's result stands
     # only where the serial scan would have reached it within budget
@@ -716,34 +729,33 @@ def _two_choosable(core: Graph) -> bool:
             and (core.masks[u] & core.masks[v]).bit_count() >= 2)
 
 
-def _least_k(g: Graph, k: int, search, count, budget: int, **options) -> int:
-    """The least k from the given one up at which search(core, k) is True
-    on every component of g's k-core.  A vertex of degree < k can be
-    colored last from any k-list and in any k-fold cover, so g is
+def _least_k(g: Graph, k: int, settle, budget: int) -> int:
+    """The least k from the given one up at which settle(core, k, left)
+    finds every component of g's k-core True.  A vertex of degree < k can
+    be colored last from any k-list and in any k-fold cover, so g is
     k-choosable, or DP-k-colorable, exactly when every such component is
     (Erdos, Rubin and Taylor, 1979, for lists); an empty k-core, as at
     every k past the degeneracy, settles k without a search.  chi_list
     settles k = 2 itself (_two_choosable), so it asks this for no list
     search at k = 2.
 
-    The components are searched in turn, each with the budget the earlier
-    ones left, so the budget counts their cases.  A component found True
-    was tried on all of its count(core, k) cases, counted only when another
-    follows.  The callers pass the module's search function as it is when
-    they are called, so a wrapper set on the module sees every search.
+    settle returns (verdict, attempted): attempted, read only for a True
+    verdict, is the cases its scans attempted.  The components are settled
+    in turn, each with the budget the earlier ones left, so the budget
+    counts every case of every scan, and a BudgetExceeded reports them
+    all.  The callers' settle functions look the searches up on the module
+    when they run, so a wrapper set on the module sees every search.
     """
     while True:
-        cores = core_components(g, k)
         left = budget
-        for i, core in enumerate(cores):
+        for core in core_components(g, k):
             try:
-                verdict = search(core, k, budget=left, **options)
+                verdict, attempted = settle(core, k, left)
             except BudgetExceeded as exc:
                 raise BudgetExceeded(budget - left + exc.attempted) from None
             if verdict is not True:
                 break
-            if i + 1 < len(cores):
-                left -= count(core, k)
+            left -= attempted
         else:
             return k
         k += 1
@@ -755,16 +767,62 @@ def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
     with the budget the earlier ones left."""
     if g.n == 0:
         raise ValueError("DP-chromatic number of the empty graph is undefined")
-    return _least_k(g, 1, is_dp_k_colorable, normalized_assignment_count,
-                    budget, jobs=jobs)
+
+    def settle(core: Graph, k: int, left: int):
+        # a scan found True attempted every normalized case
+        return (is_dp_k_colorable(core, k, budget=left, jobs=jobs),
+                normalized_assignment_count(core, k))
+
+    return _least_k(g, 1, settle, budget)
+
+
+def _certificate_place(g: Graph, certificate: AdversaryCertificate) -> int:
+    """The place, from 1, of a DP certificate of g in the plain scan's
+    order (itertools.product over the non-tree edges in sorted order, each
+    taking itertools.permutations(range(k))): the number of cases the
+    search that found it attempted."""
+    index = {p: i for i, p in enumerate(
+        itertools.permutations(range(certificate.k)))}
+    place = 0
+    for u, v in sorted(g.edges - _spanning_forest(g)):
+        sigma = tuple(b for _, b in certificate.matching.pairs(u, v))
+        place = place * len(index) + index[sigma]
+    return place + 1
+
+
+def _settle_choosable(core: Graph, k: int, left: int) -> tuple[object, int]:
+    """Whether a component of the k-core is k-choosable, by the smaller of
+    two exact scans, as (verdict, attempted).  A list assignment is a
+    cover whose matchings pair equal colors, so a DP-k-colorable graph is
+    k-choosable (Dvorak and Postle, 2018).  When the normalized DP space
+    is no larger than the component's list systems, the DP adversary runs
+    first: True settles the component.  A DP certificate says nothing of
+    lists (the converse fails, Bernshteyn and Kostochka), so the list walk
+    then runs on the budget the DP scan's cases left."""
+    systems = _count_list_systems(_ClassGroups(core, k),
+                                  (1 << core.n * k) - 1, 0, {})
+    covers = normalized_assignment_count(core, k)
+    spent = 0
+    if covers <= systems:
+        verdict = is_dp_k_colorable(core, k, budget=left)
+        if verdict is True:
+            return True, covers
+        spent = _certificate_place(core, verdict)
+    try:
+        return is_k_choosable(core, k, budget=left - spent), spent + systems
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(spent + exc.attempted) from None
 
 
 def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Choosability (exact): the least k from chi up at which every
     component of the k-core is k-choosable.  k = 2 is settled by
     _two_choosable on each component of the 2-core, with no search, so
-    it takes none of the budget; from k = 3 the choosability search runs
-    on each component with the budget the earlier ones left."""
+    it takes none of the budget.  From k = 3 each component is settled by
+    _settle_choosable, with the budget the earlier ones left: by the DP
+    adversary when its space is no larger than the list systems and it
+    finds the component DP-k-colorable, else by the list walk.  The budget
+    counts the cases of both scans."""
     if g.n == 0:
         raise ValueError("choosability of the empty graph is undefined")
     k = chi(g)
@@ -772,8 +830,4 @@ def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
         if all(map(_two_choosable, core_components(g, 2))):
             return 2
         k = 3
-    return _least_k(
-        g, k, is_k_choosable,
-        lambda core, k: _count_list_systems(
-            _ClassGroups(core, k), (1 << core.n * k) - 1, 0, {}),
-        budget)
+    return _least_k(g, k, _settle_choosable, budget)

@@ -133,18 +133,19 @@ def test_chi_list_command(tmp_path, capsys):
 
 def test_chi_list_budget_counts_the_core(tmp_path, capsys):
     # the wheel W4 (Dr{) with a pendant path of two vertices: its 3-core,
-    # the W4, is settled after 20,852 list systems, and the whole graph
-    # has 984,450.  chi-list searches the core, so it settles within a
-    # budget that chi-list --k 3, which searches the whole graph, runs out of.
+    # the W4, is settled by the DP scan after its 1,296 cases, and the
+    # whole graph has 984,450 list systems.  chi-list searches the core, so
+    # it settles within a budget that chi-list --k 3, which walks the list
+    # systems of the whole graph, runs out of.
     g = with_pendant_paths(parse_graph6("Dr{"), [0], 2)
     path = write(tmp_path, "w4path.g6", encode_graph6(g))
-    code, out, _ = run(capsys, "chi-list", path, "--budget", "20852")
+    code, out, _ = run(capsys, "chi-list", path, "--budget", "1296")
     assert (code, out) == (0, "chi_list = 3\n")
-    code, out, err = run(capsys, "chi-list", path, "--budget", "20851")
-    assert (code, out, err) == (2, "", "budget exceeded after 20851 cases\n")
+    code, out, err = run(capsys, "chi-list", path, "--budget", "1295")
+    assert (code, out, err) == (2, "", "budget exceeded after 1295 cases\n")
     code, out, err = run(capsys, "chi-list", path, "--k", "3",
-                         "--budget", "20852")
-    assert (code, out, err) == (2, "", "budget exceeded after 20852 cases\n")
+                         "--budget", "1296")
+    assert (code, out, err) == (2, "", "budget exceeded after 1296 cases\n")
     # K2,4 with a pendant path of two vertices: chi-list settles k = 2 on
     # the 2-core by the Erdos-Rubin-Taylor theorem, with no search and no
     # budget, and the 3-core is empty.  chi-list --k 2 still walks: the
@@ -557,6 +558,18 @@ def test_module_entry_point(tmp_path):
         input="D~{\n", capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "[3, 4, 5]" in proc.stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    # multiprocessing is imported only when a search is split across
+    # processes, so a plain command does not pay for it
+    src = os.path.dirname(os.path.dirname(dpcolor.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dpcolor.cli; "
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_budget_zero_is_a_budget(tmp_path, capsys):

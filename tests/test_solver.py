@@ -34,7 +34,8 @@ from dpcolor import (
     uniform_lists,
 )
 from dpcolor.solver import (_AUT_LIMIT, _ClassGroups, _GaugeOrbits,
-                            _automorphisms, _count_list_systems,
+                            _automorphisms, _certificate_place,
+                            _count_list_systems, _settle_choosable,
                             _two_choosable)
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
@@ -394,7 +395,7 @@ def test_small_spaces_open_no_pool(monkeypatch):
     def no_pool(max_workers):
         raise AssertionError("a pool was opened")
 
-    monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(dpcolor.solver, "_pool", no_pool)
     g = prism(5)
     assert normalized_assignment_count(g, 3) // 6 < dpcolor.solver._POOL_MIN_WORK
     assert is_dp_k_colorable(g, 3, jobs=2) is True
@@ -658,17 +659,19 @@ def plain_chi_list(g):
                  if is_k_choosable(g, k) is True), high)
 
 
-def searched_cores(monkeypatch, name="is_k_choosable"):
-    """Record (vertices, edges, k) of every search by the solver function
-    name that chi_list or chi_dp makes."""
+def searched_cores(monkeypatch):
+    """Record (kind, vertices, edges, k) of every adversary scan, kind
+    "dp" or "list", that chi_list or chi_dp makes, in order."""
     searched = []
-    scan = getattr(dpcolor.solver, name)
+    for kind, name in (("dp", "is_dp_k_colorable"),
+                       ("list", "is_k_choosable")):
+        scan = getattr(dpcolor.solver, name)
 
-    def spy(g, k, **options):
-        searched.append((g.n, g.m, k))
-        return scan(g, k, **options)
+        def spy(g, k, kind=kind, scan=scan, **options):
+            searched.append((kind, g.n, g.m, k))
+            return scan(g, k, **options)
 
-    monkeypatch.setattr(dpcolor.solver, name, spy)
+        monkeypatch.setattr(dpcolor.solver, name, spy)
     return searched
 
 
@@ -680,12 +683,13 @@ def test_chi_list_matches_plain_loop():
 def test_chi_list_searches_only_the_core(monkeypatch):
     searched = searched_cores(monkeypatch)
     # the wheel W4 (Dr{) with pendant trees: a path and a star hang from
-    # its vertices, and the 3-core is the W4
+    # its vertices, and the 3-core is the W4, whose 1,296 covers are
+    # fewer than its 20,852 list systems, so the DP scan settles it
     g = with_pendant_paths(parse_graph6("Dr{"), [4], 3)
     g = from_edge_list(list(g.edges) + [(0, 8), (8, 9), (8, 10), (8, 11)])
     assert (g.n, subset_degeneracy(g)) == (12, 3)
     assert chi_list(g) == 3
-    assert searched == [(5, 8, 3)]
+    assert searched == [("dp", 5, 8, 3)]
     searched.clear()
     # k = 2 is settled without a search: K2,3 with the same pendant trees
     # is 2-choosable, and K2,4 is not, and a pendant path keeps it that
@@ -711,13 +715,13 @@ def test_chi_list_searches_only_the_core(monkeypatch):
 
 def test_chi_list_passes_the_budget_left_to_each_component(monkeypatch):
     # two wheels W4 (Dr{) side by side: at k = 3 the first is settled
-    # after its 20,852 list systems, and the second needs as many
+    # after its 1,296 DP cases, and the second needs as many
     w4 = parse_graph6("Dr{")
     g = from_edge_list(list(w4.edges) + [(5 + u, 5 + v) for u, v in w4.edges])
     searched = searched_cores(monkeypatch)
-    assert chi_list(g, budget=2 * 20852) == 3
-    assert searched == [(5, 8, 3), (5, 8, 3)]
-    for budget in (0, 20851, 20852, 20852 + 20851):
+    assert chi_list(g, budget=2 * 1296) == 3
+    assert searched == [("dp", 5, 8, 3), ("dp", 5, 8, 3)]
+    for budget in (0, 1295, 1296, 1296 + 1295):
         with pytest.raises(BudgetExceeded) as info:
             chi_list(g, budget=budget)
         assert info.value.attempted == budget
@@ -729,6 +733,59 @@ def test_chi_list_passes_the_budget_left_to_each_component(monkeypatch):
     searched.clear()
     assert chi_list(g, budget=0) == 3
     assert searched == []
+
+
+def test_chi_list_falls_back_to_the_walk_after_a_dp_certificate(monkeypatch):
+    # Es^o is 3-choosable but not DP-3-colorable: its 7,776 covers are
+    # fewer than its 738,965 list systems, so the DP scan runs first and
+    # is refuted at case 4,033 (as in
+    # test_late_certificate_budgets_match_reference_scan), and the list
+    # walk then settles it on the budget left
+    g = parse_graph6("Es^o")
+    assert chi(g) == 3 and core_components(g, 3) == [g]
+    assert normalized_assignment_count(g, 3) == 7_776
+    searched = searched_cores(monkeypatch)
+    total = 4_033 + 738_965
+    assert chi_list(g, budget=total) == 3
+    assert searched == [("dp", 6, 10, 3), ("list", 6, 10, 3)]
+    # the budget counts both scans: it runs out in the DP scan, at its
+    # certificate, and one case short of the walk's end
+    for budget in (4_032, 4_033, total - 1):
+        with pytest.raises(BudgetExceeded) as info:
+            chi_list(g, budget=budget)
+        assert info.value.attempted == budget
+
+
+def test_settle_choosable_matches_the_walk(monkeypatch):
+    # a DP scan that finds the core DP-3-colorable settles it, and the walk
+    # must agree; Euhw and Es^o are refuted by the DP scan, and the walk
+    # that follows it gives the verdict
+    searched = searched_cores(monkeypatch)
+    for g6, scans in (("Dr{", "dp"), ("Dvw", "dp"), ("Dl{", "dp"),
+                      ("Es\\o", "dp"), ("Eqlo", "dp"), ("Euhw", "dp list"),
+                      ("Es^o", "dp list")):
+        (core,) = core_components(parse_graph6(g6), 3)
+        searched.clear()
+        verdict, _ = _settle_choosable(core, 3, DEFAULT_BUDGET)
+        assert [kind for kind, *_ in searched] == scans.split(), g6
+        assert verdict is True, g6
+        if scans == "dp":
+            assert is_k_choosable(core, 3) is True, g6
+
+
+def test_certificate_place_is_the_attempted_count():
+    # a DP scan that returns a certificate attempted exactly the cases up
+    # to its place in the plain scan
+    for g in connected_graphs(5):
+        for k in (2, 3):
+            cert = is_dp_k_colorable(g, k)
+            if cert is True:
+                continue
+            place = _certificate_place(g, cert)
+            assert is_dp_k_colorable(g, k, budget=place) == cert
+            with pytest.raises(BudgetExceeded) as info:
+                is_dp_k_colorable(g, k, budget=place - 1)
+            assert info.value.attempted == place - 1
 
 
 def theta(*lengths):
@@ -784,17 +841,18 @@ def test_chi_list_settles_two_without_a_search(monkeypatch):
 
 
 def test_chi_dp_searches_only_the_core(monkeypatch):
-    searched = searched_cores(monkeypatch, "is_dp_k_colorable")
+    searched = searched_cores(monkeypatch)
     # C4 with a pendant path: the 1-core is the whole graph, the 2-core the
     # C4, which is not DP-2-colorable, and the 3-core is empty
     g = with_pendant_paths(cycle_graph(4), [0], 2)
     assert chi_dp(g) == 3
-    assert searched == [(6, 6, 1), (4, 4, 2)]
+    assert searched == [("dp", 6, 6, 1), ("dp", 4, 4, 2)]
     searched.clear()
     # C5 x K2 and a vertex joined to 0 and 2: the 3-core is the prism
     g = parse_graph6("JheAHCPBL??")
     assert chi_dp(g) == 3
-    assert searched == [(11, 17, 1), (11, 17, 2), (10, 15, 3)]
+    assert searched == [("dp", 11, 17, 1), ("dp", 11, 17, 2),
+                        ("dp", 10, 15, 3)]
     searched.clear()
     # two K4s joined by a path: the 3-core is the two K4s, and the first
     # one refutes k = 3
@@ -802,7 +860,8 @@ def test_chi_dp_searches_only_the_core(monkeypatch):
                        + [(4 + u, 4 + v) for u, v in complete_graph(4).edges]
                        + [(3, 8), (8, 9), (9, 4)])
     assert chi_dp(g) == 4
-    assert searched == [(10, 15, 1), (10, 15, 2), (4, 6, 3)]
+    assert searched == [("dp", 10, 15, 1), ("dp", 10, 15, 2),
+                        ("dp", 4, 6, 3)]
 
 
 def test_dp_scan_of_a_colorable_graph_attempts_every_case():
@@ -823,9 +882,9 @@ def test_chi_dp_passes_the_budget_left_to_each_component(monkeypatch):
     # settled after its 1,296 cases, and K4 fails at its first
     g = from_edge_list(list(prism(3).edges)
                        + [(6 + u, 6 + v) for u, v in complete_graph(4).edges])
-    searched = searched_cores(monkeypatch, "is_dp_k_colorable")
+    searched = searched_cores(monkeypatch)
     assert chi_dp(g, budget=1296 + 1) == 4
-    assert searched[-2:] == [(6, 9, 3), (4, 6, 3)]
+    assert searched[-2:] == [("dp", 6, 9, 3), ("dp", 4, 6, 3)]
     for budget in (0, 1295, 1296):
         with pytest.raises(BudgetExceeded) as info:
             chi_dp(g, budget=budget)
@@ -903,8 +962,8 @@ def test_gauge_orbits_keep_exactly_the_least_conjugate():
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: the blocks run one after another
-    in this process, through the same split and merge."""
+    """Stands in for the process pool (solver._pool): the blocks run one
+    after another in this process, through the same split and merge."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -949,7 +1008,7 @@ def test_every_budget_matches_reference_scan(monkeypatch):
     # every budget from 0 to one past the case count, so a budget that runs
     # out inside a skipped subtree, at every depth, is covered; jobs = 2
     # runs the block split and merge with the blocks in this process
-    monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(dpcolor.solver, "_pool", SerialPool)
     monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     for g in (complete_graph(4), prism(3), parse_graph6("Dr{")):
         assert g.m - g.n + 1 >= 3
@@ -985,7 +1044,7 @@ def test_k4_matches_reference_scan(monkeypatch):
     # k = 4 has 24 permutations per edge and a conjugation group of 24;
     # jobs 2 to 5 run the block split and merge with the blocks in this
     # process, and the outcome must not depend on jobs
-    monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(dpcolor.solver, "_pool", SerialPool)
     monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     for g in (cycle_graph(4), complete_bipartite(2, 3), parse_graph6("Ds{"),
               complete_graph(4)):
@@ -1016,7 +1075,7 @@ def test_pool_blocks_start_at_kept_choices(k, kept, monkeypatch):
             seen.append((self.max_workers, items))
             return map(fn, items)
 
-    monkeypatch.setattr(dpcolor.solver, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dpcolor.solver, "_pool", RecordingPool)
     monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     for jobs in (2, 3, 4, 5, 6):
         seen.clear()
