@@ -86,8 +86,6 @@ def _read_matching(path: str, g: Graph, k: int | None
 
 def cmd_cycles(args) -> int:
     g = _read_graph(args.input)
-    if args.max_len < 3:
-        raise ValueError("max_len must be at least 3")
     # one search answers both the lengths up to --max-len and, through
     # lengths up to 9, which variants g satisfies
     present = cycle_spectrum(g, max_len=max(args.max_len, 9))
@@ -247,19 +245,6 @@ def cmd_discharge(args) -> int:
     return EXIT_OK
 
 
-def _verify_search(g: Graph, budget: int, jobs: int
-                   ) -> tuple[str, str | None]:
-    """Row status and certificate text for one candidate that reaches the
-    DP-3 search."""
-    try:
-        result = solver.is_dp_k_colorable(g, 3, budget=budget, jobs=jobs)
-    except solver.BudgetExceeded:
-        return "budget", None
-    if result is True:
-        return "pass", None
-    return "FAIL", format_matching_file(result.matching, g)
-
-
 def _filter_status(line: str, forbidden
                    ) -> tuple[str | None, tuple[int, ...] | None]:
     """The row status of a graph6 line that the filters drop, with None; or
@@ -285,14 +270,13 @@ def cmd_verify(args) -> int:
     filter there, then planarity (planar.is_planar without its second
     connectivity test, on the graph reduced by degree).  No vertex count
     is bounded: skipped:embed-bound means the reduced graph has too many
-    rotation systems to search.  A candidate whose 3-core
-    (solver.k_core) is empty passes without a search.  A Graph is built
-    only for a candidate that goes to solver.is_dp_k_colorable, which
-    splits each large search across --jobs processes.  Rows are
-    settled one at a time in input order, and the refutation certificates
-    are printed before them, all in one write.  A line that is not graph6
-    raises ValueError with the input's path and the line number in front
-    of the decoder's message."""
+    rotation systems to search.  One solver.settle_dp call on the bitmasks
+    settles each candidate: an empty 3-core passes without a search, else
+    the 3-core's components are searched, so --budget counts their cases.
+    Rows are settled one at a time in input order, and the refutation
+    certificates are printed before them, all in one write.  A line that
+    is not graph6 raises ValueError with the input's path and the line
+    number in front of the decoder's message."""
     forbidden = FORBIDDEN_VARIANTS[args.variant]
     rows: list[dict] = []
     refutations: list[tuple[str, str]] = []
@@ -306,17 +290,17 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{args.input}:{lineno}: {exc}") from None
         row = {"graph6": line, "status": status}
         if status is None:
-            # an empty 3-core: each vertex, colored in reverse order of
-            # deletion, has at most 2 colored neighbors, so every 3-fold
-            # cover is colored without a search
-            if not solver.k_core(masks, 3):
-                row["status"], row["settled_by"] = "pass", "core-empty"
+            try:
+                verdict, row["settled_by"] = solver.settle_dp(
+                    masks, 3, budget=args.budget, jobs=args.jobs)
+            except solver.BudgetExceeded:
+                row["status"], row["settled_by"] = "budget", "search"
             else:
-                row["status"], certificate = _verify_search(
-                    parse_graph6(line), args.budget, args.jobs)
-                row["settled_by"] = "search"
-                if certificate is not None:
-                    refutations.append((line, certificate))
+                row["status"] = "pass"
+                if verdict is not True:
+                    row["status"] = "FAIL"
+                    refutations.append((line, format_matching_file(
+                        verdict.matching, parse_graph6(line))))
         rows.append(row)
     checked = sum("settled_by" in row for row in rows)
     failures = len(refutations)
@@ -357,7 +341,7 @@ def build_parser() -> _Parser:
         return p
 
     p = command("cycles", cmd_cycles, "cycle spectrum and variant check", graph)
-    p.add_argument("--max-len", type=int, default=9)
+    p.add_argument("--max-len", type=_at_least(3), default=9)
 
     command("chi", cmd_chi, "chromatic number", graph)
 

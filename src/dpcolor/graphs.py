@@ -20,7 +20,7 @@ that vertex count on first use; tables grow as n**4 (74 KB at n = 16), so
 larger graphs are decoded one edge at a time.  filter_graph6 runs the
 census filters of dpcolor verify-theorem2 (connectivity, cycle filter) on
 them and returns them, not a Graph, for a line that passes; the planarity
-test and solver.k_core take them from there.
+test and solver.settle_dp take them from there.
 """
 
 from __future__ import annotations

@@ -52,17 +52,17 @@ prefix P but the last and maps that one lower, then sorted(sigma(P)) < P;
 adding elements to a multiset never raises its i-th smallest, so every
 leaf L below P has sorted(sigma(L)) < L.
 
-chi_list and chi_dp search only the k-core, in one loop over k (_least_k).
-chi_list settles k = 2 without a search, by the Erdos-Rubin-Taylor
-characterization of 2-choosable graphs (_two_choosable); is_k_choosable,
-and so chi-list --k 2, still walk the list systems at k = 2.  From k = 3
-chi_list settles each component by the smaller exact scan
-(_settle_choosable): a DP-k-colorable graph is k-choosable, since a list
-assignment is a cover whose matchings pair equal colors, so when the
-normalized DP space is no larger than the list systems the DP adversary
-runs first, and only a DP certificate, which proves nothing of lists,
-leaves the component to the list walk.  The budget counts the cases of
-both scans.
+A graph is settled at k in one place, _settle, on its neighbor bitmasks:
+an empty k-core passes without a search, else each of its components is
+settled in turn.  chi_dp and chi_list loop over k around it (_least_k),
+and verify-theorem2 calls it at k = 3 through settle_dp.  chi_list settles
+k = 2 by the Erdos-Rubin-Taylor characterization (_two_choosable); from
+k = 3 the DP adversary runs first when its normalized space is no larger
+than the list systems, since a DP-k-colorable graph is k-choosable, and
+only a DP certificate, which proves nothing of lists, leaves the component
+to the list walk (_settle_choosable).  is_k_choosable and
+is_dp_k_colorable, and so chi-list --k and chi-dp --k, search the whole
+graph.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .graphs import Graph, delete_vertices
+from .graphs import Graph, from_edge_list
 from .dp import Lists, MatchingAssignment, search_positions
 
 __all__ = [
@@ -81,9 +81,9 @@ __all__ = [
     "AdversaryCertificate",
     "DEFAULT_BUDGET",
     "chi",
-    "core_components",
     "k_core",
     "is_dp_k_colorable",
+    "settle_dp",
     "chi_dp",
     "is_k_choosable",
     "chi_list",
@@ -667,7 +667,7 @@ def _count_list_systems(groups: _ClassGroups, left: int, start: int,
 
 
 # ---------------------------------------------------------------------------
-# Least k, searched on the k-core.
+# Settling a graph at k on its k-core, and the least k.
 
 def k_core(masks, k: int) -> int:
     """The vertices of the k-core of the graph with these neighbor bitmasks
@@ -691,26 +691,30 @@ def k_core(masks, k: int) -> int:
     return core
 
 
-def core_components(g: Graph, k: int) -> list[Graph]:
-    """The components of the k-core of g (k_core), ordered by least vertex
-    and each relabelled in increasing vertex order."""
-    core = k_core(g.masks, k)
-    gone = [not core >> v & 1 for v in range(g.n)]
-    components = []  # each marks its vertices gone as it is found
-    for root in range(g.n):
-        if gone[root]:
-            continue
-        gone[root] = True
-        comp = [root]
-        for v in comp:
-            for u in g.adj[v]:
-                if not gone[u]:
-                    gone[u] = True
-                    comp.append(u)
-        keep = set(comp)
-        components.append(
-            delete_vertices(g, [v for v in range(g.n) if v not in keep])[0])
-    return components
+def _members(mask: int):
+    """The vertices of a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _core_components(masks, core: int):
+    """The components of the subgraph that the vertex bitmask core induces,
+    by least vertex, each as (its vertices in increasing order, the Graph
+    on them relabelled in that order)."""
+    while core:
+        comp, grown = 0, core & -core
+        while grown != comp:
+            comp = grown
+            for v in _members(comp):
+                grown |= masks[v] & core
+        core ^= comp
+        vertices = list(_members(comp))
+        place = {v: i for i, v in enumerate(vertices)}
+        yield vertices, from_edge_list([(place[v], place[u]) for v in vertices
+                                        for u in _members(masks[v] & comp)],
+                                       n=len(vertices))
 
 
 def _two_choosable(core: Graph) -> bool:
@@ -729,51 +733,70 @@ def _two_choosable(core: Graph) -> bool:
             and (core.masks[u] & core.masks[v]).bit_count() >= 2)
 
 
-def _least_k(g: Graph, k: int, settle, budget: int) -> int:
-    """The least k from the given one up at which settle(core, k, left)
-    finds every component of g's k-core True.  A vertex of degree < k can
-    be colored last from any k-list and in any k-fold cover, so g is
-    k-choosable, or DP-k-colorable, exactly when every such component is
-    (Erdos, Rubin and Taylor, 1979, for lists); an empty k-core, as at
-    every k past the degeneracy, settles k without a search.  chi_list
-    settles k = 2 itself (_two_choosable), so it asks this for no list
-    search at k = 2.
+def _settle(masks, k: int, settle, budget: int):
+    """Settle the graph with these neighbor bitmasks at k, as (verdict,
+    settled_by, vertices).  A vertex of degree < k can be colored last from
+    any k-list and in any k-fold cover, so the graph is k-choosable, or
+    DP-k-colorable, exactly when every component of its k-core is (Erdos,
+    Rubin and Taylor, 1979, for lists).  An empty k-core gives (True,
+    "core-empty", None) before any Graph is built.  Otherwise
+    settle(component, k, left) returns (verdict, attempted) for each
+    component in turn, with the budget the earlier ones left (attempted is
+    read only for True), so a BudgetExceeded counts every case of every
+    scan.  The first verdict that is not True comes back with "search" and
+    the component's input vertices, its vertex i the i-th; if none, (True,
+    "search", None)."""
+    core = k_core(masks, k)
+    if not core:
+        return True, "core-empty", None
+    left = budget
+    for vertices, component in _core_components(masks, core):
+        try:
+            verdict, attempted = settle(component, k, left)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(budget - left + exc.attempted) from None
+        if verdict is not True:
+            return verdict, "search", vertices
+        left -= attempted
+    return True, "search", None
 
-    settle returns (verdict, attempted): attempted, read only for a True
-    verdict, is the cases its scans attempted.  The components are settled
-    in turn, each with the budget the earlier ones left, so the budget
-    counts every case of every scan, and a BudgetExceeded reports them
-    all.  The callers' settle functions look the searches up on the module
-    when they run, so a wrapper set on the module sees every search.
-    """
-    while True:
-        left = budget
-        for core in core_components(g, k):
-            try:
-                verdict, attempted = settle(core, k, left)
-            except BudgetExceeded as exc:
-                raise BudgetExceeded(budget - left + exc.attempted) from None
-            if verdict is not True:
-                break
-            left -= attempted
-        else:
-            return k
+
+def _least_k(masks, k: int, settle, budget: int) -> int:
+    """The least k from the given one up that _settle finds True."""
+    while _settle(masks, k, settle, budget)[0] is not True:
         k += 1
+    return k
+
+
+def _settle_dp(component: Graph, k: int, left: int, jobs: int):
+    # looked up on the module at call time, so a wrapper there sees every
+    # search; a scan found True attempted every normalized case
+    return (is_dp_k_colorable(component, k, budget=left, jobs=jobs),
+            normalized_assignment_count(component, k))
+
+
+def settle_dp(masks, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1):
+    """Whether the graph with these neighbor bitmasks is DP-k-colorable, as
+    (verdict, settled_by) from _settle.  A certificate is the first failing
+    component's, relabelled to the input's vertices, with the empty
+    matching on every other edge.  Raises BudgetExceeded as _settle does."""
+    verdict, settled_by, vertices = _settle(
+        masks, k, functools.partial(_settle_dp, jobs=jobs), budget)
+    if verdict is not True:
+        verdict = AdversaryCertificate(kind="dp", k=k, matching=(
+            MatchingAssignment({
+                (u, v): verdict.matching.pairs(i, j)
+                for j, v in enumerate(vertices)
+                for i, u in enumerate(vertices[:j]) if masks[v] >> u & 1})))
+    return verdict, settled_by
 
 
 def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
-    """DP-chromatic number (exact): the least k at which the DP adversary
-    search returns True on every component of the k-core, each searched
-    with the budget the earlier ones left."""
+    """DP-chromatic number (exact): the least k at which settle_dp is True."""
     if g.n == 0:
         raise ValueError("DP-chromatic number of the empty graph is undefined")
-
-    def settle(core: Graph, k: int, left: int):
-        # a scan found True attempted every normalized case
-        return (is_dp_k_colorable(core, k, budget=left, jobs=jobs),
-                normalized_assignment_count(core, k))
-
-    return _least_k(g, 1, settle, budget)
+    return _least_k(g.masks, 1, functools.partial(_settle_dp, jobs=jobs),
+                    budget)
 
 
 def _certificate_place(g: Graph, certificate: AdversaryCertificate) -> int:
@@ -791,14 +814,16 @@ def _certificate_place(g: Graph, certificate: AdversaryCertificate) -> int:
 
 
 def _settle_choosable(core: Graph, k: int, left: int) -> tuple[object, int]:
-    """Whether a component of the k-core is k-choosable, by the smaller of
-    two exact scans, as (verdict, attempted).  A list assignment is a
-    cover whose matchings pair equal colors, so a DP-k-colorable graph is
-    k-choosable (Dvorak and Postle, 2018).  When the normalized DP space
-    is no larger than the component's list systems, the DP adversary runs
-    first: True settles the component.  A DP certificate says nothing of
-    lists (the converse fails, Bernshteyn and Kostochka), so the list walk
-    then runs on the budget the DP scan's cases left."""
+    """Whether a component of the k-core is k-choosable, as (verdict,
+    attempted); k = 2 by _two_choosable, with no search.  A list
+    assignment is a cover whose matchings pair equal colors, so a
+    DP-k-colorable graph is k-choosable (Dvorak and Postle, 2018).  When
+    the normalized DP space is no larger than the component's list
+    systems, the DP adversary runs first: True settles the component.  A
+    DP certificate says nothing of lists (the converse fails, Bernshteyn
+    and Kostochka), so the list walk then runs on the budget left."""
+    if k == 2:
+        return _two_choosable(core), 0
     systems = _count_list_systems(_ClassGroups(core, k),
                                   (1 << core.n * k) - 1, 0, {})
     covers = normalized_assignment_count(core, k)
@@ -815,19 +840,8 @@ def _settle_choosable(core: Graph, k: int, left: int) -> tuple[object, int]:
 
 
 def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Choosability (exact): the least k from chi up at which every
-    component of the k-core is k-choosable.  k = 2 is settled by
-    _two_choosable on each component of the 2-core, with no search, so
-    it takes none of the budget.  From k = 3 each component is settled by
-    _settle_choosable, with the budget the earlier ones left: by the DP
-    adversary when its space is no larger than the list systems and it
-    finds the component DP-k-colorable, else by the list walk.  The budget
-    counts the cases of both scans."""
+    """Choosability (exact): the least k from chi up at which _settle
+    finds every component of the k-core k-choosable (_settle_choosable)."""
     if g.n == 0:
         raise ValueError("choosability of the empty graph is undefined")
-    k = chi(g)
-    if k == 2:
-        if all(map(_two_choosable, core_components(g, 2))):
-            return 2
-        k = 3
-    return _least_k(g, k, _settle_choosable, budget)
+    return _least_k(g.masks, chi(g), _settle_choosable, budget)

@@ -58,7 +58,7 @@ def test_cycles_dodecahedron(tmp_path, capsys):
 
 def test_cycles_max_len(tmp_path, capsys):
     # lengths are printed up to --max-len, and the variants always come
-    # from lengths up to 9; below 3 is an input error
+    # from lengths up to 9; below 3 is a usage error
     g = from_edge_list([(i, (i + 1) % 6) for i in range(6)] + [(0, 2)])
     path = write(tmp_path, "g.g6", encode_graph6(g) + "\n")
     for max_len, shown in (("3", [3]), ("5", [3, 5]), ("12", [3, 5, 6])):
@@ -67,8 +67,8 @@ def test_cycles_max_len(tmp_path, capsys):
         assert out == (f"n=6 m=7\ncycle spectrum (<= {max_len}): {shown}\n"
                        f"forbidden-cycle variants satisfied: a\n")
     for max_len in ("2", "-1"):
-        assert run(capsys, "cycles", path, "--max-len", max_len) == (
-            3, "", "error: max_len must be at least 3\n")
+        code, out, err = run(capsys, "cycles", path, "--max-len", max_len)
+        assert code == 3 and not out and err.startswith("usage:"), max_len
 
 
 def test_chi_edge_list_input(tmp_path, capsys):
@@ -627,10 +627,10 @@ def pentagonal_prism():
 
 
 def test_verify_worker_searches_a_nonempty_core():
-    prism = pentagonal_prism()
-    assert dpcolor.cli._verify_search(prism, 0, 1) == ("budget", None)
-    assert dpcolor.cli._verify_search(
-        prism, dpcolor.solver.DEFAULT_BUDGET, 1) == ("pass", None)
+    masks = pentagonal_prism().masks
+    with pytest.raises(dpcolor.solver.BudgetExceeded):
+        dpcolor.solver.settle_dp(masks, 3, budget=0)
+    assert dpcolor.solver.settle_dp(masks, 3) == (True, "search")
 
 
 def test_verify_sidecar_says_how_each_candidate_was_settled(
@@ -665,6 +665,59 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
              "settled_by": "search"},
             {"graph6": lines[2], "status": "filtered:nonplanar"},
         ]
+
+
+def with_triangle_on_zero(g):
+    """g with a triangle on vertex 0 and two new vertices, which the 3-core
+    peel deletes."""
+    return from_edge_list(list(g.edges) + [(0, g.n), (0, g.n + 1),
+                                           (g.n, g.n + 1)])
+
+
+def test_verify_budget_counts_only_the_core(tmp_path, capsys, monkeypatch):
+    # the prism, the 3-core, has 6^6 = 46,656 normalized cases, the whole
+    # graph 6^7 = 279,936; the cycle filter is off, as the prism has
+    # 4-cycles
+    screen = dpcolor.cli.filter_graph6
+    monkeypatch.setattr(dpcolor.cli, "filter_graph6",
+                        lambda line, forbidden: screen(line, ()))
+    line = encode_graph6(with_triangle_on_zero(pentagonal_prism()))
+    stream = write(tmp_path, "stream.g6", line + "\n")
+    for budget, code, status, tally in (
+            ("46656", 0, "pass", "pass=1 fail=0 budget=0"),
+            ("46655", 2, "budget", "pass=0 fail=0 budget=1")):
+        assert run(capsys, "verify-theorem2", stream, "--variant", "a",
+                   "--budget", budget)[:2] == (
+            code, f"{line}\t{status}\n# checked=1 {tally}\n")
+
+
+def test_verify_certificate_replays_on_the_input(tmp_path, capsys,
+                                                 monkeypatch):
+    # K4 with a triangle on vertex 0: the 3-core is the K4, whose first
+    # failing cover is chi-dp's; the triangle's edges carry the empty
+    # matching, and the whole input is uncolorable under the certificate
+    screen = dpcolor.cli.filter_graph6
+    monkeypatch.setattr(dpcolor.cli, "filter_graph6",
+                        lambda line, forbidden: screen(line, ()))
+    g = with_triangle_on_zero(complete_graph(4))
+    line = encode_graph6(g)
+    stream = write(tmp_path, "stream.g6", line + "\n")
+    code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a")
+    assert code == 1
+    head, certificate = out.split(f"{line}\tFAIL\n")[0].split(":\n", 1)
+    assert head == f"refutation candidate {line}"
+    matching = write(tmp_path, "matching.txt", certificate)
+    assert run(capsys, "color", stream, "--matching", matching,
+               "--k", "3")[:2] == (1, "UNSATISFIABLE\n")
+    k4 = write(tmp_path, "k4.g6", encode_graph6(complete_graph(4)) + "\n")
+    k4_certificate = tmp_path / "k4.txt"
+    assert run(capsys, "chi-dp", k4, "--k", "3", "--certificate",
+               str(k4_certificate))[0] == 1
+    in_k4 = {True: [], False: []}
+    for ln in certificate.splitlines(keepends=True):
+        in_k4[max(map(int, ln.split(":")[0].split())) < 4].append(ln)
+    assert "".join(in_k4[True]) == k4_certificate.read_text()
+    assert in_k4[False] == ["0 4 : \n", "0 5 : \n", "4 5 : \n"]
 
 
 def test_verify_builds_a_graph_only_past_the_cycle_filter(

@@ -17,7 +17,6 @@ from dpcolor import (
     chi_list,
     complete_bipartite,
     complete_graph,
-    core_components,
     cycle_graph,
     delete_vertices,
     find_coloring,
@@ -35,8 +34,8 @@ from dpcolor import (
 )
 from dpcolor.solver import (_AUT_LIMIT, _ClassGroups, _GaugeOrbits,
                             _automorphisms, _certificate_place,
-                            _count_list_systems, _settle_choosable,
-                            _two_choosable)
+                            _core_components, _count_list_systems,
+                            _settle_choosable, _two_choosable)
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
                      brute_k_colorable, reference_choosable_scan,
@@ -206,6 +205,12 @@ def test_chi_fixes_the_clique_colors_on_mycielski5():
     value, steps = calls_of({solve}, lambda: chi(g))
     assert value == 5
     assert steps <= 3_000
+
+
+def core_components(g, k):
+    """The components of g's k-core as _settle builds them."""
+    masks = g.masks
+    return [core for _, core in _core_components(masks, k_core(masks, k))]
 
 
 def test_core_components():

@@ -30,7 +30,7 @@ PUBLIC = {
     ],
     "solver": [
         "BudgetExceeded", "AdversaryCertificate", "DEFAULT_BUDGET", "chi",
-        "core_components", "k_core", "is_dp_k_colorable", "chi_dp",
+        "k_core", "is_dp_k_colorable", "settle_dp", "chi_dp",
         "is_k_choosable", "chi_list", "normalized_assignment_count",
     ],
     "reducibility": [
@@ -49,7 +49,7 @@ PUBLIC = {
 }
 
 REMOVED = ["RuleVariant", "VARIANTS", "CycleSpectrum", "is_planar_masks",
-           "rotation_from_faces", "satisfied_variants"]
+           "rotation_from_faces", "satisfied_variants", "core_components"]
 
 
 def test_public_names_are_pinned_and_reexported():
