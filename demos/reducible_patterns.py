@@ -1,12 +1,12 @@
-"""Reducible configurations: find a pattern in a host, certify that any
-coloring of the rest extends across it, and run one extension by hand."""
+"""Reducible configurations: find a pattern in a host, decide exactly that
+any coloring of the rest extends across it, and run one extension by
+hand."""
 
 import random
 
 from dpcolor import (ConfigPattern, MatchingAssignment, certify_reducible,
-                     check_extension_order, extend_coloring, find_coloring,
-                     find_pattern, from_edge_list, pattern_to_json,
-                     uniform_lists)
+                     extend_coloring, find_coloring, find_pattern,
+                     from_edge_list, pattern_to_json, uniform_lists)
 
 # a triangle whose first vertex lies on nothing else
 pattern = ConfigPattern.build(
@@ -24,10 +24,11 @@ hits = find_pattern(host, pattern)
 print(f"occurrences in the host: {hits}")
 
 for image in hits:
-    order = [image[i] for i in pattern.order]
-    report = check_extension_order(host, order, 3)
-    print(f"  image {image}: conditions hold in the worst case? {report.ok}")
-print(f"certified reducible for k=3: {certify_reducible(host, pattern, 3)}")
+    # each vertex keeps 3 colors minus one per neighbor outside
+    sizes = [3 - len(host.adj[v] - set(image)) for v in image]
+    print(f"  image {image}: colors left per vertex {sizes}")
+# exact: each occurrence is DP-colorable from those many colors
+print(f"reducible for k=3: {certify_reducible(host, pattern, 3)}")
 print()
 
 # one concrete extension: color everything outside one occurrence, then extend

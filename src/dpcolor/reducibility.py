@@ -1,33 +1,32 @@
-"""Reducible-configuration machinery: residual lists, constructive extension,
+"""Reducible configurations: residual lists, one constructive extension,
 and pattern-driven certification.
 
 A configuration is reducible for k when any DP-k-coloring of the rest of
 the host extends across it, so it cannot occur in a vertex-minimal graph
-that is not DP-k-colorable.  The workhorse is an ordered-subgraph extension
-argument: order the configuration v1..vl so that v1 and vl are adjacent,
-vl has low degree and a neighbor outside, and every interior vertex sees at
-most k-1 already-colored vertices at its turn.  Then v1's color can be
-picked so it never constrains vl, the interior is colored greedily, and vl
-is colored last.
+that is not DP-k-colorable.  An occurrence on the vertex set S is
+reducible exactly when g[S] is DP-f-colorable for f(v) = k - |N_g(v) \\ S|:
+a colored neighbor outside takes at most one color of v's list, and
+maximal matchings are the worst case.  certify_reducible decides that on
+the solver's settle pipeline; this module makes no colorability decision
+of its own.  extend_coloring replays one extension along an order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
+from . import solver
 from .graphs import Graph
 from .dp import Lists, MatchingAssignment, is_valid_coloring
 
 __all__ = [
     "InvalidPartial",
     "ConditionsViolated",
-    "ExtensionCheck",
     "ConfigPattern",
     "residual_lists",
-    "check_extension_order",
     "extend_coloring",
-    "min_degree_extend",
     "find_pattern",
     "certify_reducible",
     "pattern_from_json",
@@ -82,54 +81,6 @@ def residual_lists(g: Graph, subset, lists: Lists,
                     avail.discard(p)
         out[v] = avail
     return out
-
-
-@dataclass(frozen=True)
-class ExtensionCheck:
-    """Outcome of the structural extension-order check: first_bad_interior
-    is the position in the order of the first interior vertex that fails
-    condition 3, or None when every one passes."""
-
-    ok: bool
-    condition1_guaranteed: bool
-    first_bad_interior: int | None = None
-
-
-def check_extension_order(g: Graph, order, k: int) -> ExtensionCheck:
-    """Check the extension conditions for an ordered subgraph, worst case.
-
-    Conditions 2 (deg(vl) <= k, vl has an outside neighbor) and 3 (every
-    interior vertex has at most k-1 neighbors among earlier-or-outside
-    vertices) are exact.  Condition 1 (|A(v1)| > |A(vl)| >= 1, v1 adjacent
-    to vl) is checked in guaranteed mode: over full matchings, a vertex
-    with no outside neighbor keeps all k colors, a vertex with at least one
-    loses at least one, and each outside neighbor removes at most one; so
-    the condition holds for every coloring of the rest exactly when v1 has
-    no outside neighbor and vl has between 1 and k-1.  Full matchings are
-    the worst case for a minimal non-colorable host, since any failing
-    assignment extends to a failing full one.
-    """
-    order = list(order)
-    subset = set(order)
-    if len(order) < 2 or len(subset) != len(order):
-        raise ValueError("order must list at least two distinct vertices")
-    v1, vl = order[0], order[-1]
-    out = {v: len(g.adj[v] - subset) for v in order}
-    guaranteed1 = (g.has_edge(v1, vl) and out[v1] == 0
-                   and 1 <= out[vl] <= k - 1)
-    cond2 = g.degree(vl) <= k and out[vl] >= 1
-    first_bad = None
-    earlier: set[int] = {v1}
-    for i, v in enumerate(order[1:-1], start=1):
-        if len(g.adj[v] & earlier) + out[v] > k - 1:
-            first_bad = i
-            break
-        earlier.add(v)
-    return ExtensionCheck(
-        ok=guaranteed1 and cond2 and first_bad is None,
-        condition1_guaranteed=guaranteed1,
-        first_bad_interior=first_bad,
-    )
 
 
 def extend_coloring(g: Graph, order, lists: Lists,
@@ -207,27 +158,13 @@ def extend_coloring(g: Graph, order, lists: Lists,
     return coloring
 
 
-def min_degree_extend(g: Graph, v: int, lists: Lists,
-                      matching: MatchingAssignment,
-                      partial: dict[int, int]) -> dict[int, int]:
-    """Extend a coloring of g - v across a vertex of degree below its list
-    size; at most deg(v) colors are forbidden, so one always remains."""
-    if g.degree(v) >= len(lists[v]):
-        raise ValueError(
-            f"degree {g.degree(v)} is not below list size {len(lists[v])}")
-    avail = residual_lists(g, {v}, lists, matching, partial)[v]
-    coloring = dict(partial)
-    coloring[v] = min(avail)
-    return coloring
-
-
 # ---------------------------------------------------------------------------
 # Patterns.
 
 @dataclass(frozen=True)
 class ConfigPattern:
     """A configuration: pattern graph, exact host degrees, and a designated
-    coloring order (certify_reducible searches orders instead).
+    coloring order, which certify_reducible does not consult.
 
     outside[i] counts the pattern vertex's neighbors outside the
     configuration, so pattern degree + outside = host degree.
@@ -245,6 +182,8 @@ class ConfigPattern:
     def build(edges, host_degree, order, name: str = "pattern") -> "ConfigPattern":
         host_degree = tuple(host_degree)
         size = len(host_degree)
+        if not size:
+            raise ValueError("a pattern needs at least one vertex")
         norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
         if any(not 0 <= u < v < size for u, v in norm):
             raise ValueError("pattern edges must join two distinct pattern "
@@ -365,41 +304,33 @@ def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
     return out
 
 
-def _extension_order(g: Graph, subset, k: int) -> list[int] | None:
-    """An order of subset that passes check_extension_order, or None: for
-    each v1, vl that pass the guaranteed condition 1 and condition 2, peel
-    the interior from the back, dropping each vertex with at most k - 1
-    neighbors among the rest, v1 and the outside.  Dropping only lowers
-    these counts, so an order exists exactly when the peel empties it, and
-    the interior is then the peeled vertices, last peeled first."""
-    subset = set(subset)
-    out = {v: len(g.adj[v] - subset) for v in subset}
-    for v1 in [v for v in subset if not out[v]]:
-        for vl in g.adj[v1] & subset:
-            if not 1 <= out[vl] <= k - 1 or g.degree(vl) > k:
-                continue
-            rest = subset - {v1, vl}
-            peeled: list[int] = []
-            while rest and (low := {
-                    v for v in rest
-                    if len(g.adj[v] & rest) + (v1 in g.adj[v]) + out[v] < k}):
-                rest -= low
-                peeled[:0] = sorted(low)
-            if not rest:
-                return [v1, *peeled, vl]
-    return None
-
-
 def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:
-    """True when every occurrence of the pattern in g has an order of its
-    vertices that passes the extension check in guaranteed mode
-    (_extension_order), so the pattern cannot occur in a minimal
-    non-DP-k-colorable graph shaped like g.  The pattern's own order is
-    not consulted: the search finds an order whenever any order passes.
-
-    A single-vertex pattern certifies by the low-degree rule alone.
+    """True when every occurrence of the pattern in g is reducible for k,
+    exactly, by the module docstring's rule: one with f(v) <= 0 somewhere
+    is not, and solver._settle decides each distinct (edges, f) of the
+    others once, on g[image] in the order of the image.  The first
+    occurrence that is not reducible stops the check.  One DEFAULT_BUDGET
+    covers the whole call, counted as _settle counts components; past it,
+    BudgetExceeded.  The pattern's order is not consulted.
     """
-    if pat.size == 1:
-        return pat.host_degree[0] < k
-    return all(_extension_order(g, image, k) is not None
-               for image in find_pattern(g, pat))
+    settle = functools.partial(solver._settle_dp, jobs=1)
+    left, settled = solver.DEFAULT_BUDGET, set()
+    for image in find_pattern(g, pat):
+        place = {v: i for i, v in enumerate(image)}
+        f = tuple(k - sum(u not in place for u in g.adj[v]) for v in image)
+        if min(f) <= 0:
+            return False
+        masks = tuple(sum(1 << place[u] for u in g.adj[v] if u in place)
+                      for v in image)
+        if (masks, f) in settled:
+            continue
+        try:
+            verdict, _, _, spent = solver._settle(masks, f, settle, left)
+        except solver.BudgetExceeded as exc:
+            raise solver.BudgetExceeded(
+                solver.DEFAULT_BUDGET - left + exc.attempted) from None
+        if verdict is not True:
+            return False
+        settled.add((masks, f))
+        left -= spent
+    return True

@@ -26,16 +26,21 @@ walk with exactly budget attempted if that passes the budget.  So the
 verdict, the first certificate and the count at every budget are those of
 a plain scan (tests/oracles.py has one for each adversary).
 
-The DP walk (_scan_block) tries full permutation matchings with the
-identity on a spanning forest, which keeps the verdict: adding pairs to a
-matching only adds cover-graph edges, and relabeling colors at a vertex
-re-indexes matchings.  A choice is one of the k! permutations on the next
-non-tree edge, so r edges left hold (k!)^r leaves.  A witness fits a
-permutation that does not match its colors at the edge's ends; within
-holds every witness at the leaves and none above.  The group relabels all
-vertices by one pi, mapping each permutation s to pi s pi^-1.  A --jobs
-block may skip leaves whose conjugates lie in an earlier block; the merge
-keeps its result only when every earlier block was colorable.
+The DP walk (_scan_block) tries covers on list sizes f(v) made of maximal
+matchings, which keeps the verdict: adding pairs to a matching only adds
+cover-graph edges.  A non-tree edge of a spanning forest takes each
+injection of the smaller list into the larger, the k! permutations at
+f = k.  Relabeling colors at a vertex re-indexes matchings, so a tree
+edge into a child with at least as many colors as its parent carries the
+identity; one into fewer keeps C(f(parent), f(child)) choices, as the
+relabeling cannot move which parent colors it hits.  A choice is a
+matching on the next edge with choices, so r non-tree edges at f = k hold
+(k!)^r leaves.  A witness fits a matching that does not match its colors
+at the edge's ends; within holds every witness at the leaves and none
+above.  At f = k the group relabels all vertices by one pi, mapping each
+permutation s to pi s pi^-1.  A --jobs block may skip leaves whose
+conjugates lie in an earlier block; the merge keeps its result only when
+every earlier block was colorable.
 
 The list walk (is_k_choosable) tries list systems up to color renaming.
 Splitting a color whose support induces a disconnected subgraph into one
@@ -52,15 +57,19 @@ prefix P but the last and maps that one lower, then sorted(sigma(P)) < P;
 adding elements to a multiset never raises its i-th smallest, so every
 leaf L below P has sorted(sigma(L)) < L.
 
-A graph is settled at k in one place, _settle, on its neighbor bitmasks:
-an empty k-core passes without a search, else each of its components is
+A graph is settled in one place, _settle, on its neighbor bitmasks and
+list sizes, k at every vertex or one size f(v) per vertex: the peel
+(_peel) deletes vertices of degree below their size, and what it leaves
+passes without a search when empty, else each of its components is
 settled in turn.  chi_dp and chi_list loop over k around it (_least_k),
-and verify-theorem2 calls it at k = 3 through settle_dp.  chi_list settles
-k = 2 by the Erdos-Rubin-Taylor characterization (_two_choosable); from
-k = 3 the DP adversary runs first when its normalized space is no larger
-than the list systems, since a DP-k-colorable graph is k-choosable, and
-only a DP certificate, which proves nothing of lists, leaves the component
-to the list walk (_settle_choosable).  is_k_choosable and
+verify-theorem2 calls it at k = 3 through settle_dp, and
+reducibility.certify_reducible on the sizes an occurrence leaves.
+chi_list settles k = 2 by the Erdos-Rubin-Taylor characterization
+(_two_choosable); from k = 3 the DP adversary runs first when its
+normalized space is no larger than the list systems, since a
+DP-k-colorable graph is k-choosable, and only a DP certificate, which
+proves nothing of lists, leaves the component to the list walk
+(_settle_choosable).  is_k_choosable and
 is_dp_k_colorable, and so chi-list --k and chi-dp --k, search the whole
 graph.
 """
@@ -185,9 +194,11 @@ def chi(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # The orderly walk, and the DP adversary search on it.
 
-def _spanning_forest(g: Graph) -> set[tuple[int, int]]:
+def _spanning_forest(g: Graph) -> dict[tuple[int, int], int]:
+    """The depth-first spanning forest as a map from each tree edge (u, v),
+    u < v, to its child end."""
     seen = [False] * g.n
-    tree: set[tuple[int, int]] = set()
+    tree: dict[tuple[int, int], int] = {}
     for root in range(g.n):
         if seen[root]:
             continue
@@ -198,7 +209,7 @@ def _spanning_forest(g: Graph) -> set[tuple[int, int]]:
             for u in sorted(g.adj[v]):
                 if not seen[u]:
                     seen[u] = True
-                    tree.add((u, v) if u < v else (v, u))
+                    tree[(u, v) if u < v else (v, u)] = u
                     stack.append(u)
     return tree
 
@@ -310,6 +321,25 @@ def _orderly_walk(orbits: _OrbitTable, expand, alive, within, count, kernel,
     return None, attempted
 
 
+def _matchings(key) -> tuple[list, list]:
+    """The choices on an edge (u, v) with key = (a, b, pick), a colors at u
+    and b at v: each injection of the smaller range into the larger that
+    pick(range(larger), smaller) gives, or the identity alone if pick is
+    None, as dart tables for search_positions in two lists, fwd and bwd.
+    fwd[i][c] is the position at v that the i-th matches with c at u, or
+    -1, and bwd[i] the same from v."""
+    a, b, pick = key
+    low, high = min(a, b), max(a, b)
+    maps = list(pick(range(high), low)) if pick else [tuple(range(low))]
+    backs = []
+    for p in maps:
+        back = [-1] * high
+        for i, j in enumerate(p):
+            back[j] = i
+        backs.append(tuple(back))
+    return (maps, backs) if a <= b else (backs, maps)
+
+
 class _GaugeOrbits(_OrbitTable):
     """The orbit table of the DP walk: perms, the permutations of range(k)
     in itertools order, under simultaneous conjugation s -> pi s pi^-1 by
@@ -318,9 +348,7 @@ class _GaugeOrbits(_OrbitTable):
     one, so only the members of eq can still map it lower."""
 
     def __init__(self, k: int):
-        self.perms = list(itertools.permutations(range(k)))
-        self.inv = [tuple(sorted(range(k), key=p.__getitem__))
-                    for p in self.perms]
+        self.perms, self.inv = _matchings((k, k, itertools.permutations))
         self.index = {p: i for i, p in enumerate(self.perms)}
         super().__init__(self.conj, range(1, len(self.perms)))
 
@@ -330,37 +358,53 @@ class _GaugeOrbits(_OrbitTable):
         return self.index[tuple([p[s[c]] for c in self.inv[pi]])]
 
 
-def _scan_block(g: Graph, k: int, first_indices, budget: int
+def _scan_block(g: Graph, sizes, first_indices, budget: int
                 ) -> tuple[str, MatchingAssignment | None, int]:
-    """Scan the normalized assignments whose first non-tree edge uses one of
-    first_indices (positions in itertools.permutations(range(k))) on
-    _orderly_walk.  Returns (status, certificate-or-None, attempted) with
-    status in {"ok", "cert", "budget"}, so a pool can return it.
+    """Scan the normalized covers of g with sizes[v] colors at v on
+    _orderly_walk: those whose first free edge takes one of first_indices,
+    or all when it is None.  Returns (status, certificate-or-None,
+    attempted) with status in {"ok", "cert", "budget"}, so a pool can
+    return it.
     """
-    nontree = sorted(g.edges - _spanning_forest(g))
-    orbits = _GaugeOrbits(k)
-    perms, inv = orbits.perms, orbits.inv
+    tree = _spanning_forest(g)
+    uniform = len(set(sizes)) == 1
+    orbits = _GaugeOrbits(sizes[0]) if uniform else _OrbitTable(None, ())
+    made = _Lazy(_matchings)
+    if uniform:  # choice i on a non-tree edge is the orbit table's perms[i]
+        made[sizes[0], sizes[0], itertools.permutations] = (orbits.perms,
+                                                            orbits.inv)
+    part, free, rows = {}, [], []
+    for u, v in sorted(g.edges):
+        child = tree.get((u, v))
+        pick = (itertools.permutations if child is None
+                else itertools.combinations
+                if sizes[child] < max(sizes[u], sizes[v]) else None)
+        fwd, bwd = made[sizes[u], sizes[v], pick]
+        part[(u, v)], part[(v, u)] = fwd[0], bwd[0]
+        if pick:
+            free.append((u, v))
+            rows.append((fwd, bwd))
     adj = [sorted(g.adj[v]) for v in range(g.n)]
-    sizes = [k] * g.n
-    part = {dart: perms[0] for u, v in g.edges for dart in ((u, v), (v, u))}
-    # no non-tree edge leaves one assignment, all identity: one leaf
-    depth, nperm = len(nontree) or 1, len(perms)
+    # no free edge leaves one cover, the first of each edge: one leaf
+    counts = [len(fwd) for fwd, _ in rows] or [1]
+    depth = len(counts)
     # inner choices at every depth but the last, whose choices are leaves
-    choices = [list(first_indices) if nontree else [0]]
-    choices += [range(nperm)] * (depth - 1)
+    choices = [range(c) for c in counts]
+    if first_indices is not None:
+        choices[0] = list(first_indices)
     levels = [((), c) for c in choices[:-1]] + [(choices[-1], ())]
-    below = [nperm ** (depth - 1 - d) for d in range(depth)]
-    alive = [[0] * nperm for _ in range(depth)]
+    below = [math.prod(counts[d + 1:]) for d in range(depth)]
+    alive = [[0] * c for c in counts]
 
     def kernel(leaf):
-        for (u, v), i in zip(nontree, leaf):
-            part[(u, v)], part[(v, u)] = perms[i], inv[i]
+        for (u, v), (fwd, bwd), i in zip(free, rows, leaf):
+            part[(u, v)], part[(v, u)] = fwd[i], bwd[i]
         return search_positions(adj, sizes, part)
 
     def witness(coloring, bit: int) -> None:
-        for row, (u, v) in zip(alive, nontree):
+        for row, (u, v), (fwd, _) in zip(alive, free, rows):
             cu, cv = coloring[u], coloring[v]
-            for i, p in enumerate(perms):
+            for i, p in enumerate(fwd):
                 if p[cu] != cv:
                     row[i] |= bit
 
@@ -372,8 +416,11 @@ def _scan_block(g: Graph, k: int, first_indices, budget: int
         return "budget", None, exc.attempted
     if leaf is None:
         return "ok", None, attempted
-    chosen = {e: perms[i] for e, i in zip(nontree, leaf)}
-    matching = MatchingAssignment.from_permutations(g, k, chosen)
+    for e, (fwd, _), i in zip(free, rows, leaf):
+        part[e] = fwd[i]
+    matching = MatchingAssignment({
+        e: tuple((i, j) for i, j in enumerate(part[e]) if j >= 0)
+        for e in g.edges})
     return "cert", matching, attempted
 
 
@@ -390,11 +437,11 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    nperm = math.factorial(k)
+    nperm, sizes = math.factorial(k), (k,) * g.n
     # a space of one case has no first edge to split
     if jobs <= 1 or normalized_assignment_count(g, k) < max(
             _POOL_MIN_WORK * nperm, 2):
-        results = [_scan_block(g, k, range(nperm), budget)]
+        results = [_scan_block(g, sizes, None, budget)]
     else:
         # one block from each first choice the start orbit row keeps to the
         # next; each gets the full budget, as none knows how far those
@@ -402,7 +449,7 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
         orbits = _GaugeOrbits(k)
         kept = [i for i in range(nperm) if orbits[orbits.start][i] >= 0]
         blocks = [range(a, z) for a, z in zip(kept, kept[1:] + [nperm])]
-        scan = functools.partial(_scan_block, g, k, budget=budget)
+        scan = functools.partial(_scan_block, g, sizes, budget=budget)
         with _pool(min(jobs, len(blocks))) as pool:
             results = list(pool.map(scan, blocks))
     # merge in block order with cumulative counts: a block's result stands
@@ -667,14 +714,13 @@ def _count_list_systems(groups: _ClassGroups, left: int, start: int,
 
 
 # ---------------------------------------------------------------------------
-# Settling a graph at k on its k-core, and the least k.
+# Settling a graph on what its peel by list sizes leaves, and the least k.
 
-def k_core(masks, k: int) -> int:
-    """The vertices of the k-core of the graph with these neighbor bitmasks
-    (as Graph.masks), as a bitmask: what is left after deleting vertices
-    of degree < k until none is left."""
-    degs = [mask.bit_count() for mask in masks]
-    stack = [v for v, d in enumerate(degs) if d < k]
+def _peel(masks, slack) -> int:
+    """What is left, as a bitmask, of the graph with these neighbor bitmasks
+    (as Graph.masks) after deleting a vertex v with slack[v] < 0 until none
+    is; slack, each degree minus its list size, is lowered in place."""
+    stack = [v for v, d in enumerate(slack) if d < 0]
     core = (1 << len(masks)) - 1
     for v in stack:
         core ^= 1 << v
@@ -684,11 +730,18 @@ def k_core(masks, k: int) -> int:
             bit = nbrs & -nbrs
             nbrs ^= bit
             u = bit.bit_length() - 1
-            degs[u] -= 1
-            if degs[u] < k:
+            slack[u] -= 1
+            if slack[u] < 0:
                 core ^= bit
                 stack.append(u)
     return core
+
+
+def k_core(masks, k: int) -> int:
+    """The vertices of the k-core of the graph with these neighbor bitmasks
+    (as Graph.masks), as a bitmask: what is left after deleting vertices
+    of degree < k until none is left."""
+    return _peel(masks, [mask.bit_count() - k for mask in masks])
 
 
 def _members(mask: int):
@@ -733,32 +786,36 @@ def _two_choosable(core: Graph) -> bool:
             and (core.masks[u] & core.masks[v]).bit_count() >= 2)
 
 
-def _settle(masks, k: int, settle, budget: int):
-    """Settle the graph with these neighbor bitmasks at k, as (verdict,
-    settled_by, vertices).  A vertex of degree < k can be colored last from
-    any k-list and in any k-fold cover, so the graph is k-choosable, or
-    DP-k-colorable, exactly when every component of its k-core is (Erdos,
-    Rubin and Taylor, 1979, for lists).  An empty k-core gives (True,
-    "core-empty", None) before any Graph is built.  Otherwise
-    settle(component, k, left) returns (verdict, attempted) for each
-    component in turn, with the budget the earlier ones left (attempted is
-    read only for True), so a BudgetExceeded counts every case of every
+def _settle(masks, f, settle, budget: int):
+    """Settle the graph with these neighbor bitmasks on list sizes f, an
+    int k or a tuple of one size per vertex, as (verdict, settled_by,
+    vertices, attempted).  A vertex with degree < f(v) can be colored last
+    from any list and in any cover, so the graph is f-choosable, or
+    DP-f-colorable, exactly when every component of what _peel leaves is
+    (Erdos, Rubin and Taylor, 1979, for lists).  If that is empty, (True,
+    "core-empty", None, 0) comes back before any Graph is built.  Else
+    settle(component, f on it, left) returns (verdict, attempted) for each
+    component in turn, with the budget the earlier ones left (attempted
+    is read only for True), so a BudgetExceeded counts every case of every
     scan.  The first verdict that is not True comes back with "search" and
     the component's input vertices, its vertex i the i-th; if none, (True,
-    "search", None)."""
-    core = k_core(masks, k)
+    "search", None, attempted)."""
+    uniform = isinstance(f, int)
+    core = (k_core(masks, f) if uniform
+            else _peel(masks, [m.bit_count() - x for m, x in zip(masks, f)]))
     if not core:
-        return True, "core-empty", None
+        return True, "core-empty", None, 0
     left = budget
     for vertices, component in _core_components(masks, core):
+        sizes = f if uniform else tuple(f[v] for v in vertices)
         try:
-            verdict, attempted = settle(component, k, left)
+            verdict, attempted = settle(component, sizes, left)
         except BudgetExceeded as exc:
             raise BudgetExceeded(budget - left + exc.attempted) from None
         if verdict is not True:
-            return verdict, "search", vertices
+            return verdict, "search", vertices, budget - left
         left -= attempted
-    return True, "search", None
+    return True, "search", None, budget - left
 
 
 def _least_k(masks, k: int, settle, budget: int) -> int:
@@ -768,11 +825,23 @@ def _least_k(masks, k: int, settle, budget: int) -> int:
     return k
 
 
-def _settle_dp(component: Graph, k: int, left: int, jobs: int):
-    # looked up on the module at call time, so a wrapper there sees every
-    # search; a scan found True attempted every normalized case
-    return (is_dp_k_colorable(component, k, budget=left, jobs=jobs),
-            normalized_assignment_count(component, k))
+def _settle_dp(component: Graph, f, left: int, jobs: int):
+    """Whether a component is DP-f-colorable, as (verdict, attempted): at an
+    int by is_dp_k_colorable, looked up on the module at call time so a
+    wrapper there sees every search, else by a scan whose certificate's
+    lists are range(f(v))."""
+    if isinstance(f, int):
+        # a scan found True attempted every normalized case
+        return (is_dp_k_colorable(component, f, budget=left, jobs=jobs),
+                normalized_assignment_count(component, f))
+    status, matching, attempted = _scan_block(component, f, None, left)
+    if status == "budget":
+        raise BudgetExceeded(attempted)
+    if status == "ok":
+        return True, attempted
+    return AdversaryCertificate(
+        kind="dp", k=max(f), matching=matching,
+        lists=tuple(tuple(range(x)) for x in f)), attempted
 
 
 def settle_dp(masks, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1):
@@ -780,7 +849,7 @@ def settle_dp(masks, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1):
     (verdict, settled_by) from _settle.  A certificate is the first failing
     component's, relabelled to the input's vertices, with the empty
     matching on every other edge.  Raises BudgetExceeded as _settle does."""
-    verdict, settled_by, vertices = _settle(
+    verdict, settled_by, vertices, _ = _settle(
         masks, k, functools.partial(_settle_dp, jobs=jobs), budget)
     if verdict is not True:
         verdict = AdversaryCertificate(kind="dp", k=k, matching=(
@@ -807,7 +876,7 @@ def _certificate_place(g: Graph, certificate: AdversaryCertificate) -> int:
     index = {p: i for i, p in enumerate(
         itertools.permutations(range(certificate.k)))}
     place = 0
-    for u, v in sorted(g.edges - _spanning_forest(g)):
+    for u, v in sorted(g.edges - _spanning_forest(g).keys()):
         sigma = tuple(b for _, b in certificate.matching.pairs(u, v))
         place = place * len(index) + index[sigma]
     return place + 1

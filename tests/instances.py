@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-from dpcolor import (MatchingAssignment, check_extension_order, find_coloring,
-                     from_edge_list, uniform_lists)
+from dpcolor import (MatchingAssignment, find_coloring, from_edge_list,
+                     uniform_lists)
 
 
 def random_full_matching(rng: random.Random, g, k: int) -> MatchingAssignment:
@@ -37,7 +37,14 @@ def random_extension_instance(rng: random.Random, k: int = 3):
             edges.append((v, rng.choice(outside)))
     g = from_edge_list(edges, n=ell + n_out)
     order = list(range(ell))
-    assert check_extension_order(g, order, k).ok
+    # the extension conditions: v1 = 0 has no neighbor outside; vl, its
+    # neighbor, has degree at most k and 1 to k - 1 neighbors outside; and
+    # each interior vertex sees at most k - 1 earlier or outside vertices
+    out = [len(g.adj[v] - set(order)) for v in order]
+    assert g.has_edge(0, ell - 1) and out[0] == 0
+    assert g.degree(ell - 1) <= k and 1 <= out[-1] <= k - 1
+    assert all(len(g.adj[v] & set(order[:i])) + out[i] <= k - 1
+               for i, v in enumerate(order[1:-1], start=1))
     lists = uniform_lists(g.n, k)
     while True:
         matching = random_full_matching(rng, g, k)
@@ -52,31 +59,3 @@ def random_extension_instance(rng: random.Random, k: int = 3):
         if coloring is not None:
             partial = {outside[i]: coloring[i] for i in range(n_out)}
             return g, order, lists, matching, partial
-
-
-def random_low_degree_instance(rng: random.Random, k: int = 3):
-    """A graph with a designated vertex of degree < k, a random full
-    matching, and a coloring of everything else.
-    Returns (g, v, lists, matching, partial)."""
-    while True:
-        n = rng.randint(3, 7)
-        edges = []
-        for i in range(n - 1):
-            for j in range(i + 1, n - 1):
-                if rng.random() < 0.45:
-                    edges.append((i, j))
-        v = n - 1
-        nbrs = rng.sample(range(n - 1), rng.randint(0, k - 1))
-        edges += [(u, v) for u in nbrs]
-        g = from_edge_list(edges, n=n)
-        lists = uniform_lists(n, k)
-        matching = random_full_matching(rng, g, k)
-        rest_edges = [(a, b) for a, b in g.edges if v not in (a, b)]
-        rest = from_edge_list(rest_edges, n=n - 1)
-        rest_matching = MatchingAssignment({
-            (a, b): matching.pairs(a, b) for a, b in rest_edges
-        })
-        coloring = find_coloring(rest, uniform_lists(n - 1, k), rest_matching)
-        if coloring is not None:
-            partial = {u: coloring[u] for u in range(n - 1)}
-            return g, v, lists, matching, partial

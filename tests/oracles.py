@@ -8,12 +8,13 @@ done explicitly on one matching assignment, and
 automorphisms_by_permutation the symmetry that the choosability walk
 prunes by.  decode_graph6_pairs and reference_core_components are the
 pair-list graph6 decoder and the adjacency-set k-core peel that the
-bitmask versions in dpcolor.graphs and dpcolor.solver replaced, and
-any_extension_order the loop over every vertex order that the exact order
-search in dpcolor.reducibility replaced.  replay_charges redoes a
-discharging run's transfer log one Fraction at a time from the start
-charges, the arithmetic that the integer charge ledger in
-dpcolor.discharging replaced."""
+bitmask versions in dpcolor.graphs and dpcolor.solver replaced.
+slow_dp_f_verdict is DP-f-colorability on per-vertex list sizes, by every
+maximal-matching cover and every coloring: what the DP scan on sizes and
+certify_reducible decide.  replay_charges redoes a discharging run's
+transfer log one Fraction at a time from the start charges, the
+arithmetic that the integer charge ledger in dpcolor.discharging
+replaced."""
 
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from fractions import Fraction
 
 from dpcolor import (BudgetExceeded, ChargeState, DEFAULT_BUDGET, Graph,
                      InvalidMatching, MatchingAssignment, PlaneEmbedding,
-                     check_extension_order, find_coloring,
-                     from_list_assignment, is_valid_coloring,
+                     find_coloring, from_list_assignment, is_valid_coloring,
                      uniform_lists)
 
 
@@ -311,11 +311,23 @@ def all_injections_matching(g: Graph, pattern) -> list[tuple[int, ...]]:
     return out
 
 
-def any_extension_order(g: Graph, vertices, k: int) -> bool:
-    """Whether some ordering of vertices passes check_extension_order,
-    trying all of them."""
-    return any(check_extension_order(g, order, k).ok
-               for order in itertools.permutations(vertices))
+def slow_dp_f_verdict(g: Graph, f) -> bool:
+    """DP-f-colorability with f[v] colors, range(f[v]), at v: every cover
+    made of maximal matchings, each edge taking every injection of the
+    smaller list into the larger with no normalization, and every
+    coloring of each cover."""
+    edges = sorted(g.edges)
+    options = []
+    for u, v in edges:
+        if f[u] <= f[v]:
+            options.append([set(zip(range(f[u]), p)) for p in
+                            itertools.permutations(range(f[v]), f[u])])
+        else:
+            options.append([set(zip(p, range(f[v]))) for p in
+                            itertools.permutations(range(f[u]), f[v])])
+    lists = [range(x) for x in f]
+    return all(brute_has_coloring(g, lists, dict(zip(edges, choice)))
+               for choice in itertools.product(*options))
 
 
 def subset_degeneracy(g: Graph) -> int:

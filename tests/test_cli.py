@@ -231,8 +231,8 @@ def test_find_config_command(tmp_path, capsys):
 
 
 def test_find_config_has_one_path_and_no_switches(tmp_path, capsys):
-    # a pendant vertex of a triangle: the low-degree rule certifies it, and
-    # the removed switches are usage errors
+    # a pendant vertex of a triangle keeps two of its three colors, so it
+    # is reducible, and the removed switches are usage errors
     graph = write(tmp_path, "g.edges", "0 1\n1 2\n0 2\n2 3\n")
     pattern = write(tmp_path, "pat.json", json.dumps({
         "vertices": [{"hostDegree": 1, "outsideNeighbors": 1}],
@@ -249,7 +249,7 @@ def test_find_config_has_one_path_and_no_switches(tmp_path, capsys):
 
 def test_find_config_searches_orders_of_nine_vertices(tmp_path, capsys):
     # a 9-cycle whose vertex 8 has one neighbor outside; the designated
-    # order starts at vertex 8 and fails, but a searched order certifies it
+    # order, which starts at vertex 8, is not consulted
     graph = write(tmp_path, "g.edges", "".join(
         f"{v} {(v + 1) % 9}\n" for v in range(9)) + "8 9\n")
     pattern = write(tmp_path, "pat.json", json.dumps({
@@ -266,8 +266,8 @@ def test_find_config_searches_orders_of_nine_vertices(tmp_path, capsys):
 
 
 def test_find_config_certifies_along_a_searched_order(tmp_path, capsys):
-    # the designated order [1, 2, 0] fails the extension check, and the
-    # order search certifies the pattern all the same
+    # the designated order [1, 2, 0] fails the extension conditions, and
+    # the exact check, which does not consult it, certifies the pattern
     graph = write(tmp_path, "g.edges", "0 1\n1 2\n0 2\n1 3\n2 3\n")
     pattern = write(tmp_path, "pat.json", json.dumps({
         "name": "reversed",
@@ -891,6 +891,11 @@ def test_malformed_files_are_one_error_line(tmp_path, capsys):
         ["color", p3, "--matching", write(tmp_path, "n.txt", "-1 2 : 0-1\n"),
          "--k", "2"],
         ["find-config", p3, "--pattern", write(tmp_path, "pat.json", "[]\n")],
+        ["find-config", p3, "--pattern", write(tmp_path, "empty.json", json.dumps(
+            {"name": "empty", "vertices": [], "edges": []}))],
+        ["discharge", write(tmp_path, "c3.json", json.dumps(
+            {"n": 3, "rotation": [[1, 2], [2, 0], [0, 1]]})), "--variant", "a",
+         "--pattern", str(tmp_path / "empty.json")],
         ["find-config", p3, "--pattern", write(tmp_path, "loop.json", json.dumps(
             {"vertices": [{"hostDegree": 2, "outsideNeighbors": 0}] * 2,
              "edges": [[0, 1], [0, 5]]}))],

@@ -15,10 +15,10 @@ import string
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dpcolor import (MatchingAssignment, brute_force_embed, delete_vertices,
-                     dump_embedding, encode_graph6, find_coloring,
-                     from_edge_list, is_valid_coloring, parse_matching_file,
-                     uniform_lists)
+from dpcolor import (MatchingAssignment, brute_force_embed, cycle_graph,
+                     delete_vertices, dump_embedding, encode_graph6,
+                     find_coloring, from_edge_list, is_valid_coloring,
+                     parse_matching_file, uniform_lists)
 from dpcolor.cli import _read_graph, main
 from fixtures import cube, cycle_embedding, tetrahedron
 
@@ -50,6 +50,11 @@ def connected_graphs(draw):
                                     st.integers(0, n - 1))
                           .filter(lambda e: e[0] != e[1]), max_size=6))
     return from_edge_list(tree + extra, n=n)
+
+
+#: K2,2,2: at k = 4 the exact check cannot settle it within the budget
+octahedron = from_edge_list([(u, v) for u in range(6) for v in range(u + 1, 6)
+                             if u // 2 != v // 2])
 
 
 def edge_text(g):
@@ -237,13 +242,22 @@ def test_extend_contract(tmp_path, inputs, matching, k):
 @CONTRACT
 @given(graph=mix(connected_graphs().map(encode_graph6), graph_files),
        pattern=patterns, k=st.integers(1, 4))
+@example(graph=encode_graph6(cycle_graph(3)), k=3,
+         pattern=json.dumps({"name": "empty", "vertices": [], "edges": []}))
+@example(graph=encode_graph6(octahedron), k=4, pattern=json.dumps({
+    "vertices": [{"hostDegree": 4, "outsideNeighbors": 0}] * 6,
+    "edges": sorted(map(list, octahedron.edges))}))
 def test_find_config_contract(tmp_path, graph, pattern, k):
     # a run that reads its input ends on the verdict, and exits 1 only
-    # when an occurrence goes uncertified
-    code, out, _ = run("find-config", write(tmp_path / "g", graph),
-                       "--pattern", write(tmp_path / "pat.json", pattern),
-                       "--k", k)
-    if code != 3:
+    # when an occurrence goes uncertified, or 2 when the exact check runs
+    # out of budget before its verdict
+    code, out, err = run("find-config", write(tmp_path / "g", graph),
+                         "--pattern", write(tmp_path / "pat.json", pattern),
+                         "--k", k)
+    if code == 2:
+        assert not out.splitlines()[-1].startswith("reducible for"), out
+        assert err.startswith("budget exceeded"), err
+    elif code != 3:
         verdict = out.splitlines()[-1]
         assert verdict in (f"reducible for k={k}: yes",
                            f"reducible for k={k}: no"), out

@@ -1,15 +1,19 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
 
 from dpcolor import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
     ConditionsViolated,
     ConfigPattern,
     InvalidPartial,
     MatchingAssignment,
-    check_extension_order,
     certify_reducible,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     delete_vertices,
@@ -17,17 +21,17 @@ from dpcolor import (
     find_coloring,
     find_pattern,
     from_edge_list,
+    is_connected,
     is_valid_coloring,
-    min_degree_extend,
     pattern_from_json,
     pattern_to_json,
     residual_lists,
     uniform_lists,
 )
-from instances import (random_extension_instance, random_full_matching,
-                       random_low_degree_instance)
-from dpcolor.reducibility import _extension_order
-from oracles import all_injections_matching, any_extension_order
+import dpcolor.solver
+from instances import random_extension_instance, random_full_matching
+from oracles import all_injections_matching, slow_dp_f_verdict
+from smallgraphs import connected_graphs
 
 
 def test_residual_lists_no_outside_neighbors():
@@ -56,44 +60,6 @@ def test_residual_lists_rejects_bad_partial():
         residual_lists(g, {2}, lists, m, {0: 0, 1: 0})
     with pytest.raises(InvalidPartial):
         residual_lists(g, {2}, lists, m, {0: 0})  # vertex 1 uncovered
-
-
-def test_check_extension_order_guaranteed():
-    # 4-cycle configuration, first vertex fully inside, last with one
-    # outside neighbor, interiors with at most one
-    g = from_edge_list([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (1, 4)])
-    report = check_extension_order(g, [0, 1, 2, 3], 3)
-    assert report.ok and report.condition1_guaranteed
-
-
-def test_check_extension_order_interior_violation():
-    # interior vertex 1 with two outside neighbors: 1 back + 2 out > k-1
-    g = from_edge_list([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4),
-                        (1, 4), (1, 5), (4, 5)])
-    report = check_extension_order(g, [0, 1, 2, 3], 3)
-    assert not report.ok and report.condition1_guaranteed
-    assert report.first_bad_interior == 1
-
-
-def test_check_extension_order_gap_not_guaranteed():
-    # both endpoints with outside neighbors: the residual gap can close
-    g = from_edge_list([(0, 1), (1, 2), (2, 3), (0, 3),
-                        (0, 4), (3, 5), (3, 6)])
-    report = check_extension_order(g, [0, 1, 2, 3], 3)
-    assert not report.condition1_guaranteed
-    # brute force over full matchings and outside colorings exhibits
-    # |A(v1)| = |A(vl)|
-    lists = uniform_lists(g.n, 3)
-    rng = random.Random(0)
-    hit = False
-    for trial in range(200):
-        m = random_full_matching(rng, g, 3)
-        partial = {4: rng.randrange(3), 5: rng.randrange(3), 6: rng.randrange(3)}
-        a = residual_lists(g, {0, 1, 2, 3}, lists, m, partial)
-        if len(a[0]) == len(a[3]):
-            hit = True
-            break
-    assert hit
 
 
 def test_extend_single_edge_configuration():
@@ -129,34 +95,6 @@ def test_extend_randomized():
         full = extend_coloring(g, order, lists, matching, partial)
         assert is_valid_coloring(g, lists, matching,
                                  tuple(full[v] for v in range(g.n)))
-
-
-def test_min_degree_extend_isolated():
-    g = from_edge_list([(0, 1)], n=3)
-    lists = uniform_lists(3, 3)
-    m = MatchingAssignment.identity(g, 3)
-    full = min_degree_extend(g, 2, lists, m, {0: 0, 1: 1})
-    assert full[2] == 0
-
-
-def test_min_degree_extend_two_neighbors_k3():
-    g = from_edge_list([(0, 2), (1, 2), (0, 1)])
-    lists = uniform_lists(3, 3)
-    m = MatchingAssignment.identity(g, 3)
-    full = min_degree_extend(g, 2, lists, m, {0: 0, 1: 1})
-    assert full[2] == 2
-    with pytest.raises(ValueError):
-        min_degree_extend(g, 2, uniform_lists(3, 2), MatchingAssignment.identity(g, 2),
-                          {0: 0, 1: 1})
-
-
-def test_min_degree_extend_randomized():
-    rng = random.Random(9)
-    for trial in range(200):
-        g, v, lists, matching, partial = random_low_degree_instance(rng)
-        full = min_degree_extend(g, v, lists, matching, partial)
-        assert is_valid_coloring(g, lists, matching,
-                                 tuple(full[u] for u in range(g.n)))
 
 
 def edge_pattern():
@@ -220,12 +158,143 @@ def test_find_pattern_matches_all_injections():
     assert found > 0
 
 
+def induced(g, image, k):
+    """g[image], its vertex i the i-th of the image, and f: k minus each
+    vertex's neighbors outside the image."""
+    place = {v: i for i, v in enumerate(image)}
+    sub = from_edge_list([(place[u], place[v]) for u, v in g.edges
+                          if u in place and v in place], n=len(image))
+    return sub, tuple(k - len(g.adj[v] - place.keys()) for v in image)
+
+
+def pattern_of(g, cut):
+    """The pattern g[cut], with the host degrees of g."""
+    local = {v: i for i, v in enumerate(cut)}
+    return ConfigPattern.build(
+        edges=[(local[u], local[v]) for u, v in g.edges
+               if u in local and v in local],
+        host_degree=[g.degree(v) for v in cut], order=range(len(cut)))
+
+
+@functools.cache
+def slow_verdict(edges, f) -> bool:
+    return slow_dp_f_verdict(from_edge_list(edges, n=len(f)), f)
+
+
+def oracle_work(occurrence) -> int:
+    """The (cover, coloring) pairs slow_dp_f_verdict may try on an
+    occurrence, as induced gives it; none when some f(v) <= 0."""
+    sub, f = occurrence
+    if min(f) <= 0:
+        return 0
+    return math.prod(f) * math.prod(
+        math.perm(max(f[u], f[v]), min(f[u], f[v])) for u, v in sub.edges)
+
+
+def oracle_reducible(g, pat, k) -> bool:
+    """certify_reducible's question, asked of slow_dp_f_verdict on every
+    occurrence."""
+    for image in find_pattern(g, pat):
+        sub, f = induced(g, image, k)
+        if min(f) <= 0 or not slow_verdict(tuple(sorted(sub.edges)), f):
+            return False
+    return True
+
+
+def cube_graph():
+    return from_edge_list([(u, u ^ 1 << b) for u in range(8) for b in range(3)
+                           if u < u ^ 1 << b])
+
+
+def octahedron():
+    return from_edge_list([(u, v) for u in range(6) for v in range(u + 1, 6)
+                           if u // 2 != v // 2])
+
+
 def test_certify_single_vertex_pattern():
+    # one vertex is reducible exactly when its host degree is below k: it
+    # keeps f = k - degree colors, and a lone vertex needs one
     pat = ConfigPattern.build(edges=[], host_degree=(2,), order=[0],
                               name="low-degree vertex")
     g = cycle_graph(5)
     assert certify_reducible(g, pat, 3)
     assert not certify_reducible(g, pat, 2)
+    for host in (complete_graph(4), complete_bipartite(2, 3), octahedron()):
+        for d in set(host.degrees()):
+            pat = ConfigPattern.build(edges=[], host_degree=(d,), order=[0])
+            for k in range(1, 6):
+                assert certify_reducible(host, pat, k) == (d < k), (d, k)
+
+
+def test_certify_decides_the_named_cases():
+    # the edge of a triangle keeps two colors at each end: reducible
+    edge = ConfigPattern.build(edges=[(0, 1)], host_degree=(2, 2),
+                               order=[0, 1])
+    assert certify_reducible(cycle_graph(3), edge, 3)
+    # an induced path of the cube keeps f = (1, 2, 1): each end can take a
+    # different color of the middle, which a gauge fixing the identity on
+    # every tree edge would miss
+    path = ConfigPattern.build(edges=[(0, 1), (1, 2)], host_degree=(3, 3, 3),
+                               order=[0, 1, 2])
+    assert len(find_pattern(cube_graph(), path)) == 48
+    assert not certify_reducible(cube_graph(), path, 3)
+    assert oracle_reducible(cube_graph(), path, 3) is False
+
+
+def test_certify_is_exact_on_small_subcubic_hosts():
+    # every connected host with at most 5 vertices and maximum degree at
+    # most 3, and each of its connected induced proper subgraphs with at
+    # least 2 vertices, at k = 3
+    pairs = reducible = 0
+    for g in connected_graphs(5):
+        if max(g.degrees()) > 3:
+            continue
+        for size in range(2, g.n):
+            for cut in itertools.combinations(range(g.n), size):
+                if not is_connected(induced(g, cut, 3)[0]):
+                    continue
+                pat = pattern_of(g, cut)
+                got = certify_reducible(g, pat, 3)
+                assert got == oracle_reducible(g, pat, 3), (g.edges, cut)
+                pairs += 1
+                reducible += got
+    assert (pairs, reducible) == (200, 174)
+
+
+def test_certify_shares_one_budget_and_settles_each_key_once(monkeypatch):
+    # a star K1,3 in the octahedron at k = 4: its 144 occurrences relabel
+    # to three distinct (edges, f), each settled by a scan of 108, 108 and
+    # 324 cases, 540 in all
+    star = ConfigPattern.build(edges=[(2, 3), (1, 2), (0, 2)],
+                               host_degree=(4, 4, 4, 4), order=range(4))
+    host = octahedron()
+    assert len(find_pattern(host, star)) == 144
+    settled = []
+    settle = dpcolor.solver._settle
+
+    def spy(masks, f, *rest):
+        out = settle(masks, f, *rest)
+        settled.append(out[3])
+        return out
+
+    monkeypatch.setattr(dpcolor.solver, "_settle", spy)
+    assert certify_reducible(host, star, 4)
+    assert settled == [108, 108, 324]
+    monkeypatch.setattr(dpcolor.solver, "DEFAULT_BUDGET", 540)
+    assert certify_reducible(host, star, 4)
+    for budget in (539, 216, 107, 0):
+        monkeypatch.setattr(dpcolor.solver, "DEFAULT_BUDGET", budget)
+        with pytest.raises(BudgetExceeded) as info:
+            certify_reducible(host, star, 4)
+        assert info.value.attempted == budget
+
+
+def test_certify_reaches_the_default_budget_on_the_octahedron():
+    # the whole octahedron at k = 4: the scan cannot settle it in budget
+    whole = pattern_of(octahedron(), range(6))
+    with pytest.raises(BudgetExceeded) as info:
+        certify_reducible(octahedron(), whole, 4)
+    assert info.value.attempted == DEFAULT_BUDGET
 
 
 def test_certify_triangle_with_private_vertex():
@@ -270,7 +339,7 @@ def test_certify_monte_carlo_extension():
 
 
 def test_certify_rejects_interior_violation():
-    # interior vertex needs host degree 5: too many outside neighbors
+    # vertex 1 has host degree 5, three neighbors outside: f = 0 there
     pat = ConfigPattern.build(edges=[(0, 1), (1, 2), (0, 2)],
                               host_degree=(2, 5, 3), order=[0, 1, 2])
     host = from_edge_list([(0, 1), (1, 2), (0, 2), (1, 3), (2, 3),
@@ -280,38 +349,46 @@ def test_certify_rejects_interior_violation():
 
 
 def test_search_orders_can_rescue_a_bad_designated_order():
-    pat = ConfigPattern.build(edges=[(0, 1), (1, 2), (0, 2)],
-                              host_degree=(2, 3, 3), order=[1, 2, 0],
-                              name="reversed")
+    # the designated order is not consulted: [1, 2, 0], which ends on a
+    # vertex with no neighbor outside, gets the verdict of every order
     host = from_edge_list([(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)])
-    hits = find_pattern(host, pat)
-    assert hits and not any(
-        check_extension_order(host, [image[i] for i in pat.order], 3).ok
-        for image in hits)
-    assert certify_reducible(host, pat, 3)
+    for order in itertools.permutations(range(3)):
+        pat = ConfigPattern.build(edges=[(0, 1), (1, 2), (0, 2)],
+                                  host_degree=(2, 3, 3), order=order)
+        assert find_pattern(host, pat)
+        assert certify_reducible(host, pat, 3), order
 
 
 def test_order_search_matches_every_permutation():
+    # certify_reducible, exact with no order search, against the oracle
+    # that tries every permutation matching, wherever no occurrence asks it
+    # for more than two million (cover, coloring) pairs: on random hosts
+    # and patterns cut from them, and on fixed patterns at k = 2, 3, 4
+    def agrees(g, pat, k) -> bool:
+        if max(oracle_work(induced(g, image, k))
+               for image in find_pattern(g, pat)) > 2e6:
+            return False
+        want = oracle_reducible(g, pat, k)
+        assert certify_reducible(g, pat, k) == want, (g.edges, pat, k)
+        return True
+
     rng = random.Random(7)
-    positive = 0
+    checked = positive = 0
     for _ in range(600):
         n = rng.randint(2, 10)
         p = rng.uniform(0.15, 0.6)
         g = from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)
                             if rng.random() < p], n=n)
-        subset = rng.sample(range(n), rng.randint(2, min(n, 6)))
+        cut = rng.sample(range(n), rng.randint(2, min(n, 6)))
         k = rng.randint(2, 4)
-        want = any_extension_order(g, subset, k)
-        order = _extension_order(g, subset, k)
-        assert (order is not None) == want, (g.edges, subset, k)
-        if order is not None:  # the order found is one that passes
-            assert sorted(order) == sorted(subset)
-            assert check_extension_order(g, order, k).ok, (g.edges, order, k)
-        positive += want
-    assert positive > 50
-    # through certify_reducible, on every pattern occurrence
+        pat = pattern_of(g, cut)
+        if agrees(g, pat, k):
+            checked += 1
+            positive += certify_reducible(g, pat, k)
+    assert checked > 500 and positive > 300, (checked, positive)
     host = from_edge_list([(0, 1), (1, 2), (0, 2), (1, 3), (2, 3), (3, 4),
                            (4, 5), (5, 3)])
+    checked = 0
     for pat in (
             ConfigPattern.build(edges=[(0, 1), (1, 2), (0, 2)],
                                 host_degree=(2, 3, 3), order=[1, 2, 0]),
@@ -320,22 +397,16 @@ def test_order_search_matches_every_permutation():
             ConfigPattern.build(edges=[(0, 1), (0, 2)], host_degree=(4, 2, 2),
                                 order=[0, 1, 2])):
         for k in (2, 3, 4):
-            hits = find_pattern(host, pat)
-            assert hits, pat
-            certified = certify_reducible(host, pat, k)
-            assert certified == all(
-                any_extension_order(host, image, k) for image in hits)
-            # the designated order is one of the orders searched
-            assert certified or not all(
-                check_extension_order(host, [image[i] for i in pat.order],
-                                      k).ok for image in hits)
+            assert find_pattern(host, pat), pat
+            checked += agrees(host, pat, k)
+    assert checked == 8
 
 
 def test_certified_occurrences_extend_under_random_matchings():
     # the guarantee certify_reducible gives, replayed: on random hosts and
     # patterns cut from them, every coloring of the rest under a random
-    # full matching extends across every occurrence, along the searched
-    # order or, for one vertex, by the low-degree rule
+    # full matching extends across every occurrence, through the residual
+    # lists cut to f colors and find_coloring on the occurrence
     rng = random.Random(23)
     extended = {1: 0, 2: 0}
     for _ in range(300):
@@ -344,11 +415,7 @@ def test_certified_occurrences_extend_under_random_matchings():
         g = from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)
                             if rng.random() < p], n=n)
         cut = rng.sample(range(n), rng.randint(1, min(n, 5)))
-        local = {v: i for i, v in enumerate(cut)}
-        pat = ConfigPattern.build(
-            edges=[(local[u], local[v]) for u, v in g.edges
-                   if u in local and v in local],
-            host_degree=[g.degree(v) for v in cut], order=range(len(cut)))
+        pat = pattern_of(g, cut)
         k = rng.randint(2, 4)
         if not certify_reducible(g, pat, k):
             continue
@@ -363,14 +430,23 @@ def test_certified_occurrences_extend_under_random_matchings():
             if sub is None:
                 continue
             partial = {old: sub[new] for old, new in remap.items()}
-            if pat.size == 1:
-                full = min_degree_extend(g, image[0], lists, matching, partial)
-            else:
-                order = _extension_order(g, image, k)
-                full = extend_coloring(g, order, lists, matching, partial)
+            inside, f = induced(g, image, k)
+            avail = residual_lists(g, image, lists, matching, partial)
+            own = tuple(tuple(sorted(avail[v])[:x]) for v, x in zip(image, f))
+            assert all(len(c) == x for c, x in zip(own, f))
+            inside_matching = MatchingAssignment({
+                (i, j): tuple((a, b) for a, b in
+                              matching.pairs(image[i], image[j])
+                              if a in own[i] and b in own[j])
+                for i, j in inside.edges})
+            coloring = find_coloring(inside, own, inside_matching)
+            assert coloring is not None, (g.edges, image, k)
+            full = dict(partial)
+            full.update(zip(image, coloring))
             assert is_valid_coloring(g, lists, matching,
                                      tuple(full[v] for v in range(g.n)))
             extended[min(pat.size, 2)] += 1
+    print(f"extensions: {extended}")
     assert extended[1] > 20 and extended[2] > 20, extended
 
 

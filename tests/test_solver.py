@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import math
@@ -35,12 +36,14 @@ from dpcolor import (
 from dpcolor.solver import (_AUT_LIMIT, _ClassGroups, _GaugeOrbits,
                             _automorphisms, _certificate_place,
                             _core_components, _count_list_systems,
-                            _settle_choosable, _two_choosable)
+                            _scan_block, _settle, _settle_choosable,
+                            _two_choosable)
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
                      brute_k_colorable, reference_choosable_scan,
                      reference_core_components, reference_dp_scan,
-                     slow_choosable, slow_dp_verdict, subset_degeneracy)
+                     slow_choosable, slow_dp_f_verdict,
+                     slow_dp_verdict, subset_degeneracy)
 from fixtures import with_pendant_paths
 from smallgraphs import connected_graphs, labelled_graphs
 
@@ -880,6 +883,51 @@ def test_dp_scan_of_a_colorable_graph_attempts_every_case():
             assert is_dp_k_colorable(g, k, budget=count) is True
             with pytest.raises(BudgetExceeded):
                 is_dp_k_colorable(g, k, budget=count - 1)
+
+
+def test_sized_settle_matches_the_maximal_matching_oracle():
+    # every connected graph on at most 4 vertices with f in {1, 2, 3}^n:
+    # _settle on sizes f, its peel by f and a scan per component, against
+    # every maximal-matching cover; a refuting cover, on lists range(f(v)),
+    # leaves its component no coloring, and f = k everywhere is settled as
+    # the int k is, case for case
+    settle = functools.partial(dpcolor.solver._settle_dp, jobs=1)
+    pairs = colorable = 0
+    for g in connected_graphs(4):
+        for f in itertools.product((1, 2, 3), repeat=g.n):
+            verdict, _, vertices, attempted = _settle(g.masks, f, settle,
+                                                      DEFAULT_BUDGET)
+            assert (verdict is True) == slow_dp_f_verdict(g, f), (g.edges, f)
+            pairs += 1
+            if len(set(f)) == 1:
+                uniform = _settle(g.masks, f[0], settle, DEFAULT_BUDGET)
+                assert (uniform[0] is True) == (verdict is True)
+                assert uniform[3] == attempted, (g.edges, f)
+            if verdict is True:
+                colorable += 1
+                continue
+            (_, core), = _core_components(g.masks,
+                                          sum(1 << v for v in vertices))
+            assert verdict.lists == tuple(tuple(range(f[v]))
+                                          for v in vertices)
+            assert find_coloring(core, verdict.lists, verdict.matching) is None
+    assert (pairs, colorable) == (552, 267)
+
+
+def test_sized_scan_keeps_every_choice_on_a_tree_edge_into_fewer_colors():
+    # K1,2 with two colors at the center and one at each leaf is not
+    # DP-f-colorable: each leaf can take a different color of the center.
+    # Rooted at the center, both tree edges go into fewer colors and keep
+    # C(2, 1) choices each; rooted at a leaf, the edge into the center
+    # keeps the identity and the other two choices.  Either way the second
+    # cover refutes; the identity on every tree edge would miss it.
+    for edges, f in (([(0, 1), (0, 2)], (2, 1, 1)),
+                     ([(0, 1), (1, 2)], (1, 2, 1))):
+        g = from_edge_list(edges)
+        status, matching, attempted = _scan_block(g, f, None, DEFAULT_BUDGET)
+        assert (status, attempted) == ("cert", 2), edges
+        lists = tuple(tuple(range(x)) for x in f)
+        assert find_coloring(g, lists, matching) is None
 
 
 def test_chi_dp_passes_the_budget_left_to_each_component(monkeypatch):
