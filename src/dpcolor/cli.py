@@ -413,8 +413,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
-        # dp.search_positions recurses once per vertex, so about a thousand
-        # vertices exceed the interpreter's recursion limit
+        # the searches are loops, but json.loads recurses once per level of
+        # nesting, so a deeply nested JSON input exceeds the recursion limit
         print(f"error: input too large: search deeper than the recursion "
               f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_ERROR

@@ -192,47 +192,71 @@ def search_positions(adj, sizes, part) -> tuple[int, ...] | None:
     Forward checking removes the matched partner from each uncolored
     neighbor's residual domain, and the next vertex is always one with the
     smallest residual domain (ties to the smallest index), with positions
-    tried in increasing order, so the result is deterministic.
+    tried in increasing order, so the result is deterministic.  bucket[c]
+    holds, as a bitmask, the uncolored vertices with c positions left, so
+    the next vertex is the lowest bit of the first nonempty bucket.  The
+    search is one loop: the frame at depth d is the d-th colored vertex,
+    its untried positions and the (neighbor, position) pairs that its
+    forward check removed, so no recursion limit bounds the graph's size.
     """
     n = len(adj)
-    domain = [(1 << k) - 1 for k in sizes]
+    left = list(sizes)  # positions left at each vertex
+    domain = [(1 << k) - 1 for k in left]
+    bucket = [0] * (max(left, default=0) + 1)
+    for v, k in enumerate(left):
+        bucket[k] |= 1 << v
+    if bucket[0]:
+        return None
     chosen = [-1] * n
-    uncolored = set(range(n))
-
-    def solve() -> bool:
-        if not uncolored:
-            return True
-        v = min(uncolored, key=lambda w: (domain[w].bit_count(), w))
-        if domain[v] == 0:
-            return False
-        uncolored.discard(v)
-        d = domain[v]
-        while d:
-            bit = d & -d
-            d ^= bit
+    order, untried, undo = [0] * n, [0] * n, [()] * n  # the frames
+    d = 0
+    while d < n:
+        # an uncolored vertex always has a position left, so c stops
+        c = 1
+        while not bucket[c]:
+            c += 1
+        low = bucket[c] & -bucket[c]
+        bucket[c] ^= low
+        v = low.bit_length() - 1
+        rest, removed = domain[v], ()
+        while True:
+            for u, j in removed:  # undo the last position's forward check
+                domain[u] |= 1 << j
+                k = left[u]
+                left[u] = k + 1
+                bucket[k] ^= 1 << u
+                bucket[k + 1] |= 1 << u
+            if not rest:  # back to the frame below
+                chosen[v] = -1
+                bucket[left[v]] |= 1 << v
+                d -= 1
+                if d < 0:
+                    return None
+                v, rest, removed = order[d], untried[d], undo[d]
+                continue
+            bit = rest & -rest
+            rest ^= bit
             i = bit.bit_length() - 1
             chosen[v] = i
             removed = []
-            dead = False
             for u in adj[v]:
                 if chosen[u] >= 0:
                     continue
-                j = part[(v, u)][i]
-                if j >= 0 and (domain[u] >> j) & 1:
+                j = part[v, u][i]
+                if j >= 0 and domain[u] >> j & 1:
                     domain[u] ^= 1 << j
                     removed.append((u, j))
-                    if domain[u] == 0:
-                        dead = True
+                    k = left[u]
+                    left[u] = k - 1
+                    bucket[k] ^= 1 << u
+                    bucket[k - 1] |= 1 << u
+                    if k == 1:  # u has no position left
                         break
-            if not dead and solve():
-                return True
-            for u, j in removed:
-                domain[u] ^= 1 << j
-            chosen[v] = -1
-        uncolored.add(v)
-        return False
-
-    return tuple(chosen) if solve() else None
+            else:  # every neighbor kept a position: a frame up
+                order[d], untried[d], undo[d] = v, rest, removed
+                d += 1
+                break
+    return tuple(chosen)
 
 
 def find_coloring(g: Graph, lists: Lists,

@@ -188,8 +188,8 @@ _G6_HEADER = ">>graph6<<"
 _G6_BYTES = re.compile("[?-~]*")  # the bytes 63..126
 # byte value minus 63, modulo 256: graph6 bytes '?'..'~' become 0..63
 _MINUS_63 = bytes((b - 63) % 256 for b in range(256))
-# each 6-bit value with its bits in reverse order
-_REVERSED_6 = tuple(int(f"{x:06b}"[::-1], 2) for x in range(64))
+# each 6-bit value as six binary digits, most significant first
+_BITS_6 = tuple(f"{x:06b}" for x in range(64))
 # the largest n decoded through _graph6_table: a table has 64 entries of
 # n*n bits for each of about n*n/12 bytes, so it grows as n**4, to 74 KB
 # at n = 16 but 7.5 MB at n = 62
@@ -268,12 +268,12 @@ def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
         if packed < 0:
             raise MalformedGraph6("nonzero padding bits")
         return n, tuple([packed >> shift & full for shift in shifts])
-    # the adjacency bits as one integer, read from the last byte back: bit k
-    # of the upper triangle in column order (0,1), (0,2), (1,2), (0,3), ...
-    # is bit k of word, and the padding lies above bit nbits - 1
-    word = 0
-    for x in reversed(vals[idx:]):
-        word = (word << 6) | _REVERSED_6[x]
+    # the adjacency bits as one integer, parsed at once from the line's bit
+    # string reversed: bit k of the upper triangle in column order (0,1),
+    # (0,2), (1,2), (0,3), ... is bit k of word, and the padding lies above
+    # bit nbits - 1
+    bits = "".join([_BITS_6[x] for x in vals[idx:]])
+    word = int(bits[::-1] or "0", 2)
     if word >> nbits:
         raise MalformedGraph6("nonzero padding bits")
     masks = [0] * n

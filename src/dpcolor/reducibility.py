@@ -278,30 +278,41 @@ def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
     used = [False] * g.n
     out: list[tuple[int, ...]] = []
 
-    def rec(i: int) -> None:
-        if i == pat.size:
-            out.append(tuple(image))
-            return
-        back = earlier[i]
-        if back:
-            candidates = sorted(v for v in adj[image[back[0]]]
-                                if deg[v] == want[i])
-        else:
-            candidates = of_degree[want[i]]
+    def options(i: int) -> list[int]:
+        # the images of 0..i-1 stay fixed while depth i is open
+        back, w = earlier[i], want[i]
+        if not back:
+            return [v for v in of_degree[w] if not used[v]]
         rest = back[1:]
-        for v in candidates:
-            if used[v]:
-                continue
-            if rest and any(image[j] not in adj[v] for j in rest):
-                continue
-            image[i] = v
-            used[v] = True
-            rec(i + 1)
-            used[v] = False
-            image[i] = -1
+        return sorted(v for v in adj[image[back[0]]] if deg[v] == w
+                      and not used[v]
+                      and not (rest and any(image[j] not in adj[v]
+                                            for j in rest)))
 
-    rec(0)
-    return out
+    # depth first as a loop: todo[i] iterates depth i's options, and the
+    # last depth's options are hits at once
+    last = pat.size - 1
+    todo = []
+    i = 0
+    while True:
+        if i == last:
+            for v in options(last):
+                out.append((*image[:last], v))
+        else:
+            todo.append(iter(options(i)))
+        while todo:
+            i = len(todo) - 1
+            if image[i] >= 0:
+                used[image[i]] = False
+            v = image[i] = next(todo[i], -1)
+            if v < 0:
+                todo.pop()
+                continue
+            used[v] = True
+            i += 1
+            break
+        else:
+            return out
 
 
 def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:

@@ -2,10 +2,15 @@
 
 Both adversary searches, is_dp_k_colorable and is_k_choosable, run on one
 loop, _orderly_walk, over sequences of choices, depth first in
-lexicographic order and without recursion.  A full sequence is a leaf, one
-case: it is checked against the budget, then counted as attempted, and the
-first leaf with no coloring is the certificate.  The backtracker
-(dp.search_positions) runs only on a leaf that no rule below settles.
+lexicographic order and without recursion.  A node opens in one step: one
+expand gives its choices, its leaves run in one inline loop, and it stays
+on the walk's stack only if it has inner choices.  A full sequence is a
+leaf, one case, counted as attempted when its node opens: all of the
+node's leaves in one addition when the budget has room for them, else
+those up to the budget, after which the walk stops.  The first leaf with
+no coloring is the certificate, counted through itself.  The backtracker
+(dp.search_positions), a loop as well, runs only on a leaf that no rule
+below settles.
 
 - Witness reuse.  Each coloring found is a witness, one bit.  alive[d][i]
   holds those that fit choice i at depth d, masks[d] those that fit the
@@ -146,23 +151,27 @@ class AdversaryCertificate:
 # Ordinary chromatic number.
 
 def _max_clique(g: Graph) -> list[int]:
-    """A largest clique, its vertices in the order they were added."""
-    best: list[int] = []
+    """A largest clique, its vertices in the order they were added, by a
+    depth-first branch and bound as a loop: each frame holds the
+    candidates that extend the clique so far and the index of the next."""
     adj = g.adj
+    best: list[int] = []
     clique: list[int] = []
-
-    def expand(cand: list[int]) -> None:
-        nonlocal best
+    stack = [[sorted(range(g.n), key=g.degree, reverse=True), 0]]
+    while stack:
+        frame = stack[-1]
+        cand, i = frame
+        if i == len(cand) or len(clique) + len(cand) - i <= len(best):
+            stack.pop()
+            if stack:  # drop the vertex that opened the frame
+                clique.pop()
+            continue
+        frame[1] = i + 1
+        v = cand[i]
+        clique.append(v)
         if len(clique) > len(best):
             best = list(clique)
-        for i, v in enumerate(cand):
-            if len(clique) + len(cand) - i <= len(best):
-                return
-            clique.append(v)
-            expand([u for u in cand[i + 1:] if u in adj[v]])
-            clique.pop()
-
-    expand(sorted(range(g.n), key=g.degree, reverse=True))
+        stack.append([[u for u in cand[i + 1:] if u in adj[v]], 0])
     return best
 
 
@@ -281,44 +290,56 @@ def _orderly_walk(orbits: _OrbitTable, expand, alive, within, count, kernel,
     path = [0] * depth
     todo = [None] * depth  # the inner choices left at each open node
     attempted = witnesses = d = 0
-    while d >= 0:
-        if todo[d] is None:
-            # a new node: its leaves in one inline loop, the hot path
-            leaves, inner = expand(d, path)
+    while True:
+        # open the node path[:d]: its leaves here, and it stays open only
+        # if it has inner choices
+        leaves, inner = expand(d, path)
+        room = budget - attempted
+        stop = len(leaves) > room  # the budget runs out among the leaves
+        if stop:
+            leaves = leaves[:max(room, 0)]
+        attempted += len(leaves)
+        row, cover = alive[d], masks[d] & within[d + 1]
+        for i in leaves:
+            if cover & row[i]:
+                continue
+            path[d] = i
+            coloring = kernel(path[:d + 1])
+            if coloring is None:
+                # the leaves after this one were counted but not attempted
+                return path[:d + 1], (attempted - len(leaves)
+                                      + leaves.index(i) + 1)
+            bit = 1 << witnesses
+            witnesses += 1
+            for j in range(d + 1):
+                masks[j] |= bit
+            witness(coloring, bit)
+            cover = masks[d] & within[d + 1]
+        if stop:
+            raise BudgetExceeded(attempted)
+        if inner:
             todo[d] = iter(inner)
-            row, cover = alive[d], masks[d] & within[d + 1]
-            for i in leaves:
-                if attempted >= budget:
-                    raise BudgetExceeded(attempted)
-                attempted += 1
-                if cover & row[i]:
-                    continue
-                path[d] = i
-                coloring = kernel(path[:d + 1])
-                if coloring is None:
-                    return path[:d + 1], attempted
-                bit = 1 << witnesses
-                witnesses += 1
-                for j in range(d + 1):
-                    masks[j] |= bit
-                witness(coloring, bit)
-                cover = masks[d] & within[d + 1]
-        i = next(todo[d], None)
-        if i is None:
-            todo[d] = None
+        else:
             d -= 1
-            continue
-        fits = masks[d] and masks[d] & alive[d][i]
-        if fits & within[d + 1] or (eq := steps[d][i]) < 0:
-            attempted += count(d, i)
-            if attempted > budget:
-                raise BudgetExceeded(budget)
-            continue
-        path[d] = i
-        masks[d + 1] = fits
-        steps[d + 1] = orbits[eq]
-        d += 1
-    return None, attempted
+        # the next inner choice to open, from the deepest open node up
+        while d >= 0:
+            i = next(todo[d], None)
+            if i is None:
+                d -= 1
+                continue
+            fits = masks[d] and masks[d] & alive[d][i]
+            if fits & within[d + 1] or (eq := steps[d][i]) < 0:
+                attempted += count(d, i)
+                if attempted > budget:
+                    raise BudgetExceeded(budget)
+                continue
+            path[d] = i
+            masks[d + 1] = fits
+            steps[d + 1] = orbits[eq]
+            d += 1
+            break
+        else:
+            return None, attempted
 
 
 def _matchings(key) -> tuple[list, list]:

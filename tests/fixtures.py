@@ -1,13 +1,26 @@
 """Shared embedding fixtures: polyhedra, decagon gadgets, random plane graphs,
-and subdivided graphs."""
+subdivided graphs, and the discharge benchmark's frozen embeddings."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from pathlib import Path
 
 from dpcolor import (Disconnected, Graph, NotGenusZero, PlaneEmbedding,
-                     from_edge_list, trace_faces)
+                     from_edge_list, load_embedding, trace_faces)
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+def frozen_plane_embeddings():
+    """The embeddings the discharge benchmark runs on: the four polyhedra
+    and the 200 frozen random plane embeddings."""
+    for path in sorted((BENCH_DATA / "plane").glob("*.json")):
+        doc = json.loads(path.read_text())
+        for one in doc if isinstance(doc, list) else [doc]:
+            yield load_embedding(one)
 
 
 def rotation_from_faces(n: int, walks) -> tuple[tuple[int, ...], ...]:

@@ -14,7 +14,9 @@ maximal-matching cover and every coloring: what the DP scan on sizes and
 certify_reducible decide.  replay_charges redoes a discharging run's
 transfer log one Fraction at a time from the start charges, the
 arithmetic that the integer charge ledger in dpcolor.discharging
-replaced."""
+replaced.  reference_search_positions is the recursive backtracker with
+a scan for the smallest domain that dp.search_positions, one loop over a
+frame stack with bucketed domain sizes, replaced."""
 
 from __future__ import annotations
 
@@ -300,11 +302,13 @@ def bfs_connected(g: Graph) -> bool:
 
 
 def all_injections_matching(g: Graph, pattern) -> list[tuple[int, ...]]:
-    """Pattern occurrences by filtering every injective vertex tuple."""
+    """Pattern occurrences by filtering every injective vertex tuple whose
+    vertices have the pattern's host degrees, in lexicographic order."""
+    pools = [[v for v in range(g.n) if g.degree(v) == d]
+             for d in pattern.host_degree]
     out = []
-    for image in itertools.permutations(range(g.n), pattern.size):
-        if any(g.degree(image[i]) != pattern.host_degree[i]
-               for i in range(pattern.size)):
+    for image in itertools.product(*pools):
+        if len(set(image)) < pattern.size:
             continue
         if all(g.has_edge(image[u], image[v]) for u, v in pattern.edges):
             out.append(image)
@@ -418,3 +422,48 @@ def replay_charges(emb: PlaneEmbedding, state: ChargeState):
                 charges[t.sink[0]][int(t.sink[1:])] += t.amount
         totals.append((phase, sum(charges["v"] + charges["f"], Fraction(0))))
     return charges["v"], charges["f"], totals
+
+
+def reference_search_positions(adj, sizes, part):
+    """dp.search_positions by recursion: the same forward checking, the
+    next vertex the uncolored one with the fewest positions left (ties to
+    the smallest index) found by a scan, positions in increasing order."""
+    n = len(adj)
+    domain = [(1 << k) - 1 for k in sizes]
+    chosen = [-1] * n
+    uncolored = set(range(n))
+
+    def solve() -> bool:
+        if not uncolored:
+            return True
+        v = min(uncolored, key=lambda w: (domain[w].bit_count(), w))
+        if domain[v] == 0:
+            return False
+        uncolored.discard(v)
+        d = domain[v]
+        while d:
+            bit = d & -d
+            d ^= bit
+            i = bit.bit_length() - 1
+            chosen[v] = i
+            removed = []
+            dead = False
+            for u in adj[v]:
+                if chosen[u] >= 0:
+                    continue
+                j = part[(v, u)][i]
+                if j >= 0 and (domain[u] >> j) & 1:
+                    domain[u] ^= 1 << j
+                    removed.append((u, j))
+                    if domain[u] == 0:
+                        dead = True
+                        break
+            if not dead and solve():
+                return True
+            for u, j in removed:
+                domain[u] ^= 1 << j
+            chosen[v] = -1
+        uncolored.add(v)
+        return False
+
+    return tuple(chosen) if solve() else None

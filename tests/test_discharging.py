@@ -1,9 +1,7 @@
 import hashlib
-import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +24,6 @@ from dpcolor import (
     format_transfer_log,
     from_edge_list,
     initial_charges,
-    load_embedding,
     path_stats,
     trace_faces,
 )
@@ -35,6 +32,7 @@ from fixtures import (
     cycle_embedding,
     dodecahedron,
     embed_from_coordinates,
+    frozen_plane_embeddings,
     good_pair_fixture,
     polygon_with_triangles,
     prism,
@@ -508,18 +506,6 @@ def test_audit_output_is_pinned():
 
 GOLDEN_AUDIT_SHA256 = (
     "879d074586f9873e818f3c0d8b43279e13bddf06478e0c9c2ff322a860c5e4df")
-
-
-PLANE_DATA = Path(__file__).resolve().parents[1] / "bench" / "data" / "plane"
-
-
-def frozen_plane_embeddings():
-    """The embeddings the discharge benchmark runs on: the four polyhedra
-    and the 200 frozen random plane embeddings."""
-    for path in sorted(PLANE_DATA.glob("*.json")):
-        doc = json.loads(path.read_text())
-        for one in doc if isinstance(doc, list) else [doc]:
-            yield load_embedding(one)
 
 
 def test_settlement_matches_transfer_by_transfer_replay():

@@ -20,7 +20,9 @@ from dpcolor import (
     path_graph,
     uniform_lists,
 )
-from oracles import NotSpanningTree, brute_k_colorable, gauge_normalize
+from dpcolor.dp import search_positions
+from oracles import (NotSpanningTree, brute_k_colorable, gauge_normalize,
+                     reference_search_positions)
 from smallgraphs import connected_graphs
 
 
@@ -296,3 +298,37 @@ def test_cover_independent_set_matches_validator():
                 for pair in itertools.combinations(nodes, 2)
             )
             assert independent == is_valid_coloring(g, lists, m, combo)
+
+
+def random_partner_tables(rng, n):
+    """A random graph on n vertices with 1 to 4 positions per vertex and a
+    random partial matching on each edge, as search_positions takes it."""
+    sizes = [rng.randint(1, 4) for _ in range(n)]
+    adj = [[] for _ in range(n)]
+    part = {}
+    for v in range(n):
+        for u in range(v):
+            if rng.random() < 0.5:
+                continue
+            adj[u].append(v)
+            adj[v].append(u)
+            far = list(range(sizes[v])) + [-1] * rng.randint(0, 3)
+            rng.shuffle(far)
+            fwd = [-1] * sizes[u]
+            bwd = [-1] * sizes[v]
+            for i, j in zip(range(sizes[u]), far):
+                if j >= 0:
+                    fwd[i], bwd[j] = j, i
+            part[(u, v)], part[(v, u)] = fwd, bwd
+    return adj, sizes, part
+
+
+def test_kernel_matches_the_recursive_reference_on_random_tables():
+    rng = random.Random(29)
+    found = {True: 0, False: 0}
+    for _ in range(3000):
+        adj, sizes, part = random_partner_tables(rng, rng.randint(0, 8))
+        want = reference_search_positions(adj, sizes, part)
+        assert search_positions(adj, sizes, part) == want, (adj, sizes, part)
+        found[want is not None] += 1
+    assert min(found.values()) > 300  # both outcomes are exercised

@@ -110,6 +110,11 @@ def test_parse_graph6_header_and_errors():
     ("M" + "~" * 16, "nonzero padding bits"),
     ("P" + "?" * 22 + "@", "nonzero padding bits"),
     ("P" + "~" * 23, "nonzero padding bits"),
+    # n = 65, a four-byte vertex count, pads its 347 bytes with 2 bits
+    pytest.param("~?@@" + "?" * 346 + "@", "nonzero padding bits",
+                 id="n=65-last-padding-bit"),
+    pytest.param("~?@@" + "~" * 347, "nonzero padding bits",
+                 id="n=65-every-bit"),
 ])
 def test_parse_graph6_error_messages(text, message):
     with pytest.raises(MalformedGraph6) as info:
@@ -164,6 +169,22 @@ def test_parse_graph6_matches_from_edge_list_on_random_graphs():
             text = encode_graph6(from_edge_list(pairs, n=n))
             assert decode_graph6_pairs(text) == (n, pairs)
             _assert_decodes_like_the_pair_list_reference(text)
+
+
+def test_parse_graph6_long_lines():
+    # past graphs._TABLE_MAX_N the adjacency bytes become one integer in a
+    # step linear in the line's length: C1200 has 119,900 of them
+    c1200 = cycle_graph(1200)
+    text = encode_graph6(c1200)
+    assert len(text) == 4 + 119_900
+    _assert_decodes_like_the_pair_list_reference(text)
+    assert encode_graph6(parse_graph6(text)) == text
+    # C1199 pads its last byte, "_", with 5 bits; set the lowest
+    line = encode_graph6(cycle_graph(1199))
+    assert line[-1] == "_"
+    with pytest.raises(MalformedGraph6) as info:
+        parse_graph6(line[:-1] + "`")
+    assert str(info.value) == "nonzero padding bits"
 
 
 def test_both_decoder_paths_agree_on_the_census_streams(monkeypatch):

@@ -1,7 +1,10 @@
 import functools
+import inspect
 import itertools
+import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -29,6 +32,7 @@ from dpcolor import (
     uniform_lists,
 )
 import dpcolor.solver
+from fixtures import BENCH_DATA, frozen_plane_embeddings
 from instances import random_extension_instance, random_full_matching
 from oracles import all_injections_matching, slow_dp_f_verdict
 from smallgraphs import connected_graphs
@@ -156,6 +160,39 @@ def test_find_pattern_matches_all_injections():
             assert hits == all_injections_matching(g, pat), (g.edges, pat)
             found += len(hits)
     assert found > 0
+
+
+def test_find_pattern_matches_all_injections_on_the_bench_embeddings():
+    # the discharge benchmark's 204 plane embeddings and both its patterns:
+    # the same hits in the same order, 12 hanging triangles and 142 2-3-2
+    # paths in all
+    patterns = [pattern_from_json(json.loads(
+        (BENCH_DATA / "patterns" / f"pattern{i}.json").read_text()))
+        for i in (0, 1)]
+    embeddings = list(frozen_plane_embeddings())
+    assert len(embeddings) == 204
+    found = [0, 0]
+    for emb in embeddings:
+        for i, pat in enumerate(patterns):
+            hits = find_pattern(emb.graph, pat)
+            assert hits == all_injections_matching(emb.graph, pat)
+            found[i] += len(hits)
+    assert found == [12, 142]
+
+
+def test_find_pattern_does_not_recurse():
+    # a path pattern on 100 vertices of host degree 2 goes 100 deep, and
+    # lies in C200 once per start and direction
+    path = ConfigPattern.build(edges=[(i, i + 1) for i in range(99)],
+                               host_degree=(2,) * 100, order=list(range(100)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        hits = find_pattern(cycle_graph(200), path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(hits) == 400 and hits == sorted(hits)
+    assert hits[:2] == [tuple(range(100)), (0, *range(199, 100, -1))]
 
 
 def induced(g, image, k):

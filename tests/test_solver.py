@@ -42,8 +42,8 @@ from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
                      brute_k_colorable, reference_choosable_scan,
                      reference_core_components, reference_dp_scan,
-                     slow_choosable, slow_dp_f_verdict,
-                     slow_dp_verdict, subset_degeneracy)
+                     reference_search_positions, slow_choosable,
+                     slow_dp_f_verdict, slow_dp_verdict, subset_degeneracy)
 from fixtures import with_pendant_paths
 from smallgraphs import connected_graphs, labelled_graphs
 
@@ -130,22 +130,21 @@ def mycielskian(g):
     )
 
 
-def inner_code(func, name):
-    """The code object of the function named name nested in func."""
-    return next(c for c in func.__code__.co_consts
-                if getattr(c, "co_name", None) == name)
-
-
-def calls_of(codes, call):
-    """call()'s result and the number of calls into the code objects in
-    codes, counted with sys.settrace."""
+def line_runs(func, text, call):
+    """call()'s result and the number of times the line of func that reads
+    text runs, counted with a line tracer on func's frames."""
+    lines, first = inspect.getsourcelines(func)
+    line = first + next(i for i, t in enumerate(lines) if t.strip() == text)
     count = 0
 
-    def tracer(frame, event, arg):
+    def local(frame, event, arg):
         nonlocal count
-        if frame.f_code in codes:
+        if event == "line" and frame.f_lineno == line:
             count += 1
-        return None
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is func.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -201,13 +200,41 @@ def walk_steps(call):
 def test_chi_fixes_the_clique_colors_on_mycielski5():
     # 23 vertices, clique number 2, chi 5: refuting k = 2, 3 and 4 without
     # the clique's colors fixed tries every partial coloring again under
-    # each relabeling of its colors, about 26,700 steps of the backtracker
+    # each relabeling of its colors.  A step of the backtracker is one
+    # position tried, a run of the line that sets chosen[v]: 31,160 steps
+    # with every vertex on k positions, 1,424 with the clique fixed
     g = mycielskian(mycielskian(mycielskian(path_graph(2))))
     assert (g.n, g.m) == (23, 71)
-    solve = inner_code(search_positions, "solve")
-    value, steps = calls_of({solve}, lambda: chi(g))
+    value, steps = line_runs(search_positions, "chosen[v] = i",
+                             lambda: chi(g))
     assert value == 5
-    assert steps <= 3_000
+    assert 0 < steps <= 3_000
+
+
+def test_kernel_matches_the_recursive_reference_on_the_solver_calls(
+        monkeypatch):
+    # every call the solver makes while chi, chi_dp and chi_list run on the
+    # connected graphs with at most 6 vertices, 6,833 calls, 6,065 of them
+    # from chi_list.  chi_list runs at a budget of 10^6, where Er~o and Er~w
+    # stop, as chi_dp does at its default: their full runs take 16 s
+    same, stopped = [], set()
+    kernel = dpcolor.solver.search_positions
+
+    def compared(adj, sizes, part):
+        found = kernel(adj, sizes, part)
+        same.append(found == reference_search_positions(adj, sizes, part))
+        return found
+
+    monkeypatch.setattr(dpcolor.solver, "search_positions", compared)
+    for g in connected_graphs(6):
+        chi(g)
+        for search in (chi_dp, functools.partial(chi_list, budget=10 ** 6)):
+            try:
+                search(g)
+            except BudgetExceeded:
+                stopped.add(g)
+    assert stopped == {parse_graph6("Er~o"), parse_graph6("Er~w")}
+    assert len(same) > 5_000 and all(same)
 
 
 def core_components(g, k):
@@ -352,23 +379,24 @@ def test_witness_reuse_skips_most_searches():
     assert len(calls) <= 100
 
 
-@pytest.mark.parametrize("g6, search, most, examined", [
-    # the two hard-dp instances of the benchmark: 10,077,696 and 46,656
-    # assignments, about one leaf in 3! examined
-    ("K{CY?SBG?G_F", is_dp_k_colorable, 74, 48_306),
-    ("IheAHCPBG", is_dp_k_colorable, 34, 8_358),
+@pytest.mark.parametrize("g6, search, searched, opened, offered", [
+    # the two colorable hard-dp instances of the benchmark: 10,077,696 and
+    # 46,656 assignments, about one leaf in 3! offered
+    ("K{CY?SBG?G_F", is_dp_k_colorable, 74, 9_759, 48_306),
+    ("IheAHCPBG", is_dp_k_colorable, 34, 1_708, 8_358),
     # 20,852 list systems
-    ("Dr{", is_k_choosable, 207, 995),
+    ("Dr{", is_k_choosable, 207, 6_199, 995),
 ], ids=["truncated-tetrahedron", "C5xK2", "Dr{"])
-def test_kernel_calls_at_k3_are_pinned(g6, search, most, examined):
+def test_kernel_calls_at_k3_are_pinned(g6, search, searched, opened, offered):
     # the walk reuses witnesses and skips covered and cut subtrees: each
-    # kernel call is a leaf that none of that settles
+    # kernel call is a leaf that none of that settles.  The counts are
+    # exact, so a change to the walk's bookkeeping that opens or offers
+    # more, or searches more leaves, shows here
     g = parse_graph6(g6)
     verdict, calls = kernel_calls(lambda: search(g, 3))
     assert verdict is True
-    assert len(calls) <= most
-    verdict, nodes, leaves = walk_steps(lambda: search(g, 3))
-    assert leaves <= examined
+    assert len(calls) == searched
+    assert walk_steps(lambda: search(g, 3)) == (True, opened, offered)
 
 
 def test_cycle_rank_beyond_recursion_limit():
@@ -595,6 +623,19 @@ def test_class_helpers_do_not_recurse():
             assert len(groups[0]) == (100 if g.m else 1)
             left = (1 << 100) - 1  # every vertex needs one class
             assert _count_list_systems(groups, left, 0, {}) == count
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_chi_does_not_recurse():
+    # the largest clique of K100 and a 3-coloring of C1201 each go a frame
+    # per vertex deep: the clique search and the backtracker are loops
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        assert dpcolor.solver._max_clique(complete_graph(100)) == list(
+            range(100))
+        assert chi(cycle_graph(1201)) == 3
     finally:
         sys.setrecursionlimit(limit)
 
