@@ -228,9 +228,10 @@ def pattern_from_json(source) -> ConfigPattern:
     name = doc.get("name", "pattern")
     if not isinstance(name, str):
         raise ValueError("pattern 'name' must be a string")
-    if not (isinstance(edges, list) and all(map(_is_int_list, edges))
+    if not (isinstance(edges, list) and all(
+            _is_int_list(e) and len(e) == 2 for e in edges)
             and _is_int_list(order)):
-        raise ValueError("pattern 'edges' must be a list of integer lists "
+        raise ValueError("pattern 'edges' must be a list of pairs of integers "
                          "and 'order' a list of integers")
     pat = ConfigPattern.build(
         edges=[tuple(e) for e in edges],

@@ -74,7 +74,8 @@ chi_list settles k = 2 by the Erdos-Rubin-Taylor characterization
 normalized space is no larger than the list systems, since a
 DP-k-colorable graph is k-choosable, and only a DP certificate, which
 proves nothing of lists, leaves the component to the list walk
-(_settle_choosable).  is_k_choosable and
+(_settle_choosable).  The comparison counts list systems only up to the
+DP space size; the list walk's attempted count finishes that count.  is_k_choosable and
 is_dp_k_colorable, and so chi-list --k and chi-dp --k, search the whole
 graph.
 """
@@ -692,46 +693,56 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _count_list_systems(groups: _ClassGroups, left: int, start: int,
-                        memo: dict) -> int:
+                        memo: dict, cap: float = math.inf) -> int:
     """The list systems the choosability walk enumerates below a node, by
-    its choice rule, counted depth first as a loop with memo keeping the
-    counts made.  left holds the open slots in layers of n bits, bit t*n + v
-    set while v needs more than t classes; taking class c moves its vertices
-    down a layer (c * groups.rep is c in every layer).  The next class comes
-    from position start of the least open vertex's group."""
+    its choice rule, counted depth first as one loop.  left holds the open
+    slots in layers of n bits, bit t*n + v set while v needs more than t
+    classes; taking class c moves its vertices down a layer (c * groups.rep
+    is c in every layer).  The next class comes from position start of the
+    least open vertex's group.
+
+    A running total takes a node's leaves when the node opens and a child
+    found in memo whole; a node's count, written to memo once its children
+    are counted, is the total's growth meanwhile, so memo holds exact
+    counts only.  The count stops before opening a node once the total
+    reaches cap and returns the total: the result is at least cap exactly
+    when the exact count is, and is that count when below cap.  A later
+    call on the same memo finishes it, reopening only the nodes on the
+    path where it stopped."""
     root = (left, start)
-    if root in memo:
+    if root in memo:  # most of the walk's calls
         return memo[root]
     n, full, rep = groups.n, groups.full, groups.rep
-    split = {}  # node -> (leaves, nodes below), until those are counted
-    todo = [root]
+    total, todo, base = 0, [root], {}
     while todo:
         node = todo[-1]
-        if node in memo:
+        if node in base:  # its children are counted
+            memo[node] = total - base.pop(node)
             todo.pop()
-        elif node in split:
-            leaves, below = split.pop(node)
-            memo[node] = leaves + sum(memo[b] for b in below)
+            continue
+        known = memo.get(node)
+        if known is not None:
+            total += known
             todo.pop()
-        else:
-            need, first = node
-            closed = full ^ need & full
-            v = (need & -need).bit_length() - 1
-            group = groups[v]
-            leaves, below = 0, []
-            for i in range(first, len(group)):
-                if group[i] & closed != closed:
-                    continue  # the class holds a closed vertex
-                cr = (group[i] & full ^ full) * rep
-                after = need & ~cr | need >> n & cr
-                if after:
-                    # the group goes on from this class while v is open
-                    below.append((after, i if after >> v & 1 else 0))
-                else:
-                    leaves += 1
-            split[node] = leaves, below
-            todo += below
-    return memo[root]
+            continue
+        if total >= cap:
+            return total
+        base[node] = total
+        need, first = node
+        closed = full ^ need & full
+        v = (need & -need).bit_length() - 1
+        group = groups[v]
+        for i in range(first, len(group)):
+            if group[i] & closed != closed:
+                continue  # the class holds a closed vertex
+            cr = (group[i] & full ^ full) * rep
+            after = need & ~cr | need >> n & cr
+            if after:
+                # the group goes on from this class while v is open
+                todo.append((after, i if after >> v & 1 else 0))
+            else:
+                total += 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -911,18 +922,21 @@ def _settle_choosable(core: Graph, k: int, left: int) -> tuple[object, int]:
     the normalized DP space is no larger than the component's list
     systems, the DP adversary runs first: True settles the component.  A
     DP certificate says nothing of lists (the converse fails, Bernshteyn
-    and Kostochka), so the list walk then runs on the budget left."""
+    and Kostochka), so the list walk then runs on the budget left.  The
+    list systems are counted only until they reach the DP space size, and
+    to the end, on the same memo, only when the walk runs: attempted is
+    the same as with the full count."""
     if k == 2:
         return _two_choosable(core), 0
-    systems = _count_list_systems(_ClassGroups(core, k),
-                                  (1 << core.n * k) - 1, 0, {})
     covers = normalized_assignment_count(core, k)
+    groups, slots, memo = _ClassGroups(core, k), (1 << core.n * k) - 1, {}
     spent = 0
-    if covers <= systems:
+    if _count_list_systems(groups, slots, 0, memo, covers) >= covers:
         verdict = is_dp_k_colorable(core, k, budget=left)
         if verdict is True:
             return True, covers
         spent = _certificate_place(core, verdict)
+    systems = _count_list_systems(groups, slots, 0, memo)  # finishes it
     try:
         return is_k_choosable(core, k, budget=left - spent), spent + systems
     except BudgetExceeded as exc:

@@ -16,7 +16,9 @@ transfer log one Fraction at a time from the start charges, the
 arithmetic that the integer charge ledger in dpcolor.discharging
 replaced.  reference_search_positions is the recursive backtracker with
 a scan for the smallest domain that dp.search_positions, one loop over a
-frame stack with bucketed domain sizes, replaced."""
+frame stack with bucketed domain sizes, replaced.
+reference_settle_choosable is solver._settle_choosable as it was when it
+counted every list system before choosing which scan runs first."""
 
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from fractions import Fraction
 from dpcolor import (BudgetExceeded, ChargeState, DEFAULT_BUDGET, Graph,
                      InvalidMatching, MatchingAssignment, PlaneEmbedding,
                      find_coloring, from_list_assignment, is_valid_coloring,
-                     uniform_lists)
+                     normalized_assignment_count, uniform_lists)
+from dpcolor import solver
 
 
 def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
@@ -467,3 +470,26 @@ def reference_search_positions(adj, sizes, part):
         return False
 
     return tuple(chosen) if solve() else None
+
+
+def reference_settle_choosable(core: Graph, k: int, left: int):
+    """solver._settle_choosable on the full list-system count: the DP scan
+    runs first when the normalized DP space is no larger than the count.
+    Both scans are looked up on solver at call time, so a spy there sees
+    them."""
+    if k == 2:
+        return solver._two_choosable(core), 0
+    systems = solver._count_list_systems(solver._ClassGroups(core, k),
+                                         (1 << core.n * k) - 1, 0, {})
+    covers = normalized_assignment_count(core, k)
+    spent = 0
+    if covers <= systems:
+        verdict = solver.is_dp_k_colorable(core, k, budget=left)
+        if verdict is True:
+            return True, covers
+        spent = solver._certificate_place(core, verdict)
+    try:
+        return (solver.is_k_choosable(core, k, budget=left - spent),
+                spent + systems)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(spent + exc.attempted) from None

@@ -278,3 +278,20 @@ def test_discharge_contract(tmp_path, embedding, pattern, variant, strict):
     if pattern is not None:
         argv += ["--pattern", write(tmp_path / "pat.json", pattern)]
     run(*argv, *(["--strict"] if strict else []))
+
+
+def test_pattern_edges_must_be_pairs(tmp_path):
+    # an edge of three ends or of one is an input error that names the
+    # expected shape, from both commands that read a pattern
+    graph = write(tmp_path / "g", encode_graph6(cycle_graph(3)))
+    embedding = write(tmp_path / "emb.json", dump_embedding(tetrahedron()))
+    for edge in ([0, 1, 2], [0], []):
+        pattern = write(tmp_path / "pat.json", json.dumps({
+            "vertices": [{"hostDegree": 2, "outsideNeighbors": 0}] * 3,
+            "edges": [[0, 1], edge]}))
+        for argv in (("find-config", graph, "--pattern", pattern, "--k", 3),
+                     ("discharge", embedding, "--variant", "a",
+                      "--pattern", pattern)):
+            code, _, err = run(*argv)
+            assert code == 3, (argv, err)
+            assert "'edges' must be a list of pairs of integers" in err, err

@@ -42,8 +42,9 @@ from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, automorphisms_by_permutation,
                      brute_k_colorable, reference_choosable_scan,
                      reference_core_components, reference_dp_scan,
-                     reference_search_positions, slow_choosable,
-                     slow_dp_f_verdict, slow_dp_verdict, subset_degeneracy)
+                     reference_search_positions, reference_settle_choosable,
+                     slow_choosable, slow_dp_f_verdict, slow_dp_verdict,
+                     subset_degeneracy)
 from fixtures import with_pendant_paths
 from smallgraphs import connected_graphs, labelled_graphs
 
@@ -627,6 +628,60 @@ def test_class_helpers_do_not_recurse():
         sys.setrecursionlimit(limit)
 
 
+class CountingGroups(_ClassGroups):
+    """_ClassGroups that counts its lookups: the list-system count makes
+    one per node it opens."""
+
+    def __init__(self, g, k):
+        super().__init__(g, k)
+        self.opened = 0
+
+    def __getitem__(self, v):
+        self.opened += 1
+        return super().__getitem__(v)
+
+
+def test_list_system_count_stops_at_its_cap():
+    # at caps 1, exact - 1, exact and exact + 1, a capped count reaches its
+    # cap exactly when the full count does and is exact below it; the memo
+    # it leaves holds exact counts only, and an uncapped call on that memo
+    # finishes it, reopening at most the nodes on one path (3 * n deep)
+    for g in connected_graphs(5):
+        slots = (1 << g.n * 3) - 1
+        full_memo, groups = {}, CountingGroups(g, 3)
+        exact = _count_list_systems(groups, slots, 0, full_memo)
+        assert exact == sum(1 for _ in _list_systems(g, 3)), g.edges
+        nodes = groups.opened
+        assert nodes == len(full_memo)
+        for cap in (1, exact - 1, exact, exact + 1):
+            memo, groups = {}, CountingGroups(g, 3)
+            got = _count_list_systems(groups, slots, 0, memo, cap)
+            assert (got >= cap) == (exact >= cap), (g.edges, cap)
+            assert got >= cap or got == exact, (g.edges, cap)
+            assert memo.items() <= full_memo.items(), (g.edges, cap)
+            assert _count_list_systems(groups, slots, 0, memo) == exact
+            assert memo == full_memo
+            assert nodes <= groups.opened <= nodes + 3 * g.n, (g.edges, cap)
+
+
+def test_settle_choosable_counts_to_the_dp_space_size(monkeypatch):
+    # on the wheel W4 (Dr{) the list-system count stops once it reaches
+    # the 1,296 covers, after 210 of the full count's 943 nodes, and the
+    # DP scan settles the component
+    counts = []
+
+    def groups(g, k):
+        counts.append(CountingGroups(g, k))
+        return counts[-1]
+
+    g = parse_graph6("Dr{")
+    assert _count_list_systems(groups(g, 3), (1 << 15) - 1, 0, {}) == 20_852
+    assert counts.pop().opened == 943
+    monkeypatch.setattr(dpcolor.solver, "_ClassGroups", groups)
+    assert _settle_choosable(g, 3, DEFAULT_BUDGET) == (True, 1_296)
+    assert [c.opened for c in counts] == [210]
+
+
 def test_chi_does_not_recurse():
     # the largest clique of K100 and a 3-coloring of C1201 each go a frame
     # per vertex deep: the clique search and the backtracker are loops
@@ -820,6 +875,32 @@ def test_settle_choosable_matches_the_walk(monkeypatch):
         assert verdict is True, g6
         if scans == "dp":
             assert is_k_choosable(core, 3) is True, g6
+
+
+def settle_run(settle, g, k, left, searched):
+    """The outcome and attempted count of one component settle, and the
+    scans it made."""
+    searched.clear()
+    try:
+        verdict, attempted = settle(g, k, left)
+    except BudgetExceeded as exc:
+        return ("budget", exc.attempted), None, list(searched)
+    return outcome(g, lambda: verdict), attempted, list(searched)
+
+
+def test_settle_choosable_matches_the_full_count_reference(monkeypatch):
+    # stopping the list-system count at the DP space size moves no verdict,
+    # no attempted count and no scan: the same scans run in the same order
+    # as when every list system was counted before the dispatch
+    searched = searched_cores(monkeypatch)
+    runs = [(g, DEFAULT_BUDGET) for g in connected_graphs(5)]
+    for g6 in ("Dr{", "Es^o", "Euhw"):
+        runs += [(parse_graph6(g6), budget) for budget in (
+            0, 1, 1_295, 1_296, 10**4, 10**5, DEFAULT_BUDGET)]
+    for g, budget in runs:
+        assert settle_run(_settle_choosable, g, 3, budget, searched) == (
+            settle_run(reference_settle_choosable, g, 3, budget, searched)
+        ), (g.edges, budget)
 
 
 def test_certificate_place_is_the_attempted_count():
