@@ -69,15 +69,11 @@ passes without a search when empty, else each of its components is
 settled in turn.  chi_dp and chi_list loop over k around it (_least_k),
 verify-theorem2 calls it at k = 3 through settle_dp, and
 reducibility.certify_reducible on the sizes an occurrence leaves.
-chi_list settles k = 2 by the Erdos-Rubin-Taylor characterization
-(_two_choosable); from k = 3 the DP adversary runs first when its
-normalized space is no larger than the list systems, since a
-DP-k-colorable graph is k-choosable, and only a DP certificate, which
-proves nothing of lists, leaves the component to the list walk
-(_settle_choosable).  The comparison counts list systems only up to the
-DP space size; the list walk's attempted count finishes that count.  is_k_choosable and
-is_dp_k_colorable, and so chi-list --k and chi-dp --k, search the whole
-graph.
+chi_list settles a component by a theorem, with no search, where one
+applies (_settle_choosable): k = 2 by Erdos, Rubin and Taylor
+(_two_choosable), from k = 3 by Alon and Tarsi (_alon_tarsi), which only
+says yes; else by the list walk.  is_k_choosable and is_dp_k_colorable,
+and so chi-list --k and chi-dp --k, search the whole graph.
 """
 
 from __future__ import annotations
@@ -85,6 +81,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -551,10 +548,16 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
     first, so a graph that is not even k-colorable fails at the uniform
     lists.  Raises BudgetExceeded as is_dp_k_colorable does.
     """
+    return _choosability_walk(g, k, budget)[0]
+
+
+def _choosability_walk(g: Graph, k: int, budget: int) -> tuple[object, int]:
+    """is_k_choosable's verdict and the list systems it attempted: every
+    one for True, as the walk counts each leaf it does not examine."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n == 0:
-        return True
+        return True, 0
     n, full = g.n, (1 << g.n) - 1
     groups = _ClassGroups(g, k)
     rep, sigmas = groups.rep, _automorphisms(g)
@@ -617,13 +620,12 @@ def is_k_choosable(g: Graph, k: int, budget: int = DEFAULT_BUDGET):
         for j in range(len(sets), depth + 1):
             within[j] |= bit
 
-    leaf, _ = _orderly_walk(
+    leaf, attempted = _orderly_walk(
         _OrbitTable(act, range(len(sigmas))), expand, alive, within, count,
         lambda leaf: _list_coloring(adj, lists_of(leaf), len(leaf)),
         witness, budget)
-    if leaf is None:
-        return True
-    return AdversaryCertificate(kind="list", k=k, lists=lists_of(leaf))
+    return (True if leaf is None else AdversaryCertificate(
+        kind="list", k=k, lists=lists_of(leaf))), attempted
 
 
 #: _automorphisms lists at most this many.  Any set of them prunes soundly,
@@ -693,7 +695,7 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _count_list_systems(groups: _ClassGroups, left: int, start: int,
-                        memo: dict, cap: float = math.inf) -> int:
+                        memo: dict) -> int:
     """The list systems the choosability walk enumerates below a node, by
     its choice rule, counted depth first as one loop.  left holds the open
     slots in layers of n bits, bit t*n + v set while v needs more than t
@@ -703,12 +705,7 @@ def _count_list_systems(groups: _ClassGroups, left: int, start: int,
 
     A running total takes a node's leaves when the node opens and a child
     found in memo whole; a node's count, written to memo once its children
-    are counted, is the total's growth meanwhile, so memo holds exact
-    counts only.  The count stops before opening a node once the total
-    reaches cap and returns the total: the result is at least cap exactly
-    when the exact count is, and is that count when below cap.  A later
-    call on the same memo finishes it, reopening only the nodes on the
-    path where it stopped."""
+    are counted, is the total's growth meanwhile."""
     root = (left, start)
     if root in memo:  # most of the walk's calls
         return memo[root]
@@ -725,8 +722,6 @@ def _count_list_systems(groups: _ClassGroups, left: int, start: int,
             total += known
             todo.pop()
             continue
-        if total >= cap:
-            return total
         base[node] = total
         need, first = node
         closed = full ^ need & full
@@ -818,6 +813,42 @@ def _two_choosable(core: Graph) -> bool:
             and (core.masks[u] & core.masks[v]).bit_count() >= 2)
 
 
+#: _alon_tarsi gives up once a step keeps more than this many monomials,
+#: which took about 0.2 s and 35 MB on random graphs with 14 to 18 vertices.
+_AT_LIMIT = 50_000
+
+
+def _alon_tarsi(g: Graph, k: int) -> int | None:
+    """Nonzero if connected g is k-choosable by the Alon-Tarsi theorem: its
+    graph polynomial prod_{uv in E} (x_u - x_v) has a monomial with each
+    exponent d(v) < k and coefficient not 0.  It sums those at x_v = w(v,
+    d(v)), w < 2^32 from a fixed seed, so is 0 then with chance about
+    n / 2^32 at most (Schwartz, Zippel); None if a step keeps over _AT_LIMIT.
+    Edges come breadth first by later end; a monomial, an int with base-k
+    digits d(v), is dropped once one passes k - 1, and a vertex is summed
+    out after its last edge."""
+    order = [0]
+    for v in order:  # runs on over the vertices appended
+        order += sorted(g.adj[v] - set(order))
+    edges = sorted(g.edges, key=lambda e: sorted(map(order.index, e))[::-1])
+    last, poly = {w: i for i, e in enumerate(edges) for w in e}, {0: 1}
+    weights = random.Random(0).choices(range(1, 1 << 32), k=k * g.n)
+    for i, (u, v) in enumerate(edges):
+        grown: dict[int, int] = {}
+        for mono, c in poly.items():
+            for p, term in ((k ** u, c), (k ** v, -c)):
+                if mono // p % k < k - 1:  # else the exponent passes k - 1
+                    key = mono + p
+                    for w in (w for w in (u, v) if last[w] == i):
+                        d = key // k ** w % k
+                        key, term = key - d * k ** w, term * weights[w * k + d]
+                    grown[key] = grown.get(key, 0) + term
+        poly = {mono: c for mono, c in grown.items() if c}
+        if len(poly) > _AT_LIMIT:
+            return None
+    return poly.get(0, 0)
+
+
 def _settle(masks, f, settle, budget: int):
     """Settle the graph with these neighbor bitmasks on list sizes f, an
     int k or a tuple of one size per vertex, as (verdict, settled_by,
@@ -900,47 +931,15 @@ def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
                     budget)
 
 
-def _certificate_place(g: Graph, certificate: AdversaryCertificate) -> int:
-    """The place, from 1, of a DP certificate of g in the plain scan's
-    order (itertools.product over the non-tree edges in sorted order, each
-    taking itertools.permutations(range(k))): the number of cases the
-    search that found it attempted."""
-    index = {p: i for i, p in enumerate(
-        itertools.permutations(range(certificate.k)))}
-    place = 0
-    for u, v in sorted(g.edges - _spanning_forest(g).keys()):
-        sigma = tuple(b for _, b in certificate.matching.pairs(u, v))
-        place = place * len(index) + index[sigma]
-    return place + 1
-
-
 def _settle_choosable(core: Graph, k: int, left: int) -> tuple[object, int]:
     """Whether a component of the k-core is k-choosable, as (verdict,
-    attempted); k = 2 by _two_choosable, with no search.  A list
-    assignment is a cover whose matchings pair equal colors, so a
-    DP-k-colorable graph is k-choosable (Dvorak and Postle, 2018).  When
-    the normalized DP space is no larger than the component's list
-    systems, the DP adversary runs first: True settles the component.  A
-    DP certificate says nothing of lists (the converse fails, Bernshteyn
-    and Kostochka), so the list walk then runs on the budget left.  The
-    list systems are counted only until they reach the DP space size, and
-    to the end, on the same memo, only when the walk runs: attempted is
-    the same as with the full count."""
+    attempted): by a theorem, with no search or budget, at k = 2 and where
+    _alon_tarsi is nonzero, else by the list walk on the budget left."""
     if k == 2:
         return _two_choosable(core), 0
-    covers = normalized_assignment_count(core, k)
-    groups, slots, memo = _ClassGroups(core, k), (1 << core.n * k) - 1, {}
-    spent = 0
-    if _count_list_systems(groups, slots, 0, memo, covers) >= covers:
-        verdict = is_dp_k_colorable(core, k, budget=left)
-        if verdict is True:
-            return True, covers
-        spent = _certificate_place(core, verdict)
-    systems = _count_list_systems(groups, slots, 0, memo)  # finishes it
-    try:
-        return is_k_choosable(core, k, budget=left - spent), spent + systems
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(spent + exc.attempted) from None
+    if _alon_tarsi(core, k):
+        return True, 0
+    return _choosability_walk(core, k, left)
 
 
 def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

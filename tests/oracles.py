@@ -17,8 +17,11 @@ arithmetic that the integer charge ledger in dpcolor.discharging
 replaced.  reference_search_positions is the recursive backtracker with
 a scan for the smallest domain that dp.search_positions, one loop over a
 frame stack with bucketed domain sizes, replaced.
-reference_settle_choosable is solver._settle_choosable as it was when it
-counted every list system before choosing which scan runs first."""
+alon_tarsi_certifies decides whether an exponent vector has a nonzero
+coefficient in the graph polynomial in Alon and Tarsi's own terms, an
+orientation with those out-degrees and its even and odd Eulerian
+subgraphs, with no polynomial; solver._alon_tarsi's weighted sum is
+checked against it."""
 
 from __future__ import annotations
 
@@ -28,8 +31,7 @@ from fractions import Fraction
 from dpcolor import (BudgetExceeded, ChargeState, DEFAULT_BUDGET, Graph,
                      InvalidMatching, MatchingAssignment, PlaneEmbedding,
                      find_coloring, from_list_assignment, is_valid_coloring,
-                     normalized_assignment_count, uniform_lists)
-from dpcolor import solver
+                     uniform_lists)
 
 
 def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
@@ -472,24 +474,49 @@ def reference_search_positions(adj, sizes, part):
     return tuple(chosen) if solve() else None
 
 
-def reference_settle_choosable(core: Graph, k: int, left: int):
-    """solver._settle_choosable on the full list-system count: the DP scan
-    runs first when the normalized DP space is no larger than the count.
-    Both scans are looked up on solver at call time, so a spy there sees
-    them."""
-    if k == 2:
-        return solver._two_choosable(core), 0
-    systems = solver._count_list_systems(solver._ClassGroups(core, k),
-                                         (1 << core.n * k) - 1, 0, {})
-    covers = normalized_assignment_count(core, k)
-    spent = 0
-    if covers <= systems:
-        verdict = solver.is_dp_k_colorable(core, k, budget=left)
-        if verdict is True:
-            return True, covers
-        spent = solver._certificate_place(core, verdict)
-    try:
-        return (solver.is_k_choosable(core, k, budget=left - spent),
-                spent + systems)
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(spent + exc.attempted) from None
+def alon_tarsi_certifies(g: Graph, k: int, exponents) -> bool:
+    """Whether exponents, one per vertex and each at most k - 1, are the
+    out-degrees of an orientation D of g with EE(D) != EO(D): D's spanning
+    Eulerian subgraphs (in-degree equal to out-degree at every vertex)
+    with an even number of arcs outnumber or are outnumbered by those with
+    an odd number.  That difference is, up to sign, the coefficient of
+    prod_v x_v^exponents[v] in the graph polynomial (Alon and Tarsi,
+    1992).  D is the first orientation found by a search over the edges
+    in sorted order, each tried from its smaller end first; the subgraphs
+    are counted arc by arc, by the balance (out minus in) at each vertex
+    and parity."""
+    if len(exponents) != g.n or any(not 0 <= d < k for d in exponents):
+        return False
+    edges = sorted(g.edges)
+    left = list(exponents)
+    arcs: list[tuple[int, int]] = []
+
+    def orient(i: int) -> bool:
+        if i == len(edges):
+            return not any(left)
+        u, v = edges[i]
+        for a, b in ((u, v), (v, u)):
+            if left[a]:
+                left[a] -= 1
+                arcs.append((a, b))
+                if orient(i + 1):
+                    return True
+                left[a] += 1
+                arcs.pop()
+        return False
+
+    if not orient(0):
+        return False
+    zero = (0,) * g.n
+    counts = {zero: (1, 0)}  # balance -> (even, odd) arc subsets
+    for a, b in arcs:
+        grown = dict(counts)
+        for balance, (even, odd) in counts.items():
+            moved = list(balance)
+            moved[a] += 1
+            moved[b] -= 1
+            old_even, old_odd = grown.get(tuple(moved), (0, 0))
+            grown[tuple(moved)] = (old_even + odd, old_odd + even)
+        counts = grown
+    even, odd = counts.get(zero, (0, 0))
+    return even != odd

@@ -9,6 +9,7 @@ import pytest
 
 import dpcolor.cli
 import dpcolor.reducibility
+import dpcolor.solver
 from dpcolor import (NonPlanarOrTooLarge, brute_force_embed, encode_graph6,
                      from_edge_list, parse_graph6, parse_matching_file)
 from dpcolor.cli import build_parser, main
@@ -131,21 +132,29 @@ def test_chi_list_command(tmp_path, capsys):
     assert code == 0 and "chi_list = 3" in out
 
 
-def test_chi_list_budget_counts_the_core(tmp_path, capsys):
-    # the wheel W4 (Dr{) with a pendant path of two vertices: its 3-core,
-    # the W4, is settled by the DP scan after its 1,296 cases, and the
-    # whole graph has 984,450 list systems.  chi-list searches the core, so
-    # it settles within a budget that chi-list --k 3, which walks the list
-    # systems of the whole graph, runs out of.
+def test_chi_list_budget_counts_the_core(tmp_path, capsys, monkeypatch):
+    # the wheel W4 (Dr{), alone and with a pendant path of two vertices:
+    # chi-list settles its 3-core, the W4, by the Alon-Tarsi theorem, with
+    # none of the budget.  Without the theorem the list walk settles the
+    # W4 after its 20,852 list systems, and the whole graph has 984,450.
+    # chi-list searches the core, so it settles within a budget that
+    # chi-list --k 3, which walks the list systems of the whole graph,
+    # runs out of.
+    w4 = write(tmp_path, "w4.g6", "Dr{\n")
+    code, out, _ = run(capsys, "chi-list", w4, "--budget", "0")
+    assert (code, out) == (0, "chi_list = 3\n")
     g = with_pendant_paths(parse_graph6("Dr{"), [0], 2)
     path = write(tmp_path, "w4path.g6", encode_graph6(g))
-    code, out, _ = run(capsys, "chi-list", path, "--budget", "1296")
+    code, out, _ = run(capsys, "chi-list", path, "--budget", "0")
     assert (code, out) == (0, "chi_list = 3\n")
-    code, out, err = run(capsys, "chi-list", path, "--budget", "1295")
-    assert (code, out, err) == (2, "", "budget exceeded after 1295 cases\n")
+    monkeypatch.setattr(dpcolor.solver, "_alon_tarsi", lambda g, k: None)
+    code, out, _ = run(capsys, "chi-list", path, "--budget", "20852")
+    assert (code, out) == (0, "chi_list = 3\n")
+    code, out, err = run(capsys, "chi-list", path, "--budget", "20851")
+    assert (code, out, err) == (2, "", "budget exceeded after 20851 cases\n")
     code, out, err = run(capsys, "chi-list", path, "--k", "3",
-                         "--budget", "1296")
-    assert (code, out, err) == (2, "", "budget exceeded after 1296 cases\n")
+                         "--budget", "20852")
+    assert (code, out, err) == (2, "", "budget exceeded after 20852 cases\n")
     # K2,4 with a pendant path of two vertices: chi-list settles k = 2 on
     # the 2-core by the Erdos-Rubin-Taylor theorem, with no search and no
     # budget, and the 3-core is empty.  chi-list --k 2 still walks: the
