@@ -163,10 +163,6 @@ class ChargeState:
         if not ok:
             raise ConservationViolated(f"after {phase}: total {t} != -8")
 
-    def sent(self, kind: str, idx: int) -> Fraction:
-        return _exact_sum(amount for _, _, k, i, _, _, amount in self._rows
-                          if k == kind and i == idx)
-
 
 def initial_charges(emb: PlaneEmbedding) -> ChargeState:
     """Charge d(x) - 4 on every vertex and face; asserts the -8 total."""

@@ -21,6 +21,10 @@ larger graphs are decoded one edge at a time.  filter_graph6 runs the
 census filters of dpcolor verify-theorem2 (connectivity, cycle filter) on
 them and returns them, not a Graph, for a line that passes; the planarity
 test and solver.settle_dp take them from there.
+
+_edge_maps is the one search for maps that keep degrees and send edges to
+edges: reducibility.find_pattern lists a pattern's occurrences with it,
+and solver._automorphisms the maps of a graph into itself.
 """
 
 from __future__ import annotations
@@ -490,6 +494,74 @@ FORBIDDEN_VARIANTS: dict[str, frozenset[int]] = {
     "b67": frozenset({4, 6, 7, 9}),
     "b68": frozenset({4, 6, 8, 9}),
 }
+
+
+def _edge_maps(g: Graph, adj, want, order):
+    """Each injective map x -> image[x] of a pattern's vertices into g that
+    sends every pattern edge to an edge of g and each x to a vertex of
+    degree want[x], as the tuple image, in the lexicographic order of the
+    images read along order.  The pattern vertices are 0..len(order) - 1,
+    order lists each once, and adj[x] is the set of pattern neighbors of x;
+    an empty order yields nothing.
+
+    A depth first search, as a loop, maps order[i] at depth i.  It takes
+    its candidates from the neighbors of the image of its least earlier
+    neighbor, or from every vertex of its degree when it has none, in
+    increasing order either way.  With g as its own pattern, a full map is
+    a bijection that sends every edge to an edge: an automorphism.
+    """
+    size = len(order)
+    if not 0 < size <= g.n:
+        return
+    gadj, deg = g.adj, g.degrees()
+    # per depth: the least earlier neighbor of its vertex (None if it has
+    # none), the other earlier neighbors, and the degree it wants
+    steps, placed = [], set()
+    for x in order:
+        back = sorted(adj[x] & placed)
+        steps.append((back[0] if back else None, back[1:], want[x]))
+        placed.add(x)
+    of_degree = {w: [v for v in range(g.n) if deg[v] == w]
+                 for first, _, w in steps if first is None}
+    image = [-1] * size
+    used = [False] * g.n
+
+    def options(i: int) -> list[int]:
+        # the images of order[:i] stay fixed while depth i is open
+        first, rest, w = steps[i]
+        if first is None:
+            return [v for v in of_degree[w] if not used[v]]
+        return sorted(v for v in gadj[image[first]] if deg[v] == w
+                      and not used[v]
+                      and not (rest and any(image[y] not in gadj[v]
+                                            for y in rest)))
+
+    # todo[i] iterates depth i's options, and the last depth's options are
+    # maps at once
+    last, x_last = size - 1, order[-1]
+    todo = []
+    i = 0
+    while True:
+        if i == last:
+            for v in options(last):
+                image[x_last] = v
+                yield tuple(image)
+        else:
+            todo.append(iter(options(i)))
+        while todo:
+            i = len(todo) - 1
+            x = order[i]
+            if image[x] >= 0:
+                used[image[x]] = False
+            v = image[x] = next(todo[i], -1)
+            if v < 0:
+                todo.pop()
+                continue
+            used[v] = True
+            i += 1
+            break
+        else:
+            return
 
 
 def delete_vertices(g: Graph, drop) -> tuple[Graph, dict[int, int]]:

@@ -8,7 +8,9 @@ reducible exactly when g[S] is DP-f-colorable for f(v) = k - |N_g(v) \\ S|:
 a colored neighbor outside takes at most one color of v's list, and
 maximal matchings are the worst case.  certify_reducible decides that on
 the solver's settle pipeline; this module makes no colorability decision
-of its own.  extend_coloring replays one extension along an order.
+of its own.  find_pattern lists the occurrences with graphs._edge_maps,
+the search that also lists the choosability walk's automorphisms.
+extend_coloring replays one extension along an order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import solver
-from .graphs import Graph
+from .graphs import Graph, _edge_maps
 from .dp import Lists, MatchingAssignment, is_valid_coloring
 
 __all__ = [
@@ -71,16 +73,19 @@ def residual_lists(g: Graph, subset, lists: Lists,
     if set(partial) != outside:
         raise InvalidPartial("partial coloring must cover exactly the outside")
     _check_partial(g, lists, matching, partial)
-    out: dict[int, set[int]] = {}
-    for v in subset:
-        avail = set(lists[v])
-        for u in g.adj[v]:
-            if u in partial:
-                p = matching.partner(u, v, partial[u])
-                if p is not None:
-                    avail.discard(p)
-        out[v] = avail
-    return out
+    return {v: _free_colors(g, lists, matching, partial, v) for v in subset}
+
+
+def _free_colors(g: Graph, lists: Lists, matching: MatchingAssignment,
+                 coloring: dict[int, int], v: int) -> set[int]:
+    """L(v) minus the color matched with each colored neighbor's color."""
+    free = set(lists[v])
+    for u in g.adj[v]:
+        if u in coloring:
+            p = matching.partner(u, v, coloring[u])
+            if p is not None:
+                free.discard(p)
+    return free
 
 
 def extend_coloring(g: Graph, order, lists: Lists,
@@ -114,7 +119,7 @@ def extend_coloring(g: Graph, order, lists: Lists,
         raise ConditionsViolated(
             2, f"deg(vl)={g.degree(vl)}, outside neighbors {out_l}")
     earlier = {v1}
-    for i, v in enumerate(order[1:-1], start=1):
+    for v in order[1:-1]:
         back = len(g.adj[v] & earlier) + len(g.adj[v] - subset)
         if back > len(lists[v]) - 1:
             raise ConditionsViolated(
@@ -134,24 +139,12 @@ def extend_coloring(g: Graph, order, lists: Lists,
     assert pick1 is not None, "injectivity guarantees a safe color for v1"
     coloring[v1] = pick1
 
-    for v in order[1:-1]:
-        free = set(lists[v])
-        for u in g.adj[v]:
-            if u in coloring:
-                p = matching.partner(u, v, coloring[u])
-                if p is not None:
-                    free.discard(p)
-        assert free, "interior vertex ran out of colors despite condition 3"
+    # the interior in order, then vl, each from what its colored neighbors
+    # leave of its list
+    for v in order[1:]:
+        free = _free_colors(g, lists, matching, coloring, v)
+        assert free, f"vertex {v} ran out of colors despite the conditions"
         coloring[v] = min(free)
-
-    free = set(avail[vl])
-    for u in g.adj[vl]:
-        if u in subset and u in coloring:
-            p = matching.partner(u, vl, coloring[u])
-            if p is not None:
-                free.discard(p)
-    assert free, "last vertex ran out of colors despite the conditions"
-    coloring[vl] = min(free)
 
     assert is_valid_coloring(
         g, lists, matching, tuple(coloring[v] for v in range(g.n)))
@@ -263,57 +256,8 @@ def pattern_to_json(pat: ConfigPattern) -> str:
 def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
     """All injective maps of the pattern into g that preserve pattern edges
     and give every pattern vertex its exact host degree, in lexicographic
-    order.
-
-    Pattern vertex i takes its candidates from the neighbors of the image
-    of its first earlier pattern neighbor, or from every vertex of its host
-    degree when it has none, in increasing order either way.
-    """
-    if pat.size > g.n:
-        return []
-    adj, deg, want = g.adj, g.degrees(), pat.host_degree
-    earlier = [sorted(j for j in pat.adj[i] if j < i) for i in range(pat.size)]
-    of_degree = {want[i]: [v for v in range(g.n) if deg[v] == want[i]]
-                 for i in range(pat.size) if not earlier[i]}
-    image = [-1] * pat.size
-    used = [False] * g.n
-    out: list[tuple[int, ...]] = []
-
-    def options(i: int) -> list[int]:
-        # the images of 0..i-1 stay fixed while depth i is open
-        back, w = earlier[i], want[i]
-        if not back:
-            return [v for v in of_degree[w] if not used[v]]
-        rest = back[1:]
-        return sorted(v for v in adj[image[back[0]]] if deg[v] == w
-                      and not used[v]
-                      and not (rest and any(image[j] not in adj[v]
-                                            for j in rest)))
-
-    # depth first as a loop: todo[i] iterates depth i's options, and the
-    # last depth's options are hits at once
-    last = pat.size - 1
-    todo = []
-    i = 0
-    while True:
-        if i == last:
-            for v in options(last):
-                out.append((*image[:last], v))
-        else:
-            todo.append(iter(options(i)))
-        while todo:
-            i = len(todo) - 1
-            if image[i] >= 0:
-                used[image[i]] = False
-            v = image[i] = next(todo[i], -1)
-            if v < 0:
-                todo.pop()
-                continue
-            used[v] = True
-            i += 1
-            break
-        else:
-            return out
+    order: graphs._edge_maps along the pattern vertices 0, 1, ..."""
+    return list(_edge_maps(g, pat.adj, pat.host_degree, range(pat.size)))
 
 
 def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:

@@ -43,9 +43,10 @@ matching on the next edge with choices, so r non-tree edges at f = k hold
 (k!)^r leaves.  A witness fits a matching that does not match its colors
 at the edge's ends; within holds every witness at the leaves and none
 above.  At f = k the group relabels all vertices by one pi, mapping each
-permutation s to pi s pi^-1.  A --jobs block may skip leaves whose
-conjugates lie in an earlier block; the merge keeps its result only when
-every earlier block was colorable.
+permutation s to pi s pi^-1.  Only a space within the budget is split
+into --jobs blocks, so none runs out of it.  A block may skip leaves
+whose conjugates lie in an earlier block; the merge keeps its result only
+when every earlier block was colorable.
 
 The list walk (is_k_choosable) tries list systems up to color renaming.
 Splitting a color whose support induces a disconnected subgraph into one
@@ -56,7 +57,9 @@ in the order of least vertex, then decreasing bitmask; _count_list_systems
 counts a subtree by that rule.  The j-th class is color j: a witness fits
 class c at depth j when its color-j vertices lie in c, and within[j] holds
 those that use no color from j on, as later classes only widen the lists.
-The group is the graph's automorphisms, at most _AUT_LIMIT of them.  A cut
+The group is the graph's automorphisms, at most _AUT_LIMIT of them.
+graphs._edge_maps, the search behind reducibility.find_pattern, lists
+them along _breadth_first, the order _alon_tarsi takes edges in.  A cut
 is exact: leaves are sorted sequences, and if sigma fixes every class of a
 prefix P but the last and maps that one lower, then sorted(sigma(P)) < P;
 adding elements to a multiset never raises its i-th smallest, so every
@@ -85,7 +88,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, _edge_maps, from_edge_list
 from .dp import Lists, MatchingAssignment, search_positions
 
 __all__ = [
@@ -112,7 +115,8 @@ DEFAULT_BUDGET = 100_000_000
 #: choice (3 at k = 3, 5 at k = 4), at k = 3 for CnxK2, n = 7, 8, 9
 #: (279,936, 1,679,616 and 10,077,696 cases per k!): 0.069 vs 0.137 s,
 #: 0.64 vs 0.36 s, 2.6 vs 1.5 s; at k = 4 for the cube and C5xK2 (331,776
-#: and 7,962,624): 0.034 vs 0.086 s, 1.22 vs 0.54 s.  Unmeasured at other k.
+#: and 7,962,624): 0.034 vs 0.086 s, 1.22 vs 0.54 s; C5xK2 at k = 4 is
+#: past the default budget, which leaves it serial.  Unmeasured at other k.
 _POOL_MIN_WORK = 1_000_000
 
 
@@ -450,33 +454,32 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
 
     Raises BudgetExceeded with the attempted case count if the normalized
     space cannot be settled within budget.  None of that depends on jobs.
-    A space of at least _POOL_MIN_WORK times k! cases is split into one
-    block per first choice the gauge pruning keeps, run on up to jobs
-    processes.
+    A space of at least _POOL_MIN_WORK times k! cases, and no more than
+    budget, is split into one block per first choice the gauge pruning
+    keeps, run on up to jobs processes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     nperm, sizes = math.factorial(k), (k,) * g.n
-    # a space of one case has no first edge to split
-    if jobs <= 1 or normalized_assignment_count(g, k) < max(
-            _POOL_MIN_WORK * nperm, 2):
+    space = normalized_assignment_count(g, k) if jobs > 1 else 0
+    # a space of one case has no first edge to split, and a scan past the
+    # budget stops within one budget of cases in this process, where blocks
+    # would each do up to that much and wait for one another
+    if not max(_POOL_MIN_WORK * nperm, 2) <= space <= budget:
         results = [_scan_block(g, sizes, None, budget)]
     else:
         # one block from each first choice the start orbit row keeps to the
-        # next; each gets the full budget, as none knows how far those
-        # before it get
+        # next; their cases add up to at most the space, so none runs out
         orbits = _GaugeOrbits(k)
         kept = [i for i in range(nperm) if orbits[orbits.start][i] >= 0]
         blocks = [range(a, z) for a, z in zip(kept, kept[1:] + [nperm])]
         scan = functools.partial(_scan_block, g, sizes, budget=budget)
         with _pool(min(jobs, len(blocks))) as pool:
             results = list(pool.map(scan, blocks))
-    # merge in block order with cumulative counts: a block's result stands
-    # only where the serial scan would have reached it within budget
-    offset = 0
-    for status, matching, attempted in results:
-        offset += attempted
-        if status == "budget" or offset > budget:
+    # the first block that is not colorable decides, as the serial scan
+    # reaches it within budget
+    for status, matching, _ in results:
+        if status == "budget":
             # the serial scan stops with exactly budget cases attempted
             raise BudgetExceeded(max(budget, 0))
         if status == "cert":
@@ -636,62 +639,31 @@ _AUT_LIMIT = 64
 
 def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Non-identity automorphisms of g as tuples of vertex images, at most
-    _AUT_LIMIT of them, in the lexicographic order of their images along a
-    breadth-first order of the vertices, which a depth-first search, as a
-    loop, maps in turn.  A vertex goes to an unused vertex of its degree
-    whose neighbors among the images so far are exactly the images of its
-    own earlier neighbors: every full map is an automorphism, and every
-    automorphism is one."""
-    n, masks = g.n, g.masks
+    _AUT_LIMIT of them: the first maps of g into itself that
+    graphs._edge_maps yields along _breadth_first(g), in the lexicographic
+    order of their images read along it."""
+    identity = tuple(range(g.n))
+    maps = _edge_maps(g, g.adj, g.degrees(), _breadth_first(g))
+    return list(itertools.islice((m for m in maps if m != identity),
+                                 _AUT_LIMIT))
+
+
+def _breadth_first(g: Graph) -> list[int]:
+    """The vertices breadth first, each component from its least vertex in
+    turn and every vertex's neighbors in increasing order."""
     order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
+    seen = [False] * g.n
+    for root in range(g.n):
         if not seen[root]:
             seen[root] = True
             component = [root]
-            for v in component:
+            for v in component:  # runs on over the vertices appended
                 for u in sorted(g.adj[v]):
                     if not seen[u]:
                         seen[u] = True
                         component.append(u)
             order += component
-    sigma = [-1] * n  # the images of the vertices mapped so far
-    used = 0
-
-    def options(v: int) -> list[int]:
-        want = 0
-        for u in g.adj[v]:
-            if sigma[u] >= 0:
-                want |= 1 << sigma[u]
-        free = ((1 << n) - 1) & ~used
-        pool = masks[(want & -want).bit_length() - 1] & free if want else free
-        out = []
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            w = low.bit_length() - 1
-            if len(g.adj[w]) == len(g.adj[v]) and masks[w] & used == want:
-                out.append(w)
-        return out[::-1]  # popped from the end, least first
-
-    found: list[tuple[int, ...]] = []
-    stack = [options(order[0])] if n else []
-    while stack and len(found) < _AUT_LIMIT:
-        d = len(stack) - 1
-        v = order[d]
-        if sigma[v] >= 0:
-            used ^= 1 << sigma[v]
-            sigma[v] = -1
-        if not stack[d]:
-            stack.pop()
-            continue
-        sigma[v] = w = stack[d].pop()
-        used |= 1 << w
-        if d + 1 < n:
-            stack.append(options(order[d + 1]))
-        elif any(sigma[u] != u for u in range(n)):
-            found.append(tuple(sigma))
-    return found
+    return order
 
 
 def _count_list_systems(groups: _ClassGroups, left: int, start: int,
@@ -827,10 +799,8 @@ def _alon_tarsi(g: Graph, k: int) -> int | None:
     Edges come breadth first by later end; a monomial, an int with base-k
     digits d(v), is dropped once one passes k - 1, and a vertex is summed
     out after its last edge."""
-    order = [0]
-    for v in order:  # runs on over the vertices appended
-        order += sorted(g.adj[v] - set(order))
-    edges = sorted(g.edges, key=lambda e: sorted(map(order.index, e))[::-1])
+    rank = {v: i for i, v in enumerate(_breadth_first(g))}
+    edges = sorted(g.edges, key=lambda e: sorted(map(rank.get, e))[::-1])
     last, poly = {w: i for i, e in enumerate(edges) for w in e}, {0: 1}
     weights = random.Random(0).choices(range(1, 1 << 32), k=k * g.n)
     for i, (u, v) in enumerate(edges):
@@ -934,7 +904,10 @@ def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
 def _settle_choosable(core: Graph, k: int, left: int) -> tuple[object, int]:
     """Whether a component of the k-core is k-choosable, as (verdict,
     attempted): by a theorem, with no search or budget, at k = 2 and where
-    _alon_tarsi is nonzero, else by the list walk on the budget left."""
+    _alon_tarsi is nonzero, else by the list walk on the budget left.
+    _alon_tarsi is not charged to the budget, even where it gives up: on
+    random graphs with 14 to 18 vertices a give-up took about 0.2 s and
+    35 MB before the walk began."""
     if k == 2:
         return _two_choosable(core), 0
     if _alon_tarsi(core, k):

@@ -37,7 +37,7 @@ from dpcolor import (
 )
 from dpcolor.solver import (_AT_LIMIT, _AUT_LIMIT, _ClassGroups,
                             _GaugeOrbits, _alon_tarsi, _automorphisms,
-                            _choosability_walk,
+                            _breadth_first, _choosability_walk,
                             _core_components, _count_list_systems,
                             _scan_block, _settle, _settle_choosable,
                             _two_choosable)
@@ -448,6 +448,26 @@ def test_small_spaces_open_no_pool(monkeypatch):
     assert info.value.attempted == 46_655
 
 
+def test_spaces_past_the_budget_open_no_pool(monkeypatch):
+    # a scan past its budget stops within one budget of cases in this
+    # process, where every block would do up to that much and the pool
+    # would wait for all of them; a space within the budget still splits
+    def no_pool(max_workers):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(dpcolor.solver, "_pool", no_pool)
+    k5 = complete_graph(5)  # 24^6 cases, past the default budget
+    assert normalized_assignment_count(k5, 4) > DEFAULT_BUDGET
+    assert is_dp_k_colorable(k5, 4, jobs=2) == is_dp_k_colorable(k5, 4)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
+    g = prism(5)
+    with pytest.raises(BudgetExceeded) as info:
+        is_dp_k_colorable(g, 3, budget=46_655, jobs=2)
+    assert info.value.attempted == 46_655
+    with pytest.raises(AssertionError, match="a pool was opened"):
+        is_dp_k_colorable(g, 3, budget=46_656, jobs=2)
+
+
 def test_parallel_blocks_agree_with_serial(monkeypatch):
     monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
     g = cycle_graph(5)
@@ -649,16 +669,14 @@ def test_chi_does_not_recurse():
 
 
 def check_automorphisms(g):
-    want = automorphisms_by_permutation(g)
-    assert tuple(range(g.n)) in want
-    got = _automorphisms(g)
-    assert len(set(got)) == len(got)
-    assert tuple(range(g.n)) not in got
-    if len(want) - 1 <= _AUT_LIMIT:
-        assert sorted(got) == sorted(p for p in want if p != tuple(range(g.n)))
-    else:
-        assert len(got) == _AUT_LIMIT
-        assert set(got) <= set(want)
+    # the list, order included: the non-identity automorphisms in the
+    # lexicographic order of their images read along the breadth-first
+    # order, cut at _AUT_LIMIT
+    identity = tuple(range(g.n))
+    order = _breadth_first(g)
+    want = sorted((p for p in automorphisms_by_permutation(g)
+                   if p != identity), key=lambda p: [p[v] for v in order])
+    assert _automorphisms(g) == want[:_AUT_LIMIT]
 
 
 def test_automorphisms_match_permutation_oracle():
@@ -669,22 +687,25 @@ def test_automorphisms_match_permutation_oracle():
     check_automorphisms(from_edge_list([(0, 1), (1, 2), (2, 0), (3, 4)]))
     check_automorphisms(from_edge_list([], n=5))
     assert _automorphisms(from_edge_list([], n=0)) == []
+    # a 5-cycle labelled 0, 2, 1, 4, 3 around, where the breadth-first
+    # order 0, 2, 3, 1, 4 sorts its automorphisms unlike the labels do
+    assert _breadth_first(parse_graph6("D[S")) == [0, 2, 3, 1, 4]
+    check_automorphisms(parse_graph6("D[S"))
 
 
 def test_automorphisms_are_bounded():
     # the edgeless graph on 10 vertices has 10! - 1 non-identity
     # automorphisms and K7 5,039; the list stops at _AUT_LIMIT = 64.  C1200
     # has 2,399, more vertices than the recursion limit: the search is a
-    # loop
+    # loop.  Along its breadth-first order 0, 1, 1199, 2, ... they come as
+    # x -> a - x before x -> a + x, a = 0, 1, ...
     assert _AUT_LIMIT == 64
     check_automorphisms(complete_graph(7))
-    for g in (from_edge_list([], n=10), cycle_graph(1200)):
-        got = _automorphisms(g)
-        assert len(got) == _AUT_LIMIT
-        assert tuple(range(g.n)) not in got
-        for sigma in got:
-            assert sorted(sigma) == list(range(g.n))
-            assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges)
+    assert _automorphisms(from_edge_list([], n=10)) == list(
+        itertools.islice(itertools.permutations(range(10)), 1, 65))
+    assert _automorphisms(cycle_graph(1200)) == [
+        tuple((a + s * x) % 1200 for x in range(1200))
+        for a in range(33) for s in (-1, 1) if (a, s) != (0, 1)][:64]
 
 
 @pytest.mark.parametrize("g, k, want", [
@@ -986,6 +1007,24 @@ def test_alon_tarsi_gives_up_past_its_limit(monkeypatch):
     searched = searched_cores(monkeypatch)
     assert chi_list(parse_graph6("Dr{")) == 3
     assert searched == [("at", 5, 8, 3), ("list", 5, 8, 3)]
+
+
+@pytest.mark.parametrize("g, k, order, peak", [
+    (petersen(), 3, [0, 1, 4, 5, 2, 6, 3, 9, 7, 8], 180),
+    (parse_graph6("Dr{"), 3, [0, 1, 2, 4, 3], 13),
+    (parse_graph6("Fs^ro"), 4, [0, 1, 2, 3, 5, 4, 6], 133),
+], ids=["petersen", "Dr{", "Fs^ro"])
+def test_alon_tarsi_multiplies_edges_breadth_first(monkeypatch, g, k, order,
+                                                   peak):
+    # the expansion takes the edges by the later end in the breadth-first
+    # order that _automorphisms reads maps along; the most monomials a step
+    # keeps is pinned, as the vertex labels' order would keep 90, 26 and
+    # 236 on these graphs
+    assert _breadth_first(g) == order
+    monkeypatch.setattr(dpcolor.solver, "_AT_LIMIT", peak)
+    assert _alon_tarsi(g, k) is not None
+    monkeypatch.setattr(dpcolor.solver, "_AT_LIMIT", peak - 1)
+    assert _alon_tarsi(g, k) is None
 
 
 def test_alon_tarsi_says_yes_exactly_where_the_oracle_finds_a_vector():
