@@ -1,95 +1,13 @@
 """Exact DP-coloring (correspondence coloring) solvers, choosability and
-chromatic-number oracles, plane embeddings, and a discharging audit engine."""
+chromatic-number oracles, plane embeddings, and a discharging audit engine.
 
-from .graphs import (
-    Graph,
-    SelfLoop,
-    MalformedGraph6,
-    from_edge_list,
-    parse_graph6,
-    filter_graph6,
-    encode_graph6,
-    parse_edge_list,
-    cycle_spectrum,
-    forbidden_cycles,
-    has_cycle_length,
-    FORBIDDEN_VARIANTS,
-    delete_vertices,
-    is_connected,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    complete_bipartite,
-)
-from .planar import (
-    Face,
-    PlaneEmbedding,
-    Disconnected,
-    NotGenusZero,
-    NonPlanarOrTooLarge,
-    NotOnFace,
-    trace_faces,
-    classify_vertex,
-    brute_force_embed,
-    is_planar,
-    load_embedding,
-    dump_embedding,
-)
-from .dp import (
-    InvalidMatching,
-    NonUniformLists,
-    MatchingAssignment,
-    CoverGraph,
-    uniform_lists,
-    build_cover,
-    find_coloring,
-    is_valid_coloring,
-    from_list_assignment,
-    parse_matching_file,
-    format_matching_file,
-)
-from .solver import (
-    BudgetExceeded,
-    AdversaryCertificate,
-    DEFAULT_BUDGET,
-    chi,
-    k_core,
-    is_dp_k_colorable,
-    settle_dp,
-    chi_dp,
-    is_k_choosable,
-    chi_list,
-    normalized_assignment_count,
-)
-from .reducibility import (
-    InvalidPartial,
-    ConditionsViolated,
-    ConfigPattern,
-    residual_lists,
-    extend_coloring,
-    find_pattern,
-    certify_reducible,
-    pattern_from_json,
-    pattern_to_json,
-)
-from .discharging import (
-    ChargeSumMismatch,
-    ConservationViolated,
-    ForbiddenCyclePresent,
-    Transfer,
-    ChargeState,
-    FaceRoles,
-    FaceStats,
-    initial_charges,
-    classify_face_roles,
-    path_stats,
-    face_stats,
-    face_charge_capacity,
-    face_charge_demand,
-    apply_rules,
-    audit,
-    AuditReport,
-    format_transfer_log,
-)
+The package re-exports each module's __all__, and nothing else."""
+
+from .graphs import *
+from .planar import *
+from .dp import *
+from .solver import *
+from .reducibility import *
+from .discharging import *
 
 __version__ = "0.1.0"

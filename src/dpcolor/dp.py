@@ -334,21 +334,26 @@ def parse_matching_file(text: str, g: Graph) -> tuple[MatchingAssignment, int | 
             try:
                 default_k = int(line.split("k=", 1)[1])
             except (IndexError, ValueError):
+                default_k = 0
+            if default_k < 1:
                 raise ValueError(f"line {lineno}: bad directive {raw!r}")
             continue
         if ":" not in line:
             raise ValueError(f"line {lineno}: expected 'u v : pairs'")
         head, _, tail = line.partition(":")
-        u, v = (int(t) for t in head.split())
+        try:
+            u, v = (int(t) for t in head.split())
+            pairs = []
+            if tail.strip():
+                for chunk in tail.split(","):
+                    a, _, b = chunk.strip().partition("-")
+                    pairs.append((int(a), int(b)))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'u v : pairs', "
+                             f"got {raw!r}") from None
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise ValueError(f"line {lineno}: edge ({u}, {v}) is not on "
                              f"vertices 0..{g.n - 1}")
-        pairs = []
-        tail = tail.strip()
-        if tail:
-            for chunk in tail.split(","):
-                a, _, b = chunk.strip().partition("-")
-                pairs.append((int(a), int(b)))
         key = (u, v) if u < v else (v, u)
         if u > v:
             pairs = [(b, a) for a, b in pairs]

@@ -15,7 +15,6 @@ extend_coloring replays one extension along an order.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -269,7 +268,6 @@ def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:
     covers the whole call, counted as _settle counts components; past it,
     BudgetExceeded.  The pattern's order is not consulted.
     """
-    settle = functools.partial(solver._settle_dp, jobs=1)
     left, settled = solver.DEFAULT_BUDGET, set()
     for image in find_pattern(g, pat):
         place = {v: i for i, v in enumerate(image)}
@@ -281,7 +279,8 @@ def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:
         if (masks, f) in settled:
             continue
         try:
-            verdict, _, _, spent = solver._settle(masks, f, settle, left)
+            verdict, _, _, spent = solver._settle(masks, f, solver._dp_walk,
+                                                  left)
         except solver.BudgetExceeded as exc:
             raise solver.BudgetExceeded(
                 solver.DEFAULT_BUDGET - left + exc.attempted) from None

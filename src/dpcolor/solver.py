@@ -45,8 +45,8 @@ at the edge's ends; within holds every witness at the leaves and none
 above.  At f = k the group relabels all vertices by one pi, mapping each
 permutation s to pi s pi^-1.  Only a space within the budget is split
 into --jobs blocks, so none runs out of it.  A block may skip leaves
-whose conjugates lie in an earlier block; the merge keeps its result only
-when every earlier block was colorable.
+whose conjugates lie in an earlier block; the merge keeps its result,
+and the cases through it, only when every earlier block was colorable.
 
 The list walk (is_k_choosable) tries list systems up to color renaming.
 Splitting a color whose support induces a disconnected subgraph into one
@@ -75,8 +75,10 @@ reducibility.certify_reducible on the sizes an occurrence leaves.
 chi_list settles a component by a theorem, with no search, where one
 applies (_settle_choosable): k = 2 by Erdos, Rubin and Taylor
 (_two_choosable), from k = 3 by Alon and Tarsi (_alon_tarsi), which only
-says yes; else by the list walk.  is_k_choosable and is_dp_k_colorable,
-and so chi-list --k and chi-dp --k, search the whole graph.
+says yes; else by the list walk.  _settle calls each adversary's private
+entry, _dp_walk or _choosability_walk, which returns (verdict, attempted);
+is_dp_k_colorable and is_k_choosable, and so chi-dp --k and chi-list --k,
+are that verdict on the whole graph.
 """
 
 from __future__ import annotations
@@ -382,12 +384,12 @@ class _GaugeOrbits(_OrbitTable):
 
 
 def _scan_block(g: Graph, sizes, first_indices, budget: int
-                ) -> tuple[str, MatchingAssignment | None, int]:
+                ) -> tuple[MatchingAssignment | None, int]:
     """Scan the normalized covers of g with sizes[v] colors at v on
     _orderly_walk: those whose first free edge takes one of first_indices,
-    or all when it is None.  Returns (status, certificate-or-None,
-    attempted) with status in {"ok", "cert", "budget"}, so a pool can
-    return it.
+    or all when it is None.  Returns (the first cover with no coloring, or
+    None, attempted), so a pool can return it; raises BudgetExceeded as
+    _orderly_walk does.
     """
     tree = _spanning_forest(g)
     uniform = len(set(sizes)) == 1
@@ -431,20 +433,16 @@ def _scan_block(g: Graph, sizes, first_indices, budget: int
                 if p[cu] != cv:
                     row[i] |= bit
 
-    try:
-        leaf, attempted = _orderly_walk(
-            orbits, lambda d, path: levels[d], alive, [0] * depth + [-1],
-            lambda d, i: below[d], kernel, witness, budget)
-    except BudgetExceeded as exc:
-        return "budget", None, exc.attempted
+    leaf, attempted = _orderly_walk(
+        orbits, lambda d, path: levels[d], alive, [0] * depth + [-1],
+        lambda d, i: below[d], kernel, witness, budget)
     if leaf is None:
-        return "ok", None, attempted
+        return None, attempted
     for e, (fwd, _), i in zip(free, rows, leaf):
         part[e] = fwd[i]
-    matching = MatchingAssignment({
+    return MatchingAssignment({
         e: tuple((i, j) for i, j in enumerate(part[e]) if j >= 0)
-        for e in g.edges})
-    return "cert", matching, attempted
+        for e in g.edges}), attempted
 
 
 def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
@@ -460,13 +458,26 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    nperm, sizes = math.factorial(k), (k,) * g.n
-    space = normalized_assignment_count(g, k) if jobs > 1 else 0
+    return _dp_walk(g, k, max(budget, 0), jobs)[0]
+
+
+def _dp_walk(g: Graph, f, budget: int, jobs: int = 1) -> tuple[object, int]:
+    """is_dp_k_colorable's verdict on list sizes f, an int k or one size per
+    vertex, and the covers it attempted: every one for True, as the walk
+    counts each leaf it does not examine.  A certificate for sizes carries
+    lists range(f(v)).  Only an int k is split across jobs processes."""
+    if isinstance(f, int):
+        k, sizes, lists = f, (f,) * g.n, None
+    else:
+        k, sizes, lists = max(f), f, tuple(tuple(range(x)) for x in f)
+    nperm = math.factorial(k)
+    space = (normalized_assignment_count(g, k)
+             if jobs > 1 and lists is None else 0)
     # a space of one case has no first edge to split, and a scan past the
     # budget stops within one budget of cases in this process, where blocks
     # would each do up to that much and wait for one another
     if not max(_POOL_MIN_WORK * nperm, 2) <= space <= budget:
-        results = [_scan_block(g, sizes, None, budget)]
+        matching, attempted = _scan_block(g, sizes, None, budget)
     else:
         # one block from each first choice the start orbit row keeps to the
         # next; their cases add up to at most the space, so none runs out
@@ -476,15 +487,17 @@ def is_dp_k_colorable(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
         scan = functools.partial(_scan_block, g, sizes, budget=budget)
         with _pool(min(jobs, len(blocks))) as pool:
             results = list(pool.map(scan, blocks))
-    # the first block that is not colorable decides, as the serial scan
-    # reaches it within budget
-    for status, matching, _ in results:
-        if status == "budget":
-            # the serial scan stops with exactly budget cases attempted
-            raise BudgetExceeded(max(budget, 0))
-        if status == "cert":
-            return AdversaryCertificate(kind="dp", k=k, matching=matching)
-    return True
+        # the first block with a cover decides, and the serial scan attempts
+        # what it and the blocks before it, all colorable, attempted
+        attempted = 0
+        for matching, cases in results:
+            attempted += cases
+            if matching is not None:
+                break
+    if matching is None:
+        return True, attempted
+    return AdversaryCertificate(kind="dp", k=k, matching=matching,
+                                lists=lists), attempted
 
 
 # ---------------------------------------------------------------------------
@@ -858,32 +871,13 @@ def _least_k(masks, k: int, settle, budget: int) -> int:
     return k
 
 
-def _settle_dp(component: Graph, f, left: int, jobs: int):
-    """Whether a component is DP-f-colorable, as (verdict, attempted): at an
-    int by is_dp_k_colorable, looked up on the module at call time so a
-    wrapper there sees every search, else by a scan whose certificate's
-    lists are range(f(v))."""
-    if isinstance(f, int):
-        # a scan found True attempted every normalized case
-        return (is_dp_k_colorable(component, f, budget=left, jobs=jobs),
-                normalized_assignment_count(component, f))
-    status, matching, attempted = _scan_block(component, f, None, left)
-    if status == "budget":
-        raise BudgetExceeded(attempted)
-    if status == "ok":
-        return True, attempted
-    return AdversaryCertificate(
-        kind="dp", k=max(f), matching=matching,
-        lists=tuple(tuple(range(x)) for x in f)), attempted
-
-
 def settle_dp(masks, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1):
     """Whether the graph with these neighbor bitmasks is DP-k-colorable, as
     (verdict, settled_by) from _settle.  A certificate is the first failing
     component's, relabelled to the input's vertices, with the empty
     matching on every other edge.  Raises BudgetExceeded as _settle does."""
     verdict, settled_by, vertices, _ = _settle(
-        masks, k, functools.partial(_settle_dp, jobs=jobs), budget)
+        masks, k, functools.partial(_dp_walk, jobs=jobs), budget)
     if verdict is not True:
         verdict = AdversaryCertificate(kind="dp", k=k, matching=(
             MatchingAssignment({
@@ -897,7 +891,7 @@ def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
     """DP-chromatic number (exact): the least k at which settle_dp is True."""
     if g.n == 0:
         raise ValueError("DP-chromatic number of the empty graph is undefined")
-    return _least_k(g.masks, 1, functools.partial(_settle_dp, jobs=jobs),
+    return _least_k(g.masks, 1, functools.partial(_dp_walk, jobs=jobs),
                     budget)
 
 

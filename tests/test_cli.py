@@ -933,6 +933,21 @@ def test_malformed_files_are_one_error_line(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out, argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    # a bad matching line is named, and a default identity k below 1 is bad
+    # even where --k gives k: it would leave every unlisted edge unmatched
+    k4 = write(tmp_path, "k4.g6", encode_graph6(complete_graph(4)))
+    for text, message in (
+            ("default identity k=-2\n", "bad directive"),
+            ("default identity k=0\n", "bad directive"),
+            ("0 1 2 : 0-1\n", "expected 'u v : pairs'"),
+            ("0 : 0-1\n", "expected 'u v : pairs'"),
+            ("0 1 : 1-\n", "expected 'u v : pairs'")):
+        bad = write(tmp_path, "bad.txt", "# a comment\n" + text)
+        for k in ([], ["--k", "3"]):
+            code, out, err = run(capsys, "color", k4, "--matching", bad, *k)
+            assert code == 3 and not out, (text, k)
+            assert err.startswith(f"error: line 2: {message}"), (text, err)
+            assert err.count("\n") == 1, (text, err)
 
 
 # Every value a user can set, per subcommand: positionals by name, options

@@ -1,4 +1,3 @@
-import functools
 import inspect
 import itertools
 import math
@@ -33,6 +32,7 @@ from dpcolor import (
     parse_graph6,
     parse_matching_file,
     path_graph,
+    settle_dp,
     uniform_lists,
 )
 from dpcolor.solver import (_AT_LIMIT, _AUT_LIMIT, _ClassGroups,
@@ -318,13 +318,13 @@ def test_chi_dp_cycles_both_parities():
 
 def test_chi_dp_stops_before_degeneracy_plus_one(monkeypatch):
     calls = []
-    search = dpcolor.solver.is_dp_k_colorable
+    search = dpcolor.solver._dp_walk
 
-    def counted(g, k, **kwargs):
+    def counted(g, k, *args, **kwargs):
         calls.append(k)
-        return search(g, k, **kwargs)
+        return search(g, k, *args, **kwargs)
 
-    monkeypatch.setattr(dpcolor.solver, "is_dp_k_colorable", counted)
+    monkeypatch.setattr(dpcolor.solver, "_dp_walk", counted)
     assert chi_dp(cycle_graph(7)) == 3
     assert calls == [1, 2]
 
@@ -428,6 +428,11 @@ def test_budget_exceeded_is_distinct():
     with pytest.raises(BudgetExceeded) as info:
         is_dp_k_colorable(g, 3, budget=3)
     assert info.value.attempted == 3
+    # a negative budget stops the walk at its root, before any case
+    for g in (g, from_edge_list([], n=0)):
+        with pytest.raises(BudgetExceeded) as info:
+            is_dp_k_colorable(g, 3, budget=-5)
+        assert info.value.attempted == 0
     # a certificate found within budget is still returned
     cert = is_dp_k_colorable(cycle_graph(4), 2, budget=2)
     assert cert is not True
@@ -742,7 +747,7 @@ def searched_cores(monkeypatch):
     "dp" or "list", and of every Alon-Tarsi check, kind "at", that chi_list
     or chi_dp makes, in order."""
     searched = []
-    for kind, name in (("dp", "is_dp_k_colorable"),
+    for kind, name in (("dp", "_dp_walk"),
                        ("list", "_choosability_walk"), ("at", "_alon_tarsi")):
         scan = getattr(dpcolor.solver, name)
 
@@ -1102,6 +1107,24 @@ def test_alon_tarsi_never_says_yes_where_the_walk_says_no():
             assert verdict is True, (g.edges, k)
             assert attempted == list_system_count(g, k), (g.edges, k)
     assert stopped == [("Er~w", 4)]
+    # the 853 connected graphs with 7 vertices at k = 3, where the plain
+    # reference scan is too slow: of the 478 with a nonempty 3-core, the
+    # walk refutes 334 on 10^4 list systems and stops on the other 144, and
+    # the theorem says yes on none that it refutes
+    seven = [g for g in connected_graphs(7) if g.n == 7]
+    refuted = stopped = 0
+    for g in seven:
+        if not k_core(g.masks, 3):
+            continue
+        try:
+            verdict, _ = _choosability_walk(g, 3, 10 ** 4)
+        except BudgetExceeded:
+            stopped += 1
+            continue
+        assert verdict is not True, g.edges
+        assert not _alon_tarsi(g, 3), g.edges
+        refuted += 1
+    assert (len(seven), refuted, stopped) == (853, 334, 144)
 
 
 def census_values():
@@ -1179,7 +1202,7 @@ def test_sized_settle_matches_the_maximal_matching_oracle():
     # every maximal-matching cover; a refuting cover, on lists range(f(v)),
     # leaves its component no coloring, and f = k everywhere is settled as
     # the int k is, case for case
-    settle = functools.partial(dpcolor.solver._settle_dp, jobs=1)
+    settle = dpcolor.solver._dp_walk
     pairs = colorable = 0
     for g in connected_graphs(4):
         for f in itertools.product((1, 2, 3), repeat=g.n):
@@ -1212,17 +1235,22 @@ def test_sized_scan_keeps_every_choice_on_a_tree_edge_into_fewer_colors():
     for edges, f in (([(0, 1), (0, 2)], (2, 1, 1)),
                      ([(0, 1), (1, 2)], (1, 2, 1))):
         g = from_edge_list(edges)
-        status, matching, attempted = _scan_block(g, f, None, DEFAULT_BUDGET)
-        assert (status, attempted) == ("cert", 2), edges
+        matching, attempted = _scan_block(g, f, None, DEFAULT_BUDGET)
+        assert matching is not None and attempted == 2, edges
         lists = tuple(tuple(range(x)) for x in f)
         assert find_coloring(g, lists, matching) is None
 
 
+def prism_and_k4():
+    """The triangular prism and K4 side by side: at k = 3 the prism is
+    settled after its 1,296 cases, and K4 fails at its first."""
+    return from_edge_list(list(prism(3).edges)
+                          + [(6 + u, 6 + v)
+                             for u, v in complete_graph(4).edges])
+
+
 def test_chi_dp_passes_the_budget_left_to_each_component(monkeypatch):
-    # the triangular prism and K4 side by side: at k = 3 the prism is
-    # settled after its 1,296 cases, and K4 fails at its first
-    g = from_edge_list(list(prism(3).edges)
-                       + [(6 + u, 6 + v) for u, v in complete_graph(4).edges])
+    g = prism_and_k4()
     searched = searched_cores(monkeypatch)
     assert chi_dp(g, budget=1296 + 1) == 4
     assert searched[-2:] == [("dp", 6, 9, 3), ("dp", 4, 6, 3)]
@@ -1230,6 +1258,39 @@ def test_chi_dp_passes_the_budget_left_to_each_component(monkeypatch):
         with pytest.raises(BudgetExceeded) as info:
             chi_dp(g, budget=budget)
         assert info.value.attempted == budget
+
+
+def test_split_scans_in_the_settle_pipeline_match_serial(monkeypatch):
+    # the prism's scan at k = 3 is split into blocks, run in this process,
+    # when its 1,296 cases fit the budget; the blocks' attempted cases add
+    # up to the serial scan's, so K4 gets the same budget left at jobs 2
+    opened = []
+
+    def pool(max_workers):
+        opened.append(max_workers)
+        return SerialPool(max_workers)
+
+    monkeypatch.setattr(dpcolor.solver, "_pool", pool)
+    monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
+    g = prism_and_k4()
+
+    def chi_dp_outcome(budget, jobs):
+        try:
+            return chi_dp(g, budget=budget, jobs=jobs)
+        except BudgetExceeded as exc:
+            return "budget", exc.attempted
+
+    for budget, want in ((0, ("budget", 0)), (1295, ("budget", 1295)),
+                         (1296, ("budget", 1296)), (1297, 4)):
+        assert chi_dp_outcome(budget, 1) == want
+        opened.clear()
+        assert chi_dp_outcome(budget, 2) == want, budget
+        assert opened or budget == 0, budget
+    cert = settle_dp(g.masks, 3, budget=1297)
+    assert cert[0] is not True
+    opened.clear()
+    assert settle_dp(g.masks, 3, budget=1297, jobs=2) == cert
+    assert opened
 
 
 def test_choosability_bound_guard():
