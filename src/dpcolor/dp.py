@@ -326,38 +326,42 @@ def parse_matching_file(text: str, g: Graph) -> tuple[MatchingAssignment, int | 
     """Parse the matching file format.  Returns (matching, identity k or None)."""
     table: dict[tuple[int, int], tuple] = {}
     default_k: int | None = None
+    given: dict = {}  # the line of each edge, and of the directive
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("default identity"):
+            key = "directive"
             try:
                 default_k = int(line.split("k=", 1)[1])
             except (IndexError, ValueError):
                 default_k = 0
             if default_k < 1:
                 raise ValueError(f"line {lineno}: bad directive {raw!r}")
-            continue
-        if ":" not in line:
-            raise ValueError(f"line {lineno}: expected 'u v : pairs'")
-        head, _, tail = line.partition(":")
-        try:
-            u, v = (int(t) for t in head.split())
-            pairs = []
-            if tail.strip():
-                for chunk in tail.split(","):
-                    a, _, b = chunk.strip().partition("-")
-                    pairs.append((int(a), int(b)))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected 'u v : pairs', "
-                             f"got {raw!r}") from None
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"line {lineno}: edge ({u}, {v}) is not on "
-                             f"vertices 0..{g.n - 1}")
-        key = (u, v) if u < v else (v, u)
-        if u > v:
-            pairs = [(b, a) for a, b in pairs]
-        table[key] = tuple(pairs)
+        else:
+            if ":" not in line:
+                raise ValueError(f"line {lineno}: expected 'u v : pairs'")
+            head, _, tail = line.partition(":")
+            try:
+                u, v = (int(t) for t in head.split())
+                pairs = []
+                if tail.strip():
+                    for chunk in tail.split(","):
+                        a, _, b = chunk.strip().partition("-")
+                        pairs.append((int(a), int(b)))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected 'u v : pairs', "
+                                 f"got {raw!r}") from None
+            if not (0 <= u < g.n and 0 <= v < g.n):
+                raise ValueError(f"line {lineno}: edge ({u}, {v}) is not on "
+                                 f"vertices 0..{g.n - 1}")
+            key = (u, v) if u < v else (v, u)
+            table[key] = tuple(pairs if u < v else [(b, a) for a, b in pairs])
+        if given.setdefault(key, lineno) != lineno:
+            what = key if key == "directive" else f"edge ({u}, {v})"
+            raise ValueError(f"line {lineno}: {what} already given on line "
+                             f"{given[key]}")
     if default_k is not None:
         ident = tuple((i, i) for i in range(default_k))
         for e in g.edges:

@@ -6,11 +6,11 @@ the host extends across it, so it cannot occur in a vertex-minimal graph
 that is not DP-k-colorable.  An occurrence on the vertex set S is
 reducible exactly when g[S] is DP-f-colorable for f(v) = k - |N_g(v) \\ S|:
 a colored neighbor outside takes at most one color of v's list, and
-maximal matchings are the worst case.  certify_reducible decides that on
-the solver's settle pipeline; this module makes no colorability decision
-of its own.  find_pattern lists the occurrences with graphs._edge_maps,
-the search that also lists the choosability walk's automorphisms.
-extend_coloring replays one extension along an order.
+maximal matchings are the worst case.  certify_reducible decides that for
+all occurrences in one solver._settle call, and this module makes no
+colorability decision of its own.  find_pattern lists the occurrences
+with graphs._edge_maps, the search that also lists the choosability
+walk's automorphisms.  extend_coloring replays one extension along an order.
 """
 
 from __future__ import annotations
@@ -262,30 +262,21 @@ def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
 def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:
     """True when every occurrence of the pattern in g is reducible for k,
     exactly, by the module docstring's rule: one with f(v) <= 0 somewhere
-    is not, and solver._settle decides each distinct (edges, f) of the
-    others once, on g[image] in the order of the image.  The first
-    occurrence that is not reducible stops the check.  One DEFAULT_BUDGET
-    covers the whole call, counted as _settle counts components; past it,
-    BudgetExceeded.  The pattern's order is not consulted.
-    """
-    left, settled = solver.DEFAULT_BUDGET, set()
+    is not, before any scan.  The distinct (edges, f) of the others, each
+    g[image] in the order of the image, are laid side by side in
+    find_pattern order and settled by one solver._settle call on the
+    default budget.  The pattern's order is not consulted."""
+    masks, f, laid = [], [], set()
     for image in find_pattern(g, pat):
         place = {v: i for i, v in enumerate(image)}
-        f = tuple(k - sum(u not in place for u in g.adj[v]) for v in image)
-        if min(f) <= 0:
+        sizes = tuple(k - sum(u not in place for u in g.adj[v]) for v in image)
+        if min(sizes) <= 0:
             return False
-        masks = tuple(sum(1 << place[u] for u in g.adj[v] if u in place)
-                      for v in image)
-        if (masks, f) in settled:
-            continue
-        try:
-            verdict, _, _, spent = solver._settle(masks, f, solver._dp_walk,
-                                                  left)
-        except solver.BudgetExceeded as exc:
-            raise solver.BudgetExceeded(
-                solver.DEFAULT_BUDGET - left + exc.attempted) from None
-        if verdict is not True:
-            return False
-        settled.add((masks, f))
-        left -= spent
-    return True
+        inside = tuple(sum(1 << place[u] for u in g.adj[v] if u in place)
+                       for v in image)
+        if (inside, sizes) not in laid:
+            laid.add((inside, sizes))
+            masks += [m << len(f) for m in inside]
+            f += sizes
+    return solver._settle(masks, tuple(f), solver._dp_walk,
+                          solver.DEFAULT_BUDGET)[0] is True

@@ -69,9 +69,11 @@ A graph is settled in one place, _settle, on its neighbor bitmasks and
 list sizes, k at every vertex or one size f(v) per vertex: the peel
 (_peel) deletes vertices of degree below their size, and what it leaves
 passes without a search when empty, else each of its components is
-settled in turn.  chi_dp and chi_list loop over k around it (_least_k),
-verify-theorem2 calls it at k = 3 through settle_dp, and
-reducibility.certify_reducible on the sizes an occurrence leaves.
+settled in turn.  chi_dp and chi_list loop over k from chi up around it
+(_least_k), as a proper coloring is a DP-coloring under identity matchings
+and a list coloring from uniform lists; verify-theorem2 calls it at k = 3
+through settle_dp, and reducibility.certify_reducible once, on the sizes
+its occurrences leave, laid side by side.
 chi_list settles a component by a theorem, with no search, where one
 applies (_settle_choosable): k = 2 by Erdos, Rubin and Taylor
 (_two_choosable), from k = 3 by Alon and Tarsi (_alon_tarsi), which only
@@ -864,9 +866,11 @@ def _settle(masks, f, settle, budget: int):
     return True, "search", None, budget - left
 
 
-def _least_k(masks, k: int, settle, budget: int) -> int:
-    """The least k from the given one up that _settle finds True."""
-    while _settle(masks, k, settle, budget)[0] is not True:
+def _least_k(g: Graph, settle, budget: int) -> int:
+    """The least k from chi(g) up, a lower bound on chi_DP and chi_list,
+    that _settle finds True, each k on a fresh budget."""
+    k = chi(g)
+    while _settle(g.masks, k, settle, budget)[0] is not True:
         k += 1
     return k
 
@@ -876,6 +880,8 @@ def settle_dp(masks, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1):
     (verdict, settled_by) from _settle.  A certificate is the first failing
     component's, relabelled to the input's vertices, with the empty
     matching on every other edge.  Raises BudgetExceeded as _settle does."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     verdict, settled_by, vertices, _ = _settle(
         masks, k, functools.partial(_dp_walk, jobs=jobs), budget)
     if verdict is not True:
@@ -891,8 +897,7 @@ def chi_dp(g: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> int:
     """DP-chromatic number (exact): the least k at which settle_dp is True."""
     if g.n == 0:
         raise ValueError("DP-chromatic number of the empty graph is undefined")
-    return _least_k(g.masks, 1, functools.partial(_dp_walk, jobs=jobs),
-                    budget)
+    return _least_k(g, functools.partial(_dp_walk, jobs=jobs), budget)
 
 
 def _settle_choosable(core: Graph, k: int, left: int) -> tuple[object, int]:
@@ -914,4 +919,4 @@ def chi_list(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     finds every component of the k-core k-choosable (_settle_choosable)."""
     if g.n == 0:
         raise ValueError("choosability of the empty graph is undefined")
-    return _least_k(g.masks, chi(g), _settle_choosable, budget)
+    return _least_k(g, _settle_choosable, budget)

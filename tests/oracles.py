@@ -11,7 +11,10 @@ pair-list graph6 decoder and the adjacency-set k-core peel that the
 bitmask versions in dpcolor.graphs and dpcolor.solver replaced.
 slow_dp_f_verdict is DP-f-colorability on per-vertex list sizes, by every
 maximal-matching cover and every coloring: what the DP scan on sizes and
-certify_reducible decide.  replay_charges redoes a discharging run's
+certify_reducible decide.  reference_certify_reducible is the
+certifier that settled one occurrence at a time and carried the budget
+from one to the next itself, which one _settle call over all of them
+replaced.  replay_charges redoes a discharging run's
 transfer log one Fraction at a time from the start charges, the
 arithmetic that the integer charge ledger in dpcolor.discharging
 replaced.  reference_search_positions is the recursive backtracker with
@@ -30,8 +33,8 @@ from fractions import Fraction
 
 from dpcolor import (BudgetExceeded, ChargeState, DEFAULT_BUDGET, Graph,
                      InvalidMatching, MatchingAssignment, PlaneEmbedding,
-                     find_coloring, from_list_assignment, is_valid_coloring,
-                     uniform_lists)
+                     find_coloring, find_pattern, from_list_assignment,
+                     is_valid_coloring, solver, uniform_lists)
 
 
 def brute_has_coloring(g: Graph, lists, pair_sets) -> bool:
@@ -337,6 +340,34 @@ def slow_dp_f_verdict(g: Graph, f) -> bool:
     lists = [range(x) for x in f]
     return all(brute_has_coloring(g, lists, dict(zip(edges, choice)))
                for choice in itertools.product(*options))
+
+
+def reference_certify_reducible(g: Graph, pat, k: int) -> bool:
+    """certify_reducible one occurrence at a time, in find_pattern order:
+    False at the first with f(v) <= 0 somewhere or whose _settle verdict is
+    not True; each distinct (masks, f) is settled once, on the budget the
+    earlier ones left of solver.DEFAULT_BUDGET."""
+    left, settled = solver.DEFAULT_BUDGET, set()
+    for image in find_pattern(g, pat):
+        place = {v: i for i, v in enumerate(image)}
+        f = tuple(k - sum(u not in place for u in g.adj[v]) for v in image)
+        if min(f) <= 0:
+            return False
+        masks = tuple(sum(1 << place[u] for u in g.adj[v] if u in place)
+                      for v in image)
+        if (masks, f) in settled:
+            continue
+        try:
+            verdict, _, _, spent = solver._settle(masks, f, solver._dp_walk,
+                                                  left)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(
+                solver.DEFAULT_BUDGET - left + exc.attempted) from None
+        if verdict is not True:
+            return False
+        settled.add((masks, f))
+        left -= spent
+    return True
 
 
 def subset_degeneracy(g: Graph) -> int:

@@ -121,6 +121,15 @@ def test_chi_dp_budget_exit_code(tmp_path, capsys):
     assert code == 2 and "budget exceeded" in err
 
 
+def test_chi_dp_spends_nothing_below_chi(tmp_path, capsys):
+    # K2 has chi = 2 and an empty 2-core: chi-dp, like chi-list, answers
+    # on a zero budget, as no k below chi is tried
+    path = write(tmp_path, "k2.txt", "0 1\n")
+    for command, name in (("chi-dp", "chi_DP"), ("chi-list", "chi_list")):
+        code, out, err = run(capsys, command, path, "--budget", "0")
+        assert (code, out, err) == (0, f"{name} = 2\n", ""), command
+
+
 def test_chi_list_command(tmp_path, capsys):
     path = write(tmp_path, "c4.g6", encode_graph6(cycle_graph(4)))
     code, out, _ = run(capsys, "chi-list", path, "--k", "2")
@@ -948,6 +957,20 @@ def test_malformed_files_are_one_error_line(tmp_path, capsys):
             assert code == 3 and not out, (text, k)
             assert err.startswith(f"error: line 2: {message}"), (text, err)
             assert err.count("\n") == 1, (text, err)
+    # an edge given twice, in either orientation, or a second directive is
+    # refused, where a later line used to replace the earlier one
+    k3 = write(tmp_path, "k3.edges", "0 1\n1 2\n2 0\n")
+    ident = "".join(f"{e} : 0-0, 1-1, 2-2\n" for e in ("0 1", "1 2", "0 2"))
+    for text, message in (
+            (ident + "0 1 : \n", "line 4: edge (0, 1) already given on line 1"),
+            (ident + "1 0 : 0-1\n",
+             "line 4: edge (1, 0) already given on line 1"),
+            ("default identity k=3\n# again\ndefault identity k=2\n",
+             "line 3: directive already given on line 1")):
+        again = write(tmp_path, "again.txt", text)
+        code, out, err = run(capsys, "color", k3, "--matching", again,
+                             "--k", "3")
+        assert (code, out, err) == (3, "", f"error: {message}\n"), text
 
 
 # Every value a user can set, per subcommand: positionals by name, options
@@ -981,3 +1004,24 @@ def test_settable_options_are_pinned():
                if not isinstance(a, argparse._HelpAction)}
         for name, p in sub.choices.items()}
     assert settable == SETTABLE
+
+
+def test_the_readme_lists_every_command_with_real_flags():
+    # the sh block under "## Command line" in README.md: each subcommand
+    # once, each with flags it accepts, so a renamed or removed flag fails
+    # here until the README follows
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    named = []
+    for line in lines:
+        assert line.startswith("dpcolor "), line
+        words = line.split("#", 1)[0].replace("[", " ").replace("]", " ")
+        command, *rest = words.split()[1:]
+        named.append(command)
+        assert command in SETTABLE, line
+        flags = {w for w in rest if w.startswith("--")}
+        assert flags <= SETTABLE[command], (line, flags - SETTABLE[command])
+    assert sorted(named) == sorted(SETTABLE)

@@ -20,12 +20,14 @@ from dpcolor import (
     complete_graph,
     cycle_graph,
     delete_vertices,
+    encode_graph6,
     extend_coloring,
     find_coloring,
     find_pattern,
     from_edge_list,
     is_connected,
     is_valid_coloring,
+    parse_graph6,
     pattern_from_json,
     pattern_to_json,
     residual_lists,
@@ -34,7 +36,8 @@ from dpcolor import (
 import dpcolor.solver
 from fixtures import BENCH_DATA, frozen_plane_embeddings
 from instances import random_extension_instance, random_full_matching
-from oracles import all_injections_matching, slow_dp_f_verdict
+from oracles import (all_injections_matching, reference_certify_reducible,
+                     slow_dp_f_verdict)
 from smallgraphs import connected_graphs
 
 
@@ -301,22 +304,27 @@ def test_certify_is_exact_on_small_subcubic_hosts():
 def test_certify_shares_one_budget_and_settles_each_key_once(monkeypatch):
     # a star K1,3 in the octahedron at k = 4: its 144 occurrences relabel
     # to three distinct (edges, f), each settled by a scan of 108, 108 and
-    # 324 cases, 540 in all
+    # 324 cases, 540 in all, in one _settle call
     star = ConfigPattern.build(edges=[(2, 3), (1, 2), (0, 2)],
                                host_degree=(4, 4, 4, 4), order=range(4))
     host = octahedron()
     assert len(find_pattern(host, star)) == 144
-    settled = []
-    settle = dpcolor.solver._settle
+    settles, scanned = [], []
+    settle, walk = dpcolor.solver._settle, dpcolor.solver._dp_walk
 
-    def spy(masks, f, *rest):
-        out = settle(masks, f, *rest)
-        settled.append(out[3])
+    def settle_spy(*args):
+        settles.append(args[3])
+        return settle(*args)
+
+    def walk_spy(*args, **options):
+        out = walk(*args, **options)
+        scanned.append(out[1])
         return out
 
-    monkeypatch.setattr(dpcolor.solver, "_settle", spy)
+    monkeypatch.setattr(dpcolor.solver, "_settle", settle_spy)
+    monkeypatch.setattr(dpcolor.solver, "_dp_walk", walk_spy)
     assert certify_reducible(host, star, 4)
-    assert settled == [108, 108, 324]
+    assert settles == [DEFAULT_BUDGET] and scanned == [108, 108, 324]
     monkeypatch.setattr(dpcolor.solver, "DEFAULT_BUDGET", 540)
     assert certify_reducible(host, star, 4)
     for budget in (539, 216, 107, 0):
@@ -324,6 +332,48 @@ def test_certify_shares_one_budget_and_settles_each_key_once(monkeypatch):
         with pytest.raises(BudgetExceeded) as info:
             certify_reducible(host, star, 4)
         assert info.value.attempted == budget
+
+
+def test_certify_matches_the_per_occurrence_reference(monkeypatch):
+    # every connected host with at most 5 vertices, each proper vertex
+    # subset as a pattern with its exact host degrees, at k = 3 and 4 and
+    # four default budgets: the same verdict and the same attempted cases.
+    # The one difference: an occurrence with f <= 0 somewhere answers no
+    # before any scan, where the reference may first run out of the budget
+    # on an earlier occurrence's scan
+    def outcome(certify, g, pat, k):
+        try:
+            return certify(g, pat, k)
+        except BudgetExceeded as exc:
+            return "budget", exc.attempted
+
+    calls, early = 0, set()
+    for budget in (0, 5, 50, 10 ** 8):
+        monkeypatch.setattr(dpcolor.solver, "DEFAULT_BUDGET", budget)
+        for g in connected_graphs(5):
+            for size in range(1, g.n):
+                for cut in itertools.combinations(range(g.n), size):
+                    pat = pattern_of(g, cut)
+                    for k in (3, 4):
+                        got = outcome(certify_reducible, g, pat, k)
+                        want = outcome(reference_certify_reducible, g, pat, k)
+                        calls += 1
+                        if got == want:
+                            continue
+                        assert got is False and want[0] == "budget"
+                        assert any(min(induced(g, image, k)[1]) <= 0
+                                   for image in find_pattern(g, pat))
+                        early.add((encode_graph6(g), cut, k, budget))
+    assert calls == 5824
+    # the wheel W4 at k = 3 and budget 0, with the pattern its vertices 0
+    # and 3 induce, two non-adjacent vertices of host degree 3: the first
+    # occurrence, (0, 1), is an edge and needs a scan, and a later,
+    # non-adjacent one has f = 0
+    w4 = parse_graph6("Dr{")
+    pat = pattern_of(w4, (0, 3))
+    assert not pat.edges and pat.host_degree == (3, 3)
+    assert find_pattern(w4, pat)[0] == (0, 1) and w4.has_edge(0, 1)
+    assert ("Dr{", (0, 3), 3, 0) in early
 
 
 def test_certify_reaches_the_default_budget_on_the_octahedron():

@@ -325,8 +325,10 @@ def test_chi_dp_stops_before_degeneracy_plus_one(monkeypatch):
         return search(g, k, *args, **kwargs)
 
     monkeypatch.setattr(dpcolor.solver, "_dp_walk", counted)
+    # chi(C7) = 3 = degeneracy + 1: the 3-core is empty, and no k below
+    # chi is tried
     assert chi_dp(cycle_graph(7)) == 3
-    assert calls == [1, 2]
+    assert calls == []
 
 
 def test_chi_dp_matches_search_at_every_k():
@@ -340,6 +342,44 @@ def test_chi_dp_matches_search_at_every_k():
         searched = next(k for k in range(1, g.n + 2)
                         if is_dp_k_colorable(g, k) is True)
         assert chi_dp(g) == searched, g.edges
+
+
+def test_chi_dp_starting_at_chi_matches_the_loop_from_one():
+    # chi_dp settles from chi up; a loop over _settle from k = 1 gives the
+    # same value on every connected graph with at most 6 vertices, and the
+    # same attempted cases on Er~o and Er~w, which run out of the default
+    # budget
+    def outcome(search):
+        try:
+            return search()
+        except BudgetExceeded as exc:
+            return "budget", exc.attempted
+
+    def from_one(g):
+        k = 1
+        while _settle(g.masks, k, dpcolor.solver._dp_walk,
+                      DEFAULT_BUDGET)[0] is not True:
+            k += 1
+        return k
+
+    stopped = []
+    graphs = list(connected_graphs(6))
+    for g in graphs:
+        got = outcome(lambda: chi_dp(g))
+        assert got == outcome(lambda: from_one(g)), g.edges
+        if isinstance(got, tuple):
+            stopped.append(encode_graph6(g))
+    assert len(graphs) == 143 and stopped == ["Er~o", "Er~w"]
+
+
+def test_every_entry_rejects_k_below_one():
+    g = cycle_graph(4)
+    for k in (0, -1):
+        for entry in (is_dp_k_colorable, is_k_choosable):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                entry(g, k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            settle_dp(g.masks, k)
 
 
 def test_dp_certificates_replay_unsatisfiable():
@@ -1161,26 +1201,24 @@ def test_chi_list_settles_seven_vertex_graphs_the_walk_could_not():
 
 def test_chi_dp_searches_only_the_core(monkeypatch):
     searched = searched_cores(monkeypatch)
-    # C4 with a pendant path: the 1-core is the whole graph, the 2-core the
-    # C4, which is not DP-2-colorable, and the 3-core is empty
+    # C4 with a pendant path: chi = 2, the 2-core is the C4, which is not
+    # DP-2-colorable, and the 3-core is empty
     g = with_pendant_paths(cycle_graph(4), [0], 2)
     assert chi_dp(g) == 3
-    assert searched == [("dp", 6, 6, 1), ("dp", 4, 4, 2)]
+    assert searched == [("dp", 4, 4, 2)]
     searched.clear()
-    # C5 x K2 and a vertex joined to 0 and 2: the 3-core is the prism
+    # C5 x K2 and a vertex joined to 0 and 2: chi = 3, and the 3-core is
+    # the prism
     g = parse_graph6("JheAHCPBL??")
     assert chi_dp(g) == 3
-    assert searched == [("dp", 11, 17, 1), ("dp", 11, 17, 2),
-                        ("dp", 10, 15, 3)]
+    assert searched == [("dp", 10, 15, 3)]
     searched.clear()
-    # two K4s joined by a path: the 3-core is the two K4s, and the first
-    # one refutes k = 3
+    # two K4s joined by a path: chi = 4 = degeneracy + 1 needs no search
     g = from_edge_list(list(complete_graph(4).edges)
                        + [(4 + u, 4 + v) for u, v in complete_graph(4).edges]
                        + [(3, 8), (8, 9), (9, 4)])
     assert chi_dp(g) == 4
-    assert searched == [("dp", 10, 15, 1), ("dp", 10, 15, 2),
-                        ("dp", 4, 6, 3)]
+    assert searched == []
 
 
 def test_dp_scan_of_a_colorable_graph_attempts_every_case():
@@ -1241,20 +1279,22 @@ def test_sized_scan_keeps_every_choice_on_a_tree_edge_into_fewer_colors():
         assert find_coloring(g, lists, matching) is None
 
 
-def prism_and_k4():
-    """The triangular prism and K4 side by side: at k = 3 the prism is
-    settled after its 1,296 cases, and K4 fails at its first."""
+def prism_and_es_o():
+    """The triangular prism and Es^o side by side, chi = 3: at k = 3 the
+    prism is settled after its 1,296 cases, and Es^o, its own 3-core,
+    fails at case 4,033."""
+    es_o = parse_graph6("Es^o")
     return from_edge_list(list(prism(3).edges)
-                          + [(6 + u, 6 + v)
-                             for u, v in complete_graph(4).edges])
+                          + [(6 + u, 6 + v) for u, v in es_o.edges])
 
 
 def test_chi_dp_passes_the_budget_left_to_each_component(monkeypatch):
-    g = prism_and_k4()
+    g = prism_and_es_o()
+    assert chi(g) == 3
     searched = searched_cores(monkeypatch)
-    assert chi_dp(g, budget=1296 + 1) == 4
-    assert searched[-2:] == [("dp", 6, 9, 3), ("dp", 4, 6, 3)]
-    for budget in (0, 1295, 1296):
+    assert chi_dp(g, budget=1296 + 4033) == 4
+    assert searched[:2] == [("dp", 6, 9, 3), ("dp", 6, 10, 3)]
+    for budget in (0, 1295, 1296, 1296 + 4032):
         with pytest.raises(BudgetExceeded) as info:
             chi_dp(g, budget=budget)
         assert info.value.attempted == budget
@@ -1263,7 +1303,7 @@ def test_chi_dp_passes_the_budget_left_to_each_component(monkeypatch):
 def test_split_scans_in_the_settle_pipeline_match_serial(monkeypatch):
     # the prism's scan at k = 3 is split into blocks, run in this process,
     # when its 1,296 cases fit the budget; the blocks' attempted cases add
-    # up to the serial scan's, so K4 gets the same budget left at jobs 2
+    # up to the serial scan's, so Es^o gets the same budget left at jobs 2
     opened = []
 
     def pool(max_workers):
@@ -1272,7 +1312,7 @@ def test_split_scans_in_the_settle_pipeline_match_serial(monkeypatch):
 
     monkeypatch.setattr(dpcolor.solver, "_pool", pool)
     monkeypatch.setattr(dpcolor.solver, "_POOL_MIN_WORK", 0)
-    g = prism_and_k4()
+    g = prism_and_es_o()
 
     def chi_dp_outcome(budget, jobs):
         try:
@@ -1281,15 +1321,17 @@ def test_split_scans_in_the_settle_pipeline_match_serial(monkeypatch):
             return "budget", exc.attempted
 
     for budget, want in ((0, ("budget", 0)), (1295, ("budget", 1295)),
-                         (1296, ("budget", 1296)), (1297, 4)):
+                         (1296, ("budget", 1296)), (5328, ("budget", 5328)),
+                         (5329, 4)):
         assert chi_dp_outcome(budget, 1) == want
         opened.clear()
         assert chi_dp_outcome(budget, 2) == want, budget
-        assert opened or budget == 0, budget
-    cert = settle_dp(g.masks, 3, budget=1297)
+        # the prism's space fits the budget from 1,296 on
+        assert bool(opened) == (budget >= 1296), budget
+    cert = settle_dp(g.masks, 3, budget=5329)
     assert cert[0] is not True
     opened.clear()
-    assert settle_dp(g.masks, 3, budget=1297, jobs=2) == cert
+    assert settle_dp(g.masks, 3, budget=5329, jobs=2) == cert
     assert opened
 
 
