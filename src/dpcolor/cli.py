@@ -185,27 +185,6 @@ def cmd_color(args) -> int:
     return EXIT_OK
 
 
-def cmd_extend(args) -> int:
-    g = _read_graph(args.input)
-    matching, k = _read_matching(args.matching, g, args.k)
-    partial = json.loads(_read_text(args.partial))
-    if not (isinstance(partial, dict)
-            and all(type(c) is int for c in partial.values())):
-        raise ValueError(f"{args.partial}: expected a JSON object mapping "
-                         f"each vertex to an integer color")
-    partial = {int(v): c for v, c in partial.items()}
-    order = [int(x) for x in args.order.split(",")]
-    lists = uniform_lists(g.n, k)
-    try:
-        full = reducibility.extend_coloring(g, order, lists, matching, partial)
-    except reducibility.ConditionsViolated as exc:
-        print(f"extension conditions violated ({exc.condition}): {exc}")
-        return EXIT_CERTIFICATE
-    print("coloring: " + " ".join(f"{v}:{full[v]}" for v in sorted(full)))
-    _write_json(args.json, {"coloring": {str(v): full[v] for v in sorted(full)}})
-    return EXIT_OK
-
-
 def cmd_find_config(args) -> int:
     g = _read_graph(args.input)
     pat = reducibility.pattern_from_json(json.loads(_read_text(args.pattern)))
@@ -356,14 +335,6 @@ def build_parser() -> _Parser:
     p = command("color", cmd_color, "find one coloring for a matching file",
                 graph)
     p.add_argument("--matching", default=None, help="matching-assignment file")
-    p.add_argument("--k", type=_at_least(1), default=None)
-
-    p = command("extend", cmd_extend,
-                "extend a coloring across an ordered subgraph", graph)
-    p.add_argument("--matching", required=True)
-    p.add_argument("--partial", required=True,
-                   help="JSON file {vertex: color} covering the rest")
-    p.add_argument("--order", required=True, help="comma-separated vertices")
     p.add_argument("--k", type=_at_least(1), default=None)
 
     p = command("find-config", cmd_find_config, "locate and certify a pattern",

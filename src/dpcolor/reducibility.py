@@ -1,5 +1,5 @@
-"""Reducible configurations: residual lists, one constructive extension,
-and pattern-driven certification.
+"""Reducible configurations: patterns, their occurrences, and an exact
+certificate of reducibility.
 
 A configuration is reducible for k when any DP-k-coloring of the rest of
 the host extends across it, so it cannot occur in a vertex-minimal graph
@@ -10,7 +10,7 @@ maximal matchings are the worst case.  certify_reducible decides that for
 all occurrences in one solver._settle call, and this module makes no
 colorability decision of its own.  find_pattern lists the occurrences
 with graphs._edge_maps, the search that also lists the choosability
-walk's automorphisms.  extend_coloring replays one extension along an order.
+walk's automorphisms.
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ from dataclasses import dataclass, field
 
 from . import solver
 from .graphs import Graph, _edge_maps
-from .dp import Lists, MatchingAssignment, is_valid_coloring
 
 __all__ = [
-    "InvalidPartial",
-    "ConditionsViolated",
     "ConfigPattern",
-    "residual_lists",
-    "extend_coloring",
     "find_pattern",
     "certify_reducible",
     "pattern_from_json",
@@ -35,131 +30,14 @@ __all__ = [
 ]
 
 
-class InvalidPartial(ValueError):
-    """The partial coloring is not a valid DP-coloring of its domain."""
-
-
-class ConditionsViolated(ValueError):
-    """An extension precondition fails; .condition names which one."""
-
-    def __init__(self, condition: int, message: str):
-        self.condition = condition
-        super().__init__(message)
-
-
-def _check_partial(g: Graph, lists: Lists, matching: MatchingAssignment,
-                   partial: dict[int, int]) -> None:
-    for v, c in partial.items():
-        if c not in lists[v]:
-            raise InvalidPartial(f"color {c} not in list of vertex {v}")
-    for v, c in partial.items():
-        for u in g.adj[v]:
-            if u in partial and matching.partner(v, u, c) == partial[u]:
-                raise InvalidPartial(f"matched pair chosen on edge ({v}, {u})")
-
-
-def residual_lists(g: Graph, subset, lists: Lists,
-                   matching: MatchingAssignment,
-                   partial: dict[int, int]) -> dict[int, set[int]]:
-    """Colors still available inside the subset, given a coloring of the rest.
-
-    A(v) is L(v) minus every color matched with the chosen color of a
-    colored neighbor outside the subset.  partial must be a valid
-    DP-coloring of exactly the vertices outside the subset.
-    """
-    subset = set(subset)
-    outside = set(range(g.n)) - subset
-    if set(partial) != outside:
-        raise InvalidPartial("partial coloring must cover exactly the outside")
-    _check_partial(g, lists, matching, partial)
-    return {v: _free_colors(g, lists, matching, partial, v) for v in subset}
-
-
-def _free_colors(g: Graph, lists: Lists, matching: MatchingAssignment,
-                 coloring: dict[int, int], v: int) -> set[int]:
-    """L(v) minus the color matched with each colored neighbor's color."""
-    free = set(lists[v])
-    for u in g.adj[v]:
-        if u in coloring:
-            p = matching.partner(u, v, coloring[u])
-            if p is not None:
-                free.discard(p)
-    return free
-
-
-def extend_coloring(g: Graph, order, lists: Lists,
-                    matching: MatchingAssignment,
-                    partial: dict[int, int]) -> dict[int, int]:
-    """Extend a DP-coloring of the rest of g across the ordered subgraph.
-
-    Requires the extension conditions to hold for the actual residual
-    lists; raises ConditionsViolated naming the failed condition.  The
-    construction: give v1 the smallest available color whose partner at vl
-    is not in vl's residual list, color the interior greedily in order,
-    then color vl last.  All tie-breaks take the smallest color.
-    """
-    order = list(order)
-    subset = set(order)
-    if (len(order) < 2 or len(subset) != len(order)
-            or not all(0 <= v < g.n for v in order)):
-        raise ValueError(f"order must list at least two distinct vertices "
-                         f"of the graph, got {order}")
-    v1, vl = order[0], order[-1]
-    k = len(lists[vl])
-    avail = residual_lists(g, subset, lists, matching, partial)
-
-    if not g.has_edge(v1, vl):
-        raise ConditionsViolated(1, "endpoints are not adjacent")
-    if not (len(avail[v1]) > len(avail[vl]) >= 1):
-        raise ConditionsViolated(
-            1, f"|A(v1)|={len(avail[v1])} vs |A(vl)|={len(avail[vl])}")
-    out_l = len(g.adj[vl] - subset)
-    if g.degree(vl) > k or out_l < 1:
-        raise ConditionsViolated(
-            2, f"deg(vl)={g.degree(vl)}, outside neighbors {out_l}")
-    earlier = {v1}
-    for v in order[1:-1]:
-        back = len(g.adj[v] & earlier) + len(g.adj[v] - subset)
-        if back > len(lists[v]) - 1:
-            raise ConditionsViolated(
-                3, f"interior vertex {v} has {back} constraining neighbors")
-        earlier.add(v)
-
-    coloring = dict(partial)
-
-    # v1: a color whose matched partner misses A(vl) exists because the
-    # matching is injective and |A(v1)| > |A(vl)|
-    pick1 = None
-    for c in sorted(avail[v1]):
-        p = matching.partner(v1, vl, c)
-        if p is None or p not in avail[vl]:
-            pick1 = c
-            break
-    assert pick1 is not None, "injectivity guarantees a safe color for v1"
-    coloring[v1] = pick1
-
-    # the interior in order, then vl, each from what its colored neighbors
-    # leave of its list
-    for v in order[1:]:
-        free = _free_colors(g, lists, matching, coloring, v)
-        assert free, f"vertex {v} ran out of colors despite the conditions"
-        coloring[v] = min(free)
-
-    assert is_valid_coloring(
-        g, lists, matching, tuple(coloring[v] for v in range(g.n)))
-    return coloring
-
-
-# ---------------------------------------------------------------------------
-# Patterns.
-
 @dataclass(frozen=True)
 class ConfigPattern:
-    """A configuration: pattern graph, exact host degrees, and a designated
-    coloring order, which certify_reducible does not consult.
+    """A configuration: pattern graph and exact host degrees.
 
     outside[i] counts the pattern vertex's neighbors outside the
-    configuration, so pattern degree + outside = host degree.
+    configuration, so pattern degree + outside = host degree.  order, a
+    permutation of the pattern vertices, is carried for the pattern file
+    format and validated there; nothing consults it.
     """
 
     name: str

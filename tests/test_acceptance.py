@@ -21,13 +21,10 @@ from dpcolor import (
     initial_charges,
     is_dp_k_colorable,
     is_k_choosable,
-    is_valid_coloring,
-    extend_coloring,
     from_edge_list,
 )
 from dpcolor.cli import main as cli_main
 from fixtures import random_plane_embedding
-from instances import random_extension_instance
 from oracles import slow_dp_verdict
 from smallgraphs import connected_graphs
 
@@ -132,17 +129,6 @@ def test_normalization_soundness_k2():
         assert fast == slow, g.edges
     _report("normalized adversary = unrestricted oracle", started, 600.0,
             f"{len(graphs)} graphs at k=2")
-
-
-def test_extension_arguments_randomized():
-    started = time.time()
-    rng = random.Random(31)
-    for trial in range(1000):
-        g, order, lists, matching, partial = random_extension_instance(rng)
-        full = extend_coloring(g, order, lists, matching, partial)
-        assert is_valid_coloring(g, lists, matching,
-                                 tuple(full[u] for u in range(g.n)))
-    _report("ordered extensions", started, 60.0, "1000 instances, all valid")
 
 
 def test_desk_scale_scan_all_planar_up_to_7(tmp_path):

@@ -220,15 +220,6 @@ def test_color_large_default_identity(tmp_path, capsys):
                              parse_matching_file(text, g)[0], coloring)
 
 
-def test_extend_command(tmp_path, capsys):
-    graph = write(tmp_path, "g.edges", "0 1\n0 2\n1 3\n1 4\n")
-    matching = write(tmp_path, "m.txt", "default identity k=3\n")
-    partial = write(tmp_path, "p.json", json.dumps({"2": 0, "3": 0, "4": 1}))
-    code, out, _ = run(capsys, "extend", graph, "--matching", matching,
-                       "--partial", partial, "--order", "0,1")
-    assert code == 0 and "coloring:" in out
-
-
 def test_find_config_command(tmp_path, capsys):
     graph = write(tmp_path, "g.edges", "0 1\n1 2\n0 2\n1 3\n2 3\n")
     pattern = write(tmp_path, "pat.json", json.dumps({
@@ -318,11 +309,7 @@ def test_find_config_rejects_numbers_out_of_range(tmp_path, capsys):
     assert code == 1 and "6 occurrences" in out and "(0," not in out
     # --k is at least 1 on every command that takes it, checked as it is
     # parsed; at --k 3 each of these runs to a verdict
-    matching = write(tmp_path, "m.txt", "default identity k=3\n")
-    partial = write(tmp_path, "p.json", json.dumps({"2": 0}))
-    for argv in (["chi-list", graph], ["chi-dp", graph], ["color", graph],
-                 ["extend", graph, "--matching", matching, "--partial",
-                  partial, "--order", "0,1"]):
+    for argv in (["chi-list", graph], ["chi-dp", graph], ["color", graph]):
         for value in ("0", "-2"):
             code, out, err = run(capsys, *argv, "--k", value)
             assert code == 3 and not out and err.startswith("usage:"), argv
@@ -865,15 +852,11 @@ def test_format_auto_reads_any_line_with_whitespace_as_an_edge_list(
 def test_format_option_is_a_usage_error(tmp_path, capsys):
     # the format is read from the input, so no subcommand takes --format
     path = write(tmp_path, "c3.g6", "Bw\n")
-    matching = write(tmp_path, "m.txt", "default identity k=3\n")
-    partial = write(tmp_path, "p.json", json.dumps({"2": 0}))
     pattern = write(tmp_path, "pat.json", json.dumps({
         "vertices": [{"hostDegree": 2, "outsideNeighbors": 0}] * 3,
         "edges": [[0, 1], [1, 2], [0, 2]]}))
     commands = (["cycles", path], ["chi", path], ["chi-list", path],
                 ["chi-dp", path], ["color", path, "--k", "3"],
-                ["extend", path, "--matching", matching, "--partial",
-                 partial, "--order", "0,1"],
                 ["find-config", path, "--pattern", pattern])
     for argv in commands:
         # each runs to a verdict without the option
@@ -895,10 +878,7 @@ def test_missing_k_is_one_error_line(tmp_path, capsys):
     # k comes from --k or from the matching file's default identity line
     c4 = write(tmp_path, "c4.g6", encode_graph6(cycle_graph(4)))
     bare = write(tmp_path, "m.txt", "0 1 : 0-0, 1-1\n")
-    partial = write(tmp_path, "p.json", json.dumps({"2": 0, "3": 1}))
-    for argv in (["color", c4], ["color", c4, "--matching", bare],
-                 ["extend", c4, "--matching", bare, "--partial", partial,
-                  "--order", "0,1"]):
+    for argv in (["color", c4], ["color", c4, "--matching", bare]):
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out, argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -907,12 +887,7 @@ def test_missing_k_is_one_error_line(tmp_path, capsys):
 
 def test_malformed_files_are_one_error_line(tmp_path, capsys):
     p3 = write(tmp_path, "p3.edges", "0 1\n1 2\n")
-    identity = write(tmp_path, "id.txt", "default identity k=3\n")
-    partial = write(tmp_path, "p.json", json.dumps({"2": 0}))
     cases = [
-        ["extend", p3, "--matching", identity, "--partial",
-         write(tmp_path, "bool.json", json.dumps({"2": True})),
-         "--order", "0,1"],
         ["discharge", write(tmp_path, "five.json", "5\n"), "--variant", "a"],
         ["discharge", write(tmp_path, "str.json", '{"n": "3", "rotation": []}'),
          "--variant", "a"],
@@ -928,15 +903,6 @@ def test_malformed_files_are_one_error_line(tmp_path, capsys):
         ["find-config", p3, "--pattern", write(tmp_path, "loop.json", json.dumps(
             {"vertices": [{"hostDegree": 2, "outsideNeighbors": 0}] * 2,
              "edges": [[0, 1], [0, 5]]}))],
-        ["extend", p3, "--matching", identity,
-         "--partial", write(tmp_path, "list.json", "[]\n"), "--order", "0,1"],
-        ["extend", p3, "--matching", identity, "--partial", partial,
-         "--order", "0,1,7"],
-        ["extend", p3, "--matching", identity, "--partial", partial,
-         "--order", "1,0,1"],
-        ["extend", p3, "--matching", identity, "--partial",
-         write(tmp_path, "rest.json", json.dumps({"1": 0, "2": 1})),
-         "--order", "0"],
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -983,8 +949,6 @@ SETTABLE = {
     "chi-dp": {"input", "--budget", "--jobs", "--k", "--certificate",
                "--json"},
     "color": {"input", "--matching", "--k", "--json"},
-    "extend": {"input", "--matching", "--partial", "--order", "--k",
-               "--json"},
     "find-config": {"input", "--pattern", "--k", "--show", "--json"},
     "discharge": {"input", "--variant", "--strict", "--log", "--pattern",
                   "--json"},
@@ -1004,6 +968,17 @@ def test_settable_options_are_pinned():
                if not isinstance(a, argparse._HelpAction)}
         for name, p in sub.choices.items()}
     assert settable == SETTABLE
+
+
+def test_removed_commands_are_usage_errors(tmp_path, capsys):
+    # find-config decides reducibility exactly, and no command replays an
+    # extension along an order, so a full extend argv is bad usage
+    graph = write(tmp_path, "g.edges", "0 1\n0 2\n1 3\n1 4\n")
+    matching = write(tmp_path, "m.txt", "default identity k=3\n")
+    partial = write(tmp_path, "p.json", json.dumps({"2": 0, "3": 0, "4": 1}))
+    code, out, err = run(capsys, "extend", graph, "--matching", matching,
+                         "--partial", partial, "--order", "0,1")
+    assert code == 3 and not out and err.startswith("usage:")
 
 
 def test_the_readme_lists_every_command_with_real_flags():

@@ -15,9 +15,8 @@ import string
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dpcolor import (MatchingAssignment, brute_force_embed, cycle_graph,
-                     delete_vertices, dump_embedding, encode_graph6,
-                     find_coloring, from_edge_list, is_valid_coloring,
+from dpcolor import (brute_force_embed, cycle_graph, dump_embedding,
+                     encode_graph6, from_edge_list, is_valid_coloring,
                      parse_matching_file, uniform_lists)
 from dpcolor.cli import _read_graph, main
 from fixtures import cube, cycle_embedding, tetrahedron
@@ -133,30 +132,6 @@ def pattern_documents(draw):
 
 
 patterns = json_files(pattern_documents())
-partials = json_files(st.dictionaries(st.integers(-1, 6).map(str),
-                                      st.integers(-1, 3), max_size=6))
-orders = st.one_of(int_lists.map(lambda vs: ",".join(map(str, vs))),
-                   st.text("0123456789,- x", max_size=8))
-
-
-@st.composite
-def extension_inputs(draw):
-    """A graph, an order of its vertices (with the odd duplicate or
-    out-of-range vertex) and a coloring of exactly the other vertices."""
-    g = draw(connected_graphs())
-    order = draw(mix(
-        st.permutations(range(g.n)).flatmap(
-            lambda vs: st.integers(1, len(vs)).map(lambda m: vs[:m])),
-        st.lists(st.integers(-1, g.n), min_size=1, max_size=g.n + 1)))
-    rest, remap = delete_vertices(g, set(order) & set(range(g.n)))
-    coloring = find_coloring(rest, uniform_lists(rest.n, 3),
-                             MatchingAssignment.identity(rest, 3))
-    partial = {str(v): coloring[i] if coloring else 0
-               for v, i in remap.items()}
-    return (encode_graph6(g), json.dumps(partial),
-            ",".join(map(str, order)))
-
-
 def write(path, content):
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -225,18 +200,6 @@ def test_color_contract(tmp_path, graph, matching, k):
     code, out, _ = run("color", path, *(["--k", k] if k is not None else []))
     if code == 0:
         check_coloring(path, None, k, out)
-
-
-@CONTRACT
-@given(inputs=mix(extension_inputs(), st.tuples(graph_files, partials, orders)),
-       matching=mix(st.just("default identity k=3\n"), matching_files),
-       k=st.none() | st.integers(0, 3))
-def test_extend_contract(tmp_path, inputs, matching, k):
-    graph, partial, order = inputs
-    run("extend", write(tmp_path / "g", graph),
-        "--matching", write(tmp_path / "m.txt", matching),
-        "--partial", write(tmp_path / "p.json", partial),
-        "--order", order, *(["--k", k] if k is not None else []))
 
 
 @CONTRACT

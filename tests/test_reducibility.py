@@ -11,9 +11,7 @@ import pytest
 from dpcolor import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    ConditionsViolated,
     ConfigPattern,
-    InvalidPartial,
     MatchingAssignment,
     certify_reducible,
     complete_bipartite,
@@ -21,7 +19,6 @@ from dpcolor import (
     cycle_graph,
     delete_vertices,
     encode_graph6,
-    extend_coloring,
     find_coloring,
     find_pattern,
     from_edge_list,
@@ -30,78 +27,14 @@ from dpcolor import (
     parse_graph6,
     pattern_from_json,
     pattern_to_json,
-    residual_lists,
     uniform_lists,
 )
 import dpcolor.solver
 from fixtures import BENCH_DATA, frozen_plane_embeddings
-from instances import random_extension_instance, random_full_matching
+from instances import random_full_matching
 from oracles import (all_injections_matching, reference_certify_reducible,
                      slow_dp_f_verdict)
 from smallgraphs import connected_graphs
-
-
-def test_residual_lists_no_outside_neighbors():
-    g = from_edge_list([(0, 1)], n=3)  # vertex 2 isolated from the rest
-    lists = uniform_lists(3, 3)
-    m = MatchingAssignment.identity(g, 3)
-    a = residual_lists(g, {1, 2}, lists, m, {0: 0})
-    assert a[2] == {0, 1, 2}
-    assert a[1] == {1, 2}  # identity partner of 0 removed
-
-
-def test_residual_lists_full_vs_empty_matching():
-    g = from_edge_list([(0, 1)])
-    lists = uniform_lists(2, 3)
-    full = MatchingAssignment.identity(g, 3)
-    assert len(residual_lists(g, {1}, lists, full, {0: 2})[1]) == 2
-    empty = MatchingAssignment()
-    assert len(residual_lists(g, {1}, lists, empty, {0: 2})[1]) == 3
-
-
-def test_residual_lists_rejects_bad_partial():
-    g = cycle_graph(3)
-    lists = uniform_lists(3, 2)
-    m = MatchingAssignment.identity(g, 2)
-    with pytest.raises(InvalidPartial):
-        residual_lists(g, {2}, lists, m, {0: 0, 1: 0})
-    with pytest.raises(InvalidPartial):
-        residual_lists(g, {2}, lists, m, {0: 0})  # vertex 1 uncovered
-
-
-def test_extend_single_edge_configuration():
-    # configuration {v1, vl} = {0, 1}: v1 sees one colored neighbor,
-    # vl sees two with distinct matched partners
-    g = from_edge_list([(0, 1), (0, 2), (1, 3), (1, 4)])
-    lists = uniform_lists(5, 3)
-    rng = random.Random(1)
-    for trial in range(100):
-        m = random_full_matching(rng, g, 3)
-        partial = {2: rng.randrange(3), 3: rng.randrange(3), 4: rng.randrange(3)}
-        a = residual_lists(g, {0, 1}, lists, m, partial)
-        if not (len(a[0]) > len(a[1]) >= 1):
-            continue
-        full = extend_coloring(g, [0, 1], lists, m, partial)
-        assert is_valid_coloring(g, lists, m,
-                                 tuple(full[v] for v in range(5)))
-
-
-def test_extend_conditions_violated_error():
-    g = from_edge_list([(0, 1), (0, 2), (1, 2)])
-    lists = uniform_lists(3, 2)
-    m = MatchingAssignment.identity(g, 2)
-    with pytest.raises(ConditionsViolated) as info:
-        extend_coloring(g, [0, 1], lists, m, {2: 0})
-    assert info.value.condition == 1  # both residual lists have size 1
-
-
-def test_extend_randomized():
-    rng = random.Random(42)
-    for trial in range(200):
-        g, order, lists, matching, partial = random_extension_instance(rng)
-        full = extend_coloring(g, order, lists, matching, partial)
-        assert is_valid_coloring(g, lists, matching,
-                                 tuple(full[v] for v in range(g.n)))
 
 
 def edge_pattern():
@@ -214,6 +147,42 @@ def pattern_of(g, cut):
         edges=[(local[u], local[v]) for u, v in g.edges
                if u in local and v in local],
         host_degree=[g.degree(v) for v in cut], order=range(len(cut)))
+
+
+def replay_extension(rng, g, image, k):
+    """The guarantee certify_reducible gives, replayed once: color g minus
+    the image under a random full matching, cut each image vertex's
+    residual list (its k colors minus the partner of each colored
+    neighbor's color) to f colors, and extend with find_coloring on the
+    occurrence.  Returns False when the rest has no coloring, else True;
+    an occurrence that does not extend fails the test."""
+    matching = random_full_matching(rng, g, k)
+    rest, remap = delete_vertices(g, image)
+    rest_matching = MatchingAssignment({
+        (remap[u], remap[v]): matching.pairs(u, v)
+        for u, v in g.edges if u in remap and v in remap})
+    sub = find_coloring(rest, uniform_lists(rest.n, k), rest_matching)
+    if sub is None:
+        return False
+    partial = {old: sub[new] for old, new in remap.items()}
+    inside, f = induced(g, image, k)
+    own = []
+    for v, x in zip(image, f):
+        taken = {matching.partner(u, v, partial[u])
+                 for u in g.adj[v] if u in partial}
+        own.append(tuple(c for c in range(k) if c not in taken)[:x])
+        assert len(own[-1]) == x
+    inside_matching = MatchingAssignment({
+        (i, j): tuple((a, b) for a, b in matching.pairs(image[i], image[j])
+                      if a in own[i] and b in own[j])
+        for i, j in inside.edges})
+    coloring = find_coloring(inside, own, inside_matching)
+    assert coloring is not None, (g.edges, image, k)
+    full = dict(partial)
+    full.update(zip(image, coloring))
+    assert is_valid_coloring(g, uniform_lists(g.n, k), matching,
+                             tuple(full[v] for v in range(g.n)))
+    return True
 
 
 @functools.cache
@@ -400,29 +369,10 @@ def test_certify_monte_carlo_extension():
     host = from_edge_list([(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)])
     assert certify_reducible(host, pat, 3)
     hits = find_pattern(host, pat)
-    lists = uniform_lists(host.n, 3)
     rng = random.Random(17)
-    successes = 0
     for trial in range(200):
         image = hits[rng.randrange(len(hits))]
-        order = [image[i] for i in pat.order]
-        matching = random_full_matching(rng, host, 3)
-        outside = [v for v in range(host.n) if v not in order]
-        sub_edges = [(a, b) for a, b in host.edges
-                     if a in outside and b in outside]
-        remap = {v: i for i, v in enumerate(outside)}
-        sub = from_edge_list([(remap[a], remap[b]) for a, b in sub_edges],
-                             n=len(outside))
-        sub_m = MatchingAssignment({
-            (remap[a], remap[b]): matching.pairs(a, b) for a, b in sub_edges})
-        sub_col = find_coloring(sub, uniform_lists(sub.n, 3), sub_m)
-        assert sub_col is not None
-        partial = {v: sub_col[remap[v]] for v in outside}
-        full = extend_coloring(host, order, lists, matching, partial)
-        assert is_valid_coloring(host, lists, matching,
-                                 tuple(full[v] for v in range(host.n)))
-        successes += 1
-    assert successes == 200
+        assert replay_extension(rng, host, image, 3), trial
 
 
 def test_certify_rejects_interior_violation():
@@ -490,10 +440,8 @@ def test_order_search_matches_every_permutation():
 
 
 def test_certified_occurrences_extend_under_random_matchings():
-    # the guarantee certify_reducible gives, replayed: on random hosts and
-    # patterns cut from them, every coloring of the rest under a random
-    # full matching extends across every occurrence, through the residual
-    # lists cut to f colors and find_coloring on the occurrence
+    # on random hosts and patterns cut from them, every coloring of the
+    # rest under a random full matching extends across every occurrence
     rng = random.Random(23)
     extended = {1: 0, 2: 0}
     for _ in range(300):
@@ -506,33 +454,9 @@ def test_certified_occurrences_extend_under_random_matchings():
         k = rng.randint(2, 4)
         if not certify_reducible(g, pat, k):
             continue
-        lists = uniform_lists(g.n, k)
         for image in find_pattern(g, pat):
-            matching = random_full_matching(rng, g, k)
-            rest, remap = delete_vertices(g, image)
-            rest_matching = MatchingAssignment({
-                (remap[u], remap[v]): matching.pairs(u, v)
-                for u, v in g.edges if u in remap and v in remap})
-            sub = find_coloring(rest, uniform_lists(rest.n, k), rest_matching)
-            if sub is None:
-                continue
-            partial = {old: sub[new] for old, new in remap.items()}
-            inside, f = induced(g, image, k)
-            avail = residual_lists(g, image, lists, matching, partial)
-            own = tuple(tuple(sorted(avail[v])[:x]) for v, x in zip(image, f))
-            assert all(len(c) == x for c, x in zip(own, f))
-            inside_matching = MatchingAssignment({
-                (i, j): tuple((a, b) for a, b in
-                              matching.pairs(image[i], image[j])
-                              if a in own[i] and b in own[j])
-                for i, j in inside.edges})
-            coloring = find_coloring(inside, own, inside_matching)
-            assert coloring is not None, (g.edges, image, k)
-            full = dict(partial)
-            full.update(zip(image, coloring))
-            assert is_valid_coloring(g, lists, matching,
-                                     tuple(full[v] for v in range(g.n)))
-            extended[min(pat.size, 2)] += 1
+            if replay_extension(rng, g, image, k):
+                extended[min(pat.size, 2)] += 1
     print(f"extensions: {extended}")
     assert extended[1] > 20 and extended[2] > 20, extended
 
