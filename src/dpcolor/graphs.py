@@ -9,18 +9,22 @@ wants exactly which of the given lengths occur, and has_cycle_length stops
 at the first of the given lengths it finds.  The census filter,
 filter_graph6 below, asks that last question too.  Whenever 4 is among the
 lengths asked for, a sweep in O(m) mask operations settles it before the
-search starts.
+search sets up anything, and a 4-cycle it finds ends a query that wants
+one length.
 
 The search and the connectivity test work on neighbor bitmasks, one per
 vertex, which a Graph builds on first use and keeps (Graph.masks), as it
 keeps its degree tuple (Graph.degrees).  The graph6 decoder yields those
 bitmasks directly.  Each graph6 byte holds six vertex pairs, so for up to
 16 vertices the decoder ORs one entry per byte of a lookup table built for
-that vertex count on first use; tables grow as n**4 (74 KB at n = 16), so
-larger graphs are decoded one edge at a time.  filter_graph6 runs the
-census filters of dpcolor verify-theorem2 (connectivity, cycle filter) on
-them and returns them, not a Graph, for a line that passes; the planarity
-test and solver.settle_dp take them from there.
+that vertex count on first use.  An entry keeps the row of vertex v in its
+own 16-bit field, bits 16*v .. 16*v + 15, so one little-endian struct
+unpack reads every row out of the OR; a table takes 13 KB at n = 8 and
+73 KB at n = 16.  Larger graphs are decoded one edge at a time.
+filter_graph6 runs the census filters of dpcolor verify-theorem2
+(connectivity, cycle filter) on them and returns them, not a Graph, for a
+line that passes; the planarity test and solver.settle_dp take them from
+there.
 
 _edge_maps is the one search for maps that keep degrees and send edges to
 edges: reducibility.find_pattern lists a pattern's occurrences with it,
@@ -30,6 +34,7 @@ and solver._automorphisms the maps of a graph into itself.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -194,21 +199,24 @@ _G6_BYTES = re.compile("[?-~]*")  # the bytes 63..126
 _MINUS_63 = bytes((b - 63) % 256 for b in range(256))
 # each 6-bit value as six binary digits, most significant first
 _BITS_6 = tuple(f"{x:06b}" for x in range(64))
-# the largest n decoded through _graph6_table: a table has 64 entries of
-# n*n bits for each of about n*n/12 bytes, so it grows as n**4, to 74 KB
-# at n = 16 but 7.5 MB at n = 62
+# the largest n decoded through _graph6_table, whose entries give each
+# vertex's row a 16-bit field: a table has 64 entries of up to 16*n bits
+# for each of about n*n/12 bytes, 13 KB at n = 8 and 73 KB at n = 16
+# (sys.getsizeof over its tuples, ints and Struct)
 _TABLE_MAX_N = 16
 
 
 @cache
-def _graph6_table(n: int
-                  ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """(rows, shifts, full) for decoding the adjacency bytes of an n-vertex
-    graph6 line: rows[b][x] has bits i*n + j and j*n + i for each pair
+def _graph6_table(n: int) -> tuple[tuple[tuple[int, ...], ...], struct.Struct]:
+    """(rows, fields) for decoding the adjacency bytes of an n-vertex graph6
+    line, n <= 16: rows[b][x] has bits 16*i + j and 16*j + i for each pair
     (i, j) that byte b sets when its value is x, or is -1 if x sets a
-    padding bit; the OR of one entry per byte holds the neighbor set of
-    vertex v at bits v*n .. v*n + n - 1, so it is `packed >> shifts[v] &
-    full`, and it is negative exactly when some padding bit is set."""
+    padding bit.  The OR of one entry per byte, packed, is negative exactly
+    when some padding bit is set; otherwise it holds the neighbor set of
+    vertex v in its own 16-bit field, bits 16*v .. 16*v + 15, so that
+    fields.unpack(packed.to_bytes(2 * n, "little")) is the tuple of the n
+    neighbor bitmasks.  fields reads little-endian whatever the machine's
+    byte order."""
     pairs = [(i, j) for j in range(n) for i in range(j)]
     rows = []
     for b in range((len(pairs) + 5) // 6):
@@ -217,13 +225,13 @@ def _graph6_table(n: int
             k = 6 * b + t
             if k < len(pairs):
                 i, j = pairs[k]
-                row[32 >> t] = 1 << (i * n + j) | 1 << (j * n + i)
+                row[32 >> t] = 1 << (16 * i + j) | 1 << (16 * j + i)
             else:
                 row[32 >> t] = -1
         for x in range(1, 64):
             row[x] = row[x & x - 1] | row[x & -x]
         rows.append(tuple(row))
-    return tuple(rows), tuple(v * n for v in range(n)), (1 << n) - 1
+    return tuple(rows), struct.Struct(f"<{n}H")
 
 
 def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
@@ -232,9 +240,10 @@ def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
 
     Each adjacency byte sets up to six vertex pairs.  For n <= _TABLE_MAX_N
     the masks come from one OR per byte of a _graph6_table entry, the table
-    built on the first line with that n; a larger n would need a table
-    growing as n**4, so its bytes are read into one integer and scattered
-    into the masks one edge at a time."""
+    built on the first line with that n, and one unpack of the 16-bit row
+    fields of the result; for a larger n a row does not fit 16 bits, so
+    its bytes are read into one integer and scattered into the masks one
+    edge at a time."""
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
@@ -265,13 +274,13 @@ def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
             f"expected {need} adjacency bytes for n={n}, got {len(vals) - idx}"
         )
     if n <= _TABLE_MAX_N:
-        rows, shifts, full = _graph6_table(n)
+        rows, fields = _graph6_table(n)
         packed = 0
         for row, x in zip(rows, vals[idx:]):
             packed |= row[x]
         if packed < 0:
             raise MalformedGraph6("nonzero padding bits")
-        return n, tuple([packed >> shift & full for shift in shifts])
+        return n, fields.unpack(packed.to_bytes(2 * n, "little"))
     # the adjacency bits as one integer, parsed at once from the line's bit
     # string reversed: bit k of the upper triangle in column order (0,1),
     # (0,2), (1,2), (0,3), ... is bit k of word, and the padding lies above
@@ -400,18 +409,24 @@ def _has_four_cycle(adj) -> bool:
 
 def _cycle_lengths(adj, lengths, enough: int) -> set[int]:
     """The lengths in `lengths` at which the graph with neighbor bitmasks
-    adj has a cycle, searched until `enough` of them are found.
+    adj has a cycle, searched until `enough` of them are found.  `lengths`
+    is read once, so it may be any iterable.
 
-    Length 4, when asked for, is settled first by _has_four_cycle.  The
-    others go to a depth-first search over paths whose vertices after the
-    first all exceed it, so each cycle is found from its smallest vertex.
-    Vertex sets are bitmasks, and a path of p vertices closes to a
-    (p+1)-cycle when one of its next vertices is a neighbor of the start,
-    which is one mask test.  Lengths below 3 or above n cannot occur and
-    are dropped; a path is extended only while a longer missing length
-    remains, and a start vertex is tried only if enough vertices follow it
-    for the shortest requested length.
+    Length 4, when asked for, is settled first by _has_four_cycle, before
+    the search sets up anything; a 4-cycle found there is the answer when
+    one length is enough.  The others go to a depth-first search over paths
+    whose vertices after the first all exceed it, so each cycle is found
+    from its smallest vertex.  Vertex sets are bitmasks, and a path of p
+    vertices closes to a (p+1)-cycle when one of its next vertices is a
+    neighbor of the start, which is one mask test.  Lengths below 3 or
+    above n cannot occur and are dropped; a path is extended only while a
+    longer missing length remains, and a start vertex is tried only if
+    enough vertices follow it for the shortest requested length.
     """
+    lengths = frozenset(lengths)
+    four = 4 in lengths and _has_four_cycle(adj)
+    if four and enough == 1:
+        return {4}
     n = len(adj)
     missing = {length for length in lengths if 3 <= length <= n}
     found: set[int] = set()
@@ -420,7 +435,7 @@ def _cycle_lengths(adj, lengths, enough: int) -> set[int]:
         return found
     if 4 in missing:
         missing.discard(4)
-        if _has_four_cycle(adj):
+        if four:
             found.add(4)
         # each length is now found or missing, so a search for more than
         # those would never stop

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,11 @@ def test_parse_graph6_header_and_errors():
         parse_graph6(":Fa@x^")  # sparse6
 
 
+# (n, adjacency bytes, padding bits) of a graph6 line, for n = 0..17
+_G6_SIZES = [(n, -(-n * (n - 1) // 12), -(n * (n - 1) // 2) % 6)
+             for n in range(graphs._TABLE_MAX_N + 2)]
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "empty graph6 string"),
     (">>graph6<<", "empty graph6 string"),
@@ -115,11 +121,34 @@ def test_parse_graph6_header_and_errors():
                  id="n=65-last-padding-bit"),
     pytest.param("~?@@" + "~" * 347, "nonzero padding bits",
                  id="n=65-every-bit"),
+    ("~?", "truncated vertex count"),
+    ("~~", "truncated vertex count"),
+    ("é", "byte 'é' out of graph6 range"),
+    # at every n of the table and the first past it: each padding bit on its
+    # own, one adjacency byte too many or too few, and a non-ASCII last byte
+    *[pytest.param(chr(63 + n) + "?" * (need - 1) + chr(63 + (1 << bit)),
+                   "nonzero padding bits", id=f"n={n}-padding-bit-{bit}")
+      for n, need, pad in _G6_SIZES for bit in range(pad)],
+    *[pytest.param(chr(63 + n) + "?" * (need + 1),
+                   f"expected {need} adjacency bytes for n={n}, got {need + 1}",
+                   id=f"n={n}-one-byte-too-many")
+      for n, need, pad in _G6_SIZES],
+    *[pytest.param(chr(63 + n) + "?" * (need - 1),
+                   f"expected {need} adjacency bytes for n={n}, got {need - 1}",
+                   id=f"n={n}-one-byte-short")
+      for n, need, pad in _G6_SIZES if need],
+    *[pytest.param(chr(63 + n) + "?" * (need - 1) + "é",
+                   "byte 'é' out of graph6 range", id=f"n={n}-non-ascii-byte")
+      for n, need, pad in _G6_SIZES],
 ])
-def test_parse_graph6_error_messages(text, message):
-    with pytest.raises(MalformedGraph6) as info:
-        parse_graph6(text)
-    assert str(info.value) == message
+def test_parse_graph6_error_messages(text, message, monkeypatch):
+    # the same message on the lookup-table path and on the edge-at-a-time
+    # path, which every line takes with the cap at 0
+    for cap in (graphs._TABLE_MAX_N, 0):
+        monkeypatch.setattr(graphs, "_TABLE_MAX_N", cap)
+        with pytest.raises(MalformedGraph6) as info:
+            parse_graph6(text)
+        assert str(info.value) == message
 
 
 def _column_pairs(g):
@@ -162,7 +191,7 @@ def test_parse_graph6_matches_from_edge_list_on_census():
 def test_parse_graph6_matches_from_edge_list_on_random_graphs():
     # n > 62 takes the four-byte vertex count
     rng = random.Random(6)
-    for n in [*range(12), 16, 17, 30, 62, 63, 64, 70, 130]:
+    for n in [*range(graphs._TABLE_MAX_N + 2), 30, 62, 63, 64, 70, 130]:
         for p in (0.05, 0.3, 0.7):
             pairs = [(i, j) for j in range(n) for i in range(j)
                      if rng.random() < p]
@@ -185,6 +214,25 @@ def test_parse_graph6_long_lines():
     with pytest.raises(MalformedGraph6) as info:
         parse_graph6(line[:-1] + "`")
     assert str(info.value) == "nonzero padding bits"
+
+
+def test_census_filter_outcomes():
+    # variant a on the 12,113 connected graphs with at most 8 vertices: the
+    # 4-cycle sweep drops 11,836 lines, the depth-first search 34 more, and
+    # 243 go on to the DP-3 verdict, each as the frozen row status says
+    rows = [line.split("\t") for line in
+            (CENSUS_STREAMS / "census_filter_a.tsv").read_text().splitlines()]
+    outcomes = Counter()
+    for text, status in rows:
+        got, _ = filter_graph6(text, FORBIDDEN_VARIANTS["a"])
+        assert status == got or (got is None and status == "pass"), text
+        if got is None:
+            outcomes["kept"] += 1
+        elif graphs._has_four_cycle(graphs._decode_graph6(text)[1]):
+            outcomes["sweep"] += 1
+        else:
+            outcomes["search"] += 1
+    assert outcomes == {"sweep": 11_836, "search": 34, "kept": 243}
 
 
 def test_both_decoder_paths_agree_on_the_census_streams(monkeypatch):
@@ -349,6 +397,35 @@ def test_cycle_filters_on_impossible_lengths():
     assert forbidden_cycles(k4, [2, 3, 3, 4, 5]) == {3, 4}
     with pytest.raises(ValueError):
         cycle_spectrum(k4, 2)
+
+
+def test_cycle_queries_read_lengths_once():
+    # the 4-cycle sweep runs before the search sets up, but `lengths` is
+    # still read once, so an iterator or a generator asks the same question
+    assert has_cycle_length(cycle_graph(9), iter([9])) is True
+    assert forbidden_cycles(cycle_graph(9), iter([4, 9])) == {9}
+    assert forbidden_cycles(complete_graph(4), (x for x in (4, 9))) == {4}
+    assert graphs._cycle_lengths(cycle_graph(9).masks, iter([4, 9]), 1) == {9}
+    queries = [(), (4,), (9,), (3, 4), (4, 5), (4, 6), (5, 6, 7),
+               *FORBIDDEN_VARIANTS.values()]
+    for g in connected_graphs(6):
+        present = all_cycle_lengths(g, 9)
+        for max_len in range(3, 10):
+            assert cycle_spectrum(g, max_len) == {
+                x for x in present if x <= max_len}, g.edges
+        for lengths in queries:
+            want = present & set(lengths)
+            assert has_cycle_length(g, iter(lengths)) == bool(want), g.edges
+            assert forbidden_cycles(g, iter(lengths)) == want, g.edges
+            # a 4-cycle answers a query for one length; a larger `enough`
+            # gets that many of the lengths present, or all of them
+            if 4 in want:
+                assert graphs._cycle_lengths(g.masks, iter(lengths), 1) == {4}
+            for enough in range(len(lengths) + 2):
+                got = graphs._cycle_lengths(g.masks, iter(lengths), enough)
+                assert got <= want, (g.edges, lengths, enough)
+                assert len(got) == min(enough, len(want)), (
+                    g.edges, lengths, enough)
 
 
 def _core_line_events(call):
