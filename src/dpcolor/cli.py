@@ -279,7 +279,7 @@ def cmd_verify(args) -> int:
                 if verdict is not True:
                     row["status"] = "FAIL"
                     refutations.append((line, format_matching_file(
-                        verdict.matching, parse_graph6(line))))
+                        verdict.matching, Graph(masks))))
         rows.append(row)
     checked = sum("settled_by" in row for row in rows)
     failures = len(refutations)
@@ -312,7 +312,9 @@ def build_parser() -> _Parser:
     search = _Parser(add_help=False)
     search.add_argument("--budget", type=_at_least(0),
                         default=solver.DEFAULT_BUDGET, help="case budget")
-    search.add_argument("--jobs", type=_at_least(1), default=1)
+    search.add_argument("--jobs", type=_at_least(1), default=1,
+                        help="processes to split a DP scan across in chi-dp "
+                        "and verify-theorem2; chi-list ignores it")
 
     def command(name, func, help, *groups):
         p = sub.add_parser(name, help=help, parents=groups)

@@ -622,12 +622,15 @@ def format_transfer_log(state: ChargeState) -> str:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """What audit found.  pattern_hits holds (name, occurrences) for each
+    pattern given, in order, so patterns that share a name count apart."""
+
     variant: str
     hypothesis_ok: bool
     forbidden_cycles_found: tuple[int, ...]
     min_degree: int
     low_degree_vertices: tuple[int, ...]
-    pattern_hits: dict[str, int]
+    pattern_hits: tuple[tuple[str, int], ...]
     negative_vertices: tuple[tuple[int, Fraction], ...]
     negative_faces: tuple[tuple[int, Fraction], ...]
     total: Fraction
@@ -644,7 +647,7 @@ class AuditReport:
                 f"forbidden cycle present: lengths {list(self.forbidden_cycles_found)}")
         if self.low_degree_vertices:
             out.append(f"vertices of degree < 3: {list(self.low_degree_vertices)}")
-        for name, hits in self.pattern_hits.items():
+        for name, hits in self.pattern_hits:
             if hits:
                 out.append(f"reducible pattern '{name}' occurs {hits} times")
         for v, c in self.negative_vertices:
@@ -686,7 +689,7 @@ def audit(emb: PlaneEmbedding, variant: str, patterns=(),
     present = forbidden_cycles(g, _forbidden(variant))
     degrees = g.degrees() if g.n else (0,)
     low = tuple(v for v, d in enumerate(g.degrees()) if d < 3)
-    hits = {pat.name: len(find_pattern(g, pat)) for pat in patterns}
+    hits = tuple((pat.name, len(find_pattern(g, pat))) for pat in patterns)
     roles = classify_face_roles(emb)
     state = apply_rules(emb, variant, strict=strict, roles=roles,
                         present=present)

@@ -364,7 +364,9 @@ def parse_matching_file(text: str, g: Graph) -> tuple[MatchingAssignment, int | 
                              f"{given[key]}")
     if default_k is not None:
         ident = tuple((i, i) for i in range(default_k))
-        for e in g.edges:
+        # in sorted order: the table's order decides which edge
+        # MatchingAssignment.validate names first
+        for e in sorted(g.edges):
             table.setdefault(e, ident)
     return MatchingAssignment(table), default_k
 

@@ -1,7 +1,12 @@
 """Simple undirected graphs: construction, file formats, degree and cycle queries.
 
 Vertices are dense integer indices 0..n-1.  File formats may carry other
-labels; those are mapped to dense indices on ingestion.
+labels; those are mapped to dense indices on ingestion.  A Graph is its
+neighbor bitmasks, one per vertex (Graph.masks); every constructor hands it
+those, and its edge set and neighbor sets are built from them on first use.
+_induced is the one builder of induced subgraphs: the settle pipeline's
+components, reducibility's occurrences and the planarity reduction take
+their bitmasks from it, and _bits lists the vertices of a bitmask.
 
 The cycle queries share one depth-first search and ask it only their own
 question: cycle_spectrum wants every length up to a bound, forbidden_cycles
@@ -12,15 +17,13 @@ lengths asked for, a sweep in O(m) mask operations settles it before the
 search sets up anything, and a 4-cycle it finds ends a query that wants
 one length.
 
-The search and the connectivity test work on neighbor bitmasks, one per
-vertex, which a Graph builds on first use and keeps (Graph.masks), as it
-keeps its degree tuple (Graph.degrees).  The graph6 decoder yields those
-bitmasks directly.  Each graph6 byte holds six vertex pairs, so for up to
-16 vertices the decoder ORs one entry per byte of a lookup table built for
-that vertex count on first use.  An entry keeps the row of vertex v in its
-own 16-bit field, bits 16*v .. 16*v + 15, so one little-endian struct
-unpack reads every row out of the OR; a table takes 13 KB at n = 8 and
-73 KB at n = 16.  Larger graphs are decoded one edge at a time.
+The search and the connectivity test work on the neighbor bitmasks, which
+the graph6 decoder yields directly.  Each graph6 byte holds six vertex
+pairs, so for up to 16 vertices the decoder ORs one entry per byte of a
+lookup table built for that vertex count on first use.  An entry keeps
+the row of vertex v in its own 16-bit field, bits 16*v .. 16*v + 15, so
+one little-endian struct unpack reads every row out of the OR; a table
+takes 13 KB at n = 8 and 73 KB at n = 16.  Larger graphs are decoded one edge at a time.
 filter_graph6 runs the census filters of dpcolor verify-theorem2
 (connectivity, cycle filter) on them and returns them, not a Graph, for a
 line that passes; the planarity test and solver.settle_dp take them from
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 __all__ = [
@@ -51,7 +54,6 @@ __all__ = [
     "forbidden_cycles",
     "has_cycle_length",
     "FORBIDDEN_VARIANTS",
-    "delete_vertices",
     "is_connected",
     "complete_graph",
     "cycle_graph",
@@ -70,37 +72,48 @@ class MalformedGraph6(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph on the vertices 0..n-1, held as its
+    neighbor bitmasks: bit u of masks[v] is set exactly when u and v are
+    adjacent.  No self-loops, and the masks are symmetric; Graph(masks)
+    takes them as given, so a mask from outside goes through from_edge_list
+    or parse_graph6, which check it.
 
-    edges holds pairs (u, v) with u < v; adj[v] is the neighbor set of v.
-    No self-loops, no parallel edges.
+    n, m, degree, has_edge and degrees read the masks.  edges, the pairs
+    (u, v) with u < v, and adj, adj[v] the neighbor set of v, are built
+    from them on first use and kept, as the degree tuple is.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    adj: tuple[frozenset[int], ...] = field(compare=False)
+    masks: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.masks)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees()) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.masks[u] >> v & 1 == 1
 
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
+        return tuple(mask.bit_count() for mask in self.masks)
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """The neighbor set of each vertex as a bitmask, built on first use."""
-        return tuple(_pair_masks(self.n, self.edges))
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for v, mask in enumerate(self.masks)
+                         for u in _bits(mask & ((1 << v) - 1)))
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_bits(mask)) for mask in self.masks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -112,30 +125,42 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
     n defaults to one more than the largest vertex mentioned (isolated
     trailing vertices need an explicit n).
     """
-    edges = set()
+    edges = []
     top = -1
     for u, v in pairs:
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}")
         if u < 0 or v < 0:
             raise ValueError(f"negative vertex in edge ({u}, {v})")
-        edges.add((u, v) if u < v else (v, u))
+        edges.append((u, v))
         top = max(top, u, v)
     if n is None:
         n = top + 1
     elif top >= n:
         raise ValueError(f"edge mentions vertex {top} but n={n}")
-    return _build_graph(n, edges)
-
-
-def _build_graph(n: int, edges: set[tuple[int, int]]) -> Graph:
-    """The Graph on 0..n-1 with the given edges (u, v), u < v; adj is filled
-    in the set's iteration order."""
-    adj = [set() for _ in range(n)]
+    masks = [0] * n
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n=n, edges=frozenset(edges), adj=tuple(frozenset(a) for a in adj))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(tuple(masks))
+
+
+def _bits(mask: int):
+    """The vertices of a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _induced(masks, vertices) -> tuple[int, ...]:
+    """The neighbor bitmasks of the subgraph that the graph with neighbor
+    bitmasks masks induces on `vertices`, distinct vertices listed in any
+    order, with vertices[i] numbered i."""
+    place = {v: i for i, v in enumerate(vertices)}
+    inside = sum(1 << v for v in vertices)
+    return tuple(sum(1 << place[u] for u in _bits(masks[v] & inside))
+                 for v in vertices)
 
 
 def complete_graph(n: int) -> Graph:
@@ -154,16 +179,6 @@ def path_graph(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return from_edge_list([(i, a + j) for i in range(a) for j in range(b)], n=a + b)
-
-
-def _pair_masks(n: int, pairs) -> list[int]:
-    """The neighbor set of each of the n vertices as a bitmask, from the
-    edges (u, v)."""
-    masks = [0] * n
-    for u, v in pairs:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def _connected(masks) -> bool:
@@ -302,21 +317,8 @@ def _decode_graph6(s: str) -> tuple[int, tuple[int, ...]]:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a Graph that keeps the decoded neighbor
-    bitmasks.  Its edges are added in column order (0,1), (0,2), (1,2),
-    (0,3), ..., the order of the line, so it equals from_edge_list of the
-    line's pairs, with edges and every adj[v] iterating alike."""
-    masks = _decode_graph6(text.strip())[1]
-    edges = set()
-    for j, mask in enumerate(masks):
-        below = mask & ((1 << j) - 1)
-        while below:
-            bit = below & -below
-            below ^= bit
-            edges.add((bit.bit_length() - 1, j))
-    g = _build_graph(len(masks), edges)
-    object.__setattr__(g, "masks", masks)
-    return g
+    """Decode one graph6 line into a Graph."""
+    return Graph(_decode_graph6(text.strip())[1])
 
 
 def filter_graph6(line: str, forbidden
@@ -528,7 +530,7 @@ def _edge_maps(g: Graph, adj, want, order):
     size = len(order)
     if not 0 < size <= g.n:
         return
-    gadj, deg = g.adj, g.degrees()
+    masks, deg = g.masks, g.degrees()
     # per depth: the least earlier neighbor of its vertex (None if it has
     # none), the other earlier neighbors, and the degree it wants
     steps, placed = [], set()
@@ -546,10 +548,10 @@ def _edge_maps(g: Graph, adj, want, order):
         first, rest, w = steps[i]
         if first is None:
             return [v for v in of_degree[w] if not used[v]]
-        return sorted(v for v in gadj[image[first]] if deg[v] == w
-                      and not used[v]
-                      and not (rest and any(image[y] not in gadj[v]
-                                            for y in rest)))
+        return [v for v in _bits(masks[image[first]]) if deg[v] == w
+                and not used[v]
+                and not (rest and any(not masks[v] >> image[y] & 1
+                                      for y in rest))]
 
     # todo[i] iterates depth i's options, and the last depth's options are
     # maps at once
@@ -577,18 +579,3 @@ def _edge_maps(g: Graph, adj, want, order):
             break
         else:
             return
-
-
-def delete_vertices(g: Graph, drop) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on V minus drop, plus the old->new index map."""
-    drop = set(drop)
-    if not drop <= set(range(g.n)):
-        raise ValueError("vertices to delete must lie in 0..n-1")
-    keep = [v for v in range(g.n) if v not in drop]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edges
-        if u not in drop and v not in drop
-    ]
-    return from_edge_list(edges, n=len(keep)), remap

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graphs import Graph, _build_graph, _connected, is_connected
+from .graphs import Graph, _connected, _induced, is_connected
 
 __all__ = [
     "Face",
@@ -145,8 +145,10 @@ def trace_faces(g: Graph, rot) -> PlaneEmbedding:
     # the dart successor map: entering v along (u, v), leave along (v, w)
     # where w follows u in the rotation at v
     succ: dict[Dart, Dart] = {}
-    for v, order in enumerate(rotation):
-        if len(order) != len(g.adj[v]) or g.adj[v] != set(order):
+    for v, (order, mask) in enumerate(zip(rotation, g.masks)):
+        # as many distinct entries as neighbors, each one a neighbor
+        if not (len(set(order)) == len(order) == mask.bit_count()
+                and all(mask >> u & 1 for u in order)):
             raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
         for i, u in enumerate(order):
             succ[(u, v)] = (v, order[i + 1 - len(order)])
@@ -260,7 +262,7 @@ def brute_force_embed(g: Graph) -> PlaneEmbedding:
     return trace_faces(g, rotation)
 
 
-def _smooth(masks) -> list[int]:
+def _smooth(masks) -> tuple[int, ...]:
     """The neighbor bitmasks of the graph with bitmasks `masks` after
     deleting vertices of degree at most 1 and smoothing vertices of degree
     2, dropping parallel edges, until neither step applies; the vertices
@@ -290,9 +292,7 @@ def _smooth(masks) -> list[int]:
                 adj[u] = adj[u] ^ bit | other
                 if adj[u].bit_count() <= 2:
                     stack.append(u)
-    keep = [v for v in range(len(adj)) if left >> v & 1]
-    return [sum(1 << i for i, u in enumerate(keep) if adj[v] >> u & 1)
-            for v in keep]
+    return _induced(adj, [v for v in range(len(adj)) if left >> v & 1])
 
 
 def _is_planar_connected(masks) -> bool:
@@ -338,20 +338,23 @@ def load_embedding(source) -> PlaneEmbedding:
     rot = [tuple(order) for order in rotation]
     if len(rot) != n:
         raise ValueError("rotation length disagrees with n")
-    edges = set()
+    masks = [0] * n  # bit u of masks[v]: u is in v's rotation
     for v, order in enumerate(rot):
         for u in order:
             if not 0 <= u < n:
                 raise ValueError(f"neighbor {u} out of range at vertex {v}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {v}")
-            edges.add((v, u) if v < u else (u, v))
-    for u, v in edges:
-        if u not in rot[v] or v not in rot[u]:
-            raise ValueError(f"edge ({u}, {v}) is not symmetric in the rotation")
-    # the loops above checked what from_edge_list would; trace_faces checks
-    # that each order lists its vertex's neighbors once
-    return trace_faces(_build_graph(n, edges), rot)
+            masks[v] |= 1 << u
+    for v, order in enumerate(rot):
+        for u in order:
+            if not masks[u] >> v & 1:
+                raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) is not "
+                                 f"symmetric in the rotation")
+    # the loops above checked what from_edge_list would, so the masks are
+    # a Graph's; trace_faces checks that each order lists its vertex's
+    # neighbors once
+    return trace_faces(Graph(tuple(masks)), rot)
 
 
 def dump_embedding(emb: PlaneEmbedding) -> str:

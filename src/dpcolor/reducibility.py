@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import solver
-from .graphs import Graph, _edge_maps
+from .graphs import Graph, _edge_maps, _induced
 
 __all__ = [
     "ConfigPattern",
@@ -145,13 +145,14 @@ def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:
     find_pattern order and settled by one solver._settle call on the
     default budget.  The pattern's order is not consulted."""
     masks, f, laid = [], [], set()
+    deg = g.degrees()
     for image in find_pattern(g, pat):
-        place = {v: i for i, v in enumerate(image)}
-        sizes = tuple(k - sum(u not in place for u in g.adj[v]) for v in image)
+        inside = _induced(g.masks, image)
+        # f(v) = k - |N_g(v) minus the image|
+        sizes = tuple(k - deg[v] + mask.bit_count()
+                      for v, mask in zip(image, inside))
         if min(sizes) <= 0:
             return False
-        inside = tuple(sum(1 << place[u] for u in g.adj[v] if u in place)
-                       for v in image)
         if (inside, sizes) not in laid:
             laid.add((inside, sizes))
             masks += [m << len(f) for m in inside]

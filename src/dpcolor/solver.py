@@ -92,7 +92,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .graphs import Graph, _edge_maps, from_edge_list
+from .graphs import Graph, _bits, _edge_maps, _induced
 from .dp import Lists, MatchingAssignment, search_positions
 
 __all__ = [
@@ -100,7 +100,6 @@ __all__ = [
     "AdversaryCertificate",
     "DEFAULT_BUDGET",
     "chi",
-    "k_core",
     "is_dp_k_colorable",
     "settle_dp",
     "chi_dp",
@@ -134,9 +133,9 @@ def _pool(max_workers: int):
 class BudgetExceeded(RuntimeError):
     """The search hit its case budget before reaching a verdict."""
 
-    def __init__(self, attempted: int, message: str = ""):
+    def __init__(self, attempted: int):
         self.attempted = attempted
-        super().__init__(message or f"budget exceeded after {attempted} cases")
+        super().__init__(f"budget exceeded after {attempted} cases")
 
 
 @dataclass(frozen=True)
@@ -751,21 +750,6 @@ def _peel(masks, slack) -> int:
     return core
 
 
-def k_core(masks, k: int) -> int:
-    """The vertices of the k-core of the graph with these neighbor bitmasks
-    (as Graph.masks), as a bitmask: what is left after deleting vertices
-    of degree < k until none is left."""
-    return _peel(masks, [mask.bit_count() - k for mask in masks])
-
-
-def _members(mask: int):
-    """The vertices of a bitmask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
 def _core_components(masks, core: int):
     """The components of the subgraph that the vertex bitmask core induces,
     by least vertex, each as (its vertices in increasing order, the Graph
@@ -774,14 +758,11 @@ def _core_components(masks, core: int):
         comp, grown = 0, core & -core
         while grown != comp:
             comp = grown
-            for v in _members(comp):
+            for v in _bits(comp):
                 grown |= masks[v] & core
         core ^= comp
-        vertices = list(_members(comp))
-        place = {v: i for i, v in enumerate(vertices)}
-        yield vertices, from_edge_list([(place[v], place[u]) for v in vertices
-                                        for u in _members(masks[v] & comp)],
-                                       n=len(vertices))
+        vertices = list(_bits(comp))
+        yield vertices, Graph(_induced(masks, vertices))
 
 
 def _two_choosable(core: Graph) -> bool:
@@ -790,10 +771,10 @@ def _two_choosable(core: Graph) -> bool:
     is an even cycle or theta_{2,2,2m}: two vertices of degree 3 joined by
     paths of lengths 2, 2 and 2m, so not adjacent, sharing at least two
     neighbours, on 2m + 3 vertices."""
-    ends = [v for v in range(core.n) if len(core.adj[v]) != 2]
+    ends = [v for v in range(core.n) if core.degree(v) != 2]
     if not ends:
         return core.n % 2 == 0
-    if len(ends) != 2 or any(len(core.adj[v]) != 3 for v in ends):
+    if len(ends) != 2 or any(core.degree(v) != 3 for v in ends):
         return False
     u, v = ends
     return (core.n % 2 == 1 and not core.has_edge(u, v)
@@ -849,8 +830,8 @@ def _settle(masks, f, settle, budget: int):
     the component's input vertices, its vertex i the i-th; if none, (True,
     "search", None, attempted)."""
     uniform = isinstance(f, int)
-    core = (k_core(masks, f) if uniform
-            else _peel(masks, [m.bit_count() - x for m, x in zip(masks, f)]))
+    core = _peel(masks, [m.bit_count() - x for m, x in
+                         zip(masks, itertools.repeat(f) if uniform else f)])
     if not core:
         return True, "core-empty", None, 0
     left = budget

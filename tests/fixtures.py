@@ -358,6 +358,9 @@ EMBEDDING_REJECTIONS = {
     "asymmetric edge": (
         '{"n": 2, "rotation": [[1], []]}', ValueError,
         "edge (0, 1) is not symmetric in the rotation"),
+    "asymmetric edges, the first in rotation order named": (
+        '{"n": 3, "rotation": [[2, 1], [], []]}', ValueError,
+        "edge (0, 2) is not symmetric in the rotation"),
     "repeated neighbor": (
         '{"n": 2, "rotation": [[1, 1], [0]]}', ValueError,
         "rotation at 0 is not a permutation of its neighbors"),

@@ -13,8 +13,8 @@ import dpcolor.solver
 from dpcolor import (NonPlanarOrTooLarge, brute_force_embed, encode_graph6,
                      from_edge_list, parse_graph6, parse_matching_file)
 from dpcolor.cli import build_parser, main
-from fixtures import (EMBEDDING_REJECTIONS, dodecahedron, subdivided,
-                      tetrahedron, with_pendant_paths)
+from fixtures import (BENCH_DATA, EMBEDDING_REJECTIONS, dodecahedron,
+                      subdivided, tetrahedron, with_pendant_paths)
 from dpcolor import (MatchingAssignment, complete_bipartite, complete_graph,
                      cycle_graph, dump_embedding, is_valid_coloring,
                      path_graph, uniform_lists)
@@ -76,6 +76,20 @@ def test_chi_edge_list_input(tmp_path, capsys):
     path = write(tmp_path, "g.edges", "0 1\n1 2\n2 0\n")
     code, out, _ = run(capsys, "chi", path)
     assert code == 0 and "chi = 3" in out
+
+
+def test_chi_list_ignores_jobs(tmp_path, capsys):
+    # the choosability search is serial: --jobs changes nothing it prints,
+    # and the help of the shared option says so
+    wheel = write(tmp_path, "w4.g6", "Dr{\n")
+    k33 = write(tmp_path, "k33.g6", encode_graph6(complete_bipartite(3, 3)))
+    for argv in ([wheel], [wheel, "--k", "3"], [k33, "--k", "2"]):
+        one = run(capsys, "chi-list", *argv, "--jobs", "1")
+        assert run(capsys, "chi-list", *argv, "--jobs", "3") == one, argv
+    assert run(capsys, "chi-list", wheel, "--jobs", "3")[:2] == (
+        0, "chi_list = 3\n")
+    code, out, _ = run(capsys, "chi-list", "--help")
+    assert code == 0 and "chi-list ignores it" in " ".join(out.split())
 
 
 def test_chi_rejects_search_flags(tmp_path, capsys):
@@ -345,6 +359,24 @@ def test_discharge_rejects_boolean_pattern_entries(tmp_path, capsys):
                          "--pattern", pattern)
     assert code == 3 and not out
     assert err.startswith("error: pattern 'edges' must be")
+
+
+def test_discharge_counts_patterns_that_share_a_name(tmp_path, capsys):
+    # two unnamed patterns are both 'pattern': the cube's 4-faces hold 48
+    # occurrences of the 4-cycle and no triangle, and the finding shows in
+    # either order
+    cube = str(BENCH_DATA / "plane" / "cube.json")
+    cubic = {"hostDegree": 3, "outsideNeighbors": 1}
+    c4 = write(tmp_path, "c4.json", json.dumps({
+        "vertices": [cubic] * 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
+    tri = write(tmp_path, "tri.json", json.dumps({
+        "vertices": [cubic] * 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    for first, second in ((c4, tri), (tri, c4)):
+        code, out, _ = run(capsys, "discharge", cube, "--variant", "a",
+                           "--pattern", first, "--pattern", second)
+        assert code == 0
+        findings = [ln for ln in out.splitlines() if "reducible pattern" in ln]
+        assert findings == ["  - reducible pattern 'pattern' occurs 48 times"]
 
 
 def test_discharge_strict_exit(tmp_path, capsys):
@@ -753,18 +785,19 @@ def test_verify_builds_a_graph_only_past_the_cycle_filter(
                   cyclic[1], disconnected[1], passing[1], cyclic[2],
                   passing[2])))
     built = []
-    screen, build = dpcolor.cli.filter_graph6, dpcolor.graphs._build_graph
+    screen, init = dpcolor.cli.filter_graph6, dpcolor.graphs.Graph.__init__
 
     def screened(line, forbidden):
         built.append([line, 0])
         return screen(line, forbidden)
 
-    def counted(n, edges):
+    def counted(self, *args, **kwargs):
         built[-1][1] += 1
-        return build(n, edges)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(dpcolor.cli, "filter_graph6", screened)
-    monkeypatch.setattr(dpcolor.graphs, "_build_graph", counted)
+    # every constructor, in any module, goes through Graph.__init__
+    monkeypatch.setattr(dpcolor.graphs.Graph, "__init__", counted)
     code, out, _ = run(capsys, "verify-theorem2", stream, "--variant", "a")
     assert code == 0
     rows = [ln.split("\t")[1] for ln in out.splitlines() if "\t" in ln]

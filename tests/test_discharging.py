@@ -435,7 +435,7 @@ def test_audit_reports_patterns_and_negatives():
     pat = ConfigPattern.build(edges=[(0, 1)], host_degree=(3, 3),
                               order=[0, 1], name="cubic edge")
     report = audit(emb, "a", patterns=[pat])
-    assert report.pattern_hits["cubic edge"] == 36
+    assert report.pattern_hits == (("cubic edge", 36),)
     assert len(report.negative_faces) == 4
     assert report.total == Fraction(-8)
     text = report.format()

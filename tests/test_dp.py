@@ -122,7 +122,7 @@ def test_monotonicity_under_matching_growth():
         k = rng.randint(1, 3)
         lists = uniform_lists(g.n, k)
         small, big = {}, {}
-        for e in g.edges:
+        for e in sorted(g.edges):
             perm = rng.sample(range(k), k)
             pairs = tuple((i, perm[i]) for i in range(k))
             keep = rng.randint(0, k)
@@ -140,7 +140,7 @@ def test_monotonicity_under_matching_growth():
         if big_found is not None:
             assert small_found is not None
         results.append((big_found, small_found))
-    assert digest(results) == "9f02ab6d62ad680e"
+    assert digest(results) == "7144aecff4ae94c8"
 
 
 def test_from_list_assignment_all_equal():
@@ -223,7 +223,7 @@ def test_gauge_normalize_preserves_verdict():
         k = rng.randint(1, 3)
         lists = uniform_lists(g.n, k)
         table = {}
-        for e in g.edges:
+        for e in sorted(g.edges):
             perm = rng.sample(range(k), k)
             table[e] = tuple((i, perm[i]) for i in range(k))
         m = MatchingAssignment(table)
@@ -248,7 +248,7 @@ def test_gauge_normalize_preserves_verdict():
         checked += 1
         results.append((before, after))
     assert checked == 1000
-    assert digest(results) == "38e028184381b301"
+    assert digest(results) == "805618566f69d018"
 
 
 def test_matching_file_roundtrip():

@@ -11,12 +11,12 @@ import networkx as nx
 
 from dpcolor import (
     FORBIDDEN_VARIANTS,
+    Graph,
     MalformedGraph6,
     SelfLoop,
     complete_graph,
     cycle_graph,
     cycle_spectrum,
-    delete_vertices,
     encode_graph6,
     filter_graph6,
     forbidden_cycles,
@@ -25,6 +25,7 @@ from dpcolor import (
     is_connected,
     parse_edge_list,
     parse_graph6,
+    path_graph,
 )
 from dpcolor import graphs
 from dpcolor.cli import main
@@ -499,13 +500,52 @@ def test_satisfied_variants(tmp_path, capsys):
     assert satisfied_variants(cycle_graph(9), "3") == set()
 
 
-def test_delete_vertices():
+def test_induced_keeps_the_listed_vertices():
     k4 = complete_graph(4)
-    g, remap = delete_vertices(k4, {3})
+    g = Graph(graphs._induced(k4.masks, [0, 1, 2]))
     assert g.n == 3 and g.m == 3
-    assert remap == {0: 0, 1: 1, 2: 2}
-    same, _ = delete_vertices(k4, set())
-    assert same.edges == k4.edges
+    assert Graph(graphs._induced(k4.masks, range(4))) == k4
     p = petersen()
-    smaller, _ = delete_vertices(p, {0})
+    smaller = Graph(graphs._induced(p.masks, range(1, 10)))
     assert smaller.n == 9 and smaller.m == 12
+    # vertices[i] becomes vertex i: the path's middle vertex, listed
+    # first, is adjacent to both others
+    assert graphs._induced(path_graph(3).masks, [1, 0, 2]) == (6, 1, 1)
+
+
+def test_induced_matches_the_relabelled_pairs_on_every_small_graph():
+    # random subsets in random order, the empty one included, of every
+    # connected graph with at most 6 vertices, against from_edge_list of
+    # the pairs the subset induces, renumbered by position
+    rng = random.Random(38)
+    for g in connected_graphs(6):
+        subsets = [[], list(range(g.n))]
+        for _ in range(6):
+            subsets.append(rng.sample(range(g.n), rng.randint(1, g.n)))
+        for vertices in subsets:
+            place = {v: i for i, v in enumerate(vertices)}
+            want = from_edge_list([(place[u], place[v]) for u, v in g.edges
+                                   if u in place and v in place],
+                                  n=len(vertices))
+            got = Graph(graphs._induced(g.masks, vertices))
+            assert got == want and got.edges == want.edges, (g.edges,
+                                                            vertices)
+
+
+def test_graph_from_masks_matches_the_other_builders():
+    # Graph(masks) equals from_edge_list and the graph6 round trip, and
+    # builds the same edges, neighbor sets and degrees from its masks
+    graphs_ = list(labelled_graphs(4)) + list(connected_graphs(6))
+    graphs_ += [petersen(), dodecahedron().graph, cycle_graph(40)]
+    for g in graphs_:
+        direct = Graph(g.masks)
+        again = parse_graph6(encode_graph6(g))
+        for other in (g, again):
+            assert direct == other and hash(direct) == hash(other)
+            assert direct.edges == other.edges, g.edges
+            assert direct.adj == other.adj
+            assert direct.degrees() == other.degrees()
+        assert direct.n == len(g.masks) and direct.m == len(g.edges)
+        assert all(direct.has_edge(u, v) == (v in g.adj[u])
+                   for u in range(g.n) for v in range(g.n))
+    assert Graph(()) == from_edge_list([]) and Graph(()).edges == frozenset()

@@ -12,12 +12,12 @@ from dpcolor import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     ConfigPattern,
+    Graph,
     MatchingAssignment,
     certify_reducible,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    delete_vertices,
     encode_graph6,
     find_coloring,
     find_pattern,
@@ -30,6 +30,7 @@ from dpcolor import (
     uniform_lists,
 )
 import dpcolor.solver
+from dpcolor.graphs import _induced
 from fixtures import BENCH_DATA, frozen_plane_embeddings
 from instances import random_full_matching
 from oracles import (all_injections_matching, reference_certify_reducible,
@@ -157,7 +158,9 @@ def replay_extension(rng, g, image, k):
     occurrence.  Returns False when the rest has no coloring, else True;
     an occurrence that does not extend fails the test."""
     matching = random_full_matching(rng, g, k)
-    rest, remap = delete_vertices(g, image)
+    remap = {v: i for i, v in enumerate(
+        v for v in range(g.n) if v not in image)}
+    rest = Graph(_induced(g.masks, list(remap)))
     rest_matching = MatchingAssignment({
         (remap[u], remap[v]): matching.pairs(u, v)
         for u, v in g.edges if u in remap and v in remap})

@@ -12,6 +12,7 @@ from dpcolor import (
     DEFAULT_BUDGET,
     AdversaryCertificate,
     BudgetExceeded,
+    Graph,
     MatchingAssignment,
     chi,
     chi_dp,
@@ -19,7 +20,6 @@ from dpcolor import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    delete_vertices,
     encode_graph6,
     find_coloring,
     format_matching_file,
@@ -27,7 +27,6 @@ from dpcolor import (
     from_list_assignment,
     is_dp_k_colorable,
     is_k_choosable,
-    k_core,
     normalized_assignment_count,
     parse_graph6,
     parse_matching_file,
@@ -39,8 +38,9 @@ from dpcolor.solver import (_AT_LIMIT, _AUT_LIMIT, _ClassGroups,
                             _GaugeOrbits, _alon_tarsi, _automorphisms,
                             _breadth_first, _choosability_walk,
                             _core_components, _count_list_systems,
-                            _scan_block, _settle, _settle_choosable,
+                            _peel, _scan_block, _settle, _settle_choosable,
                             _two_choosable)
+from dpcolor.graphs import _induced
 from dpcolor.dp import search_positions
 from oracles import (_dfs_forest, _list_systems, alon_tarsi_certifies,
                      automorphisms_by_permutation, brute_k_colorable,
@@ -245,6 +245,12 @@ def test_kernel_matches_the_recursive_reference_on_the_solver_calls(
     assert len(same) > 5_000 and all(same)
 
 
+def k_core(masks, k):
+    """The k-core of the graph with these neighbor bitmasks, as a bitmask:
+    what _settle's peel leaves at list size k on every vertex."""
+    return _peel(masks, [mask.bit_count() - k for mask in masks])
+
+
 def core_components(g, k):
     """The components of g's k-core as _settle builds them."""
     masks = g.masks
@@ -278,7 +284,7 @@ def test_core_is_empty_exactly_past_the_subset_degeneracy():
     for g in connected_graphs(6):
         for k in range(1, 6):
             assert core_components(g, k) == [
-                delete_vertices(g, set(range(g.n)) - set(comp))[0]
+                Graph(_induced(g.masks, sorted(comp)))
                 for comp in reference_core_components(g, k)], (g.edges, k)
 
 
