@@ -244,7 +244,7 @@ def _good_pairs(emb: PlaneEmbedding) -> tuple[list[tuple[int, int]], list[str]]:
     for donor, L in enumerate(length):
         if L < 10:
             continue
-        for i, (dart, receiver) in enumerate(zip(emb.faces[donor].walk,
+        for i, (dart, receiver) in enumerate(zip(emb.faces[donor],
                                                  across[donor])):
             if receiver not in receivers or receiver == donor:
                 continue
@@ -479,7 +479,7 @@ def _variant_a_phases(emb: PlaneEmbedding, state: ChargeState,
 
     # P3: gifts from big faces to 5-faces that touch a 3-face
     for f in fives:
-        sides = list(zip(emb.faces[f].walk, across[f]))
+        sides = list(zip(emb.faces[f], across[f]))
         shares_33 = any(
             length[other] == 3 and deg[x] == 3 and deg[y] == 3
             for (x, y), other in sides

@@ -50,34 +50,29 @@ def uniform_lists(n: int, k: int) -> Lists:
 
 
 class MatchingAssignment:
-    """Per-edge partial matchings between endpoint color lists.
-
-    Pairs for edge (u, v) with u < v are stored as (color at u, color at v).
-    Edges without an entry carry the empty matching.
+    """Per-edge partial matchings between endpoint color lists: one table
+    per edge (u, v), u < v, from each matched color at u to its partner at
+    v, given in either orientation but not both.  Edges without an entry
+    carry the empty matching.
     """
 
     def __init__(self, pairs_by_edge: dict[tuple[int, int], tuple] | None = None):
-        self._fwd: dict[tuple[int, int], dict[int, int]] = {}
-        self._bwd: dict[tuple[int, int], dict[int, int]] = {}
+        self._table: dict[tuple[int, int], dict[int, int]] = {}
         for (u, v), pairs in (pairs_by_edge or {}).items():
             if u > v:
-                u, v = v, u
-                pairs = [(b, a) for a, b in pairs]
-            fwd: dict[int, int] = {}
-            bwd: dict[int, int] = {}
-            for a, b in pairs:
-                if a in fwd or b in bwd:
-                    raise InvalidMatching(
-                        f"matching on edge ({u}, {v}) reuses a color")
-                fwd[a] = b
-                bwd[b] = a
-            self._fwd[(u, v)] = fwd
-            self._bwd[(u, v)] = bwd
+                u, v, pairs = v, u, [(b, a) for a, b in pairs]
+            if (u, v) in self._table:
+                raise InvalidMatching(
+                    f"edge ({u}, {v}) is given in both orientations")
+            at_u = dict(pairs)
+            if not len(pairs) == len(at_u) == len(set(at_u.values())):
+                raise InvalidMatching(
+                    f"matching on edge ({u}, {v}) reuses a color")
+            self._table[(u, v)] = at_u
 
     @classmethod
     def identity(cls, g: Graph, k: int) -> "MatchingAssignment":
-        pairs = tuple((i, i) for i in range(k))
-        return cls({e: pairs for e in g.edges})
+        return cls.from_permutations(g, k, {})
 
     @classmethod
     def from_permutations(cls, g: Graph, k: int,
@@ -96,23 +91,21 @@ class MatchingAssignment:
 
     def pairs(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """Matched (color at u, color at v) pairs for edge uv."""
-        if u < v:
-            fwd = self._fwd.get((u, v), {})
-            return tuple(sorted(fwd.items()))
-        bwd = self._bwd.get((v, u), {})
-        return tuple(sorted(bwd.items()))
+        if u <= v:
+            return tuple(sorted(self._table.get((u, v), {}).items()))
+        return tuple(sorted((b, a) for a, b in self.pairs(v, u)))
 
     def partner(self, u: int, v: int, color: int) -> int | None:
         """Color of v matched with (u, color), or None."""
-        if u < v:
-            return self._fwd.get((u, v), {}).get(color)
-        return self._bwd.get((v, u), {}).get(color)
+        if u <= v:
+            return self._table.get((u, v), {}).get(color)
+        return next((a for a, b in self.pairs(v, u) if b == color), None)
 
     def validate(self, g: Graph, lists: Lists) -> None:
         """Raise InvalidMatching unless every pair references listed colors
         on actual edges (injectivity is enforced at construction)."""
         listed = [set(L) for L in lists]
-        for (u, v), fwd in self._fwd.items():
+        for (u, v), fwd in self._table.items():
             if not g.has_edge(u, v):
                 if fwd:
                     raise InvalidMatching(f"matching on non-edge ({u}, {v})")
@@ -126,8 +119,8 @@ class MatchingAssignment:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatchingAssignment):
             return NotImplemented
-        mine = {e: f for e, f in self._fwd.items() if f}
-        theirs = {e: f for e, f in other._fwd.items() if f}
+        mine = {e: f for e, f in self._table.items() if f}
+        theirs = {e: f for e, f in other._table.items() if f}
         return mine == theirs
 
 
@@ -277,7 +270,7 @@ def find_coloring(g: Graph, lists: Lists,
         bwd = [-1] * ks[v]
         at_u, at_v = index[u], index[v]
         # a matching pairs each color once, so the pairs' order is immaterial
-        for a, b in matching._fwd.get((u, v), {}).items():
+        for a, b in matching._table.get((u, v), {}).items():
             i, j = at_u[a], at_v[b]
             fwd[i] = j
             bwd[j] = i

@@ -30,8 +30,9 @@ line that passes; the planarity test and solver.settle_dp take them from
 there.
 
 _edge_maps is the one search for maps that keep degrees and send edges to
-edges: reducibility.find_pattern lists a pattern's occurrences with it,
-and solver._automorphisms the maps of a graph into itself.
+edges, and it reads the pattern as neighbor bitmasks too:
+reducibility.find_pattern lists a pattern's occurrences with it, and
+solver._automorphisms the maps of a graph into itself.
 """
 
 from __future__ import annotations
@@ -513,13 +514,13 @@ FORBIDDEN_VARIANTS: dict[str, frozenset[int]] = {
 }
 
 
-def _edge_maps(g: Graph, adj, want, order):
+def _edge_maps(g: Graph, pattern, want, order):
     """Each injective map x -> image[x] of a pattern's vertices into g that
     sends every pattern edge to an edge of g and each x to a vertex of
     degree want[x], as the tuple image, in the lexicographic order of the
     images read along order.  The pattern vertices are 0..len(order) - 1,
-    order lists each once, and adj[x] is the set of pattern neighbors of x;
-    an empty order yields nothing.
+    order lists each once, and pattern[x] is the neighbor bitmask of x in
+    the pattern, as in Graph.masks; an empty order yields nothing.
 
     A depth first search, as a loop, maps order[i] at depth i.  It takes
     its candidates from the neighbors of the image of its least earlier
@@ -533,11 +534,11 @@ def _edge_maps(g: Graph, adj, want, order):
     masks, deg = g.masks, g.degrees()
     # per depth: the least earlier neighbor of its vertex (None if it has
     # none), the other earlier neighbors, and the degree it wants
-    steps, placed = [], set()
+    steps, placed = [], 0
     for x in order:
-        back = sorted(adj[x] & placed)
+        back = list(_bits(pattern[x] & placed))
         steps.append((back[0] if back else None, back[1:], want[x]))
-        placed.add(x)
+        placed |= 1 << x
     of_degree = {w: [v for v in range(g.n) if deg[v] == w]
                  for first, _, w in steps if first is None}
     image = [-1] * size

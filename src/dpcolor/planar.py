@@ -10,10 +10,11 @@ Face length counts boundary vertices with repetition; bridges and cut
 vertices are allowed, so a face may repeat a vertex or be adjacent to
 itself across a bridge.  All incidence statistics count such repetitions.
 
-A PlaneEmbedding derives its incidence tables from its faces, rotation and
-face_of_dart on first use and keeps them: face lengths (face_lengths), the
-face at each corner of each vertex (corner_faces), the face across each
-walk dart (across) and each face's boundary vertices (face_vertices).
+A PlaneEmbedding holds each face as its facial walk, a tuple of darts, and
+derives its incidence tables from the walks, rotation and face_of_dart on
+first use and keeps them: face lengths (face_lengths), the face at each
+corner of each vertex (corner_faces), the face across each walk dart
+(across) and each face's boundary vertices (face_vertices).
 The discharging rules index them directly.  Two distinct faces share an
 edge exactly when one lies across a dart of the other, so across also
 answers edge-sharing questions.
@@ -34,7 +35,6 @@ from functools import cached_property
 from .graphs import Graph, _connected, _induced, is_connected
 
 __all__ = [
-    "Face",
     "PlaneEmbedding",
     "Disconnected",
     "NotGenusZero",
@@ -79,25 +79,11 @@ class NotOnFace(ValueError):
 
 
 @dataclass(frozen=True)
-class Face:
-    """One facial walk, stored as a cyclic dart sequence."""
-
-    index: int
-    walk: tuple[Dart, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.walk)
-
-    def vertices(self) -> tuple[int, ...]:
-        """Boundary vertices in walk order, with repetition."""
-        return tuple(u for u, _ in self.walk)
-
-
-@dataclass(frozen=True)
 class PlaneEmbedding:
-    """A rotation system with its facial walks; face_of_dart maps each dart
-    to the index of the face whose walk holds it.
+    """A rotation system with its facial walks: faces[f] is face f's walk,
+    a cyclic tuple of darts (u, v), each followed by its successor, and
+    face_of_dart maps each dart to the index of the face whose walk holds
+    it.  The one-vertex graph has one face, whose walk is ().
 
     The incidence tables below are derived from these fields on first use
     and kept, so the queries built on them are tuple reads.
@@ -105,12 +91,12 @@ class PlaneEmbedding:
 
     graph: Graph
     rotation: tuple[tuple[int, ...], ...]
-    faces: tuple[Face, ...]
+    faces: tuple[tuple[Dart, ...], ...]
     face_of_dart: dict[Dart, int] = field(compare=False, repr=False)
 
     @cached_property
     def face_lengths(self) -> tuple[int, ...]:
-        return tuple(len(f.walk) for f in self.faces)
+        return tuple(map(len, self.faces))
 
     @cached_property
     def corner_faces(self) -> tuple[tuple[int, ...], ...]:
@@ -123,13 +109,13 @@ class PlaneEmbedding:
     def across(self) -> tuple[tuple[int, ...], ...]:
         """Per face, the face across each walk dart, in walk order."""
         face_of = self.face_of_dart
-        return tuple(tuple(face_of[(v, u)] for u, v in f.walk)
-                     for f in self.faces)
+        return tuple(tuple(face_of[(v, u)] for u, v in walk)
+                     for walk in self.faces)
 
     @cached_property
     def face_vertices(self) -> tuple[tuple[int, ...], ...]:
         """Per face, its boundary vertices in walk order, with repetition."""
-        return tuple(f.vertices() for f in self.faces)
+        return tuple(tuple(u for u, _ in walk) for walk in self.faces)
 
 
 def trace_faces(g: Graph, rot) -> PlaneEmbedding:
@@ -155,7 +141,7 @@ def trace_faces(g: Graph, rot) -> PlaneEmbedding:
     if not is_connected(g):
         raise Disconnected("face tracing requires a connected graph")
     face_of: dict[Dart, int] = {}
-    faces: list[Face] = []
+    faces: list[tuple[Dart, ...]] = []
     for start in sorted(succ):
         if start in face_of:
             continue
@@ -165,10 +151,10 @@ def trace_faces(g: Graph, rot) -> PlaneEmbedding:
             face_of[d] = len(faces)
             walk.append(d)
             d = succ[d]
-        faces.append(Face(index=len(faces), walk=tuple(walk)))
+        faces.append(tuple(walk))
     if not faces:
         # single vertex: one face with an empty boundary walk
-        faces = [Face(index=0, walk=())]
+        faces = [()]
     nfaces = len(faces)
     if g.n - g.m + nfaces != 2:
         raise NotGenusZero(

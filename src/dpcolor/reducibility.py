@@ -34,7 +34,9 @@ __all__ = [
 class ConfigPattern:
     """A configuration: pattern graph and exact host degrees.
 
-    outside[i] counts the pattern vertex's neighbors outside the
+    edges holds the pattern's edges (u, v), u < v, and masks[i] the
+    neighbor bitmask of pattern vertex i, as in Graph.masks, derived from
+    them.  outside[i] counts the pattern vertex's neighbors outside the
     configuration, so pattern degree + outside = host degree.  order, a
     permutation of the pattern vertices, is carried for the pattern file
     format and validated there; nothing consults it.
@@ -46,7 +48,7 @@ class ConfigPattern:
     host_degree: tuple[int, ...]
     outside: tuple[int, ...]
     order: tuple[int, ...]
-    adj: tuple[frozenset[int], ...] = field(compare=False, repr=False)
+    masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @staticmethod
     def build(edges, host_degree, order, name: str = "pattern") -> "ConfigPattern":
@@ -58,11 +60,12 @@ class ConfigPattern:
         if any(not 0 <= u < v < size for u, v in norm):
             raise ValueError("pattern edges must join two distinct pattern "
                              "vertices")
-        adj = [set() for _ in range(size)]
+        masks = [0] * size
         for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
-        outside = tuple(host_degree[i] - len(adj[i]) for i in range(size))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        outside = tuple(d - mask.bit_count()
+                        for d, mask in zip(host_degree, masks))
         if any(x < 0 for x in outside):
             raise ValueError("host degree below pattern degree")
         order = tuple(order)
@@ -70,8 +73,7 @@ class ConfigPattern:
             raise ValueError("order must enumerate the pattern vertices")
         return ConfigPattern(name=name, size=size, edges=norm,
                              host_degree=host_degree, outside=outside,
-                             order=order,
-                             adj=tuple(frozenset(a) for a in adj))
+                             order=order, masks=tuple(masks))
 
 
 def _is_int_list(x) -> bool:
@@ -134,7 +136,7 @@ def find_pattern(g: Graph, pat: ConfigPattern) -> list[tuple[int, ...]]:
     """All injective maps of the pattern into g that preserve pattern edges
     and give every pattern vertex its exact host degree, in lexicographic
     order: graphs._edge_maps along the pattern vertices 0, 1, ..."""
-    return list(_edge_maps(g, pat.adj, pat.host_degree, range(pat.size)))
+    return list(_edge_maps(g, pat.masks, pat.host_degree, range(pat.size)))
 
 
 def certify_reducible(g: Graph, pat: ConfigPattern, k: int) -> bool:

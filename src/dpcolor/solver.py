@@ -235,11 +235,14 @@ def normalized_assignment_count(g: Graph, k: int) -> int:
 
 
 class _Lazy(dict):
-    """A dict that builds a missing value as make(key) and keeps it."""
+    """A dict that builds a missing value as make(key) and keeps it.  A
+    subclass defines make as a method: kept here, a bound method of the
+    dict would make a reference cycle, which only the collector frees."""
 
-    def __init__(self, make):
+    def __init__(self, make=None):
         super().__init__()
-        self.make = make
+        if make is not None:
+            self.make = make
 
     def __missing__(self, key):
         value = self[key] = self.make(key)
@@ -255,21 +258,23 @@ class _OrbitTable(_Lazy):
     choice i, or -1 when a member of eq maps choice i to a smaller index.
     The members left out of eq move an earlier choice and are not used
     again; any set of members prunes soundly, so it need not be a group.
+    Neither act nor a row refers to the table.
     """
 
     def __init__(self, act, members):
-        super().__init__(self.row)
+        super().__init__()
         self.act = act
         self.start = sum(1 << m for m in members)
 
-    def row(self, eq: int) -> _Lazy:
+    def make(self, eq: int) -> _Lazy:
         members = [m for m, bit in enumerate(bin(eq)[:1:-1]) if bit == "1"]
-        return _Lazy(functools.partial(self.entry, members))
+        return _Lazy(functools.partial(self.entry, self.act, members))
 
-    def entry(self, members: list[int], i: int) -> int:
+    @staticmethod
+    def entry(act, members: list[int], i: int) -> int:
         kept = 0
         for m in members:
-            j = self.act(m, i)
+            j = act(m, i)
             if j < i:
                 return -1
             if j == i:
@@ -374,14 +379,16 @@ class _GaugeOrbits(_OrbitTable):
     one, so only the members of eq can still map it lower."""
 
     def __init__(self, k: int):
-        self.perms, self.inv = _matchings((k, k, itertools.permutations))
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        super().__init__(self.conj, range(1, len(self.perms)))
+        perms, inv = _matchings((k, k, itertools.permutations))
+        index = {p: i for i, p in enumerate(perms)}
 
-    def conj(self, pi: int, i: int) -> int:
-        """Index of perms[pi] o perms[i] o perms[pi]^-1."""
-        p, s = self.perms[pi], self.perms[i]
-        return self.index[tuple([p[s[c]] for c in self.inv[pi]])]
+        def conj(pi: int, i: int) -> int:
+            """Index of perms[pi] o perms[i] o perms[pi]^-1."""
+            p, s = perms[pi], perms[i]
+            return index[tuple([p[s[c]] for c in inv[pi]])]
+
+        super().__init__(conj, range(1, len(perms)))
+        self.perms, self.inv = perms, inv
 
 
 def _scan_block(g: Graph, sizes, first_indices, budget: int
@@ -538,11 +545,11 @@ class _ClassGroups(_Lazy):
     current set, so each set comes once."""
 
     def __init__(self, g: Graph, k: int):
-        super().__init__(self.group)
+        super().__init__()
         self.n, self.masks, self.full = g.n, g.masks, (1 << g.n) - 1
         self.rep = ((1 << g.n * k) - 1) // self.full  # bit t*n for t < k
 
-    def group(self, v: int) -> list[int]:
+    def make(self, v: int) -> list[int]:
         n, masks, full, upper = self.n, self.masks, self.full, -1 << (v + 1)
         keys = []
         todo = [(1 << v, masks[v] & upper, masks[v])]
@@ -657,7 +664,7 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     graphs._edge_maps yields along _breadth_first(g), in the lexicographic
     order of their images read along it."""
     identity = tuple(range(g.n))
-    maps = _edge_maps(g, g.adj, g.degrees(), _breadth_first(g))
+    maps = _edge_maps(g, g.masks, g.degrees(), _breadth_first(g))
     return list(itertools.islice((m for m in maps if m != identity),
                                  _AUT_LIMIT))
 

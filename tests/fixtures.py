@@ -233,10 +233,10 @@ def good_pair_fixture():
     g = from_edge_list(sorted(edges), n=19)
     rot = rotation_from_faces(19, walks)
     emb = trace_faces(g, rot)
-    receiver = next(f.index for f in emb.faces
-                    if sorted(f.vertices()) == sorted(walks[0]))
-    donor = next(f.index for f in emb.faces
-                 if sorted(f.vertices()) == sorted(walks[3]))
+    receiver = next(f for f, walk in enumerate(emb.faces)
+                    if sorted(u for u, _ in walk) == sorted(walks[0]))
+    donor = next(f for f, walk in enumerate(emb.faces)
+                 if sorted(u for u, _ in walk) == sorted(walks[3]))
     return emb, donor, receiver
 
 
@@ -275,8 +275,8 @@ def special_vertex_fixture():
 
     def face_index(verts):
         target = sorted(verts)
-        return next(f.index for f in emb.faces
-                    if sorted(f.vertices()) == target)
+        return next(f for f, walk in enumerate(emb.faces)
+                    if sorted(u for u, _ in walk) == target)
 
     tri = face_index(walks[0])
     semi1 = face_index(walks[1])
@@ -303,9 +303,9 @@ def random_plane_embedding(rng: random.Random, n_target: int,
 
     while len(rot) < n_target:
         emb = trace()
-        face = emb.faces[rng.randrange(len(emb.faces))]
-        pos = rng.randrange(face.length)
-        u, vtx = face.walk[pos]
+        walk = emb.faces[rng.randrange(len(emb.faces))]
+        pos = rng.randrange(len(walk))
+        u, vtx = walk[pos]
         # hang a new leaf in the corner entered by this dart
         new = len(rot)
         rot.append([vtx])
@@ -313,18 +313,18 @@ def random_plane_embedding(rng: random.Random, n_target: int,
         rot[vtx].insert(at + 1, new)
     emb = trace()
     for _ in range(chord_tries):
-        face = emb.faces[rng.randrange(len(emb.faces))]
-        if face.length < 4:
+        walk = emb.faces[rng.randrange(len(emb.faces))]
+        if len(walk) < 4:
             continue
-        i = rng.randrange(face.length)
-        j = rng.randrange(face.length)
-        u = face.walk[i][0]
-        vtx = face.walk[j][0]
+        i = rng.randrange(len(walk))
+        j = rng.randrange(len(walk))
+        u = walk[i][0]
+        vtx = walk[j][0]
         if u == vtx or vtx in rot[u]:
             continue
         # insert each endpoint after the reversed previous dart's origin
-        pu = face.walk[(i - 1) % face.length][0]
-        pv = face.walk[(j - 1) % face.length][0]
+        pu = walk[i - 1][0]
+        pv = walk[j - 1][0]
         rot[u].insert(rot[u].index(pu) + 1, vtx)
         rot[vtx].insert(rot[vtx].index(pv) + 1, u)
         emb = trace()

@@ -50,7 +50,7 @@ def test_charge_identity_on_random_embeddings():
     for emb in corpus:
         g = emb.graph
         total = sum(g.degree(v) - 4 for v in range(g.n))
-        total += sum(f.length - 4 for f in emb.faces)
+        total += sum(len(walk) - 4 for walk in emb.faces)
         assert total == -8
         assert initial_charges(emb).total() == Fraction(-8)
     _report("charge identity", started, 5.0, f"{len(corpus)} embeddings")

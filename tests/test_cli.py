@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import os
 import subprocess
@@ -713,6 +714,59 @@ def test_verify_sidecar_says_how_each_candidate_was_settled(
              "settled_by": "search"},
             {"graph6": lines[2], "status": "filtered:nonplanar"},
         ]
+
+
+def test_benchmark_streams_reach_no_search(tmp_path, capsys, monkeypatch):
+    # the traffic behind the hard-list and census-search workloads: no
+    # graph of either reaches a list walk or a DP scan
+    solver = dpcolor.solver
+    seen = collections.Counter()
+
+    def spy(name):
+        real = getattr(solver, name)
+
+        def call(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seen[name, result[1] if name == "_settle" else bool(result)] += 1
+            return result
+        monkeypatch.setattr(solver, name, call)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    for name in ("_settle", "_two_choosable", "_alon_tarsi"):
+        spy(name)
+    for name in ("_choosability_walk", "_dp_walk"):
+        monkeypatch.setattr(solver, name, refuse)
+    rows = [line.split("\t") for line in
+            (BENCH_DATA / "chi_list.tsv").read_text().splitlines()]
+    assert len(rows) == 129
+    for g6, value in rows:
+        path = write(tmp_path, "list.g6", g6 + "\n")
+        assert run(capsys, "chi-list", path, "--jobs", "1") == (
+            0, f"chi_list = {value}\n", "")
+    # 132 settles: 118 with an empty core, 13 by the k = 2 theorem and one
+    # by Alon-Tarsi
+    assert seen == {("_settle", "core-empty"): 118, ("_settle", "search"): 14,
+                    ("_two_choosable", True): 10,
+                    ("_two_choosable", False): 3, ("_alon_tarsi", True): 1}
+    seen.clear()
+    sidecar = tmp_path / "verify.json"
+    total = 0
+    for variant in ("b68", "a"):
+        text = (BENCH_DATA / f"census_search_{variant}.tsv").read_text()
+        rows = [line.split("\t") for line in text.splitlines()]
+        total += len(rows)
+        stream = write(tmp_path, "stream.g6",
+                       "".join(g6 + "\n" for g6, _ in rows))
+        code, _, err = run(capsys, "verify-theorem2", stream, "--variant",
+                           variant, "--jobs", "1", "--json", str(sidecar))
+        assert (code, err) == (0, "")
+        assert json.loads(sidecar.read_text())["rows"] == [
+            {"graph6": g6, "status": status, "settled_by": "core-empty"}
+            for g6, status in rows]
+    assert total == 1328
+    assert seen == {("_settle", "core-empty"): 1328}
 
 
 def with_triangle_on_zero(g):

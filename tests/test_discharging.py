@@ -62,8 +62,8 @@ def three_pentagons_in_a_row():
             edges.add((min(x, y), max(x, y)))
     g = from_edge_list(sorted(edges), n=12)
     emb = trace_faces(g, rotation_from_faces(12, walks))
-    middle = next(f.index for f in emb.faces
-                  if sorted(f.vertices()) == [0, 1, 2, 3, 4])
+    middle = next(f for f, walk in enumerate(emb.faces)
+                  if sorted(u for u, _ in walk) == [0, 1, 2, 3, 4])
     return emb, middle
 
 
@@ -71,7 +71,7 @@ def eleven_gon_with_six_triangles():
     """11-gon with triangles on edges (0,1), (1,2), (3,4), (5,6), (7,8),
     (9,10): path counts t3=1, t2=4."""
     emb = polygon_with_triangles(11, [0, 1, 3, 5, 7, 9])
-    f11 = next(f.index for f in emb.faces if f.length == 11)
+    f11 = next(f for f, walk in enumerate(emb.faces) if len(walk) == 11)
     return emb, f11
 
 
@@ -222,16 +222,16 @@ def test_bad_five_face_receives_twelfths():
 
 def test_path_stats_uncovered_and_single_triangle():
     emb = polygon_with_triangles(10, [])
-    f10 = next(f.index for f in emb.faces if f.length == 10)
+    f10 = next(f for f, walk in enumerate(emb.faces) if len(walk) == 10)
     assert path_stats(emb, f10) == {1: 10}
     emb = polygon_with_triangles(10, [0])
-    f10 = next(f.index for f in emb.faces if f.length == 10)
+    f10 = next(f for f, walk in enumerate(emb.faces) if len(walk) == 10)
     assert path_stats(emb, f10) == {2: 1, 1: 8}
 
 
 def test_path_stats_alternating():
     emb = polygon_with_triangles(10, [0, 2, 4, 6, 8])
-    f10 = next(f.index for f in emb.faces if f.length == 10)
+    f10 = next(f for f, walk in enumerate(emb.faces) if len(walk) == 10)
     assert path_stats(emb, f10) == {2: 5}
 
 
@@ -471,18 +471,30 @@ def golden_embeddings():
 
 
 def test_incidence_tables_match_their_derivation():
-    for emb in golden_embeddings():
-        g, faces, face_of = emb.graph, emb.faces, emb.face_of_dart
+    # emb.faces, one walk of darts per face, is the one record of the faces:
+    # the walks are the orbits of the dart successor map, and every table
+    # derives from them
+    for emb in [*golden_embeddings(), *frozen_plane_embeddings()]:
+        g, faces = emb.graph, emb.faces
+        succ = {(u, v): (v, order[(i + 1) % len(order)])
+                for v, order in enumerate(emb.rotation)
+                for i, u in enumerate(order)}
+        assert sorted(d for walk in faces for d in walk) == sorted(succ)
+        for walk in faces:
+            assert all(succ[d] == walk[(i + 1) % len(walk)]
+                       for i, d in enumerate(walk))
+        face_of = {d: f for f, walk in enumerate(faces) for d in walk}
+        assert emb.face_of_dart == face_of
         assert g.degrees() == tuple(len(g.adj[v]) for v in range(g.n))
-        assert emb.face_lengths == tuple(len(f.walk) for f in faces)
+        assert emb.face_lengths == tuple(len(walk) for walk in faces)
         assert emb.corner_faces == tuple(
             tuple(face_of[(u, v)] for u in emb.rotation[v]) for v in range(g.n))
         assert emb.across == tuple(
-            tuple(face_of[(v, u)] for u, v in f.walk) for f in faces)
+            tuple(face_of[(v, u)] for u, v in walk) for walk in faces)
         assert emb.face_vertices == tuple(
-            tuple(u for u, _ in f.walk) for f in faces)
+            tuple(u for u, _ in walk) for walk in faces)
         # the rules read edge sharing off across
-        edge_sets = [{frozenset(d) for d in f.walk} for f in faces]
+        edge_sets = [{frozenset(d) for d in walk} for walk in faces]
         for f in range(len(faces)):
             for t in range(len(faces)):
                 if t != f:

@@ -77,6 +77,49 @@ def test_matching_validation():
         off_edge.validate(path_graph(3), uniform_lists(3, 2))
 
 
+def test_matching_refuses_both_orientations_of_an_edge():
+    # each dict order once: neither orientation may silently win
+    g = path_graph(2)
+    for table in ({(0, 1): [(0, 0)], (1, 0): []},
+                  {(1, 0): [], (0, 1): [(0, 0)]},
+                  {(0, 1): [(0, 0)], (1, 0): [(0, 0)]}):
+        with pytest.raises(InvalidMatching, match=r"edge \(0, 1\) is given "
+                                                  r"in both orientations"):
+            MatchingAssignment(table)
+    # one orientation alone is the same matching either way
+    assert (MatchingAssignment({(1, 0): [(1, 0)]})
+            == MatchingAssignment({(0, 1): [(0, 1)]}))
+    assert find_coloring(g, uniform_lists(2, 1),
+                         MatchingAssignment({(1, 0): [(0, 0)]})) is None
+
+
+def test_matching_answers_from_either_end():
+    # one table per edge, read from the lower end; the higher end's pairs
+    # and partners are its inversion
+    rng = random.Random(39)
+    for g in connected_graphs(5):
+        k = rng.randint(1, 4)
+        assert (MatchingAssignment.identity(g, k)
+                == MatchingAssignment.from_permutations(g, k, {}))
+        table = {}
+        for u, v in sorted(g.edges):
+            at_v = rng.sample(range(k), k)
+            pairs = [(a, b) for a, b in enumerate(at_v) if rng.random() < 0.7]
+            if rng.random() < 0.5:  # given from the higher end
+                u, v, pairs = v, u, [(b, a) for a, b in pairs]
+            table[(u, v)] = pairs
+        m = MatchingAssignment(table)
+        for (u, v), pairs in table.items():
+            assert m.pairs(u, v) == tuple(sorted(pairs))
+            for c in range(k + 1):
+                assert m.partner(u, v, c) == dict(pairs).get(c)
+            lo, hi = min(u, v), max(u, v)
+            near = m.pairs(lo, hi)
+            assert m.pairs(hi, lo) == tuple(sorted((b, a) for a, b in near))
+            for c in range(k + 1):
+                assert m.partner(hi, lo, c) == {b: a for a, b in near}.get(c)
+
+
 def test_find_coloring_c4_identity():
     g = cycle_graph(4)
     got = find_coloring(g, uniform_lists(4, 2), MatchingAssignment.identity(g, 2))

@@ -36,12 +36,12 @@ from smallgraphs import connected_graphs
 
 def test_tetrahedron_faces():
     emb = tetrahedron()
-    assert sorted(f.length for f in emb.faces) == [3, 3, 3, 3]
+    assert sorted(map(len, emb.faces)) == [3, 3, 3, 3]
 
 
 def test_cycle_has_two_faces():
     emb = cycle_embedding(6)
-    assert [f.length for f in emb.faces] == [6, 6]
+    assert [len(walk) for walk in emb.faces] == [6, 6]
 
 
 def test_k5_never_embeds():
@@ -67,7 +67,7 @@ def test_k33_not_planar():
 
 def test_brute_force_prism():
     emb = brute_force_embed(prism().graph)
-    assert sorted(f.length for f in emb.faces) == [3, 3, 4, 4, 4]
+    assert sorted(map(len, emb.faces)) == [3, 3, 4, 4, 4]
 
 
 def networkx_planar(g):
@@ -184,17 +184,17 @@ def test_trace_requires_connected():
 def test_single_vertex_and_single_edge():
     g1 = from_edge_list([], n=1)
     emb1 = trace_faces(g1, ((),))
-    assert len(emb1.faces) == 1 and emb1.faces[0].length == 0
+    assert emb1.faces == ((),) and emb1.face_lengths == (0,)
     g2 = from_edge_list([(0, 1)])
     emb2 = trace_faces(g2, ((1,), (0,)))
-    assert len(emb2.faces) == 1 and emb2.faces[0].length == 2
+    assert emb2.faces == (((0, 1), (1, 0)),) and emb2.face_lengths == (2,)
 
 
 def test_dart_partition_and_length_sum():
     for emb in (tetrahedron(), cube(), prism(), two_squares_sharing_a_vertex()):
         g = emb.graph
-        assert sum(f.length for f in emb.faces) == 2 * g.m
-        darts = [d for f in emb.faces for d in f.walk]
+        assert sum(map(len, emb.faces)) == 2 * g.m
+        darts = [d for walk in emb.faces for d in walk]
         assert len(darts) == len(set(darts)) == 2 * g.m
 
 
@@ -202,24 +202,24 @@ def test_euler_charge_identity():
     for emb in (tetrahedron(), cube(), prism(), cycle_embedding(7)):
         g = emb.graph
         total = sum(g.degree(v) - 4 for v in range(g.n))
-        total += sum(f.length - 4 for f in emb.faces)
+        total += sum(len(walk) - 4 for walk in emb.faces)
         assert total == -8
 
 
 def test_face_adjacency_cube():
     emb = cube()
-    for f in emb.faces:
-        others = set(emb.across[f.index])
-        assert len(others) == 4 and f.index not in others
+    for f in range(len(emb.faces)):
+        others = set(emb.across[f])
+        assert len(others) == 4 and f not in others
 
 
 def test_face_adjacency_cycle_and_k4():
     emb = cycle_embedding(6)
-    inner, outer = emb.faces
-    assert all(other == outer.index for other in emb.across[inner.index])
+    inner, outer = range(len(emb.faces))
+    assert all(other == outer for other in emb.across[inner])
     emb = tetrahedron()
-    for f in emb.faces:
-        neighbors = emb.across[f.index]
+    for f in range(len(emb.faces)):
+        neighbors = emb.across[f]
         assert len(set(neighbors)) == 3
 
 
@@ -229,8 +229,8 @@ def test_classify_vertex_rich_at_cut_vertex():
     for f in set(emb.corner_faces[0]):
         assert classify_vertex(emb, 0, f) == "rich"
     # vertex 0 appears twice on the outer walk
-    outer = max(emb.faces, key=lambda f: f.length)
-    assert outer.vertices().count(0) == 2
+    outer = max(emb.faces, key=len)
+    assert [u for u, _ in outer].count(0) == 2
 
 
 def test_classify_vertex_poor_and_semi_rich():
@@ -239,11 +239,11 @@ def test_classify_vertex_poor_and_semi_rich():
     # vertex 1 sits between the two glued triangles: degree 4, both flanking
     # faces of the 11-gon are 3-faces
     assert g.degree(1) == 4
-    f11 = next(f.index for f in emb.faces if f.length == 11)
+    f11 = next(f for f, walk in enumerate(emb.faces) if len(walk) == 11)
     assert classify_vertex(emb, 1, f11) == "poor"
     with pytest.raises(NotOnFace):
-        off = next(f.index for f in emb.faces
-                   if f.length == 3 and 1 not in f.vertices())
+        off = next(f for f, walk in enumerate(emb.faces)
+                   if len(walk) == 3 and 1 not in (u for u, _ in walk))
         classify_vertex(emb, 1, off)
     # one flanking 3-face only: an 11-gon with a single glued triangle and a
     # pendant spike keeping the shared vertex at degree 4
@@ -261,14 +261,14 @@ def test_classify_vertex_poor_and_semi_rich():
                    14 * math.sin(2 * math.pi / n)))          # pendant
     emb3 = embed_from_coordinates(from_edge_list(edges, n=13), coords)
     assert emb3.graph.degree(1) == 4
-    f11 = next(f.index for f in emb3.faces if f.length == 11)
+    f11 = next(f for f, walk in enumerate(emb3.faces) if len(walk) == 11)
     assert classify_vertex(emb3, 1, f11) == "semi-rich"
 
 
 def test_classify_vertex_partition():
     emb = polygon_with_triangles(11, [0, 1, 3, 5, 7, 9])
-    f11 = next(f.index for f in emb.faces if f.length == 11)
-    for v in emb.faces[f11].vertices():
+    f11 = next(f for f, walk in enumerate(emb.faces) if len(walk) == 11)
+    for v, _ in emb.faces[f11]:
         if emb.graph.degree(v) >= 4:
             assert classify_vertex(emb, v, f11) in {"poor", "semi-rich", "rich"}
 
@@ -278,7 +278,7 @@ def test_embedding_file_roundtrip():
     text = dump_embedding(emb)
     back = load_embedding(text)
     assert back.rotation == emb.rotation
-    assert sorted(f.length for f in back.faces) == [4] * 6
+    assert sorted(map(len, back.faces)) == [4] * 6
 
 
 def test_embedding_file_validation():

@@ -117,6 +117,25 @@ def test_find_pattern_matches_all_injections_on_the_bench_embeddings():
     assert found == [12, 142]
 
 
+def test_pattern_masks_are_the_bitmasks_of_its_edges():
+    # masks is a pattern's one adjacency, as Graph.masks (conftest.py checks
+    # it on every pattern a test builds): the benchmark's patterns, and
+    # random ones with edges given in either orientation
+    patterns = [pattern_from_json((BENCH_DATA / "patterns" / name).read_text())
+                for name in ("pattern0.json", "pattern1.json")]
+    rng = random.Random(39)
+    for _ in range(200):
+        size = rng.randint(1, 8)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in itertools.combinations(range(size), 2)
+                 if rng.random() < 0.4]
+        patterns.append(ConfigPattern.build(edges, (size,) * size,
+                                            range(size)))
+    for pat in patterns:
+        assert pat.masks == from_edge_list(pat.edges, n=pat.size).masks
+        assert not hasattr(pat, "adj")
+
+
 def test_find_pattern_does_not_recurse():
     # a path pattern on 100 vertices of host degree 2 goes 100 deep, and
     # lies in C200 once per start and direction

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import itertools
 import math
@@ -482,6 +483,30 @@ def test_budget_exceeded_is_distinct():
     # a certificate found within budget is still returned
     cert = is_dp_k_colorable(cycle_graph(4), 2, budget=2)
     assert cert is not True
+
+
+def test_searches_leave_nothing_for_the_cyclic_collector():
+    # the lazy tables (an _OrbitTable and its rows, _GaugeOrbits,
+    # _ClassGroups) hold no bound method of themselves, so a scan's tables
+    # go with their last reference, a budget stop's too
+    def budget_stop():
+        try:
+            is_k_choosable(cycle_graph(600), 2, budget=10)
+        except BudgetExceeded:
+            pass
+
+    calls = (lambda: is_dp_k_colorable(prism(5), 3),
+             lambda: is_k_choosable(parse_graph6("Es^o"), 3), budget_stop)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_small_spaces_open_no_pool(monkeypatch):
